@@ -155,9 +155,10 @@ impl Experiment for Baseline {
                 let started = Instant::now();
                 let mut proxy = VfsProxy::new(cfg);
                 let fh = FileHandle(1);
+                let mut pf = Vec::new();
                 for o in &offsets {
                     if proxy.try_read_hit(fh, *o, bs, SimTime::ZERO).is_none() {
-                        let _ = proxy.note_read_miss(fh, *o, bs, SimTime::ZERO);
+                        proxy.note_read_miss(fh, *o, bs, &mut pf);
                     }
                 }
                 (churn, started.elapsed())

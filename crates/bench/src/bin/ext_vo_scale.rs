@@ -7,11 +7,12 @@
 //! same seeded regional topology and changes only where hopping
 //! sessions go ([`Placement`]). All per-session observations land in
 //! fixed-bucket log-scale histograms and a sampled trace ring, so
-//! tracked state stays O(sites), never O(sessions): the epilogue
-//! prints `peak_rss_mib=` from the kernel's high-water mark and CI
-//! holds it under a ceiling. Reported per policy: p50/p99/p999
-//! session slowdown (congestion stretch over the uncongested ideal),
-//! VO makespan, and simulated events per wall second.
+//! tracked state stays O(sites), never O(sessions): the harness
+//! prints `peak_rss_mib=` from the kernel's high-water mark after the
+//! epilogue and CI holds it under a ceiling. Reported per policy:
+//! p50/p99/p999 session slowdown (congestion stretch over the
+//! uncongested ideal), VO makespan, and simulated events per wall
+//! second.
 
 use gridvm_bench::harness::{
     m, run_main, Experiment, ExperimentReport, Measurement, Options, SampleCtx, Scenario,
@@ -41,16 +42,6 @@ fn config(placement: Placement, seed: u64, quick: bool) -> VoScaleConfig {
             ..reference
         }
     }
-}
-
-/// Kernel-reported peak resident set (VmHWM) in MiB, if the platform
-/// exposes it. Host-dependent like every wall-clock figure here; the
-/// point is the *bound*, not the exact value.
-fn peak_rss_mib() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
-    Some(kb.div_ceil(1024))
 }
 
 struct VoScale;
@@ -141,10 +132,7 @@ impl Experiment for VoScale {
                  migration-free baseline\n"
             ));
         }
-        out.push_str(&format!(
-            "peak_rss_mib={}",
-            peak_rss_mib().unwrap_or_default()
-        ));
+        out.pop();
         Some(out)
     }
 }

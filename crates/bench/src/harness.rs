@@ -355,9 +355,10 @@ pub fn run_experiment<E: Experiment + ?Sized>(exp: &E, opts: &Options) -> Experi
     }
 }
 
-/// Parses options, runs the experiment, prints the report (and the
-/// epilogue), and writes the `--json` file when requested. The single
-/// `main` body every reproduction binary shares.
+/// Parses options, runs the experiment, prints the report, the
+/// epilogue and the process's `peak_rss_mib=` line, and writes the
+/// `--json` file when requested. The single `main` body every
+/// reproduction binary shares.
 pub fn run_main<E: Experiment + ?Sized>(exp: &E) {
     let opts = Options::from_args();
     banner(exp.title(), &opts);
@@ -366,6 +367,7 @@ pub fn run_main<E: Experiment + ?Sized>(exp: &E) {
     if let Some(text) = exp.epilogue(&report, &opts) {
         println!("{text}");
     }
+    println!("peak_rss_mib={}", peak_rss_mib().unwrap_or_default());
     if let Some(path) = &opts.json {
         match std::fs::write(path, to_json(&report)) {
             Ok(()) => println!("wrote {}", path.display()),
@@ -375,6 +377,16 @@ pub fn run_main<E: Experiment + ?Sized>(exp: &E) {
             }
         }
     }
+}
+
+/// Kernel-reported peak resident set (`VmHWM`) in MiB, if the
+/// platform exposes it. Host-dependent like every wall-clock figure
+/// here; the point is the *bound*, not the exact value.
+fn peak_rss_mib() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kb.div_ceil(1024))
 }
 
 /// A one-line experiment banner.

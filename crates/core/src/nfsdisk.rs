@@ -6,7 +6,11 @@ use gridvm_simcore::time::{SimDuration, SimTime};
 use gridvm_storage::block::BlockAddr;
 use gridvm_vfs::fs::FileHandle;
 use gridvm_vfs::mount::Mount;
+use gridvm_vfs::protocol::{Bytes, NfsRequest, NFS_BLOCK};
 use gridvm_vmm::exec::{GuestStorage, IO_BLOCK};
+
+// Each guest I/O block is exactly one NFS transfer.
+const _: () = assert!(IO_BLOCK.as_u64() == NFS_BLOCK.as_u64());
 
 /// [`GuestStorage`] backed by one big state file on a VFS mount.
 pub struct NfsGuestStorage {
@@ -14,6 +18,10 @@ pub struct NfsGuestStorage {
     file: FileHandle,
     client_cpu_per_block: SimDuration,
     label: String,
+    /// The payload of every guest WRITE: one zero-filled block, shared
+    /// by reference. Guest data content is immaterial to timing; only
+    /// its length reaches the model.
+    zero_block: Bytes,
 }
 
 impl std::fmt::Debug for NfsGuestStorage {
@@ -41,6 +49,7 @@ impl NfsGuestStorage {
             file,
             client_cpu_per_block,
             label: label.into(),
+            zero_block: Bytes::from(vec![0; IO_BLOCK.as_u64() as usize]),
         }
     }
 
@@ -53,22 +62,32 @@ impl NfsGuestStorage {
 impl GuestStorage for NfsGuestStorage {
     fn io_run(&mut self, now: SimTime, start: BlockAddr, count: u64, write: bool) -> SimTime {
         let bs = IO_BLOCK.as_u64();
-        let offset = start.0 * bs;
         if write {
-            // Writes of synthetic guest data: the byte content is
-            // immaterial to timing, so write zeros of the right size
-            // per block through the mount.
-            let payload = vec![0u8; (count * bs) as usize];
-            let (done, r) = self.mount.write_range(now, self.file, offset, &payload);
-            // Synthetic read-only state files reject writes; guests
-            // write to their own (writable) files, so surface errors.
-            if r.is_err() {
-                // Fall back to read timing: the mount charged nothing.
-                return done;
+            // One WRITE RPC per block, each carrying the shared zero
+            // block. Like `Mount::write_range`, the run ends at the
+            // first failed RPC: Figure 3's data sessions mount a
+            // read-only synthetic file, so their guest writes stop
+            // there.
+            let mut t = now;
+            for block in start.0..start.0 + count {
+                let (done, r) = self.mount.request(
+                    t,
+                    NfsRequest::Write {
+                        fh: self.file,
+                        offset: block * bs,
+                        data: self.zero_block.clone(),
+                    },
+                );
+                t = done;
+                if r.is_err() {
+                    break;
+                }
             }
-            done
+            t
         } else {
-            let (done, r) = self.mount.read_range(now, self.file, offset, count * bs);
+            let (done, r) = self
+                .mount
+                .read_range(now, self.file, start.0 * bs, count * bs);
             debug_assert!(r.is_ok(), "guest read failed: {r:?}");
             done
         }

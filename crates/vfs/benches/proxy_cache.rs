@@ -29,12 +29,13 @@ fn bench_cache_churn(c: &mut Criterion) {
             |mut proxy| {
                 let fh = FileHandle(1);
                 let mut hits = 0usize;
+                let mut pf = Vec::new();
                 for i in 0..10_000u64 {
                     let offset = (i * 769 % 2048) * bs;
                     if proxy.try_read_hit(fh, offset, bs, SimTime::ZERO).is_some() {
                         hits += 1;
                     } else {
-                        let _ = proxy.note_read_miss(fh, offset, bs, SimTime::ZERO);
+                        proxy.note_read_miss(fh, offset, bs, &mut pf);
                     }
                 }
                 hits
@@ -49,14 +50,15 @@ fn bench_cache_churn(c: &mut Criterion) {
             |mut proxy| {
                 let fh = FileHandle(1);
                 let mut total = 0usize;
+                let mut pf = Vec::new();
                 for i in 0..10_000u64 {
                     let offset = i * 8192;
                     if proxy
                         .try_read_hit(fh, offset, 8192, SimTime::ZERO)
                         .is_none()
                     {
-                        let pf = proxy.note_read_miss(fh, offset, 8192, SimTime::ZERO);
-                        for (o, l) in pf {
+                        proxy.note_read_miss(fh, offset, 8192, &mut pf);
+                        for &(o, l) in &pf {
                             proxy.install(fh, o, l);
                         }
                         total += 1;

@@ -1,17 +1,36 @@
 //! The in-memory hierarchical file system served over the NFS-like
-//! protocol: inodes, directories, and file data that is either
-//! materialized (user files) or synthetic (huge read-only VM state
-//! files whose content is a pure function of a seed, so a 2 GB image
-//! file costs no memory).
+//! protocol: inodes, directories, and file data that is either stored
+//! in blocks (user files) or synthetic (huge read-only VM state files
+//! whose content is a pure function of a seed, so a 2 GB image file
+//! costs no memory).
+//!
+//! A user file is a logical size plus its [`NFS_BLOCK`]-sized blocks.
+//! A block never written, or written all zeros, is a *hole*: it has no
+//! entry and reads as the file system's one shared zero block. So
+//! presizing a file costs O(1), and a whole-block read hands out a
+//! reference-counted clone of the stored block rather than a copy.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
 use bytes::Bytes;
-use gridvm_simcore::slot::{Handle, SlotMap};
+use gridvm_simcore::slot::{DenseMap, Handle, SlotMap};
 use gridvm_simcore::time::SimTime;
 use gridvm_simcore::units::ByteSize;
-use gridvm_storage::block::{synthetic_file_chunk, BlockAddr};
+use gridvm_storage::block::synthetic_file_chunk;
+
+use crate::protocol::NFS_BLOCK;
+
+/// The block size user file data is stored in.
+const BLOCK: usize = NFS_BLOCK.as_u64() as usize;
+
+/// All zeros: what a hole reads as, and what writes are compared
+/// against (a memcmp) to find the blocks that are holes.
+static ZERO_BLOCK: [u8; BLOCK] = [0; BLOCK];
+
+fn is_zero(bytes: &[u8]) -> bool {
+    bytes == &ZERO_BLOCK[..bytes.len()]
+}
 
 /// Tag type for inode-table handles.
 enum FsTag {}
@@ -87,8 +106,10 @@ impl std::error::Error for FsError {}
 
 #[derive(Clone, Debug)]
 enum FileData {
-    /// Ordinary user file data.
-    Materialized(Vec<u8>),
+    /// Ordinary user file data: the logical size and the non-hole
+    /// blocks, keyed by block index. Every stored block is [`BLOCK`]
+    /// bytes long and holds zeros past `size`.
+    Blocks { size: u64, blocks: DenseMap<Bytes> },
     /// Huge read-only content generated from a seed (VM disk images
     /// and memory snapshots exported over NFS).
     Synthetic { seed: u64, size: u64 },
@@ -124,6 +145,8 @@ enum Node {
 pub struct InMemoryFs {
     nodes: SlotMap<FsTag, Node>,
     root: FileHandle,
+    /// The one zero block every whole-block read of a hole shares.
+    zero: Bytes,
 }
 
 impl Default for InMemoryFs {
@@ -144,7 +167,11 @@ impl InMemoryFs {
                 })
                 .pack(),
         );
-        InMemoryFs { nodes, root }
+        InMemoryFs {
+            nodes,
+            root,
+            zero: Bytes::from_static(&ZERO_BLOCK),
+        }
     }
 
     /// The root directory handle.
@@ -211,8 +238,10 @@ impl InMemoryFs {
             dir,
             name,
             Node::File {
-                // audit:allow(alloc-in-hot): file creation owns the new node's backing store by contract; steady-state reads never reach here
-                data: FileData::Materialized(Vec::new()),
+                data: FileData::Blocks {
+                    size: 0,
+                    blocks: DenseMap::new(),
+                },
                 mtime: now,
             },
             now,
@@ -300,7 +329,9 @@ impl InMemoryFs {
     }
 
     /// Reads up to `len` bytes at `offset`; short reads happen at end
-    /// of file.
+    /// of file. A read of exactly one aligned block of a user file
+    /// shares the stored block (or the zero block, for a hole) instead
+    /// of copying it.
     ///
     /// # Errors
     ///
@@ -308,14 +339,14 @@ impl InMemoryFs {
     pub fn read(&self, h: FileHandle, offset: u64, len: u64) -> Result<Bytes, FsError> {
         match self.node(h)? {
             Node::File { data, .. } => match data {
-                FileData::Materialized(v) => {
-                    let start = (offset as usize).min(v.len());
-                    let end = ((offset + len) as usize).min(v.len());
-                    Ok(Bytes::copy_from_slice(&v[start..end]))
+                FileData::Blocks { size, blocks } => {
+                    let start = offset.min(*size);
+                    let end = offset.saturating_add(len).min(*size);
+                    Ok(self.read_blocks(blocks, start, end))
                 }
                 FileData::Synthetic { seed, size } => {
                     let start = offset.min(*size);
-                    let end = (offset + len).min(*size);
+                    let end = offset.saturating_add(len).min(*size);
                     Ok(synthetic_file_chunk(*seed, start, (end - start) as usize))
                 }
             },
@@ -323,8 +354,29 @@ impl InMemoryFs {
         }
     }
 
-    /// Writes `data` at `offset`, extending (zero-filling any gap) as
-    /// needed.
+    /// The bytes `[start, end)` of a user file's blocks.
+    fn read_blocks(&self, blocks: &DenseMap<Bytes>, start: u64, end: u64) -> Bytes {
+        let bs = BLOCK as u64;
+        if start.is_multiple_of(bs) && end - start == bs {
+            return blocks.get(start / bs).unwrap_or(&self.zero).clone();
+        }
+        // audit:allow(alloc-in-hot): a partial or multi-block read gathers its bytes into a fresh buffer; NFS READs of whole aligned blocks share a block above
+        let mut buf = Vec::with_capacity((end - start) as usize);
+        let mut at = start;
+        while at < end {
+            let lo = (at % bs) as usize;
+            let hi = (end - (at - lo as u64)).min(bs) as usize;
+            let block = blocks.get(at / bs).map_or(&ZERO_BLOCK[..], |b| &b[..]);
+            buf.extend_from_slice(&block[lo..hi]);
+            at += (hi - lo) as u64;
+        }
+        Bytes::from(buf)
+    }
+
+    /// Writes `data` at `offset`, extending the file as needed; any
+    /// gap reads as zeros. Each block the write covers whole is stored
+    /// or, when all zeros, dropped to a hole. Zeros written into a
+    /// hole leave it a hole, so presizing a file costs O(1).
     ///
     /// # Errors
     ///
@@ -336,21 +388,45 @@ impl InMemoryFs {
         data: &[u8],
         now: SimTime,
     ) -> Result<(), FsError> {
-        match self.node_mut(h)? {
-            Node::File { data: fd, mtime } => match fd {
-                FileData::Materialized(v) => {
-                    let end = offset as usize + data.len();
-                    if v.len() < end {
-                        v.resize(end, 0);
-                    }
-                    v[offset as usize..end].copy_from_slice(data);
-                    *mtime = now;
-                    Ok(())
-                }
-                FileData::Synthetic { .. } => Err(FsError::ReadOnly),
-            },
-            Node::Dir { .. } => Err(FsError::IsDir),
+        let (size, blocks) = match self.node_mut(h)? {
+            Node::File {
+                data: FileData::Blocks { size, blocks },
+                mtime,
+            } => {
+                *mtime = now;
+                (size, blocks)
+            }
+            Node::File { .. } => return Err(FsError::ReadOnly),
+            Node::Dir { .. } => return Err(FsError::IsDir),
+        };
+        let mut done = 0;
+        while done < data.len() {
+            let at = offset + done as u64;
+            let index = at / BLOCK as u64;
+            let lo = (at % BLOCK as u64) as usize;
+            let chunk = &data[done..data.len().min(done + BLOCK - lo)];
+            done += chunk.len();
+            let whole = chunk.len() == BLOCK;
+            if is_zero(chunk) && (whole || !blocks.contains_key(index)) {
+                blocks.remove(index);
+                continue;
+            }
+            if whole {
+                blocks.insert(index, Bytes::copy_from_slice(chunk));
+                continue;
+            }
+            let old = blocks.get(index).map_or(&ZERO_BLOCK[..], |b| &b[..]);
+            // audit:allow(alloc-in-hot): a partial-block write merges into a copy of that one block; whole-block writes and zeros into holes never get here
+            let mut merged = old.to_vec();
+            merged[lo..lo + chunk.len()].copy_from_slice(chunk);
+            if is_zero(&merged) {
+                blocks.remove(index);
+            } else {
+                blocks.insert(index, Bytes::from(merged));
+            }
         }
+        *size = (*size).max(offset + data.len() as u64);
+        Ok(())
     }
 
     /// File or directory attributes.
@@ -362,8 +438,7 @@ impl InMemoryFs {
         Ok(match self.node(h)? {
             Node::File { data, mtime } => FileAttr {
                 size: match data {
-                    FileData::Materialized(v) => v.len() as u64,
-                    FileData::Synthetic { size, .. } => *size,
+                    FileData::Blocks { size, .. } | FileData::Synthetic { size, .. } => *size,
                 },
                 mtime: *mtime,
                 is_dir: false,
@@ -414,25 +489,13 @@ impl InMemoryFs {
     }
 
     /// First and last block indices an NFS transfer of the byte range
-    /// touches (8 KiB-aligned), or `None` for an empty range. The
-    /// allocation-free core of
-    /// [`blocks_for_range`](InMemoryFs::blocks_for_range) for hot
-    /// paths that only need the span.
+    /// touches (8 KiB-aligned), or `None` for an empty range.
     pub fn block_span(offset: u64, len: u64, block: ByteSize) -> Option<(u64, u64)> {
         if len == 0 {
             return None;
         }
         let bs = block.as_u64();
         Some((offset / bs, (offset + len - 1) / bs))
-    }
-
-    /// Maps a byte range of a file onto the 8 KiB-aligned block
-    /// addresses that an NFS transfer of that range touches.
-    pub fn blocks_for_range(offset: u64, len: u64, block: ByteSize) -> Vec<BlockAddr> {
-        match Self::block_span(offset, len, block) {
-            Some((first, last)) => (first..=last).map(BlockAddr).collect(),
-            None => Vec::new(),
-        }
     }
 }
 
@@ -537,18 +600,49 @@ mod tests {
     }
 
     #[test]
-    fn block_range_mapping() {
+    fn block_span_mapping() {
         let bs = ByteSize::from_kib(8);
-        assert_eq!(InMemoryFs::blocks_for_range(0, 1, bs), vec![BlockAddr(0)]);
-        assert_eq!(
-            InMemoryFs::blocks_for_range(8191, 2, bs),
-            vec![BlockAddr(0), BlockAddr(1)]
-        );
-        assert_eq!(
-            InMemoryFs::blocks_for_range(16384, 8192, bs),
-            vec![BlockAddr(2)]
-        );
-        assert!(InMemoryFs::blocks_for_range(100, 0, bs).is_empty());
+        assert_eq!(InMemoryFs::block_span(0, 1, bs), Some((0, 0)));
+        assert_eq!(InMemoryFs::block_span(8191, 2, bs), Some((0, 1)));
+        assert_eq!(InMemoryFs::block_span(16384, 8192, bs), Some((2, 2)));
+        assert_eq!(InMemoryFs::block_span(100, 0, bs), None);
+    }
+
+    #[test]
+    fn terabyte_presize_is_instant_and_sparse() {
+        let mut fs = InMemoryFs::new();
+        let f = fs.create(fs.root(), "huge", t0()).unwrap();
+        let tib = 1u64 << 40;
+        fs.write(f, tib - 1, &[0], t0()).unwrap();
+        assert_eq!(fs.getattr(f).unwrap().size, tib);
+        let middle = fs.read(f, tib / 2, 8192).unwrap();
+        assert_eq!(middle.len(), 8192);
+        assert!(middle.iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn whole_block_reads_share_storage() {
+        let mut fs = InMemoryFs::new();
+        let f = fs.create(fs.root(), "f", t0()).unwrap();
+        fs.write(f, 0, &[7; BLOCK], t0()).unwrap();
+        fs.write(f, 3 * BLOCK as u64 - 1, &[0], t0()).unwrap();
+        let same = |a: &Bytes, b: &Bytes| std::ptr::eq(a.as_ptr(), b.as_ptr());
+        let stored = fs.read(f, 0, BLOCK as u64).unwrap();
+        assert!(same(&stored, &fs.read(f, 0, BLOCK as u64).unwrap()));
+        let hole = fs.read(f, BLOCK as u64, BLOCK as u64).unwrap();
+        assert!(same(
+            &hole,
+            &fs.read(f, 2 * BLOCK as u64, BLOCK as u64).unwrap()
+        ));
+        assert!(same(&hole, &fs.zero));
+        // Zeros over a block's last non-zero bytes, whole or partial,
+        // punch it back to a hole.
+        fs.write(f, 0, &[0; BLOCK], t0()).unwrap();
+        assert!(same(&fs.read(f, 0, BLOCK as u64).unwrap(), &fs.zero));
+        fs.write(f, 100, b"xy", t0()).unwrap();
+        assert!(!same(&fs.read(f, 0, BLOCK as u64).unwrap(), &fs.zero));
+        fs.write(f, 100, &[0, 0], t0()).unwrap();
+        assert!(same(&fs.read(f, 0, BLOCK as u64).unwrap(), &fs.zero));
     }
 
     #[test]
@@ -563,22 +657,52 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
+    /// One write from a drawn `(kind, offset, len, seed)`: a short
+    /// write straddling a block boundary, a long write at any offset, a
+    /// whole aligned block of one byte value (zero included), or an
+    /// all-zero payload that punches holes over earlier data.
+    fn write_op((kind, offset, len, seed): (u8, u64, usize, u8)) -> (u64, Vec<u8>) {
+        let bs = BLOCK as u64;
+        let pattern = |n: usize| (0..n).map(|i| (i as u8).wrapping_mul(31) ^ seed).collect();
+        match kind {
+            0 => {
+                let n = len % 600 + 1;
+                let boundary = (offset / bs + 1) * bs;
+                (boundary - (n as u64 / 2).max(1), pattern(n))
+            }
+            1 => (offset, pattern(len)),
+            2 => (offset / bs * bs, vec![seed % 3; BLOCK]),
+            _ => (offset, vec![0; len]),
+        }
+    }
+
     proptest! {
-        /// Writes then reads behave like a flat byte array.
+        /// Writes then reads at any offset and length, past EOF too,
+        /// behave like a flat byte array.
         #[test]
-        fn file_matches_vec_model(ops in proptest::collection::vec((0u64..512, proptest::collection::vec(0u8..=255, 1..64)), 1..40)) {
+        fn file_matches_vec_model(
+            ops in proptest::collection::vec((0u8..4, 0u64..6 * BLOCK as u64, 1usize..3 * BLOCK, 0u8..=255), 1..24),
+            reads in proptest::collection::vec((0u64..7 * BLOCK as u64, 0u64..3 * BLOCK as u64), 1..16),
+        ) {
             let mut fs = InMemoryFs::new();
             let f = fs.create(fs.root(), "m", SimTime::ZERO).unwrap();
             let mut model: Vec<u8> = Vec::new();
-            for (offset, data) in ops {
+            for op in ops {
+                let (offset, data) = write_op(op);
                 fs.write(f, offset, &data, SimTime::ZERO).unwrap();
                 let end = offset as usize + data.len();
                 if model.len() < end { model.resize(end, 0); }
                 model[offset as usize..end].copy_from_slice(&data);
             }
+            prop_assert_eq!(fs.getattr(f).unwrap().size, model.len() as u64);
             let got = fs.read(f, 0, model.len() as u64 + 10).unwrap();
             prop_assert_eq!(&got[..], &model[..]);
-            prop_assert_eq!(fs.getattr(f).unwrap().size, model.len() as u64);
+            for (offset, len) in reads {
+                let start = (offset as usize).min(model.len());
+                let end = ((offset + len) as usize).min(model.len());
+                let got = fs.read(f, offset, len).unwrap();
+                prop_assert_eq!(&got[..], &model[start..end]);
+            }
         }
     }
 }

@@ -156,6 +156,9 @@ pub struct Mount {
     proxy: Option<VfsProxy>,
     server: NfsServer,
     rpcs_sent: u64,
+    /// The proxy's prefetch ranges for the current miss, reused
+    /// across requests.
+    prefetch: Vec<(u64, u64)>,
 }
 
 impl std::fmt::Debug for Mount {
@@ -177,6 +180,7 @@ impl Mount {
             proxy,
             server,
             rpcs_sent: 0,
+            prefetch: Vec::new(),
         }
     }
 
@@ -256,8 +260,8 @@ impl Mount {
         // Feed the proxy's caches and prefetcher.
         if let Some(proxy) = &mut self.proxy {
             if let (NfsRequest::Read { fh, offset, len }, Ok(_)) = (&req, &result) {
-                let prefetch = proxy.note_read_miss(*fh, *offset, *len, done);
-                for (pf_offset, pf_len) in prefetch {
+                proxy.note_read_miss(*fh, *offset, *len, &mut self.prefetch);
+                for &(pf_offset, pf_len) in &self.prefetch {
                     // Prefetches run in the background against the
                     // server and do not delay the foreground reply.
                     let pf = NfsRequest::Read {

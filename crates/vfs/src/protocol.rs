@@ -7,7 +7,7 @@
 //! protocol here mirrors NFSv2/v3's core operations with the standard
 //! 8 KiB transfer size.
 
-use bytes::Bytes;
+pub use bytes::Bytes;
 use gridvm_simcore::time::SimDuration;
 use gridvm_simcore::units::ByteSize;
 

@@ -195,15 +195,18 @@ impl VfsProxy {
     }
 
     /// Records a read miss that was served by the server, installs
-    /// the blocks, and — when the access is sequential — returns the
-    /// `(offset, len)` ranges the proxy should prefetch.
+    /// the blocks, and — when the access is sequential — writes the
+    /// `(offset, len)` ranges the proxy should prefetch into `out`
+    /// (cleared first). The caller owns and reuses the buffer, so a
+    /// steady stream of misses allocates nothing.
     pub fn note_read_miss(
         &mut self,
         fh: FileHandle,
         offset: u64,
         len: u64,
-        _completed: SimTime,
-    ) -> Vec<(u64, u64)> {
+        out: &mut Vec<(u64, u64)>,
+    ) {
+        out.clear();
         let len = len.min(NFS_BLOCK.as_u64());
         let sequential = self
             .last_read_end
@@ -214,11 +217,10 @@ impl VfsProxy {
         self.install(fh, offset, len);
         self.set_last_read_end(fh, offset + len);
         if !sequential || self.config.prefetch_depth == 0 {
-            return Vec::new();
+            return;
         }
         let bs = NFS_BLOCK.as_u64();
         let next = offset + len;
-        let mut out = Vec::new();
         for i in 0..self.config.prefetch_depth {
             let pf_offset = next + i * bs;
             let first_block = pf_offset / bs;
@@ -229,7 +231,6 @@ impl VfsProxy {
         }
         self.prefetched += out.len() as u64;
         PROXY_PREFETCHED.add(out.len() as u64);
-        out
     }
 
     /// Marks the blocks of a range as cached (used for demand fills
@@ -282,11 +283,18 @@ mod tests {
         NFS_BLOCK.as_u64()
     }
 
+    /// The prefetch ranges a miss asks for.
+    fn miss(p: &mut VfsProxy, file: u64, offset: u64) -> Vec<(u64, u64)> {
+        let mut out = vec![(0, 0)]; // stale content the call must clear
+        p.note_read_miss(fh(file), offset, bs(), &mut out);
+        out
+    }
+
     #[test]
     fn miss_install_hit_cycle() {
         let mut p = VfsProxy::new(ProxyConfig::default());
         assert!(p.try_read_hit(fh(1), 0, bs(), SimTime::ZERO).is_none());
-        let prefetch = p.note_read_miss(fh(1), 0, bs(), SimTime::ZERO);
+        let prefetch = miss(&mut p, 1, 0);
         assert!(prefetch.is_empty(), "first access is not sequential");
         let hit = p.try_read_hit(fh(1), 0, bs(), SimTime::ZERO);
         assert_eq!(hit, Some(SimTime::ZERO + p.config.hit_cost));
@@ -297,8 +305,8 @@ mod tests {
     #[test]
     fn sequential_misses_trigger_prefetch() {
         let mut p = VfsProxy::new(ProxyConfig::default());
-        let _ = p.note_read_miss(fh(1), 0, bs(), SimTime::ZERO);
-        let pf = p.note_read_miss(fh(1), bs(), bs(), SimTime::ZERO);
+        let _ = miss(&mut p, 1, 0);
+        let pf = miss(&mut p, 1, bs());
         assert_eq!(pf.len(), 8, "default depth");
         assert_eq!(pf[0], (2 * bs(), bs()));
         // After install, the prefetched range hits.
@@ -314,8 +322,8 @@ mod tests {
     #[test]
     fn random_access_does_not_prefetch() {
         let mut p = VfsProxy::new(ProxyConfig::default());
-        let _ = p.note_read_miss(fh(1), 0, bs(), SimTime::ZERO);
-        let pf = p.note_read_miss(fh(1), 100 * bs(), bs(), SimTime::ZERO);
+        let _ = miss(&mut p, 1, 0);
+        let pf = miss(&mut p, 1, 100 * bs());
         assert!(pf.is_empty());
     }
 

@@ -195,6 +195,102 @@ fn sampled_golden_vo_scale_digest_is_pinned() {
 }
 
 #[test]
+fn table1_pvfs_rows_are_pinned() {
+    // The PVFS anchor: Table 1's `VM, PVFS` rows at `table1_macro
+    // --quick` scale (1/100), built exactly as that binary builds
+    // them — a presized state file on a WAN mount through a cold
+    // proxy. Every simulated figure the data path feeds is pinned:
+    // the guest report in ns, the RPCs that crossed the wire, and the
+    // proxy's hits, misses and prefetched blocks. A change to how file
+    // data is stored or moved must leave all of them bit-identical.
+    use gridvm::core::NfsGuestStorage;
+    use gridvm::simcore::units::ByteSize;
+    use gridvm::storage::disk::{DiskModel, DiskProfile};
+    use gridvm::vfs::mount::{Mount, Transport};
+    use gridvm::vfs::proxy::{ProxyConfig, VfsProxy};
+    use gridvm::vfs::server::NfsServer;
+    use gridvm::vmm::exec::{run_app, ExecMode};
+    use gridvm::vmm::VirtCostModel;
+    use gridvm::workloads::spec;
+
+    let run = |app: AppProfile| {
+        let app = AppProfile::new(app.name(), app.user_work().mul_f64(0.01))
+            .with_syscalls(app.syscalls() / 100)
+            .with_reads(
+                ByteSize::from_bytes(app.read_bytes().as_u64() / 100),
+                app.io_pattern(),
+            )
+            .with_writes(ByteSize::from_bytes(app.write_bytes().as_u64() / 100))
+            .with_memory_pressure(app.memory_pressure());
+        let model = VirtCostModel::default();
+        let mut server = NfsServer::new(DiskModel::new(DiskProfile::ide_2003()));
+        let root = server.fs().root();
+        let size = (app.io_bytes() + ByteSize::from_mib(64)).as_u64();
+        let file = server
+            .fs_mut()
+            .create(root, "vmstate", SimTime::ZERO)
+            .unwrap();
+        server
+            .fs_mut()
+            .write(file, size - 1, &[0], SimTime::ZERO)
+            .unwrap();
+        let mount = Mount::new(
+            Transport::wan(),
+            server,
+            Some(VfsProxy::new(ProxyConfig::default())),
+        );
+        let mut storage = NfsGuestStorage::new(mount, file, model.pvfs_client_per_block, "PVFS");
+        let r = run_app(
+            &app,
+            ExecMode::Virtualized,
+            &model,
+            &mut storage,
+            spec::MACRO_CLOCK_HZ,
+            SimTime::ZERO,
+            &mut SimRng::seed_from(SEED),
+        );
+        let mount = storage.mount();
+        let proxy = mount.proxy().expect("PVFS mounts through a proxy");
+        (
+            [
+                r.user.as_nanos(),
+                r.sys.as_nanos(),
+                r.io_wall.as_nanos(),
+                r.wall.as_nanos(),
+            ],
+            [
+                mount.rpcs_sent(),
+                proxy.hits(),
+                proxy.misses(),
+                proxy.prefetched(),
+            ],
+        )
+    };
+    // ([user, sys, io_wall, wall] ns, [rpcs, hits, misses, prefetched])
+    assert_eq!(
+        run(spec::specseis()),
+        (
+            [
+                165_563_268_000,
+                1_491_999_000,
+                18_185_591_376,
+                167_055_267_000
+            ],
+            [3944, 3495, 438, 3496]
+        ),
+        "SPECseis PVFS row drifted"
+    );
+    assert_eq!(
+        run(spec::specclimate()),
+        (
+            [96_780_208_000, 114_023_000, 727_722_986, 96_894_231_000],
+            [154, 136, 18, 136]
+        ),
+        "SPECclimate PVFS row drifted"
+    );
+}
+
+#[test]
 fn golden_scenario_reproduces_itself() {
     let (a, ta) = run_golden();
     let (b, tb) = run_golden();
