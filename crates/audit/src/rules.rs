@@ -17,6 +17,7 @@
 //! | `unwrap-lib`      | `.unwrap()` in library code: panics without an invariant message |
 //! | `hot-btree-lookup`| `BTreeMap`/`BTreeSet` in a file listed under `[hot_paths]` in `audit.toml`: O(log n) lookups on a measured hot path |
 //! | `sync-primitive`  | `Mutex`/`RwLock`/`Atomic*` in sim-state library code outside the sanctioned `simcore::shard` synchronizer: ad-hoc cross-thread coordination invites schedule-dependent results |
+//! | `trace-format`    | `format!` handed to a `.record(` call in library code: allocates a trace message the sampler may drop; `format_args!` defers formatting to the kept entries |
 
 use crate::analysis::{balanced, find_closures, receiver_chain, FileIndex, SymbolTable, UseDef};
 use crate::lexer::{tokenize, Token, TokenKind};
@@ -206,6 +207,13 @@ pub const RULES: &[RuleInfo] = &[
                   with an audited reason",
     },
     RuleInfo {
+        name: "trace-format",
+        summary: "format! inside a .record( call in library code: TraceLog::record formats \
+                  its impl Display message only for entries the sampler keeps, so a \
+                  caller-side format! allocates for every dropped entry; pass \
+                  format_args! instead",
+    },
+    RuleInfo {
         name: "unseeded-rand",
         summary: "randomness that bypasses the seeded SimRng stream (thread_rng, OsRng, \
                   RandomState, from_entropy, getrandom)",
@@ -370,6 +378,7 @@ pub fn scan_with(src: &str, ctx: &FileContext, symbols: Option<&SymbolTable>) ->
 
     scan_float_accum(&toks, &hash_names, &in_test, &mut out);
     scan_boxed_event(&toks, ctx, &in_test, &mut out);
+    scan_trace_format(&toks, ctx, &in_test, &mut out);
 
     // The semantic pass: item index + use-def chains feed the
     // dataflow-aware rules.
@@ -832,6 +841,45 @@ fn scan_boxed_event(
     }
 }
 
+/// `trace-format`: detects `format!` inside the argument list of a
+/// `.record(` call in library code outside tests. `TraceLog::record`
+/// takes its message as `impl Display` and formats it only once the
+/// sampler keeps the entry, so a caller-side `format!` allocates the
+/// message even when the entry is sampled out or tracing is off;
+/// `format_args!` defers the work to the entries that are kept.
+fn scan_trace_format(
+    toks: &[Token],
+    ctx: &FileContext,
+    in_test: &dyn Fn(usize) -> bool,
+    out: &mut Vec<Finding>,
+) {
+    if ctx.kind != SourceKind::Lib {
+        return;
+    }
+    for i in 1..toks.len() {
+        if in_test(i) || !toks[i].is_ident("record") || !toks[i - 1].is_punct('.') {
+            continue;
+        }
+        let Some(args) = balanced(toks, i + 1, '(', ')') else {
+            continue;
+        };
+        for j in args {
+            if toks[j].is_ident("format") && toks.get(j + 1).is_some_and(|t| t.is_punct('!')) {
+                let t = &toks[j];
+                out.push(Finding {
+                    rule: "trace-format",
+                    line: t.line,
+                    col: t.col,
+                    message: "format! inside a .record( call: the message is formatted \
+                              even when the sampler drops the entry; pass format_args! \
+                              so only kept entries format"
+                        .to_owned(),
+                });
+            }
+        }
+    }
+}
+
 /// 1-based inclusive line spans covered by `#[cfg(test)]` items —
 /// used by the suppression layer so allow-comment *examples* inside
 /// test code (fixture strings, doc snippets under test) are not
@@ -1174,6 +1222,39 @@ fn arm(en: &mut Engine<W>) {\n\
         // Box::new outside a schedule_* argument list is not this
         // rule's business.
         let other = "fn f() { let b = Box::new(5); schedule_later(); }\n";
+        assert!(rules_fired(other, &lib_ctx("core")).is_empty());
+    }
+
+    #[test]
+    fn trace_format_fires_in_library_code_only() {
+        let src = "\
+fn done(trace: &mut TraceLog, t: SimTime, s: u64) {\n\
+    trace.record(t, \"vo\", format!(\"session {s} done\"));\n\
+}\n";
+        let findings = scan(src, &lib_ctx("core"));
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!(
+            (findings[0].rule, findings[0].line, findings[0].col),
+            ("trace-format", 2, 23),
+            "{findings:?}"
+        );
+        // Any crate's library code, simcore included.
+        assert_eq!(rules_fired(src, &lib_ctx("simcore")), vec!["trace-format"]);
+        // Tests, benches and binaries may format eagerly.
+        for kind in [SourceKind::Test, SourceKind::Bench, SourceKind::Bin] {
+            let ctx = FileContext {
+                kind,
+                ..lib_ctx("core")
+            };
+            assert!(rules_fired(src, &ctx).is_empty(), "{kind:?}");
+        }
+        // Deferred formatting is the fix.
+        let ok = src.replace("format!", "format_args!");
+        assert!(rules_fired(&ok, &lib_ctx("core")).is_empty());
+        // format! outside a .record( argument list is not this rule's
+        // business, nor is a free function named record.
+        let other =
+            "fn f(s: &mut S) { let m = format!(\"x\"); s.log(m); record(format!(\"y\")); }\n";
         assert!(rules_fired(other, &lib_ctx("core")).is_empty());
     }
 

@@ -291,6 +291,20 @@ fn bad_alloc_hot_fixture_fires_only_when_listed_hot() {
 }
 
 #[test]
+fn bad_trace_format_fixture_exact_diagnostics() {
+    assert_eq!(
+        diagnostics("bad_trace_format.rs", "core"),
+        vec![("trace-format", 6, 33), ("trace-format", 13, 9)]
+    );
+    // Library code in any crate, simcore included; the cfg(test)
+    // module and the format_args! call stay silent.
+    assert_eq!(
+        diagnostics("bad_trace_format.rs", "simcore"),
+        diagnostics("bad_trace_format.rs", "bench")
+    );
+}
+
+#[test]
 fn committed_rules_md_matches_generator() {
     // RULES.md is generated (`--rules-md`); CI diffs it too, but this
     // test catches drift before push.

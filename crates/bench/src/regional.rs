@@ -140,7 +140,7 @@ fn burst(
         );
     } else {
         site.trace
-            .record(en.now(), "handoff", format!("token {token} retired"));
+            .record(en.now(), "handoff", format_args!("token {token} retired"));
     }
 }
 

@@ -169,7 +169,7 @@ fn step(args: [u64; 2], site: &mut SiteState<VoSite>, en: &mut Engine<SiteState<
     if steps_left == 0 {
         w.completed += 1;
         site.trace
-            .record(en.now(), "vo", format!("session {session} completed"));
+            .record(en.now(), "vo", format_args!("session {session} completed"));
         return;
     }
     let draw = w.rng.next_below(1000) as u32;
@@ -196,7 +196,7 @@ fn step(args: [u64; 2], site: &mut SiteState<VoSite>, en: &mut Engine<SiteState<
         w.recoveries += 1;
         let delay = w.retry_delay;
         site.trace
-            .record(en.now(), "vo", format!("session {session} recovering"));
+            .record(en.now(), "vo", format_args!("session {session} recovering"));
         en.schedule_event_in(delay, Event::Arg2([session, steps_left], step));
     } else {
         let jitter = w.rng.next_below(w.step_spacing.as_nanos() / 4 + 1);
@@ -596,7 +596,7 @@ fn scale_step(
         site.trace.record(
             en.now(),
             "vo",
-            format!("session {session} done x{slowdown}"),
+            format_args!("session {session} done x{slowdown}"),
         );
         return;
     }

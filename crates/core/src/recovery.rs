@@ -326,7 +326,7 @@ impl ChaosReport {
 /// trace.
 fn note_fault(trace: &mut TraceLog, e: &FaultEvent) {
     metrics::counter_add(e.kind.counter_name(), 1);
-    trace.record(e.at, "fault", format!("{:?} on {}", e.kind, e.target));
+    trace.record(e.at, "fault", format_args!("{:?} on {}", e.kind, e.target));
 }
 
 /// An information-service query under the retry policy: unconsumed
@@ -352,7 +352,7 @@ fn info_query_with_retry(
     match result {
         Ok(()) => Ok(finish),
         Err(_) => {
-            trace.record(finish, "recovery", format!("{op} gave up"));
+            trace.record(finish, "recovery", format_args!("{op} gave up"));
             Err(ChaosError::RetryBudgetExhausted { op, at: finish })
         }
     }
@@ -382,7 +382,7 @@ pub fn run_resilient_session(
         Ok(_) => metrics::counter_add("chaos.sessions_completed", 1),
         Err(e) => {
             metrics::counter_add("chaos.sessions_failed", 1);
-            trace.record(SimTime::ZERO, "session", format!("failed: {e}"));
+            trace.record(SimTime::ZERO, "session", format_args!("failed: {e}"));
         }
     }
     result
@@ -399,7 +399,7 @@ fn drive_session(
     let mut feed = FaultFeed::new(plan);
     let t0 = SimTime::ZERO;
     let mut t = t0;
-    trace.record(t, "session", format!("establish for {}", req.user));
+    trace.record(t, "session", format_args!("establish for {}", req.user));
 
     // Steps 1–2: discovery, each a retried information-service query.
     t = info_query_with_retry(&mut feed, cfg, trace, t, rng, "future-discovery")?;
@@ -437,7 +437,11 @@ fn drive_session(
                 host_idx = cluster
                     .surviving_host(plan, t, Some(host_idx), &req.image, rng)
                     .ok_or(ChaosError::NoSurvivingHost { at: t })?;
-                trace.record(t, "recovery", format!("startup moved to node{host_idx}"));
+                trace.record(
+                    t,
+                    "recovery",
+                    format_args!("startup moved to node{host_idx}"),
+                );
             }
         }
     };
@@ -472,7 +476,7 @@ fn drive_session(
         t += Transport::wan().round_trip_estimate() * MOUNT_SETUP_RPCS;
     }
     let establish = t.duration_since(t0);
-    trace.record(t, "session", format!("established on node{host_idx}"));
+    trace.record(t, "session", format_args!("established on node{host_idx}"));
 
     // Step 6: the application, under checkpointing and crashes. The
     // fault-free wall time anchors the work-remaining accounting.
@@ -549,7 +553,7 @@ fn drive_session(
         trace.record(
             tc,
             "recovery",
-            format!("node{host_idx} lost; {checkpoints} checkpoints survive"),
+            format_args!("node{host_idx} lost; {checkpoints} checkpoints survive"),
         );
 
         // Detect, re-select, transfer, resume, resubmit, reconnect.
@@ -588,7 +592,11 @@ fn drive_session(
         if !cluster.links[next].up_at(rt) {
             match cluster.links[next].outage_until(rt) {
                 Some(heal) if heal.duration_since(rt) <= cfg.partition_patience => {
-                    trace.record(rt, "recovery", format!("waiting out partition to {heal}"));
+                    trace.record(
+                        rt,
+                        "recovery",
+                        format_args!("waiting out partition to {heal}"),
+                    );
                     rt = heal;
                 }
                 Some(heal) => {
@@ -690,14 +698,14 @@ fn drive_session(
         trace.record(
             rt,
             "recovery",
-            format!("resumed on node{next} after {}", record.downtime()),
+            format_args!("resumed on node{next} after {}", record.downtime()),
         );
         recoveries.push(record);
         host_idx = next;
         t = rt;
     }
 
-    trace.record(t, "session", format!("completed on node{host_idx}"));
+    trace.record(t, "session", format_args!("completed on node{host_idx}"));
     Ok(ChaosReport {
         total: t.duration_since(t0),
         establish,

@@ -38,53 +38,11 @@ fn bench_queue(c: &mut Criterion) {
         })
     });
 
-    // A/B: the same workload against both storage layouts, regardless
-    // of the crate's `wheel` feature default.
-    c.bench_function("queue[wheel]: push+pop 100k random times", |b| {
+    // The single-event-in-flight chain: the Engine::run steady state
+    // of every chained-event workload.
+    c.bench_function("queue: 100k single-event chain", |b| {
         b.iter(|| {
-            let mut q = EventQueue::with_wheel();
-            for (i, t) in ts.iter().enumerate() {
-                q.push(*t, i);
-            }
-            let mut n = 0;
-            while q.pop().is_some() {
-                n += 1;
-            }
-            n
-        })
-    });
-
-    c.bench_function("queue[heap-only]: push+pop 100k random times", |b| {
-        b.iter(|| {
-            let mut q = EventQueue::heap_only();
-            for (i, t) in ts.iter().enumerate() {
-                q.push(*t, i);
-            }
-            let mut n = 0;
-            while q.pop().is_some() {
-                n += 1;
-            }
-            n
-        })
-    });
-
-    // A/B: the single-event-in-flight chain (the Engine::run steady
-    // state of every chained-event workload) against both layouts.
-    c.bench_function("queue[wheel]: 100k single-event chain", |b| {
-        b.iter(|| {
-            let mut q = EventQueue::with_wheel();
-            q.push(SimTime::ZERO, 0usize);
-            for i in 0..100_000usize {
-                let (t, _, _) = q.pop().expect("chain stays alive");
-                q.push(SimTime::from_nanos(t.as_nanos() + 10_000), i);
-            }
-            q.len()
-        })
-    });
-
-    c.bench_function("queue[heap-only]: 100k single-event chain", |b| {
-        b.iter(|| {
-            let mut q = EventQueue::heap_only();
+            let mut q = EventQueue::new();
             q.push(SimTime::ZERO, 0usize);
             for i in 0..100_000usize {
                 let (t, _, _) = q.pop().expect("chain stays alive");

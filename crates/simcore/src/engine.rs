@@ -319,8 +319,8 @@ impl<W> Engine<W> {
     /// the horizon set by [`run_until`](Engine::run_until)). Returns
     /// `true` if an event ran.
     pub fn step(&mut self, world: &mut W) -> bool {
-        // One fused queue operation: the horizon check and the pop
-        // share a single front-bucket activation.
+        // One fused queue operation: the horizon check reads the
+        // heap root the pop then removes.
         let Some((time, _, ev)) = self.queue.pop_due(self.horizon) else {
             return false;
         };
@@ -417,16 +417,6 @@ impl<W> Engine<W> {
     /// safe-advance minimum.
     pub fn next_event_time(&self) -> Option<SimTime> {
         self.queue.earliest_time()
-    }
-
-    /// [`next_event_time`](Engine::next_event_time) for exclusive
-    /// owners: may activate (and lazily sort) the queue's front
-    /// bucket, so the window loop's repeated peeks cost O(1) instead
-    /// of rescanning the front bucket each time. The activation work
-    /// is the same the next pop would have done; results never
-    /// differ from `next_event_time`.
-    pub fn peek_next_time(&mut self) -> Option<SimTime> {
-        self.queue.peek_time()
     }
 
     /// Runs at most `max_events` events; returns how many ran.

@@ -1,40 +1,25 @@
-//! The pending-event set: a timing-wheel front-end over an
-//! index-tracked d-ary min-heap, ordered by `(time, sequence)` with
-//! O(1) near-future scheduling, O(log n) far-future overflow, and true
-//! in-place cancellation — and no hashing anywhere on the hot path.
+//! The pending-event set: an index-tracked 4-ary min-heap ordered by
+//! `(time, sequence)`, with true in-place cancellation and no hashing
+//! anywhere on the hot path.
 //!
 //! Sequence numbers make same-time ordering deterministic: two events
 //! scheduled for the same instant fire in the order they were
-//! scheduled, regardless of wheel or heap internals.
+//! scheduled.
 //!
-//! ## Wheel ↔ heap hybrid
-//!
-//! Simulation models overwhelmingly schedule a short hop ahead of the
-//! current instant (a link hop, a disk block, a scheduler quantum), so
-//! the queue keeps a single-level timing wheel of
-//! [`WHEEL_BUCKETS`] × [`GRANULE_NS`] ns buckets covering a sliding
-//! ~2 ms window. A push inside the window appends to its bucket in
-//! O(1); everything beyond the window (or behind its leading edge)
-//! overflows into the 4-ary heap. The front bucket is sorted
-//! descending by `(time, seq)` on first access, so the minimum pops
-//! from its back in O(1) amortized; when the wheel drains, the window
-//! re-anchors and in-window heap entries migrate into buckets. Pop
-//! always compares the wheel minimum against the heap minimum, so the
-//! drain order is *exactly* the heap-only order — the wheel is a
-//! layout optimization, never an ordering change (a property the
-//! proptests pin against [`EventQueue::heap_only`]).
+//! There is no bucketed front-end: the sharded window loop keeps one
+//! small queue per site, and there a compact heap is faster and
+//! smaller than a timing wheel (DESIGN.md §10.2 has the measurement).
 //!
 //! ## Cancellation
 //!
 //! Unlike the earlier `BinaryHeap` + tombstone-set design,
 //! cancellation removes the entry immediately: each pending event
 //! lives in a generation-stamped arena slot that records its current
-//! location (heap index or wheel bucket+position), and the [`EventId`]
-//! handle encodes `(generation, slot)`. Cancel is a direct arena probe
-//! (stale handles fail the generation check), so a long-running
-//! simulation carries no dead entries: nothing is re-heapified on pop,
-//! and cancelling an already-fired id leaves no residual bookkeeping
-//! behind.
+//! heap index, and the [`EventId`] handle encodes `(generation,
+//! slot)`. Cancel is a direct arena probe (stale handles fail the
+//! generation check), so a long-running simulation carries no dead
+//! entries: nothing is re-heapified on pop, and cancelling an
+//! already-fired id leaves no residual bookkeeping behind.
 
 use std::fmt;
 
@@ -45,33 +30,6 @@ use crate::time::SimTime;
 /// one cache line of 24-byte heap entries — measurably faster than
 /// binary on the pop-heavy simulation loop.
 const D: usize = 4;
-
-/// Buckets in the timing wheel (power of two so the occupancy bitmap
-/// is a handful of words).
-const WHEEL_BUCKETS: usize = 512;
-
-/// log₂ of the bucket granularity: each bucket spans 4096 ns.
-const GRANULE_BITS: u32 = 12;
-
-/// Bucket width in nanoseconds.
-const GRANULE_NS: u64 = 1 << GRANULE_BITS;
-
-/// Width of the whole wheel window (~2.1 ms of virtual time).
-const WHEEL_SPAN_NS: u64 = (WHEEL_BUCKETS as u64) << GRANULE_BITS;
-
-/// Words in the bucket-occupancy bitmap.
-const WHEEL_WORDS: usize = WHEEL_BUCKETS / 64;
-
-/// Pending-set size below which pushes bypass the wheel entirely: a
-/// d-ary heap of a few dozen 24-byte entries spans a handful of cache
-/// lines, which beats touching the wheel's scattered bucket vectors
-/// when many queues share a cache (the sharded window loop revisits
-/// every site's queue once per window). The wheel engages — via
-/// [`EventQueue::insert_entry`] routing and the refill in
-/// [`EventQueue::front`] — once the heap outgrows this. Ordering is
-/// unaffected either way: pop order is the `(time, seq)` minimum in
-/// both structures.
-const WHEEL_ENGAGE: usize = 64;
 
 /// Identifies a scheduled event, for cancellation.
 ///
@@ -108,8 +66,8 @@ impl fmt::Display for EventId {
 /// A compact pending-event record: the `(time, sequence)` ordering key
 /// plus the arena slot of its payload and the slot's generation stamp
 /// (carried inline so pop can reconstruct the [`EventId`] without a
-/// random arena read). Kept `Copy` and 24 bytes so sift steps and
-/// bucket sorts move entries through contiguous memory.
+/// random arena read). Kept `Copy` and 24 bytes so sift steps move
+/// entries through contiguous memory.
 #[derive(Clone, Copy)]
 struct Entry {
     time: SimTime,
@@ -123,23 +81,6 @@ impl Entry {
     fn key(&self) -> (SimTime, u64) {
         (self.time, self.seq)
     }
-}
-
-/// Where a live arena slot's entry currently lives. Stale for free
-/// slots; cancel validates against the entry itself.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Loc {
-    /// Index into the d-ary heap.
-    Heap(u32),
-    /// Bucket index and position within that bucket's vector.
-    Wheel { bucket: u16, pos: u32 },
-}
-
-/// Which side of the hybrid currently holds the minimum.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Front {
-    Wheel,
-    Heap,
 }
 
 /// A cancellable min-priority queue of timestamped payloads.
@@ -161,15 +102,13 @@ enum Front {
 /// assert!(q.pop().is_none());
 /// ```
 pub struct EventQueue<E> {
-    /// Implicit d-ary min-heap of `(time, sequence)` keys: the
-    /// far-future overflow behind the wheel (or the whole queue when
-    /// the wheel is disabled).
+    /// Implicit d-ary min-heap of `(time, sequence)` keys.
     heap: Vec<Entry>,
-    /// Location of each slot's entry, maintained by the sift steps and
-    /// bucket operations with plain vector writes (so cancellation
-    /// finds its target without searching or hashing). Stale for free
-    /// slots; cancel validates against the entry itself.
-    loc: Vec<Loc>,
+    /// Heap index of each slot's entry, maintained by the sift steps
+    /// with plain vector writes (so cancellation finds its target
+    /// without searching or hashing). Stale for free slots; cancel
+    /// validates against the entry itself.
+    loc: Vec<u32>,
     /// Payloads, indexed by `Entry::slot`; slots are recycled through
     /// `free`, so arena size tracks peak concurrency, not total
     /// events scheduled.
@@ -179,29 +118,6 @@ pub struct EventQueue<E> {
     /// handles can never validate).
     free: Vec<(u32, u32)>,
     next_seq: u64,
-    /// Timing-wheel buckets; allocated lazily on the first in-window
-    /// push so tiny micro-sim queues stay cheap. Empty when the wheel
-    /// is disabled.
-    wheel: Vec<Vec<Entry>>,
-    /// Bucket-occupancy bitmap: bit `b` set iff `wheel[b]` is
-    /// non-empty. Makes cursor advance a couple of word scans.
-    occupied: [u64; WHEEL_WORDS],
-    /// Total entries across all buckets.
-    wheel_len: usize,
-    /// Virtual time (ns, granule-aligned) of bucket 0 in the current
-    /// window.
-    wheel_base_ns: u64,
-    /// First bucket that may hold entries; every non-empty bucket is
-    /// at this index or later.
-    cursor: usize,
-    /// Whether `wheel[cursor]` is currently sorted descending by key
-    /// (so its minimum is at the back).
-    cursor_sorted: bool,
-    wheel_enabled: bool,
-    /// Heap size at which pushes start routing to the wheel; see
-    /// [`WHEEL_ENGAGE`]. [`EventQueue::with_wheel`] sets 1 so the
-    /// wheel paths stay exercised by tiny test/bench queues.
-    wheel_engage: usize,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -214,53 +130,20 @@ impl<E> fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("EventQueue")
             .field("pending", &self.len())
-            .field("wheel", &self.wheel_len)
             .finish()
     }
 }
 
 impl<E> EventQueue<E> {
-    fn with_wheel_enabled(wheel_enabled: bool) -> Self {
+    /// Creates an empty queue.
+    pub fn new() -> Self {
         EventQueue {
             heap: Vec::new(),
             loc: Vec::new(),
             payloads: Vec::new(),
             free: Vec::new(),
             next_seq: 0,
-            wheel: Vec::new(),
-            occupied: [0; WHEEL_WORDS],
-            wheel_len: 0,
-            wheel_base_ns: 0,
-            cursor: 0,
-            cursor_sorted: false,
-            wheel_enabled,
-            wheel_engage: WHEEL_ENGAGE,
         }
-    }
-
-    /// Creates an empty queue. The timing-wheel front-end is on unless
-    /// the crate was built with `--no-default-features` (dropping the
-    /// `wheel` feature); either way the drain order is identical.
-    pub fn new() -> Self {
-        Self::with_wheel_enabled(cfg!(feature = "wheel"))
-    }
-
-    /// Creates an empty queue with the timing wheel forced on,
-    /// regardless of feature flags, and engaging from the second
-    /// pending event (instead of waiting for [`WHEEL_ENGAGE`]). Used
-    /// by benches and the wheel-vs-heap equivalence tests, which want
-    /// the wheel paths exercised even by small queues.
-    pub fn with_wheel() -> Self {
-        let mut q = Self::with_wheel_enabled(true);
-        q.wheel_engage = 1;
-        q
-    }
-
-    /// Creates an empty queue that keeps every entry in the d-ary heap
-    /// — the pre-wheel implementation, retained as the reference model
-    /// for equivalence tests and A/B benchmarks.
-    pub fn heap_only() -> Self {
-        Self::with_wheel_enabled(false)
     }
 
     /// Hole-style sift toward the root: parents shift down one level
@@ -275,14 +158,14 @@ impl<E> EventQueue<E> {
             let p = heap[parent];
             if key < p.key() {
                 heap[i] = p;
-                loc[p.slot as usize] = Loc::Heap(i as u32);
+                loc[p.slot as usize] = i as u32;
                 i = parent;
             } else {
                 break;
             }
         }
         heap[i] = entry;
-        loc[entry.slot as usize] = Loc::Heap(i as u32);
+        loc[entry.slot as usize] = i as u32;
     }
 
     /// Hole-style sift toward the leaves: the smallest child shifts up
@@ -307,14 +190,14 @@ impl<E> EventQueue<E> {
             }
             if best_entry.key() < key {
                 heap[i] = best_entry;
-                loc[best_entry.slot as usize] = Loc::Heap(i as u32);
+                loc[best_entry.slot as usize] = i as u32;
                 i = best;
             } else {
                 break;
             }
         }
         heap[i] = entry;
-        loc[entry.slot as usize] = Loc::Heap(i as u32);
+        loc[entry.slot as usize] = i as u32;
     }
 
     /// Pop-path sift: the hole at `i` walks straight to the bottom,
@@ -342,7 +225,7 @@ impl<E> EventQueue<E> {
                 }
             }
             heap[i] = best_entry;
-            loc[best_entry.slot as usize] = Loc::Heap(i as u32);
+            loc[best_entry.slot as usize] = i as u32;
             i = best;
         }
         let key = entry.key();
@@ -351,14 +234,14 @@ impl<E> EventQueue<E> {
             let p = heap[parent];
             if key < p.key() {
                 heap[i] = p;
-                loc[p.slot as usize] = Loc::Heap(i as u32);
+                loc[p.slot as usize] = i as u32;
                 i = parent;
             } else {
                 break;
             }
         }
         heap[i] = entry;
-        loc[entry.slot as usize] = Loc::Heap(i as u32);
+        loc[entry.slot as usize] = i as u32;
     }
 
     /// Restores the heap property for an index whose entry changed.
@@ -368,89 +251,6 @@ impl<E> EventQueue<E> {
         } else {
             self.sift_down(i);
         }
-    }
-
-    /// Virtual time (ns) of the leading edge of the live window: pushes
-    /// at or after this instant and inside the span go into buckets.
-    #[inline]
-    fn cursor_time_ns(&self) -> u64 {
-        self.wheel_base_ns
-            .saturating_add((self.cursor as u64) << GRANULE_BITS)
-    }
-
-    /// Appends an entry to a wheel bucket, maintaining the occupancy
-    /// bitmap, the location arena and the cursor-sort flag.
-    fn wheel_insert(&mut self, entry: Entry, bucket: usize) {
-        if self.wheel.is_empty() {
-            self.wheel = (0..WHEEL_BUCKETS).map(|_| Vec::new()).collect();
-        }
-        let b = &mut self.wheel[bucket];
-        b.push(entry);
-        self.loc[entry.slot as usize] = Loc::Wheel {
-            bucket: bucket as u16,
-            pos: (b.len() - 1) as u32,
-        };
-        self.occupied[bucket / 64] |= 1u64 << (bucket % 64);
-        self.wheel_len += 1;
-        if bucket == self.cursor {
-            self.cursor_sorted = false;
-        }
-    }
-
-    /// Pushes an entry onto the d-ary heap.
-    fn heap_insert(&mut self, entry: Entry) {
-        let i = self.heap.len();
-        self.heap.push(entry);
-        self.sift_up(i);
-    }
-
-    /// Routes a new entry to the wheel (in-window) or the heap
-    /// (overflow). The current window is reused whenever it still
-    /// covers the incoming time — even when the wheel happens to be
-    /// momentarily empty, which is the steady state of a simulation
-    /// with one event in flight ("pop, then schedule a little ahead").
-    /// Only a push an empty wheel cannot place re-anchors the window,
-    /// *centered* on the incoming time so slightly-earlier follow-up
-    /// pushes still land in buckets; that makes re-anchoring a
-    /// once-per-half-window cost instead of a per-event one.
-    #[inline]
-    fn insert_entry(&mut self, entry: Entry) {
-        if self.wheel_enabled {
-            // Small queues stay on the heap: a lone event (the
-            // one-in-flight chain steady state) pops from the root in
-            // O(1), and anything under the engage threshold fits in a
-            // few cache lines where bucket bookkeeping would only add
-            // footprint. Routing to the wheel resumes as soon as it
-            // holds entries or the heap outgrows the threshold.
-            if self.wheel_len == 0 && self.heap.len() < self.wheel_engage {
-                self.heap_insert(entry);
-                return;
-            }
-            let t = entry.time.as_nanos();
-            if t >= self.cursor_time_ns() && t.wrapping_sub(self.wheel_base_ns) < WHEEL_SPAN_NS {
-                let bucket = ((t - self.wheel_base_ns) >> GRANULE_BITS) as usize;
-                // An insert into an already-activated (sorted,
-                // non-empty) cursor bucket would force a full re-sort
-                // on the next pop — quadratic when many events crowd
-                // one granule. The heap absorbs those at O(log n)
-                // instead; pop already compares both sides.
-                if !(bucket == self.cursor
-                    && self.cursor_sorted
-                    && self.wheel.get(bucket).is_some_and(|b| !b.is_empty()))
-                {
-                    self.wheel_insert(entry, bucket);
-                    return;
-                }
-            } else if self.wheel_len == 0 {
-                self.wheel_base_ns = (t & !(GRANULE_NS - 1)).saturating_sub(WHEEL_SPAN_NS / 2);
-                self.cursor = 0;
-                self.cursor_sorted = false;
-                let bucket = ((t - self.wheel_base_ns) >> GRANULE_BITS) as usize;
-                self.wheel_insert(entry, bucket);
-                return;
-            }
-        }
-        self.heap_insert(entry);
     }
 
     /// Schedules `payload` at `time`, returning a handle for
@@ -476,17 +276,19 @@ impl<E> EventQueue<E> {
                     self.payloads.reserve(add);
                     self.heap.reserve(add);
                 }
-                self.loc.push(Loc::Heap(0));
+                self.loc.push(0);
                 self.payloads.push(Some(payload));
                 ((self.loc.len() - 1) as u32, 0)
             }
         };
-        self.insert_entry(Entry {
+        let i = self.heap.len();
+        self.heap.push(Entry {
             time,
             seq,
             slot,
             gen,
         });
+        self.sift_up(i);
         EventId::pack(gen, slot)
     }
 
@@ -496,278 +298,89 @@ impl<E> EventQueue<E> {
         self.free.push((slot, gen.wrapping_add(1)));
     }
 
-    /// Cancels a previously scheduled event, removing it from its
-    /// bucket or heap position in place.
+    /// Cancels a previously scheduled event, removing it from its heap
+    /// position in place.
     ///
     /// Returns `true` if the event was still pending. Cancelling an
     /// already-fired or already-cancelled event returns `false`, is
     /// harmless, and leaves no bookkeeping behind.
     pub fn cancel(&mut self, id: EventId) -> bool {
         let slot = id.slot();
-        // The handle is live iff the slot's recorded location holds an
-        // entry for this exact (slot, generation) pair; anything stale
-        // — fired, cancelled, recycled — fails here.
-        let Some(&l) = self.loc.get(slot as usize) else {
+        // The handle is live iff the slot's recorded heap index holds
+        // an entry for this exact (slot, generation) pair; anything
+        // stale — fired, cancelled, recycled — fails here.
+        let Some(&i) = self.loc.get(slot as usize) else {
             return false;
         };
-        match l {
-            Loc::Heap(i) => {
-                let i = i as usize;
-                match self.heap.get(i) {
-                    Some(e) if e.slot == slot && e.gen == id.gen() => {}
-                    _ => return false,
-                }
-                let last = self.heap.len() - 1;
-                self.heap.swap(i, last);
-                self.heap.pop();
-                if i < last {
-                    self.sift(i);
-                }
-            }
-            Loc::Wheel { bucket, pos } => {
-                let (b, p) = (bucket as usize, pos as usize);
-                match self.wheel.get(b).and_then(|v| v.get(p)) {
-                    Some(e) if e.slot == slot && e.gen == id.gen() => {}
-                    _ => return false,
-                }
-                let bv = &mut self.wheel[b];
-                bv.swap_remove(p);
-                if let Some(moved) = bv.get(p) {
-                    self.loc[moved.slot as usize] = Loc::Wheel { bucket, pos };
-                }
-                if bv.is_empty() {
-                    self.occupied[b / 64] &= !(1u64 << (b % 64));
-                }
-                self.wheel_len -= 1;
-                if b == self.cursor {
-                    // swap_remove disturbed the bucket's order.
-                    self.cursor_sorted = false;
-                }
-            }
+        let i = i as usize;
+        match self.heap.get(i) {
+            Some(e) if e.slot == slot && e.gen == id.gen() => {}
+            _ => return false,
+        }
+        let last = self.heap.len() - 1;
+        self.heap.swap(i, last);
+        self.heap.pop();
+        if i < last {
+            self.sift(i);
         }
         self.payloads[slot as usize] = None;
         self.release(slot, id.gen());
         true
     }
 
-    /// First occupied bucket at or after `from`, via the bitmap.
-    fn first_occupied(&self, from: usize) -> Option<usize> {
-        let mut w = from / 64;
-        if w >= WHEEL_WORDS {
-            return None;
-        }
-        let mut bits = self.occupied[w] & (!0u64 << (from % 64));
-        loop {
-            if bits != 0 {
-                return Some(w * 64 + bits.trailing_zeros() as usize);
-            }
-            w += 1;
-            if w == WHEEL_WORDS {
-                return None;
-            }
-            bits = self.occupied[w];
-        }
-    }
-
-    /// When the wheel has drained but the heap still holds events,
-    /// re-anchor the window at the heap minimum and migrate every
-    /// in-window heap entry into its bucket. Each event migrates at
-    /// most once, so the cost amortizes into its eventual pop.
-    fn refill_from_heap(&mut self) {
-        let top = self.heap[0].time.as_nanos();
-        self.wheel_base_ns = top & !(GRANULE_NS - 1);
-        self.cursor = 0;
-        self.cursor_sorted = false;
-        while let Some(root) = self.heap.first() {
-            // Heap order guarantees t >= top >= base.
-            let off = root.time.as_nanos() - self.wheel_base_ns;
-            if off >= WHEEL_SPAN_NS {
-                break;
-            }
-            let root = *root;
-            let tail = self.heap.pop().expect("heap is non-empty");
-            if !self.heap.is_empty() {
-                self.heap[0] = tail;
-                self.sift_down_to_bottom(0);
-            }
-            self.wheel_insert(root, (off >> GRANULE_BITS) as usize);
-        }
-    }
-
-    /// Advances the cursor to the first non-empty bucket and sorts it
-    /// descending by key (so the minimum is at the back), then returns
-    /// the wheel's minimum key.
-    fn activate_front_bucket(&mut self) -> Option<(SimTime, u64)> {
-        if self.wheel_len == 0 {
-            return None;
-        }
-        let front = self
-            .first_occupied(self.cursor)
-            .expect("wheel_len > 0 implies an occupied bucket");
-        if front != self.cursor {
-            self.cursor = front;
-            self.cursor_sorted = false;
-        }
-        if !self.cursor_sorted {
-            let Self {
-                wheel, loc, cursor, ..
-            } = self;
-            let bucket = &mut wheel[*cursor];
-            // A single-entry bucket (the common case under steady
-            // chained scheduling) is trivially sorted and its location
-            // record is already exact.
-            if bucket.len() > 1 {
-                bucket.sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
-                for (pos, e) in bucket.iter().enumerate() {
-                    loc[e.slot as usize] = Loc::Wheel {
-                        bucket: *cursor as u16,
-                        pos: pos as u32,
-                    };
-                }
-            }
-            self.cursor_sorted = true;
-        }
-        self.wheel[self.cursor].last().map(Entry::key)
-    }
-
-    /// Which side holds the global minimum, activating the wheel's
-    /// front bucket (and refilling the wheel from the heap when it has
-    /// drained) along the way.
+    /// Removes the heap root and hands back its `(time, id, payload)`
+    /// triple. The caller has checked the heap is non-empty.
     #[inline]
-    fn front(&mut self) -> Option<Front> {
-        if self.wheel_len == 0 {
-            // Heap-only fast path: with nothing staged in buckets
-            // there is no activation or key comparison to do. Refill
-            // only pays off with at least two heap entries, and only
-            // once the heap outgrows the engage threshold — below
-            // that the whole pending set pops from the heap without
-            // migrating (see [`WHEEL_ENGAGE`] for the rationale).
-            if !self.wheel_enabled || self.heap.len() <= 1 || self.heap.len() < self.wheel_engage {
-                return if self.heap.is_empty() {
-                    None
-                } else {
-                    Some(Front::Heap)
-                };
-            }
-            self.refill_from_heap();
+    fn pop_root(&mut self) -> (SimTime, EventId, E) {
+        let root = self.heap[0];
+        let tail = self.heap.pop().expect("caller saw a heap entry");
+        if !self.heap.is_empty() {
+            self.heap[0] = tail;
+            self.sift_down_to_bottom(0);
         }
-        let wheel_key = self.activate_front_bucket();
-        let heap_key = self.heap.first().map(Entry::key);
-        match (wheel_key, heap_key) {
-            (None, None) => None,
-            (Some(_), None) => Some(Front::Wheel),
-            (None, Some(_)) => Some(Front::Heap),
-            (Some(w), Some(h)) => Some(if w < h { Front::Wheel } else { Front::Heap }),
-        }
-    }
-
-    /// Removes the entry `front` pointed at and hands back its
-    /// `(time, id, payload)` triple.
-    #[inline]
-    fn pop_side(&mut self, side: Front) -> (SimTime, EventId, E) {
-        let entry = match side {
-            Front::Wheel => {
-                let b = self.cursor;
-                let e = self.wheel[b].pop().expect("front saw a wheel entry");
-                if self.wheel[b].is_empty() {
-                    self.occupied[b / 64] &= !(1u64 << (b % 64));
-                }
-                self.wheel_len -= 1;
-                e
-            }
-            Front::Heap => {
-                let root = self.heap[0];
-                let tail = self.heap.pop().expect("front saw a heap entry");
-                if !self.heap.is_empty() {
-                    self.heap[0] = tail;
-                    self.sift_down_to_bottom(0);
-                }
-                root
-            }
-        };
-        let payload = self.payloads[entry.slot as usize]
+        let payload = self.payloads[root.slot as usize]
             .take()
             .expect("live entry has a payload");
-        self.release(entry.slot, entry.gen);
-        (entry.time, EventId::pack(entry.gen, entry.slot), payload)
+        self.release(root.slot, root.gen);
+        (root.time, EventId::pack(root.gen, root.slot), payload)
     }
 
     /// Removes and returns the earliest live event as
     /// `(time, id, payload)`.
     #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, EventId, E)> {
-        let side = self.front()?;
-        Some(self.pop_side(side))
+        if self.heap.is_empty() {
+            return None;
+        }
+        Some(self.pop_root())
     }
 
     /// Removes and returns the earliest live event, but only if its
-    /// time is at or before `deadline` (`None` means no bound). A
-    /// single front computation serves both the deadline check and the
-    /// pop, so run loops with a horizon don't pay for peek + pop
-    /// separately.
+    /// time is at or before `deadline` (`None` means no bound), so run
+    /// loops with a horizon don't pay for peek + pop separately.
     #[inline]
     pub fn pop_due(&mut self, deadline: Option<SimTime>) -> Option<(SimTime, EventId, E)> {
-        let side = self.front()?;
-        if let Some(h) = deadline {
-            let next = match side {
-                Front::Wheel => {
-                    self.wheel[self.cursor]
-                        .last()
-                        .expect("front saw a wheel entry")
-                        .time
-                }
-                Front::Heap => self.heap.first().expect("front saw a heap entry").time,
-            };
-            if next > h {
-                return None;
-            }
+        let next = self.heap.first()?.time;
+        if deadline.is_some_and(|h| next > h) {
+            return None;
         }
-        Some(self.pop_side(side))
+        Some(self.pop_root())
     }
 
     /// The timestamp of the earliest live event, if any, without
-    /// removing it. Takes `&mut self` because peeking may activate the
-    /// wheel's front bucket; [`earliest_time`](Self::earliest_time) is
-    /// the non-mutating variant for audits.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        match self.front()? {
-            Front::Wheel => self.wheel[self.cursor].last().map(|e| e.time),
-            Front::Heap => self.heap.first().map(|e| e.time),
-        }
-    }
-
-    /// The timestamp of the earliest live event without mutating any
-    /// lazily-sorted state: scans the wheel's first occupied bucket
-    /// (unsorted, so O(bucket length)) and the heap root. Used by the
-    /// runtime audit layer, which only holds `&self`.
+    /// removing it.
     pub fn earliest_time(&self) -> Option<SimTime> {
-        let wheel_min = self
-            .first_occupied(self.cursor)
-            .and_then(|b| self.wheel[b].iter().map(|e| e.key()).min());
-        let heap_min = self.heap.first().map(Entry::key);
-        match (wheel_min, heap_min) {
-            (None, None) => None,
-            (Some(w), None) => Some(w.0),
-            (None, Some(h)) => Some(h.0),
-            (Some(w), Some(h)) => Some(w.min(h).0),
-        }
+        self.heap.first().map(|e| e.time)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len() + self.wheel_len
-    }
-
-    /// Number of pending events currently staged in the timing wheel
-    /// (0 when the wheel is disabled or drained). Exposed so benches
-    /// and tests can prove the wheel is actually engaged.
-    pub fn wheel_len(&self) -> usize {
-        self.wheel_len
+        self.heap.len()
     }
 
     /// True when no events remain.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.heap.is_empty()
     }
 
     /// Drops every pending event. Outstanding handles are invalidated,
@@ -777,26 +390,14 @@ impl<E> EventQueue<E> {
             self.payloads[e.slot as usize] = None;
             self.release(e.slot, e.gen);
         }
-        for b in &mut self.wheel {
-            for e in b.drain(..) {
-                self.payloads[e.slot as usize] = None;
-                self.free.push((e.slot, e.gen.wrapping_add(1)));
-            }
-        }
-        self.occupied = [0; WHEEL_WORDS];
-        self.wheel_len = 0;
-        self.cursor = 0;
-        self.cursor_sorted = false;
     }
 
     /// Re-verifies the queue's structural invariants from first
     /// principles (runtime audit layer; see [`crate::audit`]): heap
     /// ordering, location back-pointers, payload liveness, the
-    /// wheel↔heap partition (bucket time ranges, occupancy bitmap,
-    /// cursor bound, sorted-front flag, entry count), the
     /// slot-arena/free-list partition, and sequence-counter sanity.
     ///
-    /// O(n log n) in pending events — called periodically by
+    /// O(n) in pending events — called periodically by
     /// [`crate::engine::Engine::step`], directly by tests.
     #[cfg(any(debug_assertions, feature = "audit"))]
     pub fn audit(&self) -> crate::audit::AuditResult {
@@ -822,7 +423,7 @@ impl<E> EventQueue<E> {
         for (i, e) in self.heap.iter().enumerate() {
             let slot = e.slot as usize;
             match self.loc.get(slot) {
-                Some(&Loc::Heap(idx)) if idx as usize == i => {}
+                Some(&idx) if idx as usize == i => {}
                 other => {
                     return violated(
                         "heap-idx",
@@ -832,90 +433,11 @@ impl<E> EventQueue<E> {
             }
             self.check_live(slot, e, &format!("heap entry {i}"))?;
         }
-        // Wheel: bitmap, cursor bound, bucket time ranges,
-        // back-pointers, payload liveness, entry count.
-        let mut counted = 0usize;
-        for (b, bucket) in self.wheel.iter().enumerate() {
-            let bit = self.occupied[b / 64] >> (b % 64) & 1 == 1;
-            if bit == bucket.is_empty() {
-                return violated(
-                    "wheel-bitmap",
-                    format!(
-                        "bucket {b} has {} entries but its occupancy bit is {bit}",
-                        bucket.len()
-                    ),
-                );
-            }
-            if !bucket.is_empty() && b < self.cursor {
-                return violated(
-                    "wheel-cursor",
-                    format!(
-                        "bucket {b} holds {} entries behind the cursor at {}",
-                        bucket.len(),
-                        self.cursor
-                    ),
-                );
-            }
-            for (p, e) in bucket.iter().enumerate() {
-                counted += 1;
-                let t = e.time.as_nanos();
-                if t < self.wheel_base_ns || (t - self.wheel_base_ns) >> GRANULE_BITS != b as u64 {
-                    return violated(
-                        "wheel-range",
-                        format!(
-                            "bucket {b} entry {p} at t={t}ns is outside its bucket's \
-                             range (window base {}ns)",
-                            self.wheel_base_ns
-                        ),
-                    );
-                }
-                let slot = e.slot as usize;
-                match self.loc.get(slot) {
-                    Some(&Loc::Wheel { bucket, pos })
-                        if bucket as usize == b && pos as usize == p => {}
-                    other => {
-                        return violated(
-                            "wheel-loc",
-                            format!("bucket {b} entry {p} for slot {slot}: loc says {other:?}"),
-                        );
-                    }
-                }
-                self.check_live(slot, e, &format!("bucket {b} entry {p}"))?;
-            }
-        }
-        if counted != self.wheel_len {
-            return violated(
-                "wheel-count",
-                format!(
-                    "buckets hold {counted} entries but wheel_len says {}",
-                    self.wheel_len
-                ),
-            );
-        }
-        if self.cursor_sorted {
-            let bucket = &self.wheel[self.cursor];
-            for w in bucket.windows(2) {
-                if w[0].key() <= w[1].key() {
-                    return violated(
-                        "wheel-sorted",
-                        format!(
-                            "cursor bucket {} claims sorted but holds seq {} before seq {}",
-                            self.cursor, w[0].seq, w[1].seq
-                        ),
-                    );
-                }
-            }
-        }
-        // Each arena slot lives in exactly one of {heap, wheel, free
-        // list}, and free slots hold no payload.
+        // Each arena slot lives in exactly one of {heap, free list},
+        // and free slots hold no payload.
         let mut owner = vec![0u8; self.payloads.len()];
         for e in &self.heap {
             owner[e.slot as usize] += 1;
-        }
-        for bucket in &self.wheel {
-            for e in bucket {
-                owner[e.slot as usize] += 1;
-            }
         }
         for &(slot, _gen) in &self.free {
             let slot = slot as usize;
@@ -934,7 +456,7 @@ impl<E> EventQueue<E> {
                     format!(
                         "slot {slot} is owned by {} (1=pending once, 2=free once)",
                         match o {
-                            0 => "neither heap, wheel nor free list".to_owned(),
+                            0 => "neither heap nor free list".to_owned(),
                             n => format!("code {n}: multiple owners"),
                         }
                     ),
@@ -1040,15 +562,13 @@ mod tests {
     }
 
     #[test]
-    fn peek_time_reflects_cancellations() {
+    fn earliest_time_reflects_cancellations() {
         let mut q = EventQueue::new();
         let a = q.push(t(1), "a");
         q.push(t(2), "b");
         q.cancel(a);
-        assert_eq!(q.peek_time(), Some(t(2)));
         assert_eq!(q.earliest_time(), Some(t(2)));
         assert_eq!(q.pop().unwrap().2, "b");
-        assert_eq!(q.peek_time(), None);
         assert_eq!(q.earliest_time(), None);
     }
 
@@ -1120,93 +640,6 @@ mod tests {
         assert_eq!(q.tracked_ids(), 0);
     }
 
-    /// Nanosecond-scale times so events land in wheel buckets (seconds
-    /// apart they overflow into the heap).
-    fn ns(v: u64) -> SimTime {
-        SimTime::from_nanos(v)
-    }
-
-    #[test]
-    fn near_future_events_stage_in_the_wheel() {
-        let mut q = EventQueue::with_wheel();
-        q.push(ns(100), "a"); // lone event: heap fast path
-        q.push(ns(200), "b");
-        q.push(ns(5_000), "c"); // a later bucket, same window
-        assert_eq!(q.wheel_len(), 2, "b and c staged in the window");
-        q.push(t(10), "far"); // seconds away: overflows to the heap
-        assert_eq!(q.wheel_len(), 2);
-        assert_eq!(q.len(), 4);
-        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, _, p)| p)).collect();
-        assert_eq!(order, vec!["a", "b", "c", "far"]);
-    }
-
-    #[test]
-    fn heap_only_queue_never_uses_the_wheel() {
-        let mut q = EventQueue::heap_only();
-        q.push(ns(100), "a");
-        q.push(ns(200), "b");
-        assert_eq!(q.wheel_len(), 0);
-        assert_eq!(q.pop().unwrap().2, "a");
-        assert_eq!(q.pop().unwrap().2, "b");
-    }
-
-    #[test]
-    fn wheel_refills_from_heap_after_draining() {
-        let mut q = EventQueue::with_wheel();
-        q.push(ns(100), "near-a"); // lone event: heap fast path
-        q.push(ns(200), "near-b"); // second event: wheel
-                                   // Far beyond the window: heap.
-        q.push(ns(50_000_000), "far-a");
-        q.push(ns(50_000_001), "far-b");
-        assert_eq!(q.wheel_len(), 1);
-        assert_eq!(q.pop().unwrap().2, "near-a");
-        assert_eq!(q.pop().unwrap().2, "near-b");
-        // The wheel drained; the next pop re-anchors the window at the
-        // heap minimum and migrates the in-window pair.
-        assert_eq!(q.pop().unwrap().2, "far-a");
-        assert_eq!(q.wheel_len(), 1, "far-b migrated into a bucket");
-        assert_eq!(q.pop().unwrap().2, "far-b");
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn cancel_inside_active_wheel_bucket() {
-        // Regression shape: cancel an entry from the *sorted* cursor
-        // bucket (not its minimum), which must clear the sorted flag
-        // and fix the swapped entry's back-pointer, then keep exact
-        // pop order.
-        let mut q = EventQueue::with_wheel();
-        let ids: Vec<_> = (0..6).map(|i| q.push(ns(100 + i), i)).collect();
-        assert_eq!(q.wheel_len(), 5, "one bucket holds all but the first");
-        assert_eq!(q.peek_time(), Some(ns(100))); // sorts the bucket
-        assert!(q.cancel(ids[3]));
-        assert!(q.cancel(ids[1]));
-        #[cfg(any(debug_assertions, feature = "audit"))]
-        q.audit().expect("cancel inside sorted bucket is clean");
-        let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, _, p)| p)).collect();
-        assert_eq!(order, vec![0, 2, 4, 5]);
-        assert_eq!(q.tracked_ids(), 0);
-    }
-
-    #[test]
-    fn push_into_sorted_cursor_bucket_diverts_to_heap() {
-        // Once the cursor bucket is activated (sorted), a same-bucket
-        // push goes to the heap instead of dirtying the sort (which
-        // would force a full bucket re-sort on the next pop); pops
-        // still interleave both sides in exact (time, seq) order.
-        let mut q = EventQueue::with_wheel();
-        q.push(t(10), "anchor"); // lone event: heap fast path
-        q.push(ns(300), "late"); // second event: wheel
-        assert_eq!(q.wheel_len(), 1);
-        assert_eq!(q.peek_time(), Some(ns(300))); // activates + sorts
-        q.push(ns(100), "early"); // same bucket, already sorted
-        assert_eq!(q.wheel_len(), 1, "diverted to the heap");
-        assert_eq!(q.peek_time(), Some(ns(100)));
-        assert_eq!(q.pop().unwrap().2, "early");
-        assert_eq!(q.pop().unwrap().2, "late");
-        assert_eq!(q.pop().unwrap().2, "anchor");
-    }
-
     #[test]
     fn audit_passes_on_live_queue() {
         let mut q = EventQueue::new();
@@ -1222,25 +655,8 @@ mod tests {
     }
 
     #[test]
-    fn audit_passes_on_wheel_heavy_queue() {
-        let mut q = EventQueue::with_wheel();
-        let ids: Vec<_> = (0u64..300)
-            .map(|i| q.push(ns(i * 6700 % 2_000_000), i))
-            .collect();
-        assert!(q.wheel_len() > 0, "wheel engaged");
-        q.audit().expect("mixed wheel/heap queue is consistent");
-        for id in ids.iter().step_by(5) {
-            q.cancel(*id);
-            q.audit().expect("cancel preserves invariants");
-        }
-        while q.pop().is_some() {
-            q.audit().expect("pop preserves invariants");
-        }
-    }
-
-    #[test]
     fn audit_detects_heap_order_corruption() {
-        let mut q = EventQueue::heap_only();
+        let mut q = EventQueue::new();
         for i in 0..20 {
             q.push(t(i), i);
         }
@@ -1248,27 +664,27 @@ mod tests {
         // (time, seq) key at the leaf's parent now exceeds the leaf.
         let last = q.heap.len() - 1;
         q.heap.swap(0, last);
-        q.loc[q.heap[0].slot as usize] = Loc::Heap(0);
-        q.loc[q.heap[last].slot as usize] = Loc::Heap(last as u32);
+        q.loc[q.heap[0].slot as usize] = 0;
+        q.loc[q.heap[last].slot as usize] = last as u32;
         let err = q.audit().expect_err("corrupted heap must be detected");
         assert_eq!(err.invariant, "heap-order", "{err}");
     }
 
     #[test]
     fn audit_detects_stale_back_pointer() {
-        let mut q = EventQueue::heap_only();
+        let mut q = EventQueue::new();
         for i in 0..8 {
             q.push(t(i), i);
         }
         let slot = q.heap[3].slot as usize;
-        q.loc[slot] = Loc::Heap(0); // points at the wrong heap position
+        q.loc[slot] = 0; // points at the wrong heap position
         let err = q.audit().expect_err("stale loc must be detected");
         assert_eq!(err.invariant, "heap-idx", "{err}");
     }
 
     #[test]
     fn audit_detects_missing_payload() {
-        let mut q = EventQueue::heap_only();
+        let mut q = EventQueue::new();
         for i in 0..4 {
             q.push(t(i), i);
         }
@@ -1280,7 +696,7 @@ mod tests {
 
     #[test]
     fn audit_detects_double_owned_slot() {
-        let mut q = EventQueue::heap_only();
+        let mut q = EventQueue::new();
         for i in 0..4 {
             q.push(t(i), i);
         }
@@ -1290,57 +706,6 @@ mod tests {
         q.free.push((slot, 7));
         let err = q.audit().expect_err("double ownership must be detected");
         assert_eq!(err.invariant, "arena-free", "{err}");
-    }
-
-    #[test]
-    fn audit_detects_wheel_bitmap_drift() {
-        let mut q = EventQueue::with_wheel();
-        q.push(ns(100), 0); // lone event: heap fast path
-        q.push(ns(200), 1); // wheel
-        q.occupied = [0; WHEEL_WORDS]; // bitmap says empty, bucket is not
-        let err = q.audit().expect_err("bitmap drift must be detected");
-        assert_eq!(err.invariant, "wheel-bitmap", "{err}");
-    }
-
-    #[test]
-    fn audit_detects_wheel_range_violation() {
-        let mut q = EventQueue::with_wheel();
-        q.push(t(10), 9); // lone event: heap fast path
-        q.push(ns(100), 0);
-        q.push(ns(100 + GRANULE_NS), 1); // the next bucket over
-                                         // Move the second entry into the first entry's bucket without
-                                         // changing its time: it no longer matches the bucket's range.
-        let b0 = (100u64.saturating_sub(q.wheel_base_ns) >> GRANULE_BITS) as usize;
-        let stray = q.wheel[b0 + 1].pop().unwrap();
-        q.occupied[(b0 + 1) / 64] &= !(1u64 << ((b0 + 1) % 64));
-        q.wheel[b0].push(stray);
-        q.loc[stray.slot as usize] = Loc::Wheel {
-            bucket: b0 as u16,
-            pos: 1,
-        };
-        let err = q.audit().expect_err("misfiled entry must be detected");
-        assert_eq!(err.invariant, "wheel-range", "{err}");
-    }
-
-    #[test]
-    fn audit_detects_stale_wheel_back_pointer() {
-        let mut q = EventQueue::with_wheel();
-        q.push(t(10), 9); // lone event: heap fast path
-        q.push(ns(100), 0);
-        q.push(ns(150), 1); // same bucket, position 1
-        let slot = q.wheel.iter().flatten().nth(1).unwrap().slot as usize;
-        q.loc[slot] = Loc::Heap(0);
-        let err = q.audit().expect_err("stale wheel loc must be detected");
-        assert_eq!(err.invariant, "wheel-loc", "{err}");
-    }
-
-    #[test]
-    fn audit_detects_wheel_count_drift() {
-        let mut q = EventQueue::with_wheel();
-        q.push(ns(100), 0);
-        q.wheel_len = 2;
-        let err = q.audit().expect_err("count drift must be detected");
-        assert_eq!(err.invariant, "wheel-count", "{err}");
     }
 
     #[test]
@@ -1401,21 +766,33 @@ mod proptests {
         }
     }
 
+    /// A ~2.1 ms mid-range time scale: the window the queue's former
+    /// timing wheel spanned (512 buckets of 4096 ns).
+    const MID_SPAN_NS: u64 = 512 << 12;
+
     proptest! {
-        /// The hybrid queue agrees with the naive model under random
+        /// The queue agrees with the naive model under random
         /// interleavings of push, pop and cancel — including cancels
-        /// of already-fired and already-cancelled ids. Times are drawn
-        /// at bucket scale so pushes exercise the wheel, the cursor
-        /// bucket and same-bucket FIFO ties.
+        /// of already-fired and already-cancelled ids. Times mix four
+        /// scales: within 500 ns (dense same-time FIFO ties), around
+        /// [`MID_SPAN_NS`], tens of ms, and anywhere up to `u64::MAX`.
         #[test]
-        fn matches_naive_model(ops in proptest::collection::vec((0u64..200, 0u8..10), 1..300)) {
+        fn matches_naive_model(
+            ops in proptest::collection::vec((0u64..4u64, 0u64..u64::MAX, 0u8..10), 1..400)
+        ) {
             let mut q = EventQueue::new();
             let mut model = NaiveQueue::default();
             let mut issued: Vec<EventId> = Vec::new();
-            for (time, action) in ops {
+            for (scale, raw, action) in ops {
                 match action {
                     // 60%: push
                     0..=5 => {
+                        let time = match scale {
+                            0 => raw % 500,
+                            1 => raw % (2 * MID_SPAN_NS),
+                            2 => raw % 50_000_000,
+                            _ => raw,
+                        };
                         let id = q.push(SimTime::from_nanos(time), time);
                         model.push(time, id);
                         issued.push(id);
@@ -1428,7 +805,7 @@ mod proptests {
                     // 20%: cancel some issued id (may be live, fired,
                     // or already cancelled)
                     _ => {
-                        if let Some(&victim) = issued.get(time as usize % issued.len().max(1)) {
+                        if let Some(&victim) = issued.get(raw as usize % issued.len().max(1)) {
                             prop_assert_eq!(q.cancel(victim), model.cancel(victim));
                         }
                     }
@@ -1436,10 +813,12 @@ mod proptests {
                 prop_assert_eq!(q.len(), model.live.len());
                 prop_assert_eq!(q.tracked_ids(), q.len());
                 prop_assert_eq!(
-                    q.peek_time().map(|t| t.as_nanos()),
+                    q.earliest_time().map(|t| t.as_nanos()),
                     model.live.iter().map(|(t, _, _)| *t).min()
                 );
             }
+            #[cfg(any(debug_assertions, feature = "audit"))]
+            q.audit().expect("invariants hold mid-drain");
             // Drain: remaining pops agree to the end.
             loop {
                 let got = q.pop().map(|(t, id, _)| (t.as_nanos(), id));
@@ -1447,64 +826,6 @@ mod proptests {
                 prop_assert_eq!(got, want);
                 if got.is_none() {
                     break;
-                }
-            }
-        }
-
-        /// A mixed near/far/cancel schedule drains from the wheel
-        /// hybrid in *exactly* the order the heap-only queue produces,
-        /// id-for-id — the wheel is a layout change, never an ordering
-        /// change. Times mix bucket-scale offsets, window-boundary
-        /// values and far-future overflow.
-        #[test]
-        fn wheel_drains_identically_to_heap_only(
-            ops in proptest::collection::vec((0u64..4u64, 0u64..u64::MAX, 0u8..10), 1..400)
-        ) {
-            let mut wheel = EventQueue::with_wheel();
-            let mut heap = EventQueue::heap_only();
-            let mut issued: Vec<EventId> = Vec::new();
-            for (scale, raw, action) in ops {
-                match action {
-                    // 60%: push at near (bucket), window-edge, or far
-                    // scale so entries land on both sides of the split
-                    0..=5 => {
-                        let t = match scale {
-                            0 => raw % 500,                    // one bucket
-                            1 => raw % (2 * WHEEL_SPAN_NS),    // around the window edge
-                            2 => raw % 50_000_000,             // tens of ms: heap
-                            _ => raw,                          // anywhere, incl. huge
-                        };
-                        let a = wheel.push(SimTime::from_nanos(t), t);
-                        let b = heap.push(SimTime::from_nanos(t), t);
-                        // Slot allocation is part of the contract:
-                        // identical op sequences yield identical ids.
-                        prop_assert_eq!(a, b);
-                        issued.push(a);
-                    }
-                    // 20%: pop both, compare (time, id, payload)
-                    6..=7 => {
-                        prop_assert_eq!(wheel.pop(), heap.pop());
-                    }
-                    // 20%: cancel the same id on both
-                    _ => {
-                        if let Some(&victim) = issued.get(raw as usize % issued.len().max(1)) {
-                            prop_assert_eq!(wheel.cancel(victim), heap.cancel(victim));
-                        }
-                    }
-                }
-                prop_assert_eq!(wheel.len(), heap.len());
-                prop_assert_eq!(wheel.peek_time(), heap.peek_time());
-                prop_assert_eq!(wheel.earliest_time(), heap.earliest_time());
-            }
-            #[cfg(any(debug_assertions, feature = "audit"))]
-            wheel.audit().expect("hybrid invariants hold mid-drain");
-            loop {
-                let a = wheel.pop();
-                let b = heap.pop();
-                prop_assert_eq!(a.is_none(), b.is_none());
-                match (a, b) {
-                    (Some(x), Some(y)) => prop_assert_eq!(x, y),
-                    _ => break,
                 }
             }
         }

@@ -22,8 +22,8 @@
 //!   stored directly in recycled arena slots, with a counted `Box`
 //!   fallback for closures with larger captures — ordered by
 //!   `(time, sequence)` so same-time events run in schedule order
-//!   (deterministic tie-breaking). A timing-wheel front-end stages
-//!   near-future events in O(1) buckets ahead of the 4-ary heap.
+//!   (deterministic tie-breaking) in an index-tracked 4-ary heap with
+//!   in-place cancellation.
 //! * [`fault`] — seeded, deterministic fault injection:
 //!   [`FaultPlan`](fault::FaultPlan) schedules typed faults
 //!   (host crash/slowdown, link partition/loss/latency, storage

@@ -353,23 +353,22 @@ pub fn take() -> Metrics {
     m
 }
 
-/// Swaps this thread's context with `m` after folding pre-resolved
-/// [`Counter`] cells into the outgoing context — so all activity up
-/// to this call stays with the registry that was installed while it
-/// happened.
+/// Swaps this thread's context with `m`: installs `m` as the registry
+/// the free functions record into and hands back the one it replaces.
+/// Pre-resolved [`Counter`] cells are not touched; they keep
+/// accumulating per thread until [`take`], [`harvest_into`] or
+/// [`drain_fast_cells`] claims them.
 ///
-/// This is the allocation-free alternative to [`take`] + [`merge`]
-/// (Metrics::merge) for code that repeatedly runs work on behalf of
-/// different owners on one thread: the sharded synchronizer swaps
-/// each site's accumulated registry in before executing its window
-/// and back out after, a pair of pointer-sized moves per window
-/// instead of a `BTreeMap` rebuild.
+/// This is how code that runs work on behalf of different owners on
+/// one thread keeps each owner's activity in the owner's own registry:
+/// the sharded synchronizer installs a site's registry for the site's
+/// window and swaps it back out after — two swaps per window, with no
+/// registry built, merged or freed. Recording into the
+/// installed registry is exactly recording into an owner-held
+/// [`Metrics`], so a gauge keeps its last write and timers accumulate
+/// in one distribution, however the owner's work is cut into windows.
 pub fn swap(m: &mut Metrics) {
-    CONTEXT.with(|c| {
-        let mut ctx = c.borrow_mut();
-        drain_fast(&mut ctx);
-        std::mem::swap(&mut *ctx, m);
-    });
+    CONTEXT.with(|c| std::mem::swap(&mut *c.borrow_mut(), m));
 }
 
 /// Harvests this thread's metrics activity since the last harvest
@@ -377,17 +376,21 @@ pub fn swap(m: &mut Metrics) {
 /// and any slow-path context activity (string-keyed counters, gauges,
 /// timers, histograms) is folded in and cleared.
 ///
-/// This is the cheapest per-owner harvest — one pass over the cells,
-/// no context exchange — for callers that guarantee the ambient
-/// context is empty when the owner's activity begins. The sharded
-/// synchronizer qualifies: its run saves the ambient context up
-/// front, so between harvests the context only ever holds the current
-/// owner's slow-path spillover. Callers without that guarantee want
-/// [`swap`], which keeps the owner's registry installed while its
-/// work runs.
+/// This is the cheapest harvest for activity too sparse to deserve a
+/// registry of its own, for callers that guarantee the ambient
+/// context is empty when the activity begins. The sharded
+/// synchronizer's mailbox drain qualifies: its run saves the ambient
+/// context up front. Owners with steady activity want [`swap`], which
+/// keeps the owner's registry installed while its work runs.
 pub fn harvest_into(m: &mut Metrics) {
     drain_fast(m);
-    spill_context_into(m);
+    CONTEXT.with(|c| {
+        let mut ctx = c.borrow_mut();
+        if !ctx.is_empty() {
+            m.merge(&ctx);
+            *ctx = Metrics::new();
+        }
+    });
 }
 
 /// Drains this thread's fast-counter cells into a plain slot-indexed
@@ -397,7 +400,7 @@ pub fn harvest_into(m: &mut Metrics) {
 /// typically once at the end of the owner's run; between the two, the
 /// same empty-ambient-context precondition as [`harvest_into`]
 /// applies. Callers that also use slow-path metrics pair this with
-/// [`spill_context_into`].
+/// [`swap`], which installs the owner's registry for them.
 pub fn drain_fast_cells(acc: &mut Vec<u64>) {
     FAST_COUNTERS.with(|f| {
         let mut cells = f.borrow_mut();
@@ -430,30 +433,6 @@ pub fn fold_cells(acc: &mut [u64], m: &mut Metrics) {
             }
         }
     });
-}
-
-/// Folds any slow-path context activity (string-keyed counters,
-/// gauges, timers, histograms) into `m` and clears it; fast-counter
-/// cells are untouched. The context half of [`harvest_into`], for
-/// callers that route the fast cells through [`drain_fast_cells`]
-/// instead.
-pub fn spill_context_into(m: &mut Metrics) {
-    CONTEXT.with(|c| {
-        let mut ctx = c.borrow_mut();
-        if !ctx.is_empty() {
-            m.merge(&ctx);
-            *ctx = Metrics::new();
-        }
-    });
-}
-
-/// Runs `f` with a read view of this thread's context, including any
-/// pre-resolved [`Counter`] activity.
-pub fn with_current<R>(f: impl FnOnce(&Metrics) -> R) -> R {
-    CONTEXT.with(|c| {
-        drain_fast(&mut c.borrow_mut());
-        f(&c.borrow())
-    })
 }
 
 /// Folds a harvested registry back into this thread's context — the
@@ -556,12 +535,11 @@ mod tests {
         counter_add("ctx.count", 7);
         gauge_set("ctx.gauge", 2.5);
         timer_record("ctx.timer", 0.5);
-        with_current(|m| assert_eq!(m.counter("ctx.count"), 7));
         let m = take();
         assert_eq!(m.counter("ctx.count"), 7);
         assert_eq!(m.gauge("ctx.gauge").map(|g| g.count()), Some(1));
         // The context is now empty again.
-        with_current(|m| assert!(m.is_empty()));
+        assert!(take().is_empty());
     }
 
     #[test]
@@ -573,10 +551,9 @@ mod tests {
         // Mixing the slow path under the same name accumulates into
         // one named counter.
         counter_add("handle.count", 2);
-        with_current(|m| assert_eq!(m.counter("handle.count"), 7));
         let m = take();
         assert_eq!(m.counter("handle.count"), 7);
-        with_current(|m| assert!(m.is_empty(), "take drained the fast cells"));
+        assert!(take().is_empty(), "take drained the fast cells");
         assert_eq!(HANDLE.name(), "handle.count");
     }
 
@@ -604,10 +581,33 @@ mod tests {
         reset();
         counter_add("mc.count", 2);
         let snapshot = take();
-        with_current(|m| assert!(m.is_empty()));
+        assert!(take().is_empty());
         merge_current(&snapshot);
         counter_add("mc.count", 1);
         assert_eq!(take().counter("mc.count"), 3);
+    }
+
+    #[test]
+    fn swap_installs_a_registry_and_leaves_fast_cells_alone() {
+        static HANDLE: Counter = Counter::new("swap.fast");
+        reset();
+        let mut owned = Metrics::new();
+        owned.gauge_set("swap.gauge", 1.0);
+        swap(&mut owned);
+        assert!(owned.is_empty(), "the replaced context was empty");
+        gauge_set("swap.gauge", 2.0);
+        timer_record("swap.timer", 0.25);
+        HANDLE.add(3);
+        swap(&mut owned);
+        // Slow-path activity landed in the installed registry, the
+        // gauge keeping its last write as in any one registry.
+        let g = owned.gauge("swap.gauge").expect("set");
+        assert_eq!((g.count(), g.mean()), (1, 2.0));
+        assert_eq!(owned.timer("swap.timer").map(TimerStat::count), Some(1));
+        assert_eq!(owned.counter("swap.fast"), 0, "cells stay with the thread");
+        let rest = take();
+        assert_eq!(rest.counter("swap.fast"), 3);
+        assert!(rest.gauge("swap.gauge").is_none());
     }
 
     #[test]

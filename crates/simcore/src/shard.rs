@@ -63,12 +63,22 @@
 //! are packed into shards or shards onto threads. Shards and threads
 //! only decide *which OS thread* runs a site's window — never what
 //! the window computes. Traces live per site and digest in site
-//! order; metrics are harvested per site-window into per-site
-//! slot-indexed accumulators (plain array adds; names materialize
-//! once per run) and merged in site order; the caller's ambient
-//! metrics context is saved before the run and restored (then
-//! folded) after. A 1-shard, 1-thread run executes the identical
-//! windowed schedule, just without worker threads.
+//! order. Each site's own [`Metrics`] registry is installed as the
+//! executing thread's metrics context for the site's window
+//! ([`metrics::swap`]) and swapped back out after it, while
+//! pre-resolved counter cells drain into a per-site slot-indexed
+//! accumulator (plain array adds; names materialize once per run);
+//! the registries merge in site order. The caller's ambient metrics
+//! context is saved before the run and restored (then folded) after.
+//! A 1-shard, 1-thread run executes the identical windowed schedule,
+//! just without worker threads.
+//!
+//! Because a site records into one registry for the whole run, its
+//! metrics do not depend on where the windows fall: a gauge keeps its
+//! last write per site, as [`Metrics::gauge_set`] documents for a
+//! replication, and a timer accumulates one distribution per site.
+//! The global and per-pair protocols cut different windows, yet they
+//! report the same world-level metrics; only `shard.windows` differs.
 //!
 //! ## Allocation-free delivery
 //!
@@ -279,16 +289,18 @@ impl<W: ShardWorld> SiteState<W> {
     }
 }
 
-/// One site's execution state: its engine, world, harvested metrics,
+/// One site's execution state: its engine, world, metrics registry,
 /// the horizon the coordinator set for the current window and the
 /// event count of the window just executed.
 struct SiteRuntime<W: ShardWorld> {
     en: Engine<SiteState<W>>,
     state: SiteState<W>,
+    /// The site's registry, installed as the thread's metrics context
+    /// while the site's window runs ([`run_site_window`]).
     metrics: Metrics,
-    /// Slot-indexed fast-counter accumulator: per-window harvests add
-    /// cells here ([`harvest_site`]); names materialize once per run
-    /// via [`metrics::fold_cells`].
+    /// Slot-indexed fast-counter accumulator: each window drains the
+    /// thread's counter cells here; names materialize once per run via
+    /// [`metrics::fold_cells`].
     fast: Vec<u64>,
     /// On entry to a window: the coordinator's cross-source horizon in
     /// nanoseconds (`u64::MAX` = nothing active can reach the site).
@@ -905,8 +917,8 @@ fn drain_segment_mut<W: ShardWorld>(
 fn gather_times<W: ShardWorld>(sites: &[Mutex<SiteRuntime<W>>], times: &mut [u64]) -> bool {
     let mut any = false;
     for (i, site) in sites.iter().enumerate() {
-        let mut rt = site.lock().expect("site lock poisoned");
-        times[i] = match rt.en.peek_next_time() {
+        let rt = site.lock().expect("site lock poisoned");
+        times[i] = match rt.en.next_event_time() {
             Some(t) => {
                 any = true;
                 t.as_nanos()
@@ -923,7 +935,7 @@ fn gather_times_mut<W: ShardWorld>(sites: &mut [Mutex<SiteRuntime<W>>], times: &
     let mut any = false;
     for (i, site) in sites.iter_mut().enumerate() {
         let rt = site.get_mut().expect("site lock poisoned");
-        times[i] = match rt.en.peek_next_time() {
+        times[i] = match rt.en.next_event_time() {
             Some(t) => {
                 any = true;
                 t.as_nanos()
@@ -971,9 +983,9 @@ fn compute_horizons<M>(
     }
 }
 
-/// Executes one site's share of a window against a fresh thread-local
-/// metrics context, harvested into the site's own registry. Returns
-/// how many events ran.
+/// Executes one site's share of a window with the site's own metrics
+/// registry installed as the thread's metrics context. Returns how
+/// many events ran.
 ///
 /// Under global lookahead this is a single [`Engine::run_before`] to
 /// the coordinator's horizon. Under per-pair lookahead the site
@@ -987,73 +999,63 @@ fn compute_horizons<M>(
 /// the next drain's violation check stays exact.
 fn run_site_window<W: ShardWorld>(rt: &mut SiteRuntime<W>) -> u64 {
     let h_cross = rt.horizon;
-    let Some(next) = rt.en.peek_next_time() else {
-        return 0;
-    };
-    if rt.state.echo_row.is_empty() {
+    match rt.en.next_event_time() {
+        Some(next) if next.as_nanos() < h_cross => {}
+        _ => return 0,
+    }
+    metrics::swap(&mut rt.metrics);
+    debug_assert!(
+        rt.metrics.is_empty(),
+        "{}: the metrics context a site's registry replaces must be empty",
+        rt.state.id
+    );
+    let ran = if rt.state.echo_row.is_empty() {
         // Global lookahead: one shared horizon, no echo tracking.
-        if next.as_nanos() >= h_cross {
-            return 0;
-        }
-        let ran = if h_cross == u64::MAX {
+        if h_cross == u64::MAX {
             let before = rt.en.executed();
             rt.en.run(&mut rt.state);
             rt.en.executed() - before
         } else {
             rt.en
                 .run_before(&mut rt.state, SimTime::from_nanos(h_cross))
-        };
-        harvest_site(rt);
-        return ran;
-    }
-    if next.as_nanos() >= h_cross {
-        return 0;
-    }
-    let rt_self = rt.rt_self;
-    let mut ran = 0u64;
-    let achieved = loop {
-        // Queued sends lower the bound to their earliest possible
-        // echo; the outbox was drained at the window boundary, so
-        // only this window's own sends contribute.
-        let bound = h_cross.min(rt.state.echo_min);
-        let Some(next) = rt.en.peek_next_time() else {
-            break bound;
-        };
-        let next_ns = next.as_nanos();
-        if next_ns >= bound {
-            break bound;
         }
-        let chunk = bound.min(next_ns.saturating_add(rt_self));
-        if chunk == u64::MAX {
-            // Unreachable from every side — no message can ever
-            // arrive or echo back; run to completion.
-            let before = rt.en.executed();
-            rt.en.run(&mut rt.state);
-            ran += rt.en.executed() - before;
-            break u64::MAX;
-        }
-        ran += rt.en.run_before(&mut rt.state, SimTime::from_nanos(chunk));
+    } else {
+        let rt_self = rt.rt_self;
+        let mut ran = 0u64;
+        rt.horizon = loop {
+            // Queued sends lower the bound to their earliest possible
+            // echo; the outbox was drained at the window boundary, so
+            // only this window's own sends contribute.
+            let bound = h_cross.min(rt.state.echo_min);
+            let Some(next) = rt.en.next_event_time() else {
+                break bound;
+            };
+            let next_ns = next.as_nanos();
+            if next_ns >= bound {
+                break bound;
+            }
+            let chunk = bound.min(next_ns.saturating_add(rt_self));
+            if chunk == u64::MAX {
+                // Unreachable from every side — no message can ever
+                // arrive or echo back; run to completion.
+                let before = rt.en.executed();
+                rt.en.run(&mut rt.state);
+                ran += rt.en.executed() - before;
+                break u64::MAX;
+            }
+            ran += rt.en.run_before(&mut rt.state, SimTime::from_nanos(chunk));
+        };
+        ran
     };
-    rt.horizon = achieved;
-    harvest_site(rt);
-    ran
-}
-
-/// Claims the executing thread's metric activity for `rt`'s site.
-/// Fast-counter cells drain into the site's slot-indexed accumulator
-/// — a plain array add per window, with name resolution deferred to
-/// one [`metrics::fold_cells`] at the end of [`ShardedSim::run`] —
-/// and any slow-path spillover (string-keyed counters, timers) folds
-/// into the site's registry directly.
-#[inline]
-fn harvest_site<W: ShardWorld>(rt: &mut SiteRuntime<W>) {
+    metrics::swap(&mut rt.metrics);
     metrics::drain_fast_cells(&mut rt.fast);
-    metrics::spill_context_into(&mut rt.metrics);
+    ran
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::TimerStat;
     use crate::replication::derive_seed_sharded;
     use crate::rng::SimRng;
 
@@ -1425,7 +1427,9 @@ mod tests {
         // anywhere); per-pair, a bursting site's only constraints are
         // the distant pair (t + 40ms) and its own send's echo — so a
         // whole burst fits in one window and the barrier count drops
-        // by the burst-to-lookahead ratio.
+        // by the burst-to-lookahead ratio. Every burst event also
+        // records a gauge, a timer and a histogram, which must not
+        // notice where the windows fall.
         struct Burster;
         fn burst(
             args: [u64; 2],
@@ -1435,6 +1439,9 @@ mod tests {
             let [hops_left, burst_left] = args;
             site.trace
                 .record(en.now(), "burst", format!("{hops_left}/{burst_left}"));
+            metrics::gauge_set("burst.hops_left", hops_left as f64);
+            metrics::timer_record("burst.step_s", 1e-3 * (burst_left + 1) as f64);
+            metrics::histogram_record("burst.left", burst_left);
             if burst_left > 0 {
                 en.schedule_arg2_in(
                     SimDuration::from_millis(1),
@@ -1494,6 +1501,37 @@ mod tests {
             "echo-chunked per-pair windows must cut barriers at least 3x here: {} vs {}",
             paired.windows(),
             global.windows()
+        );
+        // World metrics do not depend on window boundaries: every
+        // counter but the window count, and every gauge, timer and
+        // histogram, agree across the two protocols.
+        let (g, p) = (global.merged_metrics(), paired.merged_metrics());
+        let counters = |m: &Metrics| {
+            m.counters()
+                .filter(|(name, _)| *name != "shard.windows")
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(counters(&p), counters(&g));
+        assert_eq!(
+            p.gauges().collect::<Vec<_>>(),
+            g.gauges().collect::<Vec<_>>()
+        );
+        assert_eq!(
+            p.timers().collect::<Vec<_>>(),
+            g.timers().collect::<Vec<_>>()
+        );
+        assert_eq!(
+            p.histograms().collect::<Vec<_>>(),
+            g.histograms().collect::<Vec<_>>()
+        );
+        assert_eq!(
+            g.gauge("burst.hops_left").map(|s| s.count()),
+            Some(4),
+            "a gauge keeps one last write per site"
+        );
+        assert_eq!(
+            g.histogram("burst.left").map(|h| h.count()),
+            g.timer("burst.step_s").map(TimerStat::count)
         );
     }
 }

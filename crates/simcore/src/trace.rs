@@ -101,7 +101,8 @@ impl fmt::Display for TraceEntry {
 /// use gridvm_simcore::time::SimTime;
 ///
 /// let mut log = TraceLog::with_capacity(100);
-/// log.record(SimTime::ZERO, "vmm", "vm-1 boot start".to_owned());
+/// log.record(SimTime::ZERO, "vmm", format_args!("vm-{} boot start", 1));
+/// assert_eq!(log.entries().next().unwrap().message, "vm-1 boot start");
 /// assert_eq!(log.entries().count(), 1);
 /// assert_eq!(log.by_category("vmm").count(), 1);
 /// assert_eq!(log.by_category("vfs").count(), 0);
@@ -196,7 +197,13 @@ impl TraceLog {
     /// log the entry first passes its category's keep decision;
     /// sampled-out entries count as dropped (surfaced by experiment
     /// summaries, like ring evictions).
-    pub fn record(&mut self, time: SimTime, category: &'static str, message: String) {
+    ///
+    /// The message is formatted into the entry's `String` only once
+    /// the entry is kept, so a disabled log or a sampled-out entry
+    /// formats nothing. Pass `format_args!` rather than `format!`,
+    /// which would allocate the message up front for nothing (the
+    /// `trace-format` audit rule flags it in library code).
+    pub fn record(&mut self, time: SimTime, category: &'static str, message: impl fmt::Display) {
         if !self.enabled {
             return;
         }
@@ -222,7 +229,7 @@ impl TraceLog {
         self.entries.push_back(TraceEntry {
             time,
             category,
-            message,
+            message: message.to_string(),
         });
     }
 
@@ -297,9 +304,9 @@ mod tests {
     #[test]
     fn records_and_filters() {
         let mut log = TraceLog::with_capacity(10);
-        log.record(t(1), "vmm", "boot".into());
-        log.record(t(2), "vfs", "read".into());
-        log.record(t(3), "vmm", "ready".into());
+        log.record(t(1), "vmm", "boot");
+        log.record(t(2), "vfs", "read");
+        log.record(t(3), "vmm", "ready");
         assert_eq!(log.len(), 3);
         let vmm: Vec<_> = log.by_category("vmm").map(|e| e.message.as_str()).collect();
         assert_eq!(vmm, vec!["boot", "ready"]);
@@ -333,9 +340,33 @@ mod tests {
     fn disabled_log_records_nothing() {
         let mut log = TraceLog::default();
         log.set_enabled(false);
-        log.record(t(1), "x", "ignored".into());
+        log.record(t(1), "x", "ignored");
         assert!(log.is_empty());
         assert!(!log.is_enabled());
+    }
+
+    #[test]
+    fn only_kept_entries_are_formatted() {
+        struct Counted<'a>(&'a std::cell::Cell<u32>);
+        impl fmt::Display for Counted<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                self.0.set(self.0.get() + 1);
+                f.write_str("m")
+            }
+        }
+        let formatted = std::cell::Cell::new(0);
+        let mut sampled_out = TraceLog::with_sampling(8, SamplePolicy::uniform(0), 1);
+        let mut disabled = TraceLog::default();
+        disabled.set_enabled(false);
+        for i in 0..10 {
+            sampled_out.record(t(i), "x", Counted(&formatted));
+            disabled.record(t(i), "x", Counted(&formatted));
+        }
+        assert_eq!(formatted.get(), 0, "dropped entries format nothing");
+        let mut kept = TraceLog::with_capacity(8);
+        kept.record(t(0), "x", Counted(&formatted));
+        assert_eq!(formatted.get(), 1);
+        assert_eq!(kept.entries().next().map(|e| e.message.as_str()), Some("m"));
     }
 
     #[test]
@@ -355,13 +386,13 @@ mod tests {
         let mut a = TraceLog::with_capacity(8);
         let mut b = TraceLog::with_capacity(8);
         for log in [&mut a, &mut b] {
-            log.record(t(1), "vmm", "boot".into());
-            log.record(t(2), "vfs", "read".into());
+            log.record(t(1), "vmm", "boot");
+            log.record(t(2), "vfs", "read");
         }
         assert_eq!(a.digest(), b.digest());
         let mut c = TraceLog::with_capacity(8);
-        c.record(t(2), "vfs", "read".into());
-        c.record(t(1), "vmm", "boot".into());
+        c.record(t(2), "vfs", "read");
+        c.record(t(1), "vmm", "boot");
         assert_ne!(a.digest(), c.digest(), "order matters");
         assert_eq!(
             TraceLog::default().digest(),
@@ -396,8 +427,8 @@ mod tests {
         let mut none = TraceLog::with_sampling(64, SamplePolicy::uniform(0), 1);
         let mut all = TraceLog::with_sampling(64, SamplePolicy::uniform(1000), 1);
         for i in 0..50u64 {
-            none.record(t(i), "x", "m".into());
-            all.record(t(i), "x", "m".into());
+            none.record(t(i), "x", "m");
+            all.record(t(i), "x", "m");
         }
         assert!(none.is_empty());
         assert_eq!(none.dropped(), 50);
@@ -433,8 +464,8 @@ mod tests {
     #[test]
     fn clear_preserves_drop_count() {
         let mut log = TraceLog::with_capacity(1);
-        log.record(t(0), "x", "a".into());
-        log.record(t(1), "x", "b".into());
+        log.record(t(0), "x", "a");
+        log.record(t(1), "x", "b");
         assert_eq!(log.dropped(), 1);
         log.clear();
         assert!(log.is_empty());
