@@ -27,6 +27,7 @@ use gridvm_core::multisite::{build_vo, VoConfig};
 use gridvm_simcore::engine::Engine;
 use gridvm_simcore::event::EventQueue;
 use gridvm_simcore::hist::Histogram;
+use gridvm_simcore::lookahead::LookaheadMatrix;
 use gridvm_simcore::lru::LruSet;
 use gridvm_simcore::metrics::Counter;
 use gridvm_simcore::slot::SlotMap;
@@ -37,6 +38,7 @@ use gridvm_vfs::fs::FileHandle;
 use gridvm_vfs::protocol::NFS_BLOCK;
 use gridvm_vfs::proxy::{ProxyConfig, VfsProxy};
 use gridvm_vnet::overlay::{NodeId, Overlay};
+use gridvm_vnet::sites::SiteTopology;
 
 struct Baseline;
 
@@ -329,21 +331,26 @@ impl Experiment for Baseline {
             }
             11 => {
                 // The per-pair window payoff on a regional VO: the
-                // bursty handoff workload run under the global
-                // synchronizer and again under the per-pair matrix.
-                // Histories must match bit-for-bit; the sample records
-                // the per-pair throughput plus the barrier-window
-                // reduction, which the bench gate holds at >= 3x.
+                // bursty handoff workload run under a uniform matrix
+                // at the topology's minimum latency (the global
+                // synchronizer) and again under the topology's
+                // per-pair matrix. Histories must match bit-for-bit;
+                // the sample records the per-pair throughput plus the
+                // barrier-window reduction, which the bench gate holds
+                // at >= 3x.
                 let cfg = HandoffConfig {
                     legs: (n / (6 * 24)).max(8) as u32,
                     ..HandoffConfig::reference()
                 };
-                let mut global = build_handoff(&HandoffConfig {
-                    per_pair_lookahead: false,
-                    ..cfg
-                })
-                .shards(4)
-                .threads(1);
+                let topo = SiteTopology::regional_vo(cfg.regions, 2);
+                let uniform = LookaheadMatrix::uniform(
+                    topo.sites(),
+                    topo.lookahead().expect("regional_vo meshes"),
+                );
+                let mut global = build_handoff(&cfg)
+                    .with_lookahead(uniform)
+                    .shards(4)
+                    .threads(1);
                 global.run();
                 let started = Instant::now();
                 let mut paired = build_handoff(&cfg).shards(4).threads(1);

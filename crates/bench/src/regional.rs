@@ -12,9 +12,11 @@
 //! barriers every `min link latency` (5 ms metro), while per-pair
 //! horizons let each active site run to the nearest *other region* —
 //! 20–45 ms of WAN away — cutting `shard.windows` several-fold at a
-//! bit-identical history. Both protocols are driven from the same
-//! build so the bench can assert digest equality while comparing
-//! barrier counts.
+//! bit-identical history. A built world re-runs under the global
+//! bound with [`ShardedSim::with_lookahead`] and
+//! [`LookaheadMatrix::uniform`](gridvm_simcore::lookahead::LookaheadMatrix::uniform)
+//! at [`SiteTopology::lookahead`], so the
+//! bench can assert digest equality while comparing barrier counts.
 
 use gridvm_simcore::engine::{Engine, Event};
 use gridvm_simcore::metrics::Counter;
@@ -39,9 +41,6 @@ pub struct HandoffConfig {
     pub step_gap: SimDuration,
     /// Handoffs each token performs before retiring.
     pub legs: u32,
-    /// Drive the synchronizer from the per-(src,dst) lookahead matrix
-    /// instead of the global minimum link latency.
-    pub per_pair_lookahead: bool,
 }
 
 impl HandoffConfig {
@@ -54,7 +53,6 @@ impl HandoffConfig {
             burst_steps: 24,
             step_gap: SimDuration::from_millis(1),
             legs: 64,
-            per_pair_lookahead: true,
         }
     }
 }
@@ -93,8 +91,8 @@ impl ShardWorld for HandoffSite {
         );
     }
 
-    fn encode_msg(msg: HandoffMsg) -> Result<[u64; 2], HandoffMsg> {
-        Ok([msg.token, u64::from(msg.legs_left)])
+    fn encode_msg(msg: HandoffMsg) -> [u64; 2] {
+        [msg.token, u64::from(msg.legs_left)]
     }
 
     fn decode_msg(words: [u64; 2]) -> HandoffMsg {
@@ -147,9 +145,11 @@ fn burst(
 /// Builds the handoff world over `regional_vo(cfg.regions, 2)`: one
 /// token per region starting its first burst at a per-region stagger,
 /// handing off between the region's two metro sites until its legs
-/// run out. Configure shards/threads on the returned sim and run it;
-/// compare `windows()` across the two protocol settings at equal
-/// trace digests and checksums.
+/// run out, synchronized by the topology's lookahead matrix.
+/// Configure shards/threads on the returned sim and run it; compare
+/// `windows()` against the same world under
+/// [`LookaheadMatrix::uniform`](gridvm_simcore::lookahead::LookaheadMatrix::uniform)
+/// at equal trace digests and checksums.
 ///
 /// # Panics
 ///
@@ -158,9 +158,8 @@ pub fn build_handoff(cfg: &HandoffConfig) -> ShardedSim<HandoffSite> {
     assert!(cfg.regions > 0, "a handoff world needs at least one region");
     let topo = SiteTopology::regional_vo(cfg.regions, 2);
     let n = topo.sites() as u32;
-    let lookahead = topo.lookahead().expect("regional_vo meshes");
     let mut sim = ShardedSim::new(
-        lookahead,
+        topo.lookahead_matrix(),
         (0..n).map(|i| {
             let partner = SiteId(i ^ 1);
             HandoffSite {
@@ -172,11 +171,8 @@ pub fn build_handoff(cfg: &HandoffConfig) -> ShardedSim<HandoffSite> {
                 legs_done: 0,
             }
         }),
-    );
-    if cfg.per_pair_lookahead {
-        sim = sim.per_pair_lookahead(topo.lookahead_matrix());
-    }
-    sim = sim.outbox_capacity(4);
+    )
+    .outbox_capacity(4);
     for r in 0..cfg.regions {
         sim.with_site((2 * r) as usize, |site, en| {
             let steps = u64::from(site.world.burst_steps);
@@ -195,14 +191,19 @@ pub fn build_handoff(cfg: &HandoffConfig) -> ShardedSim<HandoffSite> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gridvm_simcore::lookahead::LookaheadMatrix;
     use gridvm_simcore::metrics;
 
-    fn run(cfg: &HandoffConfig, shards: usize, threads: usize) -> (u64, Vec<u64>, u64, u64, u64) {
-        let mut sim = build_handoff(cfg).shards(shards).threads(threads);
+    fn run(
+        sim: ShardedSim<HandoffSite>,
+        shards: usize,
+        threads: usize,
+    ) -> (u64, Vec<u64>, u64, u64, u64) {
+        let mut sim = sim.shards(shards).threads(threads);
         metrics::reset();
         sim.run();
         metrics::reset();
-        let checksums = (0..cfg.regions as usize * 2)
+        let checksums = (0..sim.sites())
             .map(|i| sim.with_site(i, |s, _| s.world.checksum))
             .collect();
         let boxed = sim.merged_metrics().counter("sim.events_boxed");
@@ -221,15 +222,25 @@ mod tests {
             legs: 12,
             ..HandoffConfig::reference()
         };
-        let global = HandoffConfig {
-            per_pair_lookahead: false,
-            ..cfg
-        };
-        let (digest, checksums, messages, paired_windows, boxed) = run(&cfg, 4, 2);
-        let (gdigest, gchecksums, gmessages, global_windows, gboxed) = run(&global, 4, 2);
+        let topo = SiteTopology::regional_vo(cfg.regions, 2);
+        let global =
+            LookaheadMatrix::uniform(topo.sites(), topo.lookahead().expect("regional_vo meshes"));
+        let (digest, checksums, messages, paired_windows, boxed) = run(build_handoff(&cfg), 4, 2);
+        let (gdigest, gchecksums, gmessages, global_windows, gboxed) =
+            run(build_handoff(&cfg).with_lookahead(global), 4, 2);
         assert_eq!(digest, gdigest, "protocols diverged");
         assert_eq!(checksums, gchecksums);
         assert_eq!(messages, gmessages);
+        let mut oracle = build_handoff(&cfg);
+        metrics::reset();
+        oracle.run_sequential();
+        metrics::reset();
+        assert_eq!(
+            oracle.trace_digest(),
+            digest,
+            "diverged from the sequential reference"
+        );
+        assert_eq!(oracle.messages(), messages);
         assert_eq!(messages, u64::from(cfg.regions) * u64::from(cfg.legs));
         assert_eq!((boxed, gboxed), (0, 0), "handoffs must ride inline");
         assert!(
@@ -244,9 +255,13 @@ mod tests {
             legs: 8,
             ..HandoffConfig::reference()
         };
-        let want = run(&cfg, 1, 1);
+        let want = run(build_handoff(&cfg), 1, 1);
         for (shards, threads) in [(2, 1), (4, 4), (12, 3)] {
-            assert_eq!(run(&cfg, shards, threads), want, "shards={shards}");
+            assert_eq!(
+                run(build_handoff(&cfg), shards, threads),
+                want,
+                "shards={shards}"
+            );
         }
     }
 }

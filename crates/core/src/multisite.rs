@@ -58,11 +58,6 @@ pub struct VoConfig {
     /// Master seed; site `i` draws from
     /// [`derive_seed_sharded`]`(seed, 0, i)`.
     pub seed: u64,
-    /// Drive the synchronizer from the topology's per-(src,dst)
-    /// lookahead matrix instead of the single global minimum — fewer,
-    /// wider windows on any topology with latency spread. Results are
-    /// bit-identical either way; this is purely a window-count knob.
-    pub per_pair_lookahead: bool,
 }
 
 impl VoConfig {
@@ -79,7 +74,6 @@ impl VoConfig {
             step_spacing: SimDuration::from_micros(200),
             work_draws: 8,
             seed: 20030517,
-            per_pair_lookahead: true,
         }
     }
 }
@@ -130,8 +124,8 @@ impl ShardWorld for VoSite {
         step([msg.session, u64::from(msg.steps_left)], site, en);
     }
 
-    fn encode_msg(msg: VoMsg) -> Result<[u64; 2], VoMsg> {
-        Ok([msg.session, u64::from(msg.steps_left)])
+    fn encode_msg(msg: VoMsg) -> [u64; 2] {
+        [msg.session, u64::from(msg.steps_left)]
     }
 
     fn decode_msg(words: [u64; 2]) -> VoMsg {
@@ -207,9 +201,9 @@ fn step(args: [u64; 2], site: &mut SiteState<VoSite>, en: &mut Engine<SiteState<
 
 /// Builds the multi-site VO world over [`SiteTopology::paper_vo`]:
 /// one [`VoSite`] per site with its own derived seed, every session's
-/// first step scheduled, and the lookahead taken from the topology's
-/// minimum link latency. Configure shards/threads on the returned sim
-/// and [`run`](ShardedSim::run) it.
+/// first step scheduled, and the synchronizer driven by the
+/// topology's per-(src,dst) lookahead matrix. Configure shards/threads
+/// on the returned sim and [`run`](ShardedSim::run) it.
 ///
 /// # Panics
 ///
@@ -217,10 +211,9 @@ fn step(args: [u64; 2], site: &mut SiteState<VoSite>, en: &mut Engine<SiteState<
 pub fn build_vo(cfg: &VoConfig) -> ShardedSim<VoSite> {
     assert!(cfg.sites > 0, "a VO needs at least one site");
     let topo = SiteTopology::paper_vo(cfg.sites);
-    let lookahead = topo.lookahead().unwrap_or(SimDuration::from_millis(5));
     let retry_delay = SimDuration::from_nanos(cfg.step_spacing.as_nanos() * 4);
     let mut sim = ShardedSim::new(
-        lookahead,
+        topo.lookahead_matrix(),
         (0..cfg.sites).map(|i| VoSite {
             rng: SimRng::seed_from(derive_seed_sharded(cfg.seed, 0, u64::from(i))),
             latency_to: (0..cfg.sites)
@@ -246,9 +239,6 @@ pub fn build_vo(cfg: &VoConfig) -> ShardedSim<VoSite> {
             checksum: 0,
         }),
     );
-    if cfg.per_pair_lookahead {
-        sim = sim.per_pair_lookahead(topo.lookahead_matrix());
-    }
     // A site's per-window traffic to one destination is bounded by its
     // hopping sessions; pre-size the outboxes so steady state never
     // regrows them.
@@ -390,11 +380,6 @@ pub struct VoScaleConfig {
     /// [`derive_seed_sharded`]`(seed, 0, i)` and trace-sampling
     /// decisions from stream 1 of that seed.
     pub seed: u64,
-    /// Drive the synchronizer from the topology's per-(src,dst)
-    /// lookahead matrix instead of the single global minimum. On the
-    /// regional topology — 5–8 ms metro, 20–45 ms WAN — this is worth
-    /// several× fewer barrier windows at identical results.
-    pub per_pair_lookahead: bool,
 }
 
 impl VoScaleConfig {
@@ -421,7 +406,6 @@ impl VoScaleConfig {
             trace_capacity: 512,
             trace_rate_per_mille: 20,
             seed: 20030517,
-            per_pair_lookahead: true,
         }
     }
 
@@ -552,8 +536,8 @@ impl ShardWorld for VoScaleSite {
         scale_step([msg.meta, msg.start], site, en);
     }
 
-    fn encode_msg(msg: VoScaleMsg) -> Result<[u64; 2], VoScaleMsg> {
-        Ok([msg.meta, msg.start])
+    fn encode_msg(msg: VoScaleMsg) -> [u64; 2] {
+        [msg.meta, msg.start]
     }
 
     fn decode_msg(words: [u64; 2]) -> VoScaleMsg {
@@ -724,7 +708,6 @@ pub fn build_vo_scale(cfg: &VoScaleConfig) -> ShardedSim<VoScaleSite> {
         "session ids must fit the packed event word"
     );
     let topo = SiteTopology::regional_vo(cfg.regions, cfg.sites_per_region);
-    let lookahead = topo.lookahead().unwrap_or(SimDuration::from_millis(5));
     let capacity_of = |i: u32| cfg.capacity_base.max(1) * (1 + u64::from(i % 4));
     let mut cap_cum = Vec::with_capacity(n as usize);
     let mut acc = 0u64;
@@ -733,7 +716,7 @@ pub fn build_vo_scale(cfg: &VoScaleConfig) -> ShardedSim<VoScaleSite> {
         cap_cum.push(acc);
     }
     let mut sim = ShardedSim::new(
-        lookahead,
+        topo.lookahead_matrix(),
         (0..n).map(|i| {
             let latency_to: Vec<SimDuration> = (0..n)
                 .map(|j| {
@@ -774,9 +757,6 @@ pub fn build_vo_scale(cfg: &VoScaleConfig) -> ShardedSim<VoScaleSite> {
             }
         }),
     );
-    if cfg.per_pair_lookahead {
-        sim = sim.per_pair_lookahead(topo.lookahead_matrix());
-    }
     // Hint kept modest: outboxes are lazily sized, so hundreds of
     // sites do not pay O(sites²·hint) resident memory up front.
     sim = sim.outbox_capacity(16);

@@ -1,15 +1,18 @@
 //! Per-(src,dst) lookahead for the conservative synchronizer: the
 //! all-pairs minimum-latency closure of a site topology.
 //!
-//! The global-lookahead protocol in [`crate::shard`] collapses a whole
-//! topology to one number — the minimum inter-site link latency — and
-//! bounds *every* site's window by it. That throws away exactly the
-//! structure a wide-area virtual organization has: a message from a
-//! site 40 ms away cannot affect you for 40 ms, no matter how close
-//! your metro neighbors are. A [`LookaheadMatrix`] keeps the full
-//! per-pair bound: entry `(s, d)` is the minimum latency over every
-//! path from `s` to `d`, so no interaction originating at `s` —
-//! direct or relayed — can reach `d` sooner.
+//! The window protocol in [`crate::shard`] bounds each site's window
+//! by how soon any *other* site's pending work could reach it, and a
+//! [`LookaheadMatrix`] supplies that bound per pair: entry `(s, d)` is
+//! the minimum latency over every path from `s` to `d`, so no
+//! interaction originating at `s` — direct or relayed — can reach `d`
+//! sooner. Collapsing a topology to one number, its minimum
+//! inter-site link latency, throws away exactly the structure a
+//! wide-area virtual organization has: a message from a site 40 ms
+//! away cannot affect you for 40 ms, no matter how close your metro
+//! neighbors are. That collapse is still expressible, as
+//! [`LookaheadMatrix::uniform`]: the classic global protocol, and the
+//! baseline the per-pair matrices are measured against.
 //!
 //! Two derived quantities make the per-site window protocol sound
 //! (see `DESIGN.md` §15 for the full safety argument):
@@ -35,8 +38,8 @@ const UNREACHABLE: u64 = u64::MAX;
 ///
 /// Construct with [`LookaheadMatrix::shortest_paths`] over the
 /// topology's direct link latencies (see
-/// `SiteTopology::lookahead_matrix` in `gridvm-vnet`), then install on
-/// a sim with `ShardedSim::per_pair_lookahead`.
+/// `SiteTopology::lookahead_matrix` in `gridvm-vnet`) or with
+/// [`LookaheadMatrix::uniform`], then hand it to `ShardedSim::new`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LookaheadMatrix {
     n: usize,
@@ -106,6 +109,21 @@ impl LookaheadMatrix {
             })
             .collect();
         LookaheadMatrix { n, la, rt }
+    }
+
+    /// The matrix of `n` sites that are all `d` apart: the classic
+    /// global lookahead, one bound for every pair.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a zero `d`, which would leave the synchronizer no
+    /// window to advance in.
+    pub fn uniform(n: usize, d: SimDuration) -> Self {
+        assert!(
+            d > SimDuration::ZERO,
+            "zero lookahead leaves the conservative synchronizer no safe-advance window"
+        );
+        Self::shortest_paths(n, |_, _| Some(d))
     }
 
     /// Number of sites the matrix covers.
@@ -224,6 +242,12 @@ mod tests {
         assert_eq!(m.sites(), 1);
         assert_eq!(m.min_lookahead(), None);
         assert_eq!(m.round_trip_nanos(0), u64::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "safe-advance window")]
+    fn zero_lookahead_is_rejected() {
+        let _ = LookaheadMatrix::uniform(2, SimDuration::ZERO);
     }
 
     #[test]

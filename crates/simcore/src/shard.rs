@@ -2,92 +2,85 @@
 //! synchronized by a lookahead barrier protocol.
 //!
 //! The paper's target is a *grid* — many administrative sites, each
-//! dynamically instantiating VMs, separated by wide-area links. That
-//! topology is exactly what a conservative parallel discrete-event
-//! simulation needs: cross-site interactions ride
-//! [`NetLink`](https://docs.rs)-style links whose propagation latency
-//! bounds how soon one site can affect another. If every cross-site
-//! message sent at time `t` arrives no earlier than `t + latency`,
-//! then each site can execute independently up to the earliest instant
-//! any *other* site's pending work could reach it — its **horizon** —
-//! without ever receiving a message from the past.
+//! dynamically instantiating VMs, separated by wide-area links whose
+//! latency bounds how soon one site can affect another. If every
+//! cross-site message sent at `t` arrives no earlier than
+//! `t + latency`, each site can execute independently up to the
+//! earliest instant any *other* site's pending work could reach it —
+//! its **horizon** — without ever receiving a message from the past.
 //!
 //! ## The window protocol
 //!
-//! A [`ShardedSim`] owns one [`SiteRuntime`] per site — its own
-//! [`Engine`] (event queue), world state, [`TraceLog`] segment,
-//! [`Metrics`] registry and (by caller convention) seeded RNG stream.
-//! `run` repeats:
+//! A [`ShardedSim`] owns one `SiteRuntime` per site — its own
+//! [`Engine`], world state, [`TraceLog`] segment, [`Metrics`] registry
+//! and (by caller convention) seeded RNG stream — and a
+//! [`LookaheadMatrix`], whose entry `la(s, d)` bounds how soon anything
+//! sent at site `s` can reach site `d`. `run` repeats:
 //!
-//! 1. **Drain mailboxes** in fixed site-id order: every pending
-//!    cross-site message is scheduled into its destination engine.
-//!    Outboxes are kept per destination, so the drain swaps each
-//!    non-empty (src,dst) batch out under the source's lock and then
-//!    locks each destination once per batch — not once per message —
-//!    recycling buffer capacity through a double-buffer swap so
-//!    steady-state traffic allocates nothing. A message timestamped
-//!    before its destination's already-executed horizon is a
-//!    *lookahead violation* and panics — it could only exist if a
-//!    caller sent "faster than light", i.e. below the declared
-//!    minimum link latency.
-//! 2. **Compute horizons.** Under the default *global* lookahead, all
-//!    sites share `t_min + lookahead` (`t_min` the global earliest
-//!    pending event; `lookahead` the minimum link latency anywhere).
-//!    With a [`LookaheadMatrix`] installed
-//!    ([`ShardedSim::per_pair_lookahead`]), each site gets its own
-//!    horizon `min over active sources s of (t_s + lookahead(s→i))` —
-//!    on topologies mixing metro and WAN latencies, per-site horizons
-//!    are far wider than the global minimum, cutting barrier windows
-//!    by multiples.
-//! 3. **Execute the window**: each site runs every local event
-//!    strictly before its horizon ([`Engine::run_before`]). Under
-//!    per-pair lookahead a site additionally self-limits against its
-//!    *own* sends: execution proceeds in chunks never more than the
-//!    site's minimum round trip past its next event, and each queued
-//!    outgoing message caps the window at `arrival +
-//!    lookahead(dst→site)` — the earliest instant that send could
-//!    echo back. A site that sends nothing runs all the way to its
-//!    cross-source horizon in one window. Sites are grouped into
-//!    `shards` by `site_id % shards`, and shards are claimed by
-//!    worker threads off an atomic cursor.
+//! 1. **Drain mailboxes** in ascending source site id: each non-empty
+//!    (src,dst) outbox is swapped out under the source's lock and
+//!    scheduled into its destination under one destination lock per
+//!    batch, recycling buffer capacity so steady-state traffic
+//!    allocates nothing. A message timestamped before its
+//!    destination's already-executed bound is a *lookahead violation*
+//!    and panics: it was sent below the declared link latency. Under
+//!    the same locks the drain records every site's earliest pending
+//!    event `t_s`.
+//! 2. **Compute horizons**: site `i`'s is `min over active sources
+//!    s ≠ i of (t_s + la(s, i))`, all sites in one pass over the
+//!    matrix. Where metro and WAN latencies mix, these are far wider
+//!    than the minimum link latency; the classic global protocol is
+//!    the special case [`LookaheadMatrix::uniform`].
+//! 3. **Execute the window**: each site runs its events strictly
+//!    before its horizon, in chunks of at most its minimum round trip
+//!    past its next event, and each send it queues caps the window at
+//!    `arrival + la(dst → site)`, the earliest that send could echo
+//!    back. Sites are grouped into `shards` by `site_id % shards`;
+//!    the caller's thread and `threads - 1` scoped helpers claim
+//!    shards off an atomic cursor.
 //! 4. **Barrier**, then repeat until no events remain anywhere.
 //!
 //! ## Why results are bit-identical at any shard/thread count
 //!
 //! The protocol's unit is the **site**, not the shard: the drain
-//! order (ascending source site id; per-destination batches preserve
-//! each destination's arrival order), the horizons (computed by the
-//! coordinator from per-site event times and the topology alone) and
-//! each site's intra-window execution (its engine's `(time, seq)`
-//! order over purely local state) are all independent of how sites
-//! are packed into shards or shards onto threads. Shards and threads
-//! only decide *which OS thread* runs a site's window — never what
-//! the window computes. Traces live per site and digest in site
-//! order. Each site's own [`Metrics`] registry is installed as the
-//! executing thread's metrics context for the site's window
-//! ([`metrics::swap`]) and swapped back out after it, while
-//! pre-resolved counter cells drain into a per-site slot-indexed
-//! accumulator (plain array adds; names materialize once per run);
-//! the registries merge in site order. The caller's ambient metrics
-//! context is saved before the run and restored (then folded) after.
-//! A 1-shard, 1-thread run executes the identical windowed schedule,
-//! just without worker threads.
+//! order, the horizons (a function of the drained event times and the
+//! matrix alone) and each site's execution (its engine's
+//! `(time, seq)` order over local state) do not depend on how sites
+//! are packed into shards or shards onto threads, which only decide
+//! *which OS thread* runs a site's window. Traces live per site and
+//! digest in site order. A site's own [`Metrics`] registry is the
+//! executing thread's context for the whole of each of its windows
+//! ([`metrics::swap`]), and its counter cells drain into a per-site
+//! accumulator; registries merge in site order into the caller's
+//! context, which is saved before the run. So a gauge keeps its last
+//! write per site and a timer one distribution per site wherever the
+//! windows fall: two matrices over one world cut different windows
+//! but report the same metrics apart from `shard.windows`.
 //!
-//! Because a site records into one registry for the whole run, its
-//! metrics do not depend on where the windows fall: a gauge keeps its
-//! last write per site, as [`Metrics::gauge_set`] documents for a
-//! replication, and a timer accumulates one distribution per site.
-//! The global and per-pair protocols cut different windows, yet they
-//! report the same world-level metrics; only `shard.windows` differs.
+//! A panic on any thread — an event handler's, a self-send's, the
+//! drain's lookahead violation — is caught where it happens; every
+//! thread leaves through the barrier and `run` re-raises the first
+//! payload on the caller, with the caller's metrics context restored,
+//! so a failing run fails with its original message at any thread
+//! count. The failed sim itself cannot be run or inspected again.
+//!
+//! ## The reference executor
+//!
+//! [`ShardedSim::run_sequential`] runs the same sites with no windows:
+//! the earliest pending instant anywhere runs next, and each message
+//! goes straight into its destination's queue. Tests check the window
+//! protocol against it under both a topology's matrix and `uniform`,
+//! so a defect in the horizon, echo-chunking or drain logic cannot
+//! hide behind a comparison of the protocol with itself.
 //!
 //! ## Allocation-free delivery
 //!
 //! Delivery schedules each message through the engine's 32-byte
-//! inline event machinery when the world's
+//! inline event machinery: the world's
 //! [`encode_msg`](ShardWorld::encode_msg) packs it into two machine
-//! words ([`Event::Arg2`](crate::engine::Event)); only messages that
-//! decline encoding fall back to a boxed closure, counted by
-//! `sim.events_boxed`. Together with the double-buffered outboxes
+//! words ([`Event::Arg2`](crate::engine::Event)) and
+//! [`decode_msg`](ShardWorld::decode_msg) unpacks it at the
+//! destination. Together with the double-buffered outboxes
 //! (reallocations counted by `shard.outbox_regrown`), steady-state
 //! mailbox traffic makes zero allocator calls.
 //!
@@ -100,6 +93,7 @@
 //! ```
 //! use gridvm_simcore::shard::{ShardWorld, ShardedSim, SiteId, SiteState};
 //! use gridvm_simcore::engine::Engine;
+//! use gridvm_simcore::lookahead::LookaheadMatrix;
 //! use gridvm_simcore::time::{SimDuration, SimTime};
 //!
 //! struct Counter { received: u64 }
@@ -110,11 +104,11 @@
 //!     }
 //!     // Pack the payload into the inline event words: delivery
 //!     // never touches the allocator.
-//!     fn encode_msg(msg: u64) -> Result<[u64; 2], u64> { Ok([msg, 0]) }
+//!     fn encode_msg(msg: u64) -> [u64; 2] { [msg, 0] }
 //!     fn decode_msg(words: [u64; 2]) -> u64 { words[0] }
 //! }
 //!
-//! let lookahead = SimDuration::from_millis(5);
+//! let lookahead = LookaheadMatrix::uniform(2, SimDuration::from_millis(5));
 //! let mut sim = ShardedSim::new(lookahead, (0..2).map(|_| Counter { received: 0 }));
 //! sim.with_site(0, |_, en| {
 //!     en.schedule_at(SimTime::ZERO, move |site: &mut SiteState<Counter>, en| {
@@ -125,8 +119,10 @@
 //! assert_eq!(sim.with_site(1, |site, _| site.world.received), 7);
 //! ```
 
+use std::any::Any;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Barrier, Mutex};
 
 use crate::engine::Engine;
@@ -169,8 +165,8 @@ impl fmt::Display for SiteId {
 /// A per-site world that can run under a [`ShardedSim`].
 ///
 /// `Send` because a site (engine, world, pending events) migrates
-/// between the coordinator and worker threads at window boundaries;
-/// the protocol guarantees exclusive access within a window.
+/// between threads at window boundaries; the protocol guarantees
+/// exclusive access within a window.
 pub trait ShardWorld: Send + Sized + 'static {
     /// Cross-site message payload, moved through the per-(src,dst)
     /// mailboxes.
@@ -181,37 +177,26 @@ pub trait ShardWorld: Send + Sized + 'static {
     /// schedule follow-ups and send further messages.
     fn deliver(msg: Self::Msg, site: &mut SiteState<Self>, en: &mut Engine<SiteState<Self>>);
 
-    /// Packs a message into two inline event words so the mailbox
-    /// drain can deliver it allocation-free through
-    /// [`Event::Arg2`](crate::engine::Event); return `Err(msg)` to
-    /// decline (the default), falling back to a boxed closure counted
-    /// by `sim.events_boxed`. Implementations must round-trip:
-    /// `decode_msg(encode_msg(m)?) == m`.
-    fn encode_msg(msg: Self::Msg) -> Result<[u64; 2], Self::Msg> {
-        Err(msg)
-    }
+    /// Packs a message into the two inline event words the mailbox
+    /// drain delivers it in ([`Event::Arg2`](crate::engine::Event)),
+    /// so delivery never allocates. Implementations must round-trip:
+    /// `decode_msg(encode_msg(m)) == m`.
+    fn encode_msg(msg: Self::Msg) -> [u64; 2];
 
-    /// Reverses [`encode_msg`](Self::encode_msg). Only called with
-    /// words that `encode_msg` returned `Ok`; the default is
-    /// unreachable because the default `encode_msg` never does.
-    fn decode_msg(words: [u64; 2]) -> Self::Msg {
-        let _ = words;
-        unreachable!("decode_msg called on a world whose encode_msg never returns Ok")
-    }
+    /// Reverses [`encode_msg`](Self::encode_msg).
+    fn decode_msg(words: [u64; 2]) -> Self::Msg;
 
     /// Called once per site when the run completes, before the site's
-    /// metrics are folded into the caller's context. Worlds that tally
-    /// per-event statistics can keep them in plain fields — one
-    /// integer add per event — and publish them here through
-    /// [`Counter`](crate::metrics::Counter) handles, instead of paying
-    /// a thread-local counter add on every event. The default
-    /// publishes nothing.
+    /// metrics are folded into the caller's context: worlds that
+    /// tally per-event statistics in plain fields publish them here
+    /// through [`Counter`] handles instead of
+    /// a thread-local add per event. The default publishes nothing.
     fn flush_metrics(&mut self) {}
 }
 
-/// The delivery trampoline for inline-encoded messages: a plain `fn`
-/// item, so it fits [`Event::Arg2`](crate::engine::Event) as a
-/// function pointer with the encoded words as its argument.
+/// The delivery trampoline: a plain `fn` item, so it fits
+/// [`Event::Arg2`](crate::engine::Event) as a function pointer with
+/// the encoded words as its argument.
 fn deliver_inline<W: ShardWorld>(
     words: [u64; 2],
     state: &mut SiteState<W>,
@@ -238,10 +223,9 @@ pub struct SiteState<W: ShardWorld> {
     dirty: Vec<u32>,
     /// Capacity reserved on an outbox's first allocation.
     outbox_hint: usize,
-    /// Per-pair mode only: `echo_row[d]` is the return lookahead
-    /// `la(d → self)` in nanoseconds, so a send's earliest possible
-    /// echo is `arrival + echo_row[dst]`. Empty under global
-    /// lookahead.
+    /// `echo_row[d]` is the return lookahead `la(d → self)` in
+    /// nanoseconds, so a send's earliest possible echo is
+    /// `arrival + echo_row[dst]`.
     echo_row: Vec<u64>,
     /// Minimum echo bound over the messages queued this window;
     /// `u64::MAX` when the outbox is clean (reset at every drain).
@@ -258,9 +242,8 @@ impl<W: ShardWorld> SiteState<W> {
     /// instant `at`. The message is moved into the destination's
     /// engine at the next barrier; `at` must be at least one link
     /// latency past the window it was sent in (guaranteed when `at`
-    /// is `now + link_latency`, since the synchronizer's per-pair —
-    /// or global minimum — lookahead never exceeds any link latency)
-    /// or the drain panics.
+    /// is `now + link_latency`, since the lookahead matrix never
+    /// exceeds any link latency) or the drain panics.
     ///
     /// # Panics
     ///
@@ -282,16 +265,13 @@ impl<W: ShardWorld> SiteState<W> {
             OUTBOX_REGROWN.add(1);
         }
         q.push((at, msg));
-        if !self.echo_row.is_empty() {
-            let echo = at.as_nanos().saturating_add(self.echo_row[dst.index()]);
-            self.echo_min = self.echo_min.min(echo);
-        }
+        let echo = at.as_nanos().saturating_add(self.echo_row[dst.index()]);
+        self.echo_min = self.echo_min.min(echo);
     }
 }
 
-/// One site's execution state: its engine, world, metrics registry,
-/// the horizon the coordinator set for the current window and the
-/// event count of the window just executed.
+/// One site's execution state: its engine, world, metrics registry
+/// and the bounds of its windows.
 struct SiteRuntime<W: ShardWorld> {
     en: Engine<SiteState<W>>,
     state: SiteState<W>,
@@ -302,17 +282,10 @@ struct SiteRuntime<W: ShardWorld> {
     /// thread's counter cells here; names materialize once per run via
     /// [`metrics::fold_cells`].
     fast: Vec<u64>,
-    /// On entry to a window: the coordinator's cross-source horizon in
-    /// nanoseconds (`u64::MAX` = nothing active can reach the site).
-    /// On exit: the bound the site actually guaranteed — lowered when
-    /// its own sends' echo bounds stopped it early — which becomes the
-    /// next drain's violation threshold.
-    horizon: u64,
-    /// Per-pair mode only: the site's minimum round trip in
-    /// nanoseconds, chunking how far execution may outrun the next
-    /// pending event before re-checking for new sends.
-    rt_self: u64,
-    window_events: u64,
+    /// The running maximum of the bounds the site actually guaranteed:
+    /// it has executed everything strictly before `safe`, so the drain
+    /// rejects a message arriving earlier as a lookahead violation.
+    safe: u64,
 }
 
 /// A conservatively synchronized multi-site simulation.
@@ -322,8 +295,7 @@ struct SiteRuntime<W: ShardWorld> {
 /// argument.
 pub struct ShardedSim<W: ShardWorld> {
     sites: Vec<Mutex<SiteRuntime<W>>>,
-    lookahead: SimDuration,
-    matrix: Option<LookaheadMatrix>,
+    matrix: LookaheadMatrix,
     shards: usize,
     threads: usize,
     windows: u64,
@@ -335,23 +307,16 @@ pub struct ShardedSim<W: ShardWorld> {
 }
 
 impl<W: ShardWorld> ShardedSim<W> {
-    /// Creates a sharded simulation over one world per site, with the
-    /// given lookahead (the minimum cross-site link latency; see
-    /// `SiteTopology::lookahead` in `gridvm-vnet`). Defaults to one
-    /// shard and one thread — the same protocol, serially — and to
-    /// the single global lookahead; install a topology's full
-    /// per-pair matrix with
-    /// [`per_pair_lookahead`](Self::per_pair_lookahead).
+    /// Creates a sharded simulation over one world per site,
+    /// synchronized by a per-(src,dst) lookahead matrix — a
+    /// topology's `SiteTopology::lookahead_matrix` (in `gridvm-vnet`),
+    /// or [`LookaheadMatrix::uniform`] for one latency everywhere.
+    /// Defaults to one shard and one thread.
     ///
     /// # Panics
     ///
-    /// Panics on a zero lookahead: the conservative synchronizer
-    /// would have no safe-advance window.
-    pub fn new(lookahead: SimDuration, worlds: impl IntoIterator<Item = W>) -> Self {
-        assert!(
-            lookahead > SimDuration::ZERO,
-            "zero lookahead leaves the conservative synchronizer no safe-advance window"
-        );
+    /// Panics when the matrix does not cover one site per world.
+    pub fn new(matrix: LookaheadMatrix, worlds: impl IntoIterator<Item = W>) -> Self {
         let worlds: Vec<W> = worlds.into_iter().collect();
         let n = worlds.len();
         let sites = worlds
@@ -372,16 +337,13 @@ impl<W: ShardWorld> ShardedSim<W> {
                     },
                     metrics: Metrics::new(),
                     fast: Vec::new(),
-                    horizon: 0,
-                    rt_self: u64::MAX,
-                    window_events: 0,
+                    safe: 0,
                 })
             })
             .collect();
-        ShardedSim {
+        let mut sim = ShardedSim {
             sites,
-            lookahead,
-            matrix: None,
+            matrix,
             shards: 1,
             threads: 1,
             windows: 0,
@@ -390,40 +352,38 @@ impl<W: ShardWorld> ShardedSim<W> {
             critical_events: 0,
             coord: Metrics::new(),
             ran: false,
-        }
+        };
+        sim.install_matrix();
+        sim
     }
 
-    /// Installs a per-(src,dst) lookahead matrix (see
-    /// [`LookaheadMatrix`] and `SiteTopology::lookahead_matrix` in
-    /// `gridvm-vnet`): the window protocol computes one horizon per
-    /// site from the matrix instead of a single global
-    /// `t_min + lookahead`, and each site additionally self-limits
-    /// against its own sends' echo bounds (see the [module
-    /// docs](self)). Horizons stay a pure function of per-site event
-    /// times, the site's own sends and the topology, so results
-    /// remain bit-identical at any shard/thread count; window
-    /// *counts* differ from the global protocol (that is the point),
-    /// but the executed event schedule — and therefore traces,
-    /// digests and world-level metrics — does not.
+    /// Replaces the lookahead matrix — how a comparison re-runs a
+    /// built world under [`LookaheadMatrix::uniform`] at its
+    /// topology's minimum latency. Any matrix whose entries are at
+    /// most the latencies the world sends at gives the same history;
+    /// matrices differ only in the windows they cut.
     ///
     /// # Panics
     ///
-    /// Panics when the matrix does not cover exactly this sim's
-    /// sites.
-    pub fn per_pair_lookahead(mut self, matrix: LookaheadMatrix) -> Self {
+    /// Panics when the matrix does not cover exactly this sim's sites.
+    pub fn with_lookahead(mut self, matrix: LookaheadMatrix) -> Self {
+        self.matrix = matrix;
+        self.install_matrix();
+        self
+    }
+
+    /// Derives each site's echo row from the matrix.
+    fn install_matrix(&mut self) {
+        let m = &self.matrix;
+        let n = self.sites.len();
         assert_eq!(
-            matrix.sites(),
-            self.sites.len(),
+            m.sites(),
+            n,
             "lookahead matrix covers a different site count than the sim"
         );
-        let n = self.sites.len();
         for (i, site) in self.sites.iter_mut().enumerate() {
-            let rt = site.get_mut().expect("site lock poisoned");
-            rt.rt_self = matrix.round_trip_nanos(i);
-            rt.state.echo_row = (0..n).map(|d| matrix.lookahead_nanos(d, i)).collect();
+            runtime(site).state.echo_row = (0..n).map(|d| m.lookahead_nanos(d, i)).collect();
         }
-        self.matrix = Some(matrix);
-        self
     }
 
     /// Sets the capacity reserved on each (src,dst) outbox's first
@@ -432,10 +392,7 @@ impl<W: ShardWorld> ShardedSim<W> {
     /// send to that destination), so quiet pairs cost nothing.
     pub fn outbox_capacity(mut self, hint: usize) -> Self {
         for site in &mut self.sites {
-            site.get_mut()
-                .expect("site lock poisoned")
-                .state
-                .outbox_hint = hint;
+            runtime(site).state.outbox_hint = hint;
         }
         self
     }
@@ -453,9 +410,11 @@ impl<W: ShardWorld> ShardedSim<W> {
         self
     }
 
-    /// Sets the worker-thread count; `0` means one per available
-    /// core. Clamped to the shard count at run time. Does not affect
-    /// results.
+    /// Sets the thread count, the caller's own thread included:
+    /// `threads(1)` runs every window on the caller's thread and
+    /// spawns nothing, `threads(n)` adds `n - 1` scoped helpers, and
+    /// `0` means one thread per available core. Clamped to the shard
+    /// count at run time. Does not affect results.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = if threads == 0 {
             std::thread::available_parallelism()
@@ -472,11 +431,6 @@ impl<W: ShardWorld> ShardedSim<W> {
         self.sites.len()
     }
 
-    /// The configured lookahead.
-    pub fn lookahead(&self) -> SimDuration {
-        self.lookahead
-    }
-
     /// Runs `f` with exclusive access to one site's state and engine
     /// — how callers seed initial events before [`run`](Self::run)
     /// and inspect per-site results after it.
@@ -485,7 +439,7 @@ impl<W: ShardWorld> ShardedSim<W> {
         site: usize,
         f: impl FnOnce(&mut SiteState<W>, &mut Engine<SiteState<W>>) -> R,
     ) -> R {
-        let rt = self.sites[site].get_mut().expect("site lock poisoned");
+        let rt = runtime(&mut self.sites[site]);
         f(&mut rt.state, &mut rt.en)
     }
 
@@ -510,11 +464,9 @@ impl<W: ShardWorld> ShardedSim<W> {
         self.critical_events
     }
 
-    /// The deterministic, machine-independent parallel-efficiency
-    /// model: total events over critical-path events. This is the
-    /// speedup an ideal `shards`-way execution of the recorded
-    /// window schedule achieves when per-event cost dominates; wall
-    /// clock on a given machine approaches it as cores allow.
+    /// Total events over critical-path events: the speedup an ideal
+    /// `shards`-way execution of the recorded window schedule reaches
+    /// when per-event cost dominates.
     pub fn model_speedup(&self) -> f64 {
         if self.critical_events == 0 {
             return 1.0;
@@ -522,16 +474,13 @@ impl<W: ShardWorld> ShardedSim<W> {
         self.total_events as f64 / self.critical_events as f64
     }
 
-    /// Trace entries currently retained across all sites — the
-    /// observability memory bound the macro-scale soak tests assert:
-    /// with sampled per-site logs (install via
-    /// [`with_site`](Self::with_site), setting `site.trace` to a
-    /// [`TraceLog::with_sampling`] log) this stays O(sites ×
-    /// capacity) no matter how many events the run executes.
+    /// Trace entries currently retained across all sites: with
+    /// sampled per-site logs ([`TraceLog::with_sampling`]) this stays
+    /// O(sites × capacity) however many events the run executes.
     pub fn retained_trace_entries(&mut self) -> usize {
         self.sites
             .iter_mut()
-            .map(|s| s.get_mut().expect("site lock poisoned").state.trace.len())
+            .map(|s| runtime(s).state.trace.len())
             .sum()
     }
 
@@ -540,13 +489,7 @@ impl<W: ShardWorld> ShardedSim<W> {
     pub fn sampled_trace_entries(&mut self) -> u64 {
         self.sites
             .iter_mut()
-            .map(|s| {
-                s.get_mut()
-                    .expect("site lock poisoned")
-                    .state
-                    .trace
-                    .sampled()
-            })
+            .map(|s| runtime(s).state.trace.sampled())
             .sum()
     }
 
@@ -555,7 +498,7 @@ impl<W: ShardWorld> ShardedSim<W> {
     pub fn trace_digest(&mut self) -> u64 {
         let mut h = crate::fault::Fnv::new();
         for site in &mut self.sites {
-            let rt = site.get_mut().expect("site lock poisoned");
+            let rt = runtime(site);
             h.mix(&u64::from(rt.state.id.0).to_le_bytes());
             h.mix(&rt.state.trace.digest().to_le_bytes());
         }
@@ -568,39 +511,69 @@ impl<W: ShardWorld> ShardedSim<W> {
     pub fn merged_metrics(&mut self) -> Metrics {
         let mut m = self.coord.clone();
         for site in &mut self.sites {
-            let rt = site.get_mut().expect("site lock poisoned");
-            m.merge(&rt.metrics);
+            m.merge(&runtime(site).metrics);
         }
         m
     }
 
     /// Runs the windowed protocol to completion: until no site has a
-    /// pending event and every mailbox is empty.
-    ///
-    /// The caller's thread-local [`metrics`] context is saved before
-    /// the run and restored afterwards with the run's coordinator and
-    /// per-site registries folded in (site-id order) — so a sharded
-    /// run composes with [`crate::replication::ReplicationRunner`]
-    /// harvesting like any other simulation.
+    /// pending event and every mailbox is empty. The caller's
+    /// thread-local [`metrics`] context is saved before the run and
+    /// restored afterwards with the coordinator's and the sites'
+    /// registries folded in (site-id order), so a sharded run
+    /// composes with [`crate::replication::ReplicationRunner`].
     ///
     /// # Panics
     ///
-    /// Panics on a second call (a sharded world runs to completion
-    /// exactly once) and on lookahead violations — a cross-site
-    /// message timestamped inside an already-executed window.
+    /// Panics on a second call and on a lookahead violation: a
+    /// cross-site message timestamped inside an already-executed
+    /// window. A panic on any thread of the run, such as an event
+    /// handler's, resurfaces here with its original payload, after the
+    /// caller's metrics context is restored without the run's
+    /// activity. The failed sim itself is not to be used again: a site
+    /// that stopped mid-event poisons the accessors that reach it.
     pub fn run(&mut self) {
+        self.execute(Self::run_windows);
+    }
+
+    /// Runs the world to completion with no windows, horizons or
+    /// helper threads: the sequential reference executor the window
+    /// protocol is tested against. It repeatedly runs the earliest
+    /// pending instant anywhere (every event one site holds at it, the
+    /// lowest site id first on a tie) and schedules each message sent
+    /// there straight into its destination's engine. It shares none
+    /// of [`run`](Self::run)'s horizon, echo-chunking or drain code;
+    /// results read through the same accessors, `windows()` at 0.
+    ///
+    /// A message enters its destination's queue when sent here and at
+    /// the next window boundary under `run`, so the two agree on every
+    /// world in which no message arrives at the same instant as
+    /// another event at its destination.
+    ///
+    /// # Panics
+    ///
+    /// As [`run`](Self::run), and on a message sent less than its
+    /// pair's lookahead ahead.
+    pub fn run_sequential(&mut self) {
+        self.execute(|sim| panic::catch_unwind(AssertUnwindSafe(|| sim.run_queue())).err());
+    }
+
+    /// Runs `body` between saving the caller's metrics context and
+    /// folding the run's registries into it, re-raising the panic
+    /// `body` reports with the caller's context restored.
+    fn execute(&mut self, body: impl FnOnce(&mut Self) -> Option<Payload>) {
         assert!(!self.ran, "ShardedSim::run is single-shot");
         self.ran = true;
         if self.sites.is_empty() {
             return;
         }
         let ambient = metrics::take();
-        let shards = self.shards.min(self.sites.len());
-        let threads = self.threads.min(shards);
-        if threads <= 1 {
-            self.run_loop_serial(shards);
-        } else {
-            self.run_loop_parallel(shards, threads);
+        if let Some(payload) = body(self) {
+            // Leave the caller's thread as the run found it: drop the
+            // failed run's partial activity, reinstall the ambient.
+            metrics::take();
+            metrics::merge_current(&ambient);
+            panic::resume_unwind(payload);
         }
         self.coord.counter_add("shard.windows", self.windows);
         self.coord.counter_add("shard.messages", self.messages);
@@ -612,7 +585,7 @@ impl<W: ShardWorld> ShardedSim<W> {
         metrics::merge_current(&ambient);
         metrics::merge_current(&self.coord);
         for site in &mut self.sites {
-            let rt = site.get_mut().expect("site lock poisoned");
+            let rt = runtime(site);
             // The world publishes its plain-field tallies into this
             // thread's cells; claiming them before the fold keeps the
             // attribution per-site.
@@ -623,112 +596,119 @@ impl<W: ShardWorld> ShardedSim<W> {
         }
     }
 
-    /// The protocol on the caller's thread: identical window schedule,
-    /// no worker threads to pay for — and no lock traffic either,
-    /// since exclusive ownership lets every site access go through
-    /// `Mutex::get_mut`.
-    fn run_loop_serial(&mut self, shards: usize) {
-        let n = self.sites.len();
-        let mut buf = CoordBuffers::new(n);
-        let mut per_shard = vec![0u64; shards];
-        loop {
-            self.messages += drain_segment_mut(&mut self.coord, &mut self.sites, &mut buf);
-            if !gather_times_mut(&mut self.sites, &mut buf.times) {
-                break;
+    /// [`run_sequential`](Self::run_sequential)'s loop: one site's
+    /// earliest instant at a time, each message checked against its
+    /// pair's lookahead and scheduled at once.
+    fn run_queue(&mut self) {
+        let mut sent = Vec::new();
+        while let Some((now, src)) = self
+            .sites
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(i, s)| runtime(s).en.next_event_time().map(|t| (t, i)))
+            .min()
+        {
+            let rt = runtime(&mut self.sites[src]);
+            metrics::swap(&mut rt.metrics);
+            let end = now + SimDuration::from_nanos(1);
+            self.total_events += rt.en.run_before(&mut rt.state, end);
+            metrics::swap(&mut rt.metrics);
+            metrics::drain_fast_cells(&mut rt.fast);
+            for d in rt.state.dirty.drain(..) {
+                let batch = rt.state.outboxes[d as usize].drain(..);
+                sent.extend(batch.map(|(at, msg)| (d as usize, at, msg)));
             }
-            compute_horizons(self.matrix.as_ref(), self.lookahead.as_nanos(), &mut buf);
-            per_shard.iter_mut().for_each(|c| *c = 0);
-            for (i, site) in self.sites.iter_mut().enumerate() {
-                let rt = site.get_mut().expect("site lock poisoned");
-                rt.horizon = buf.horizons[i];
-                per_shard[i % shards] += run_site_window(rt);
-                // The achieved bound (possibly echo-lowered) becomes
-                // the next drain's violation threshold; max keeps it
-                // monotone if a later horizon computes lower.
-                buf.safe[i] = buf.safe[i].max(rt.horizon);
+            for (dst, at, msg) in sent.drain(..) {
+                let la = self.matrix.lookahead_nanos(src, dst);
+                assert!(
+                    at.as_nanos() >= now.as_nanos().saturating_add(la),
+                    "lookahead violation: site{src} sent a message at {now} for {at}, \
+                     less than its {} lookahead to site{dst} ahead",
+                    SimDuration::from_nanos(la)
+                );
+                let rt = runtime(&mut self.sites[dst]);
+                rt.en
+                    .schedule_arg2_at(at, W::encode_msg(msg), deliver_inline::<W>);
+                self.messages += 1;
             }
-            self.account(&per_shard);
         }
+        self.critical_events = self.total_events;
+        metrics::harvest_into(&mut self.coord);
     }
 
-    /// The protocol with a persistent worker pool: the coordinator
-    /// drains mailboxes and computes horizons; workers claim shards
-    /// off an atomic cursor each window. Which thread runs a site
-    /// never affects what the site computes.
-    fn run_loop_parallel(&mut self, shards: usize, threads: usize) {
-        let lookahead_ns = self.lookahead.as_nanos();
-        let matrix = self.matrix.as_ref();
-        let sites = &self.sites;
-        let running = AtomicBool::new(true);
+    /// The window loop. The caller's thread is worker 0 and the
+    /// coordinator: between windows it drains mailboxes (recording
+    /// every site's next event time) and computes every horizon;
+    /// within a window it claims shards alongside `threads - 1` scoped
+    /// helpers. A panic in the drain or in any thread's window is
+    /// caught on its thread ([`Failure`]); the window still closes,
+    /// the loop stops, the helpers leave through the exit barrier, and
+    /// the first payload is returned.
+    fn run_windows(&mut self) -> Option<Payload> {
+        let shards = self.shards.min(self.sites.len());
+        let threads = self.threads.min(shards);
+        let (sites, matrix) = (&self.sites, &self.matrix);
+        // Each site's horizon for the current window, written by the
+        // caller and read by whichever thread runs the site. `Relaxed`
+        // suffices because the barriers order the caller's stores
+        // before the window's loads, and those before the next stores.
+        let horizons: Vec<AtomicU64> = sites.iter().map(|_| AtomicU64::new(0)).collect();
         let cursor = AtomicUsize::new(0);
-        let barrier = Barrier::new(threads + 1);
-        let mut windows = 0u64;
-        let mut messages = 0u64;
-        let mut total = 0u64;
-        let mut critical = 0u64;
-        let mut coord = Metrics::new();
+        let tally = WindowTally::default();
+        let barrier = Barrier::new(threads);
+        // A lone caller has no one to wait for, and `Barrier::wait`
+        // would still make a system call to wake nobody.
+        let sync = || {
+            if threads > 1 {
+                barrier.wait();
+            }
+        };
+        let done = AtomicBool::new(false);
+        let failure = Failure::default();
+        let window = || {
+            failure.catch(|| run_shards(sites, matrix, &horizons, shards, &cursor, &tally));
+        };
+        let mut buf = CoordBuffers::new(sites.len());
         std::thread::scope(|scope| {
-            for _ in 0..threads {
-                // audit:allow(shard-state-escape): scoped worker borrows the epoch barrier; threads join at scope end before any result is read
+            for _ in 1..threads {
+                // audit:allow(shard-state-escape): scoped helper borrows the epoch barrier; threads join at scope end before any result is read
                 scope.spawn(|| loop {
                     barrier.wait();
-                    if !running.load(Ordering::Acquire) {
+                    if done.load(Ordering::Acquire) {
                         break;
                     }
-                    loop {
-                        let shard = cursor.fetch_add(1, Ordering::Relaxed);
-                        if shard >= shards {
-                            break;
-                        }
-                        let mut i = shard;
-                        while i < sites.len() {
-                            let mut rt = sites[i].lock().expect("site lock poisoned");
-                            rt.window_events = run_site_window(&mut rt);
-                            i += shards;
-                        }
-                    }
+                    window();
                     barrier.wait();
                 });
             }
-            let mut buf = CoordBuffers::new(sites.len());
-            let mut per_shard = vec![0u64; shards];
             loop {
-                messages += drain_segment(&mut coord, sites, &mut buf);
-                if !gather_times(sites, &mut buf.times) {
+                let busy = failure.catch(|| {
+                    self.messages += drain_segment(&mut self.coord, sites, &mut buf);
+                    // One pass over the whole matrix while it is hot in
+                    // cache, rather than a column per site-window.
+                    for (i, h) in horizons.iter().enumerate() {
+                        h.store(horizon(matrix, &buf.times, i), Ordering::Relaxed);
+                    }
+                    buf.times.iter().any(|&t| t != u64::MAX)
+                });
+                if busy != Some(true) {
                     break;
                 }
-                compute_horizons(matrix, lookahead_ns, &mut buf);
-                for (i, site) in sites.iter().enumerate() {
-                    site.lock().expect("site lock poisoned").horizon = buf.horizons[i];
-                }
                 cursor.store(0, Ordering::Relaxed);
-                barrier.wait(); // open the window
-                barrier.wait(); // every site has executed
-                per_shard.iter_mut().for_each(|c| *c = 0);
-                for (i, site) in sites.iter().enumerate() {
-                    let mut rt = site.lock().expect("site lock poisoned");
-                    per_shard[i % shards] += rt.window_events;
-                    rt.window_events = 0;
-                    buf.safe[i] = buf.safe[i].max(rt.horizon);
+                sync(); // open the window
+                window();
+                sync(); // every site has executed
+                if failure.raised() {
+                    break;
                 }
-                total += per_shard.iter().sum::<u64>();
-                critical += per_shard.iter().max().copied().unwrap_or(0);
-                windows += 1;
+                self.windows += 1;
+                self.total_events += tally.events.swap(0, Ordering::Relaxed);
+                self.critical_events += tally.busiest.swap(0, Ordering::Relaxed);
             }
-            running.store(false, Ordering::Release);
-            barrier.wait(); // release workers into the exit check
+            done.store(true, Ordering::Release);
+            sync(); // release the helpers into the exit check
         });
-        self.windows += windows;
-        self.messages += messages;
-        self.total_events += total;
-        self.critical_events += critical;
-        self.coord.merge(&coord);
-    }
-
-    fn account(&mut self, per_shard: &[u64]) {
-        self.windows += 1;
-        self.total_events += per_shard.iter().sum::<u64>();
-        self.critical_events += per_shard.iter().max().copied().unwrap_or(0);
+        failure.into_payload()
     }
 }
 
@@ -736,8 +716,6 @@ impl<W: ShardWorld> fmt::Debug for ShardedSim<W> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ShardedSim")
             .field("sites", &self.sites.len())
-            .field("lookahead", &self.lookahead)
-            .field("per_pair", &self.matrix.is_some())
             .field("shards", &self.shards)
             .field("threads", &self.threads)
             .field("windows", &self.windows)
@@ -745,20 +723,97 @@ impl<W: ShardWorld> fmt::Debug for ShardedSim<W> {
     }
 }
 
+/// A caught panic's payload.
+type Payload = Box<dyn Any + Send>;
+
+/// The first panic caught on any thread of a run. A stored payload is
+/// the abort flag: the loop stops after the current window, and the
+/// caller re-raises the payload once every helper has left.
+#[derive(Default)]
+struct Failure(Mutex<Option<Payload>>);
+
+impl Failure {
+    /// Runs `f`, catching a panic: the first payload is kept and the
+    /// result is `None`.
+    fn catch<R>(&self, f: impl FnOnce() -> R) -> Option<R> {
+        panic::catch_unwind(AssertUnwindSafe(f))
+            .map_err(|payload| {
+                self.0
+                    .lock()
+                    .expect("failure slot poisoned")
+                    .get_or_insert(payload);
+            })
+            .ok()
+    }
+
+    /// Whether any thread has panicked.
+    fn raised(&self) -> bool {
+        self.0.lock().expect("failure slot poisoned").is_some()
+    }
+
+    /// The first caught payload, if any.
+    fn into_payload(self) -> Option<Payload> {
+        self.0.into_inner().expect("failure slot poisoned")
+    }
+}
+
+/// A site's runtime, exclusively borrowed. Panics when a run failed
+/// inside the site's window and so poisoned its lock.
+fn runtime<W: ShardWorld>(site: &mut Mutex<SiteRuntime<W>>) -> &mut SiteRuntime<W> {
+    site.get_mut()
+        .expect("site lock poisoned: a failed run stopped this site mid-event")
+}
+
+/// One window's critical-path accounting, to which each thread adds
+/// the shards it ran: sums and maxima commute, so the totals do not
+/// depend on the packing. `Relaxed` suffices because the closing
+/// barrier orders every thread's update before the caller reads them.
+#[derive(Default)]
+struct WindowTally {
+    /// Events executed across all shards.
+    events: AtomicU64,
+    /// Events executed by the busiest shard.
+    busiest: AtomicU64,
+}
+
+/// Claims shards off `cursor` until none are left, running each
+/// claimed shard's sites (`site_id % shards == shard`) in site order,
+/// each to its horizon, then adds this thread's share to the tally.
+fn run_shards<W: ShardWorld>(
+    sites: &[Mutex<SiteRuntime<W>>],
+    matrix: &LookaheadMatrix,
+    horizons: &[AtomicU64],
+    shards: usize,
+    cursor: &AtomicUsize,
+    tally: &WindowTally,
+) {
+    let (mut events, mut busiest) = (0, 0);
+    loop {
+        let shard = cursor.fetch_add(1, Ordering::Relaxed);
+        if shard >= shards {
+            break;
+        }
+        let ran: u64 = (shard..sites.len())
+            .step_by(shards)
+            .map(|i| {
+                let h = horizons[i].load(Ordering::Relaxed);
+                let mut rt = sites[i].lock().expect("site lock poisoned");
+                run_site_window(&mut rt, h, matrix.round_trip_nanos(i))
+            })
+            .sum();
+        events += ran;
+        busiest = busiest.max(ran);
+    }
+    tally.events.fetch_add(events, Ordering::Relaxed);
+    tally.busiest.fetch_max(busiest, Ordering::Relaxed);
+}
+
 /// The coordinator's reusable per-window working set: per-site event
-/// times, horizons, the already-executed bounds (`safe`), and the
-/// drain's double-buffer scratch. Allocated once per run; every
-/// window reuses the capacity.
+/// times and the drain's double-buffer scratch. Allocated once per
+/// run; every window reuses the capacity.
 struct CoordBuffers<M> {
     /// Earliest pending event per site, nanos; `u64::MAX` when idle.
     times: Vec<u64>,
-    /// This window's per-site exclusive bound.
-    horizons: Vec<u64>,
-    /// The running maximum of each site's achieved bounds — site `i`
-    /// is guaranteed to have executed everything strictly before
-    /// `safe[i]`, so a message arriving earlier is a lookahead
-    /// violation.
-    safe: Vec<u64>,
     /// Per-destination swap buffers for the drain; capacity circulates
     /// between these and the sites' outboxes.
     scratch: Vec<Vec<M>>,
@@ -770,8 +825,6 @@ impl<M> CoordBuffers<M> {
     fn new(n: usize) -> Self {
         CoordBuffers {
             times: vec![u64::MAX; n],
-            horizons: vec![0; n],
-            safe: vec![0; n],
             scratch: (0..n).map(|_| Vec::new()).collect(),
             dirty: Vec::new(),
         }
@@ -805,203 +858,102 @@ fn deliver_batch<W: ShardWorld>(
     src: usize,
     rt: &mut SiteRuntime<W>,
     batch: &mut Vec<(SimTime, W::Msg)>,
-    safe: u64,
 ) -> u64 {
     let delivered = batch.len() as u64;
     for (at, msg) in batch.drain(..) {
         assert!(
-            at.as_nanos() >= safe,
+            at.as_nanos() >= rt.safe,
             "lookahead violation: site{src} sent a message for {at}, inside the \
              already-executed window ending at {}; cross-site sends must be at \
              least one lookahead (the minimum link latency) in the future",
-            SimTime::from_nanos(safe)
+            SimTime::from_nanos(rt.safe)
         );
-        match W::encode_msg(msg) {
-            Ok(words) => {
-                rt.en.schedule_arg2_at(at, words, deliver_inline::<W>);
-            }
-            Err(msg) => {
-                rt.en
-                    .schedule_at(at, move |state: &mut SiteState<W>, en: &mut Engine<_>| {
-                        W::deliver(msg, state, en);
-                    });
-            }
-        }
+        rt.en
+            .schedule_arg2_at(at, W::encode_msg(msg), deliver_inline::<W>);
     }
     delivered
 }
 
 /// Moves every queued cross-site message into its destination engine,
-/// in (source site, destination batch) order — ascending source, and
-/// within one source each destination's batch in send order, which
-/// preserves every *per-destination* arrival order and with it the
-/// determinism contract. Each batch locks its destination exactly
+/// in ascending source order and, within one source, each
+/// destination's batch in send order, which preserves every
+/// destination's arrival order. Each batch locks its destination
 /// once. Returns how many messages were delivered.
 ///
-/// The coordinator's metrics activity (message-event scheduling) is
-/// harvested into `coord` so the window executions' per-site
-/// registries never mix with it.
+/// On the way it records each site's earliest pending event in
+/// `buf.times` (`u64::MAX` when idle): a source's when its turn comes,
+/// and a destination's again after its batch lands. Message
+/// scheduling's metrics are harvested into `coord`, apart from the
+/// sites' registries.
 fn drain_segment<W: ShardWorld>(
     coord: &mut Metrics,
     sites: &[Mutex<SiteRuntime<W>>],
     buf: &mut CoordBuffers<(SimTime, W::Msg)>,
 ) -> u64 {
+    let next = |rt: &SiteRuntime<W>| rt.en.next_event_time().map_or(u64::MAX, SimTime::as_nanos);
     let mut delivered = 0u64;
     for src in 0..sites.len() {
         {
             let mut rt = sites[src].lock().expect("site lock poisoned");
+            buf.times[src] = next(&rt);
             if rt.state.dirty.is_empty() {
                 continue;
             }
             take_outboxes(&mut rt, buf);
         }
         let CoordBuffers {
-            dirty,
+            times,
             scratch,
-            safe,
-            ..
-        } = buf;
+            dirty,
+        } = &mut *buf;
         for &d in dirty.iter() {
             let dst = d as usize;
             let mut rt = sites[dst].lock().expect("site lock poisoned");
-            delivered += deliver_batch(src, &mut rt, &mut scratch[dst], safe[dst]);
+            delivered += deliver_batch(src, &mut rt, &mut scratch[dst]);
+            times[dst] = next(&rt);
         }
         buf.dirty.clear();
     }
     if delivered > 0 {
-        // Message scheduling ran against the (empty) ambient context;
-        // fold it into the coordinator's registry so window executions'
-        // per-site harvests never mix with it.
+        // Scheduling ran against the run's empty context.
         metrics::harvest_into(coord);
     }
     delivered
 }
 
-/// [`drain_segment`] for the serial loop: exclusive ownership of the
-/// sites means every access is a `get_mut`, not a lock.
-fn drain_segment_mut<W: ShardWorld>(
-    coord: &mut Metrics,
-    sites: &mut [Mutex<SiteRuntime<W>>],
-    buf: &mut CoordBuffers<(SimTime, W::Msg)>,
-) -> u64 {
-    let mut delivered = 0u64;
-    for src in 0..sites.len() {
-        {
-            let rt = sites[src].get_mut().expect("site lock poisoned");
-            if rt.state.dirty.is_empty() {
-                continue;
-            }
-            take_outboxes(rt, buf);
+/// Site `i`'s horizon for this window: the earliest instant any
+/// *other* site's pending work could reach it,
+/// `min over active s != i of (t_s + la(s, i))`, or `u64::MAX` when
+/// none can. A pure function of the drained event times and the
+/// matrix, hence independent of packing. The site's *own* sends are
+/// bounded during execution ([`run_site_window`]), where they are
+/// known.
+fn horizon(matrix: &LookaheadMatrix, times: &[u64], i: usize) -> u64 {
+    let mut h = u64::MAX;
+    for (s, &t_s) in times.iter().enumerate() {
+        if s != i && t_s != u64::MAX {
+            h = h.min(t_s.saturating_add(matrix.lookahead_nanos(s, i)));
         }
-        let CoordBuffers {
-            dirty,
-            scratch,
-            safe,
-            ..
-        } = buf;
-        for &d in dirty.iter() {
-            let dst = d as usize;
-            let rt = sites[dst].get_mut().expect("site lock poisoned");
-            delivered += deliver_batch(src, rt, &mut scratch[dst], safe[dst]);
-        }
-        buf.dirty.clear();
     }
-    if delivered > 0 {
-        metrics::harvest_into(coord);
-    }
-    delivered
+    h
 }
 
-/// Records each site's earliest pending event time into `times`
-/// (`u64::MAX` when idle); returns whether any site has work.
-fn gather_times<W: ShardWorld>(sites: &[Mutex<SiteRuntime<W>>], times: &mut [u64]) -> bool {
-    let mut any = false;
-    for (i, site) in sites.iter().enumerate() {
-        let rt = site.lock().expect("site lock poisoned");
-        times[i] = match rt.en.next_event_time() {
-            Some(t) => {
-                any = true;
-                t.as_nanos()
-            }
-            None => u64::MAX,
-        };
-    }
-    any
-}
-
-/// [`gather_times`] for the serial loop: a lock-free `get_mut` peek
-/// at each site's event queue.
-fn gather_times_mut<W: ShardWorld>(sites: &mut [Mutex<SiteRuntime<W>>], times: &mut [u64]) -> bool {
-    let mut any = false;
-    for (i, site) in sites.iter_mut().enumerate() {
-        let rt = site.get_mut().expect("site lock poisoned");
-        times[i] = match rt.en.next_event_time() {
-            Some(t) => {
-                any = true;
-                t.as_nanos()
-            }
-            None => u64::MAX,
-        };
-    }
-    any
-}
-
-/// Computes this window's per-site horizons from the gathered event
-/// times — a pure function of `times` and the topology, which is what
-/// keeps the schedule independent of shard/thread packing.
+/// Executes one site's share of a window, up to its cross-source
+/// horizon `h_cross`, with the site's own metrics registry installed
+/// as the thread's metrics context. Returns how many events ran.
 ///
-/// Without a matrix every site shares the classic global bound
-/// `t_min + lookahead`. With one, site `i`'s horizon is the earliest
-/// instant any *other* site's pending work could reach it:
-/// `min over active s != i of (t_s + la(s,i))` — `u64::MAX` when no
-/// active source can ever reach the site. Constraints arising from
-/// the site's *own* sends are enforced during execution
-/// ([`run_site_window`]'s echo chunking), where the actual sends are
-/// known, rather than assumed worst-case here.
-fn compute_horizons<M>(
-    matrix: Option<&LookaheadMatrix>,
-    lookahead_ns: u64,
-    buf: &mut CoordBuffers<M>,
-) {
-    match matrix {
-        None => {
-            let t_min = buf.times.iter().copied().min().unwrap_or(u64::MAX);
-            buf.horizons.fill(t_min.saturating_add(lookahead_ns));
-        }
-        Some(m) => {
-            for (i, h_out) in buf.horizons.iter_mut().enumerate() {
-                let mut h = u64::MAX;
-                for (s, &t_s) in buf.times.iter().enumerate() {
-                    if t_s == u64::MAX || s == i {
-                        continue;
-                    }
-                    h = h.min(t_s.saturating_add(m.lookahead_nanos(s, i)));
-                }
-                *h_out = h;
-            }
-        }
-    }
-}
-
-/// Executes one site's share of a window with the site's own metrics
-/// registry installed as the thread's metrics context. Returns how
-/// many events ran.
-///
-/// Under global lookahead this is a single [`Engine::run_before`] to
-/// the coordinator's horizon. Under per-pair lookahead the site
-/// self-limits against its own sends: execution proceeds in chunks of
-/// at most the site's minimum round trip past its next event (a send
-/// can occur at any executed event, and its echo can return no sooner
-/// than one round trip later), and after each chunk the queued sends'
-/// actual echo bounds — `arrival + la(dst → site)`, tracked by
-/// [`SiteState::send`] as `echo_min` — cap the rest of the window. On
-/// exit `rt.horizon` is lowered to the bound actually guaranteed, so
-/// the next drain's violation check stays exact.
-fn run_site_window<W: ShardWorld>(rt: &mut SiteRuntime<W>) -> u64 {
-    let h_cross = rt.horizon;
+/// The site self-limits against its own sends: it runs in chunks of
+/// at most `rt_self`, its minimum round trip, past its next event,
+/// and after each chunk its queued sends' echo bounds (`echo_min`,
+/// see [`SiteState::send`]) cap the rest of the window. The bound
+/// actually guaranteed raises `rt.safe` for the drain's check.
+fn run_site_window<W: ShardWorld>(rt: &mut SiteRuntime<W>, h_cross: u64, rt_self: u64) -> u64 {
     match rt.en.next_event_time() {
         Some(next) if next.as_nanos() < h_cross => {}
-        _ => return 0,
+        _ => {
+            rt.safe = rt.safe.max(h_cross);
+            return 0;
+        }
     }
     metrics::swap(&mut rt.metrics);
     debug_assert!(
@@ -1009,44 +961,33 @@ fn run_site_window<W: ShardWorld>(rt: &mut SiteRuntime<W>) -> u64 {
         "{}: the metrics context a site's registry replaces must be empty",
         rt.state.id
     );
-    let ran = if rt.state.echo_row.is_empty() {
-        // Global lookahead: one shared horizon, no echo tracking.
-        if h_cross == u64::MAX {
+    let mut ran = 0u64;
+    let achieved = loop {
+        // Queued sends lower the bound to their earliest possible
+        // echo; the outbox was drained at the window boundary, so
+        // only this window's own sends contribute.
+        let bound = h_cross.min(rt.state.echo_min);
+        let Some(next) = rt.en.next_event_time() else {
+            break bound;
+        };
+        let next_ns = next.as_nanos();
+        if next_ns >= bound {
+            break bound;
+        }
+        let chunk = bound.min(next_ns.saturating_add(rt_self));
+        if chunk == u64::MAX {
+            // Unreachable from every side — no message can ever
+            // arrive or echo back; run to completion.
             let before = rt.en.executed();
             rt.en.run(&mut rt.state);
-            rt.en.executed() - before
-        } else {
-            rt.en
-                .run_before(&mut rt.state, SimTime::from_nanos(h_cross))
+            ran += rt.en.executed() - before;
+            break u64::MAX;
         }
-    } else {
-        let rt_self = rt.rt_self;
-        let mut ran = 0u64;
-        rt.horizon = loop {
-            // Queued sends lower the bound to their earliest possible
-            // echo; the outbox was drained at the window boundary, so
-            // only this window's own sends contribute.
-            let bound = h_cross.min(rt.state.echo_min);
-            let Some(next) = rt.en.next_event_time() else {
-                break bound;
-            };
-            let next_ns = next.as_nanos();
-            if next_ns >= bound {
-                break bound;
-            }
-            let chunk = bound.min(next_ns.saturating_add(rt_self));
-            if chunk == u64::MAX {
-                // Unreachable from every side — no message can ever
-                // arrive or echo back; run to completion.
-                let before = rt.en.executed();
-                rt.en.run(&mut rt.state);
-                ran += rt.en.executed() - before;
-                break u64::MAX;
-            }
-            ran += rt.en.run_before(&mut rt.state, SimTime::from_nanos(chunk));
-        };
-        ran
+        ran += rt.en.run_before(&mut rt.state, SimTime::from_nanos(chunk));
     };
+    // Max keeps the threshold monotone if a later horizon computes
+    // lower.
+    rt.safe = rt.safe.max(achieved);
     metrics::swap(&mut rt.metrics);
     metrics::drain_fast_cells(&mut rt.fast);
     ran
@@ -1058,6 +999,7 @@ mod tests {
     use crate::metrics::TimerStat;
     use crate::replication::derive_seed_sharded;
     use crate::rng::SimRng;
+    use crate::time::SimDuration;
 
     const LAT: SimDuration = SimDuration::from_millis(5);
 
@@ -1075,8 +1017,8 @@ mod tests {
             site.trace
                 .record(en.now(), "ping", format!("got token {msg}"));
         }
-        fn encode_msg(msg: u64) -> Result<[u64; 2], u64> {
-            Ok([msg, 0])
+        fn encode_msg(msg: u64) -> [u64; 2] {
+            [msg, 0]
         }
         fn decode_msg(words: [u64; 2]) -> u64 {
             words[0]
@@ -1098,9 +1040,11 @@ mod tests {
         }
     }
 
+    /// A ring of `n` sites where each sends to its successor `LAT`
+    /// out, synchronized at `LAT` between every pair.
     fn build(n: u32, ticks: u64) -> ShardedSim<PingWorld> {
         let mut sim = ShardedSim::new(
-            LAT,
+            LookaheadMatrix::uniform(n as usize, LAT),
             (0..n).map(|i| PingWorld {
                 rng: SimRng::seed_from(derive_seed_sharded(0xabad_5eed, 0, u64::from(i))),
                 peers: n,
@@ -1119,16 +1063,27 @@ mod tests {
         sim
     }
 
-    /// A uniform all-pairs matrix at the global lookahead: per-pair
-    /// protocol, identical horizons — for exercising the per-pair code
-    /// path against worlds built on a single latency.
-    fn uniform_matrix(n: usize) -> LookaheadMatrix {
-        LookaheadMatrix::shortest_paths(n, |_, _| Some(LAT))
+    /// The ring's own topology: `LAT` between neighbours, relayed
+    /// (and so wider) between everything else.
+    fn ring_matrix(n: u32) -> LookaheadMatrix {
+        LookaheadMatrix::shortest_paths(n as usize, |a, b| {
+            let gap = a.0.abs_diff(b.0);
+            (gap == 1 || gap == n - 1).then_some(LAT)
+        })
     }
 
-    fn fingerprint(mut sim: ShardedSim<PingWorld>) -> (u64, u64, u64, u64, Metrics) {
+    type Fingerprint = (u64, u64, u64, u64, Metrics);
+
+    fn fingerprint(sim: ShardedSim<PingWorld>) -> Fingerprint {
+        fingerprint_by(sim, ShardedSim::run)
+    }
+
+    fn fingerprint_by(
+        mut sim: ShardedSim<PingWorld>,
+        run: fn(&mut ShardedSim<PingWorld>),
+    ) -> Fingerprint {
         metrics::reset();
-        sim.run();
+        run(&mut sim);
         metrics::reset();
         (
             sim.trace_digest(),
@@ -1144,8 +1099,31 @@ mod tests {
         let want = fingerprint(build(5, 40));
         assert!(want.1 > 1, "protocol actually windowed: {} windows", want.1);
         assert!(want.2 > 0, "messages flowed");
+        let ring = fingerprint(build(5, 40).with_lookahead(ring_matrix(5)));
+        // The ring's matrix widens horizons between non-neighbours
+        // but never changes the schedule: same history, same metrics
+        // apart from the window count.
+        assert_eq!(
+            (ring.0, ring.2, ring.3),
+            (want.0, want.2, want.3),
+            "the ring matrix changed the history"
+        );
+        let world_metrics = |m: &Metrics| {
+            m.counters()
+                .filter(|(name, _)| *name != "shard.windows")
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(world_metrics(&ring.4), world_metrics(&want.4));
+        // Both matrices execute the sequential reference's history.
+        let oracle = fingerprint_by(build(5, 40), ShardedSim::run_sequential);
+        assert_eq!(
+            (oracle.0, oracle.1, oracle.2, oracle.3),
+            (want.0, 0, want.2, want.3),
+            "the window protocol diverged from the sequential reference"
+        );
+        assert_eq!(world_metrics(&oracle.4), world_metrics(&want.4));
         for shards in [1usize, 2, 4, 8] {
-            for threads in [1usize, 4] {
+            for threads in [1usize, 2, 4] {
                 let got = fingerprint(build(5, 40).shards(shards).threads(threads));
                 assert_eq!(got.0, want.0, "digest at shards={shards} threads={threads}");
                 assert_eq!(got.1, want.1, "windows at shards={shards}");
@@ -1155,28 +1133,18 @@ mod tests {
                     got.4, want.4,
                     "metrics at shards={shards} threads={threads}"
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn per_pair_protocol_is_invariant_and_matches_global_results() {
-        let want = fingerprint(build(5, 40));
-        for shards in [1usize, 2, 4, 8] {
-            for threads in [1usize, 4] {
                 let got = fingerprint(
                     build(5, 40)
-                        .per_pair_lookahead(uniform_matrix(5))
+                        .with_lookahead(ring_matrix(5))
                         .shards(shards)
                         .threads(threads),
                 );
-                // A uniform matrix at the global latency widens
-                // horizons only through echo chunking; digests,
-                // messages and events must match the global protocol
-                // exactly.
-                assert_eq!(got.0, want.0, "digest at shards={shards} threads={threads}");
-                assert_eq!(got.2, want.2, "messages at shards={shards}");
-                assert_eq!(got.3, want.3, "events at shards={shards}");
+                assert_eq!(
+                    (got.0, got.1, got.2, got.3),
+                    (ring.0, ring.1, ring.2, ring.3),
+                    "ring matrix at shards={shards} threads={threads}"
+                );
+                assert_eq!(got.4, ring.4, "ring metrics at shards={shards}");
             }
         }
     }
@@ -1201,28 +1169,34 @@ mod tests {
         );
     }
 
+    /// A world with no behaviour of its own: tests drive it through
+    /// closures scheduled on its sites.
+    struct Idle;
+
+    impl ShardWorld for Idle {
+        type Msg = ();
+        fn deliver(_: (), _: &mut SiteState<Self>, _: &mut Engine<SiteState<Self>>) {}
+        fn encode_msg(_: ()) -> [u64; 2] {
+            [0; 2]
+        }
+        fn decode_msg(_: [u64; 2]) {}
+    }
+
+    fn idle(n: usize) -> ShardedSim<Idle> {
+        ShardedSim::new(LookaheadMatrix::uniform(n, LAT), (0..n).map(|_| Idle))
+    }
+
     #[test]
     fn undersized_outboxes_count_their_regrowth() {
         // A 1-slot hint under a world whose sites send several
         // messages per window forces regrowth, and the counter says
         // so — deterministically, since buffer circulation is part of
         // the coordinator's fixed drain order.
-        struct Chatty;
-        impl ShardWorld for Chatty {
-            type Msg = u64;
-            fn deliver(_: u64, _: &mut SiteState<Self>, _: &mut Engine<SiteState<Self>>) {}
-            fn encode_msg(msg: u64) -> Result<[u64; 2], u64> {
-                Ok([msg, 0])
-            }
-            fn decode_msg(words: [u64; 2]) -> u64 {
-                words[0]
-            }
-        }
-        let mut sim = ShardedSim::new(LAT, [Chatty, Chatty]).outbox_capacity(1);
+        let mut sim = idle(2).outbox_capacity(1);
         sim.with_site(0, |_, en| {
-            en.schedule_fn_at(SimTime::ZERO, |site: &mut SiteState<Chatty>, en| {
-                for k in 0..8 {
-                    site.send(SiteId(1), en.now() + LAT, k);
+            en.schedule_fn_at(SimTime::ZERO, |site: &mut SiteState<Idle>, en| {
+                for _ in 0..8 {
+                    site.send(SiteId(1), en.now() + LAT, ());
                 }
             });
         });
@@ -1234,37 +1208,6 @@ mod tests {
         assert!(
             m.counter("shard.outbox_regrown") > 0,
             "a 1-slot hint must regrow under an 8-message burst"
-        );
-    }
-
-    #[test]
-    fn unencodable_messages_fall_back_to_boxed_delivery() {
-        struct BigMsg;
-        impl ShardWorld for BigMsg {
-            type Msg = Vec<u64>;
-            fn deliver(msg: Vec<u64>, site: &mut SiteState<Self>, _: &mut Engine<SiteState<Self>>) {
-                site.trace.record(
-                    SimTime::ZERO,
-                    "big",
-                    format!("sum {}", msg.iter().sum::<u64>()),
-                );
-            }
-        }
-        let mut sim = ShardedSim::new(LAT, [BigMsg, BigMsg]);
-        sim.with_site(0, |_, en| {
-            en.schedule_fn_at(SimTime::ZERO, |site: &mut SiteState<BigMsg>, en| {
-                site.send(SiteId(1), en.now() + LAT, vec![1, 2, 3]);
-            });
-        });
-        metrics::reset();
-        sim.run();
-        metrics::reset();
-        let m = sim.merged_metrics();
-        assert_eq!(m.counter("shard.messages"), 1);
-        assert_eq!(
-            m.counter("sim.events_boxed"),
-            1,
-            "the default encode_msg declines, so delivery boxes"
         );
     }
 
@@ -1328,91 +1271,118 @@ mod tests {
         assert!(sharded.model_speedup() <= 4.0 + 1e-12);
     }
 
-    #[test]
-    #[should_panic(expected = "lookahead violation")]
-    fn sends_below_the_lookahead_panic() {
-        struct Hasty;
-        impl ShardWorld for Hasty {
-            type Msg = ();
-            fn deliver(_: (), _: &mut SiteState<Self>, _: &mut Engine<SiteState<Self>>) {}
+    /// Runs an 8-site, 8-shard `Idle` world on `threads` threads with
+    /// `first` scheduled at time zero on site 3, and returns the
+    /// message of the panic the run must fail with.
+    fn failure_at(
+        threads: usize,
+        run: fn(&mut ShardedSim<Idle>),
+        first: fn(&mut SiteState<Idle>, &mut Engine<SiteState<Idle>>),
+    ) -> String {
+        let run = panic::catch_unwind(|| {
+            let mut sim = idle(8).shards(8).threads(threads);
+            sim.with_site(3, |_, en| {
+                en.schedule_fn_at(SimTime::ZERO, first);
+            });
+            run(&mut sim);
+        });
+        let payload = run.expect_err("the run must fail");
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_owned()))
+            .expect("a message payload")
+    }
+
+    /// Asserts the run fails with `expected` at 1, 2 and 8 threads
+    /// (on the caller alone, and with the failure on a helper thread),
+    /// and so does the sequential reference.
+    fn fails_loudly(expected: &str, first: fn(&mut SiteState<Idle>, &mut Engine<SiteState<Idle>>)) {
+        for threads in [1, 2, 8] {
+            let message = failure_at(threads, ShardedSim::run, first);
+            assert!(
+                message.contains(expected),
+                "threads={threads}: failed with {message:?}, not {expected:?}"
+            );
         }
-        let mut sim = ShardedSim::new(LAT, [Hasty, Hasty]);
-        sim.with_site(0, |_, en| {
-            // Two windows of local work so the second send's timestamp
-            // lands inside an already-executed window.
-            en.schedule_at(SimTime::ZERO, |site: &mut SiteState<Hasty>, en| {
-                site.send(SiteId(1), en.now(), ());
-                en.schedule_in(LAT + LAT, |site: &mut SiteState<Hasty>, en| {
-                    site.send(SiteId(1), en.now() - LAT, ());
+        let message = failure_at(1, ShardedSim::run_sequential, first);
+        assert!(
+            message.contains(expected),
+            "sequential reference failed with {message:?}, not {expected:?}"
+        );
+    }
+
+    #[test]
+    fn sends_below_the_lookahead_fail_loudly() {
+        // Arriving now, a lookahead short of the earliest legal
+        // instant: the destination may already have run past it.
+        fails_loudly("lookahead violation", |site, en| {
+            site.send(SiteId(4), en.now(), ());
+        });
+    }
+
+    #[test]
+    fn self_sends_fail_loudly() {
+        fails_loudly("self-send", |site, en| {
+            site.send(site.id(), en.now() + LAT, ());
+        });
+    }
+
+    #[test]
+    fn handler_panics_fail_loudly() {
+        fails_loudly("handler exploded", |site, en| {
+            // Fail in a later window, after the helpers have run one.
+            en.schedule_fn_in(LAT + LAT, |site: &mut SiteState<Idle>, _| {
+                panic!("{}: handler exploded", site.id());
+            });
+            site.send(SiteId(4), en.now() + LAT, ());
+        });
+    }
+
+    #[test]
+    fn failed_runs_restore_the_callers_metrics_context() {
+        for threads in [1, 2, 8] {
+            metrics::reset();
+            metrics::counter_add("ambient.before", 3);
+            let mut sim = idle(8).shards(8).threads(threads);
+            sim.with_site(3, |_, en| {
+                en.schedule_fn_at(SimTime::ZERO, |site: &mut SiteState<Idle>, _| {
+                    metrics::counter_add("site.before_failure", 1);
+                    panic!("{}: handler exploded", site.id());
                 });
             });
-        });
-        sim.run();
-    }
-
-    #[test]
-    #[should_panic(expected = "self-send")]
-    fn self_sends_panic() {
-        struct Selfish;
-        impl ShardWorld for Selfish {
-            type Msg = ();
-            fn deliver(_: (), _: &mut SiteState<Self>, _: &mut Engine<SiteState<Self>>) {}
+            let failed = panic::catch_unwind(AssertUnwindSafe(|| sim.run()));
+            assert!(failed.is_err(), "threads={threads}: the run must fail");
+            // No site registry is left installed and none of the run's
+            // activity leaks into the caller's context.
+            assert_eq!(
+                metrics::take().counters().collect::<Vec<_>>(),
+                [("ambient.before", 3)],
+                "threads={threads}"
+            );
         }
-        let mut sim = ShardedSim::new(LAT, [Selfish]);
-        sim.with_site(0, |_, en| {
-            en.schedule_at(SimTime::ZERO, |site: &mut SiteState<Selfish>, en| {
-                site.send(SiteId(0), en.now() + LAT, ());
-            });
-        });
-        sim.run();
-    }
-
-    #[test]
-    #[should_panic(expected = "safe-advance window")]
-    fn zero_lookahead_is_rejected() {
-        struct Idle;
-        impl ShardWorld for Idle {
-            type Msg = ();
-            fn deliver(_: (), _: &mut SiteState<Self>, _: &mut Engine<SiteState<Self>>) {}
-        }
-        let _ = ShardedSim::new(SimDuration::ZERO, [Idle]);
     }
 
     #[test]
     #[should_panic(expected = "different site count")]
     fn mismatched_matrix_is_rejected() {
-        struct Idle;
-        impl ShardWorld for Idle {
-            type Msg = ();
-            fn deliver(_: (), _: &mut SiteState<Self>, _: &mut Engine<SiteState<Self>>) {}
-        }
-        let _ = ShardedSim::new(LAT, [Idle, Idle]).per_pair_lookahead(uniform_matrix(3));
+        let _ = ShardedSim::new(LookaheadMatrix::uniform(3, LAT), [Idle, Idle]);
     }
 
     #[test]
     #[should_panic(expected = "single-shot")]
     fn running_twice_panics() {
-        struct Idle;
-        impl ShardWorld for Idle {
-            type Msg = ();
-            fn deliver(_: (), _: &mut SiteState<Self>, _: &mut Engine<SiteState<Self>>) {}
-        }
-        let mut sim = ShardedSim::new(LAT, [Idle]);
+        let mut sim = idle(1);
         sim.run();
         sim.run();
     }
 
     #[test]
     fn empty_and_idle_worlds_terminate() {
-        struct Idle;
-        impl ShardWorld for Idle {
-            type Msg = ();
-            fn deliver(_: (), _: &mut SiteState<Self>, _: &mut Engine<SiteState<Self>>) {}
-        }
-        let mut none: ShardedSim<Idle> = ShardedSim::new(LAT, []);
+        let mut none = idle(0);
         none.run();
         assert_eq!(none.windows(), 0);
-        let mut quiet = ShardedSim::new(LAT, [Idle, Idle]).shards(2).threads(2);
+        let mut quiet = idle(2).shards(2).threads(2);
         quiet.run();
         assert_eq!(quiet.windows(), 0);
         assert_eq!(quiet.total_events(), 0);
@@ -1422,14 +1392,15 @@ mod tests {
     fn echo_chunked_windows_cut_barriers_without_changing_results() {
         // Two metro pairs (5ms) joined by 40ms WAN links. Each
         // delivery runs a 20-event local burst (1ms apart) and the
-        // final burst event sends the next hop. The global protocol
-        // chops every burst into 5ms windows (the minimum latency
-        // anywhere); per-pair, a bursting site's only constraints are
-        // the distant pair (t + 40ms) and its own send's echo — so a
-        // whole burst fits in one window and the barrier count drops
-        // by the burst-to-lookahead ratio. Every burst event also
-        // records a gauge, a timer and a histogram, which must not
-        // notice where the windows fall.
+        // final burst event sends the next hop. A uniform 5ms matrix
+        // (the minimum latency anywhere: the global protocol) chops
+        // every burst into 5ms windows; under the topology's matrix a
+        // bursting site's only constraints are the distant pair
+        // (t + 40ms) and its own send's echo — so a whole burst fits
+        // in one window and the barrier count drops by the
+        // burst-to-lookahead ratio. Every burst event also records a
+        // gauge, a timer and a histogram, which must not notice where
+        // the windows fall.
         struct Burster;
         fn burst(
             args: [u64; 2],
@@ -1458,8 +1429,8 @@ mod tests {
             fn deliver(msg: u64, site: &mut SiteState<Self>, en: &mut Engine<SiteState<Self>>) {
                 burst([msg, 19], site, en);
             }
-            fn encode_msg(msg: u64) -> Result<[u64; 2], u64> {
-                Ok([msg, 0])
+            fn encode_msg(msg: u64) -> [u64; 2] {
+                [msg, 0]
             }
             fn decode_msg(words: [u64; 2]) -> u64 {
                 words[0]
@@ -1472,30 +1443,31 @@ mod tests {
                 _ => Some(SimDuration::from_millis(40)),
             }
         };
-        let build = |matrix: Option<LookaheadMatrix>| {
-            let mut sim = ShardedSim::new(SimDuration::from_millis(5), (0..4).map(|_| Burster));
-            if let Some(m) = matrix {
-                sim = sim.per_pair_lookahead(m);
-            }
+        let build = |matrix: LookaheadMatrix, run: fn(&mut ShardedSim<Burster>)| {
+            let mut sim = ShardedSim::new(matrix, (0..4).map(|_| Burster));
             for src in [0usize, 2] {
                 sim.with_site(src, |_, en| {
                     en.schedule_arg2_in(SimDuration::ZERO, [12, 19], burst);
                 });
             }
             metrics::reset();
-            sim.run();
+            run(&mut sim);
             metrics::reset();
             sim
         };
-        let mut global = build(None);
-        let mut paired = build(Some(LookaheadMatrix::shortest_paths(4, direct)));
-        assert_eq!(
-            paired.trace_digest(),
-            global.trace_digest(),
-            "same schedule"
-        );
-        assert_eq!(paired.messages(), global.messages());
-        assert_eq!(paired.total_events(), global.total_events());
+        let uniform = LookaheadMatrix::uniform(4, SimDuration::from_millis(5));
+        let mut global = build(uniform.clone(), ShardedSim::run);
+        let mut paired = build(LookaheadMatrix::shortest_paths(4, direct), ShardedSim::run);
+        let mut oracle = build(uniform, ShardedSim::run_sequential);
+        for sim in [&mut global, &mut paired] {
+            assert_eq!(
+                sim.trace_digest(),
+                oracle.trace_digest(),
+                "diverged from the sequential reference"
+            );
+            assert_eq!(sim.messages(), oracle.messages());
+            assert_eq!(sim.total_events(), oracle.total_events());
+        }
         assert!(
             paired.windows() * 3 <= global.windows(),
             "echo-chunked per-pair windows must cut barriers at least 3x here: {} vs {}",
@@ -1504,26 +1476,28 @@ mod tests {
         );
         // World metrics do not depend on window boundaries: every
         // counter but the window count, and every gauge, timer and
-        // histogram, agree across the two protocols.
+        // histogram, agree across the two matrices and the reference.
         let (g, p) = (global.merged_metrics(), paired.merged_metrics());
         let counters = |m: &Metrics| {
             m.counters()
                 .filter(|(name, _)| *name != "shard.windows")
                 .collect::<Vec<_>>()
         };
-        assert_eq!(counters(&p), counters(&g));
-        assert_eq!(
-            p.gauges().collect::<Vec<_>>(),
-            g.gauges().collect::<Vec<_>>()
-        );
-        assert_eq!(
-            p.timers().collect::<Vec<_>>(),
-            g.timers().collect::<Vec<_>>()
-        );
-        assert_eq!(
-            p.histograms().collect::<Vec<_>>(),
-            g.histograms().collect::<Vec<_>>()
-        );
+        for m in [&p, &oracle.merged_metrics()] {
+            assert_eq!(counters(m), counters(&g));
+            assert_eq!(
+                m.gauges().collect::<Vec<_>>(),
+                g.gauges().collect::<Vec<_>>()
+            );
+            assert_eq!(
+                m.timers().collect::<Vec<_>>(),
+                g.timers().collect::<Vec<_>>()
+            );
+            assert_eq!(
+                m.histograms().collect::<Vec<_>>(),
+                g.histograms().collect::<Vec<_>>()
+            );
+        }
         assert_eq!(
             g.gauge("burst.hops_left").map(|s| s.count()),
             Some(4),

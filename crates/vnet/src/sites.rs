@@ -115,13 +115,14 @@ impl SiteTopology {
     }
 
     /// The per-(src,dst) lookahead matrix: the all-pairs
-    /// minimum-latency closure of the site graph, ready to install on
-    /// a sharded sim with
-    /// [`ShardedSim::per_pair_lookahead`](gridvm_simcore::shard::ShardedSim::per_pair_lookahead).
+    /// minimum-latency closure of the site graph, ready to synchronize
+    /// a sharded sim built with
+    /// [`ShardedSim::new`](gridvm_simcore::shard::ShardedSim::new).
     /// Where [`Self::lookahead`] collapses the topology to one global
-    /// constant, the matrix keeps each pair's true bound — on a
-    /// regional topology the WAN pairs contribute windows 4–9× wider
-    /// than the metro minimum.
+    /// constant (as a matrix,
+    /// [`LookaheadMatrix::uniform`]`(sites, lookahead)`), the matrix
+    /// keeps each pair's true bound — on a regional topology the WAN
+    /// pairs contribute windows 4–9× wider than the metro minimum.
     pub fn lookahead_matrix(&self) -> LookaheadMatrix {
         LookaheadMatrix::shortest_paths(self.sites(), |a, b| self.latency(a, b))
     }

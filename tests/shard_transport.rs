@@ -1,26 +1,40 @@
 //! Cross-shard transport regressions: the zero-allocation delivery
 //! path and the per-(src,dst) window protocol.
 //!
-//! PR 5 made local dispatch allocation-free and pinned it with
+//! Local dispatch is allocation-free, pinned by
 //! `sim.events_boxed == 0`; these tests pin the same property for the
 //! cross-shard mailboxes (every VO message rides the inline `Arg2`
 //! event words) and pin the per-pair lookahead protocol's contract:
-//! identical histories — trace digests, per-site checksums, metrics —
-//! to the global-lookahead protocol and across every shard/thread
-//! packing, with strictly fewer barrier windows wherever the topology
+//! under a topology's lookahead matrix and under the uniform matrix at
+//! its minimum link latency (the global-lookahead protocol), at every
+//! shard/thread packing, the window protocol reproduces the history —
+//! trace digests, per-site checksums, metrics — of the sequential
+//! reference executor (`ShardedSim::run_sequential`, no windows at
+//! all), with strictly fewer barrier windows wherever the topology
 //! has latency spread.
 
-use gridvm::core::multisite::{build_vo, build_vo_scale, VoConfig, VoScaleConfig};
+use gridvm::core::multisite::{
+    build_vo, build_vo_scale, VoConfig, VoScaleConfig, VoScaleSite, VoSite,
+};
+use gridvm::simcore::lookahead::LookaheadMatrix;
 use gridvm::simcore::metrics::{self, Metrics};
-use gridvm_bench::regional::{build_handoff, HandoffConfig};
+use gridvm::simcore::ShardedSim;
+use gridvm::vnet::sites::SiteTopology;
+use gridvm_bench::regional::{build_handoff, HandoffConfig, HandoffSite};
 use proptest::prelude::*;
 
+/// The global-lookahead protocol as a matrix: every pair of the
+/// topology's sites at its minimum link latency.
+fn global(topo: &SiteTopology) -> LookaheadMatrix {
+    LookaheadMatrix::uniform(topo.sites(), topo.lookahead().expect("meshed"))
+}
+
 /// Everything two runs must agree on when they claim "same history",
-/// regardless of synchronizer protocol: the sampled trace digest,
-/// per-site work checksums, cross-site message count, total executed
-/// events, and every metric that is not synchronizer bookkeeping
-/// (`shard.*` legitimately differs between protocols — that's the
-/// point of the optimization).
+/// regardless of lookahead matrix: the sampled trace digest, per-site
+/// work checksums, cross-site message count, total executed events,
+/// and every metric that is not synchronizer bookkeeping (`shard.*`
+/// legitimately differs between matrices — that's the point of the
+/// per-pair bound).
 #[derive(Debug, PartialEq)]
 struct History {
     digest: u64,
@@ -51,12 +65,13 @@ fn history(
     }
 }
 
-fn run_vo(cfg: &VoConfig, shards: usize, threads: usize) -> (History, u64, u64) {
-    let mut sim = build_vo(cfg).shards(shards).threads(threads);
+/// Runs a VO world with `run` (the window protocol or the sequential
+/// reference) and returns its history, windows and boxed events.
+fn run_vo(mut sim: ShardedSim<VoSite>, run: fn(&mut ShardedSim<VoSite>)) -> (History, u64, u64) {
     metrics::reset();
-    sim.run();
+    run(&mut sim);
     metrics::reset();
-    let checksums = (0..cfg.sites as usize)
+    let checksums = (0..sim.sites())
         .map(|i| sim.with_site(i, |s, _| s.world.checksum))
         .collect();
     let m = sim.merged_metrics();
@@ -121,14 +136,10 @@ fn per_pair_windows_cut_barriers_threefold_on_the_regional_handoff_world() {
     // though the nearest *link* is metro. Same history, >= 3x fewer
     // barrier windows — the bench gate's regional scenario asserts
     // the same bound from the recorded baseline.
-    let run = |per_pair: bool| {
-        let cfg = HandoffConfig {
-            per_pair_lookahead: per_pair,
-            ..HandoffConfig::reference()
-        };
-        let mut sim = build_handoff(&cfg).shards(4).threads(2);
+    let cfg = HandoffConfig::reference();
+    let run = |mut sim: ShardedSim<HandoffSite>, exec: fn(&mut ShardedSim<HandoffSite>)| {
         metrics::reset();
-        sim.run();
+        exec(&mut sim);
         metrics::reset();
         let checksums: Vec<u64> = (0..cfg.regions as usize * 2)
             .map(|i| sim.with_site(i, |s, _| s.world.checksum))
@@ -146,11 +157,19 @@ fn per_pair_windows_cut_barriers_threefold_on_the_regional_handoff_world() {
             sim.windows(),
         )
     };
-    let (global_history, global_windows) = run(false);
-    let (paired_history, paired_windows) = run(true);
+    let topo = SiteTopology::regional_vo(cfg.regions, 2);
+    let windowed = |sim: ShardedSim<HandoffSite>| run(sim.shards(4).threads(2), ShardedSim::run);
+    let (global_history, global_windows) =
+        windowed(build_handoff(&cfg).with_lookahead(global(&topo)));
+    let (paired_history, paired_windows) = windowed(build_handoff(&cfg));
+    let (oracle_history, _) = run(build_handoff(&cfg), ShardedSim::run_sequential);
     assert_eq!(
-        paired_history, global_history,
-        "per-pair lookahead changed the simulated history"
+        global_history, oracle_history,
+        "the global protocol diverged from the sequential reference"
+    );
+    assert_eq!(
+        paired_history, oracle_history,
+        "per-pair lookahead diverged from the sequential reference"
     );
     assert!(
         paired_windows * 3 <= global_windows,
@@ -165,19 +184,17 @@ fn per_pair_windows_match_global_history_on_the_scale_world() {
     // collapse toward the metro latency and the window win is small.
     // What must hold unconditionally is the contract — identical
     // history, never *more* barriers than the global protocol.
-    let run = |per_pair: bool| {
-        let cfg = VoScaleConfig {
-            regions: 3,
-            sites_per_region: 4,
-            sessions: 2_000,
-            steps_per_session: 10,
-            hop_per_mille: 120,
-            per_pair_lookahead: per_pair,
-            ..VoScaleConfig::reference()
-        };
-        let mut sim = build_vo_scale(&cfg).shards(4);
+    let cfg = VoScaleConfig {
+        regions: 3,
+        sites_per_region: 4,
+        sessions: 2_000,
+        steps_per_session: 10,
+        hop_per_mille: 120,
+        ..VoScaleConfig::reference()
+    };
+    let run = |mut sim: ShardedSim<VoScaleSite>, exec: fn(&mut ShardedSim<VoScaleSite>)| {
         metrics::reset();
-        sim.run();
+        exec(&mut sim);
         metrics::reset();
         let checksums = (0..cfg.sites() as usize)
             .map(|i| sim.with_site(i, |s, _| s.world.checksum))
@@ -194,11 +211,19 @@ fn per_pair_windows_match_global_history_on_the_scale_world() {
             sim.windows(),
         )
     };
-    let (global_history, global_windows) = run(false);
-    let (paired_history, paired_windows) = run(true);
+    let topo = SiteTopology::regional_vo(cfg.regions, cfg.sites_per_region);
+    let windowed = |sim: ShardedSim<VoScaleSite>| run(sim.shards(4), ShardedSim::run);
+    let (global_history, global_windows) =
+        windowed(build_vo_scale(&cfg).with_lookahead(global(&topo)));
+    let (paired_history, paired_windows) = windowed(build_vo_scale(&cfg));
+    let (oracle_history, _) = run(build_vo_scale(&cfg), ShardedSim::run_sequential);
     assert_eq!(
-        paired_history, global_history,
-        "per-pair lookahead changed the simulated history"
+        global_history, oracle_history,
+        "the global protocol diverged from the sequential reference"
+    );
+    assert_eq!(
+        paired_history, oracle_history,
+        "per-pair lookahead diverged from the sequential reference"
     );
     assert!(
         paired_windows <= global_windows,
@@ -207,10 +232,12 @@ fn per_pair_windows_match_global_history_on_the_scale_world() {
 }
 
 proptest! {
-    /// For any workload shape and seed, the per-pair protocol's
-    /// history is bit-identical to the global protocol's, and both
-    /// are invariant across the full shard {1,2,4,8} × thread {1,8}
-    /// sweep. Windows may only shrink when the matrix is installed.
+    /// For any workload shape and seed, the histories under the
+    /// topology's matrix and under the uniform matrix at its minimum
+    /// latency (the global protocol) are bit-identical to the
+    /// sequential reference executor's, and invariant across the full
+    /// shard {1,2,4,8} × thread {1,8} sweep. Windows may only shrink
+    /// under the topology's matrix.
     #[test]
     fn per_pair_protocol_is_history_identical_for_any_seed(
         seed in 1u64..u64::MAX / 2,
@@ -225,13 +252,15 @@ proptest! {
             steps_per_session,
             hop_per_mille,
             seed,
-            per_pair_lookahead: false,
             ..VoConfig::paper_vo()
         };
-        let paired_cfg = VoConfig { per_pair_lookahead: true, ..cfg };
-        let (global, global_windows, global_boxed) = run_vo(&cfg, 1, 1);
-        let (paired, paired_windows, paired_boxed) = run_vo(&paired_cfg, 1, 1);
-        prop_assert_eq!(&paired, &global, "protocols diverged");
+        let uniform = global(&SiteTopology::paper_vo(sites));
+        let global_vo = || build_vo(&cfg).with_lookahead(uniform.clone());
+        let (oracle, _, _) = run_vo(build_vo(&cfg), ShardedSim::run_sequential);
+        let (global, global_windows, global_boxed) = run_vo(global_vo(), ShardedSim::run);
+        let (paired, paired_windows, paired_boxed) = run_vo(build_vo(&cfg), ShardedSim::run);
+        prop_assert_eq!(&global, &oracle, "the global protocol diverged from the reference");
+        prop_assert_eq!(&paired, &oracle, "per-pair lookahead diverged from the reference");
         prop_assert!(
             paired_windows <= global_windows,
             "per-pair widened windows: {} vs {}", paired_windows, global_windows
@@ -240,7 +269,8 @@ proptest! {
         prop_assert_eq!(paired_boxed, 0);
         for shards in [2usize, 4, 8] {
             for threads in [1usize, 8] {
-                let (got, windows, _) = run_vo(&paired_cfg, shards, threads);
+                let sim = build_vo(&cfg).shards(shards).threads(threads);
+                let (got, windows, _) = run_vo(sim, ShardedSim::run);
                 prop_assert_eq!(
                     &got, &paired,
                     "per-pair diverged at shards={} threads={}", shards, threads
@@ -249,7 +279,8 @@ proptest! {
                     windows, paired_windows,
                     "window count must not depend on packing"
                 );
-                let (got, windows, _) = run_vo(&cfg, shards, threads);
+                let sim = global_vo().shards(shards).threads(threads);
+                let (got, windows, _) = run_vo(sim, ShardedSim::run);
                 prop_assert_eq!(
                     &got, &global,
                     "global diverged at shards={} threads={}", shards, threads
