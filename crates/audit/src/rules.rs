@@ -8,7 +8,6 @@
 //!
 //! | rule | hazard |
 //! |------|--------|
-//! | `boxed-event`     | `Box::new` handed to a `schedule_*` call outside simcore: forces the boxing fallback where the inline `schedule_fn_*`/`schedule_arg_*` variants are allocation-free |
 //! | `hash-container`  | `HashMap`/`HashSet` state in sim-state crates: iteration and (historically) eviction order depend on the hasher, not the operation sequence |
 //! | `wall-clock`      | `Instant`/`SystemTime`: real time leaks into simulated results |
 //! | `unseeded-rand`   | `thread_rng`/`OsRng`/`RandomState`/...: randomness outside the seeded [`SimRng`](https://docs.rs) stream |
@@ -143,12 +142,6 @@ pub const RULES: &[RuleInfo] = &[
                   clone) inside a non-constructor function of a [hot_paths] file: steady \
                   state on measured hot paths is allocation-free (DESIGN.md \u{a7}10/\u{a7}11); \
                   hoist the allocation to setup or record an audited exception",
-    },
-    RuleInfo {
-        name: "boxed-event",
-        summary: "Box::new inside a schedule_* call outside simcore: the engine boxes \
-                  oversized captures itself; use schedule_fn_*/schedule_arg_* (or plain \
-                  closures) for allocation-free dispatch",
     },
     RuleInfo {
         name: "float-accum",
@@ -377,7 +370,6 @@ pub fn scan_with(src: &str, ctx: &FileContext, symbols: Option<&SymbolTable>) ->
     }
 
     scan_float_accum(&toks, &hash_names, &in_test, &mut out);
-    scan_boxed_event(&toks, ctx, &in_test, &mut out);
     scan_trace_format(&toks, ctx, &in_test, &mut out);
 
     // The semantic pass: item index + use-def chains feed the
@@ -780,67 +772,6 @@ fn scan_alloc_in_hot(
     }
 }
 
-/// Detects `Box::new` inside the argument list of a `schedule_*` call
-/// outside simcore. The engine's generic `schedule_*` methods box
-/// oversized captures themselves (counted by `sim.events_boxed`), so a
-/// caller-side `Box::new` is always redundant — and usually a sign the
-/// call should move to the allocation-free `schedule_fn_*` /
-/// `schedule_arg_*` variants. simcore itself is exempt: it owns the
-/// boxing fallback.
-fn scan_boxed_event(
-    toks: &[Token],
-    ctx: &FileContext,
-    in_test: &dyn Fn(usize) -> bool,
-    out: &mut Vec<Finding>,
-) {
-    if ctx.crate_name == "simcore" {
-        return;
-    }
-    for i in 0..toks.len() {
-        if in_test(i) {
-            continue;
-        }
-        let is_schedule = toks[i].ident().is_some_and(|n| n.starts_with("schedule_"));
-        if !is_schedule || !toks.get(i + 1).is_some_and(|t| t.is_punct('(')) {
-            continue;
-        }
-        // Walk the balanced argument list looking for `Box :: new`.
-        let mut depth = 0usize;
-        let mut j = i + 1;
-        while j < toks.len() {
-            match toks[j].kind {
-                TokenKind::Punct('(') => depth += 1,
-                TokenKind::Punct(')') => {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                _ => {
-                    if toks[j].is_ident("Box")
-                        && toks.get(j + 1).is_some_and(|t| t.is_punct(':'))
-                        && toks.get(j + 2).is_some_and(|t| t.is_punct(':'))
-                        && toks.get(j + 3).is_some_and(|t| t.is_ident("new"))
-                    {
-                        let t = &toks[j];
-                        out.push(Finding {
-                            rule: "boxed-event",
-                            line: t.line,
-                            col: t.col,
-                            message: "Box::new inside a schedule_* call: the engine boxes \
-                                      oversized captures itself; pass the closure directly \
-                                      or use the inline schedule_fn_*/schedule_arg_* \
-                                      variants"
-                                .to_owned(),
-                        });
-                    }
-                }
-            }
-            j += 1;
-        }
-    }
-}
-
 /// `trace-format`: detects `format!` inside the argument list of a
 /// `.record(` call in library code outside tests. `TraceLog::record`
 /// takes its message as `impl Display` and formats it only once the
@@ -1199,30 +1130,6 @@ impl S {\n\
         assert_eq!(accum.len(), 2, "{findings:?}");
         assert_eq!(accum[0].line, 3);
         assert_eq!(accum[1].line, 7);
-    }
-
-    #[test]
-    fn boxed_event_fires_outside_simcore_only() {
-        let src = "\
-fn arm(en: &mut Engine<W>) {\n\
-    en.schedule_in(delay, Box::new(move |w: &mut W, en| w.tick(en)));\n\
-}\n";
-        let findings = scan(src, &lib_ctx("core"));
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        assert_eq!(
-            (findings[0].rule, findings[0].line),
-            ("boxed-event", 2),
-            "{findings:?}"
-        );
-        // simcore owns the boxing fallback.
-        assert!(rules_fired(src, &lib_ctx("simcore")).is_empty());
-        // A plain closure argument is fine anywhere.
-        let ok = "fn arm(en: &mut E) { en.schedule_in(delay, move |w, en| w.tick(en)); }\n";
-        assert!(rules_fired(ok, &lib_ctx("core")).is_empty());
-        // Box::new outside a schedule_* argument list is not this
-        // rule's business.
-        let other = "fn f() { let b = Box::new(5); schedule_later(); }\n";
-        assert!(rules_fired(other, &lib_ctx("core")).is_empty());
     }
 
     #[test]

@@ -9,7 +9,3 @@ pub fn stamp() -> u64 {
     let mut rng = rand::thread_rng();
     started.elapsed().as_nanos().try_into().unwrap()
 }
-
-pub fn arm(en: &mut Engine<World>) {
-    en.schedule_in(delay, Box::new(move |w, en| w.tick(en)));
-}

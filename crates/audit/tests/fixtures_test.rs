@@ -44,7 +44,6 @@ fn bad_misc_fixture_exact_diagnostics() {
             ("wall-clock", 8, 19),
             ("unseeded-rand", 9, 25),
             ("unwrap-lib", 10, 45),
-            ("boxed-event", 14, 27),
         ]
     );
 }
@@ -125,7 +124,7 @@ fn hash_rules_require_sim_state_crate_context() {
         diagnostics("bad_hash.rs", "bench"),
         vec![("float-accum", 12, 40), ("float-accum", 18, 17)]
     );
-    assert_eq!(diagnostics("bad_misc.rs", "bench").len(), 6);
+    assert_eq!(diagnostics("bad_misc.rs", "bench").len(), 5);
 }
 
 #[test]
@@ -140,10 +139,7 @@ fn allowlist_suppresses_named_rule_only() {
     .expect("parses");
     let report = scan_source(&rel, &src, Some("vnet"), &allow);
     let active: Vec<_> = report.findings.iter().map(|f| f.rule).collect();
-    assert_eq!(
-        active,
-        vec!["static-mut", "unseeded-rand", "unwrap-lib", "boxed-event"]
-    );
+    assert_eq!(active, vec!["static-mut", "unseeded-rand", "unwrap-lib"]);
     assert_eq!(
         report.suppressed.len(),
         2,

@@ -9,35 +9,17 @@ use gridvm_simcore::time::{SimDuration, SimTime};
 
 fn bench_engine(c: &mut Criterion) {
     c.bench_function("engine: 10k chained events", |b| {
+        // The target rides in the event's first word.
         b.iter(|| {
             let mut en: Engine<u64> = Engine::new();
             let mut world = 0u64;
-            fn chain(w: &mut u64, en: &mut Engine<u64>) {
+            fn chain(words: [u64; 2], w: &mut u64, en: &mut Engine<u64>) {
                 *w += 1;
-                if *w < 10_000 {
-                    en.schedule_in(SimDuration::from_micros(10), chain);
+                if *w < words[0] {
+                    en.schedule_in(SimDuration::from_micros(10), words, chain);
                 }
             }
-            en.schedule_now(chain);
-            en.run(&mut world);
-            assert_eq!(world, 10_000);
-            world
-        })
-    });
-
-    c.bench_function("engine: 10k chained events, inline arg dispatch", |b| {
-        // The allocation-free path: the countdown rides in the
-        // event's inline argument word instead of a closure capture.
-        b.iter(|| {
-            let mut en: Engine<u64> = Engine::new();
-            let mut world = 0u64;
-            fn chain(target: u64, w: &mut u64, en: &mut Engine<u64>) {
-                *w += 1;
-                if *w < target {
-                    en.schedule_arg_in(SimDuration::from_micros(10), target, chain);
-                }
-            }
-            en.schedule_arg_now(10_000, chain);
+            en.schedule_in(SimDuration::ZERO, [10_000, 0], chain);
             en.run(&mut world);
             assert_eq!(world, 10_000);
             world

@@ -95,12 +95,12 @@ impl Experiment for Baseline {
             0 => {
                 // The Engine::run loop: one chained event at a time,
                 // the dominant shape of every reproduction binary.
-                // The target threads through the event's inline word,
-                // so the loop never touches the allocator.
+                // The target threads through the event's words, so the
+                // loop never touches the allocator.
                 let started = Instant::now();
                 let mut en: Engine<u64> = Engine::new();
                 let mut world = 0u64;
-                en.schedule_arg_now(n, chain);
+                en.schedule_in(SimDuration::ZERO, [n, 0], chain);
                 en.run(&mut world);
                 assert_eq!(world, n);
                 (n, started.elapsed())
@@ -411,12 +411,12 @@ impl Experiment for Baseline {
     }
 }
 
-/// One self-rescheduling simulation event; the remaining-target count
-/// rides in the event's inline argument word (no per-event boxing).
-fn chain(target: u64, w: &mut u64, en: &mut Engine<u64>) {
+/// One self-rescheduling simulation event; the target count rides in
+/// the event's first word.
+fn chain(words: [u64; 2], w: &mut u64, en: &mut Engine<u64>) {
     *w += 1;
-    if *w < target {
-        en.schedule_arg_in(SimDuration::from_micros(10), target, chain);
+    if *w < words[0] {
+        en.schedule_in(SimDuration::from_micros(10), words, chain);
     }
 }
 

@@ -1,7 +1,7 @@
 //! Bench-regression gate: compares a fresh `baseline` run against the
 //! committed perf trajectory point.
 //!
-//! CI runs `baseline --quick --json <fresh.json>` and then this
+//! CI runs a full-size `baseline --json <fresh.json>` and then this
 //! binary:
 //!
 //! ```text
@@ -21,10 +21,12 @@
 //! gated scenario is checked and reported before the verdict, so one
 //! run shows all regressions. Only drops fail: wall-clock throughput
 //! is machine-dependent, so the committed number is a *floor* with
-//! slack, not a target. Both files use the `gridvm-bench/v1` schema
-//! emitted by the harness; the values are extracted with a
-//! purpose-built string scan (the workspace deliberately has no JSON
-//! dependency).
+//! slack, not a target. The two reports must share their top-level
+//! `"quick"` flag: a quick run's rates differ from a full-size run's
+//! by a scenario-dependent factor, so no margin compares them. Both
+//! files use the `gridvm-bench/v1` schema emitted by the harness; the
+//! values are extracted with a purpose-built string scan (the
+//! workspace deliberately has no JSON dependency).
 
 use std::process::ExitCode;
 
@@ -63,6 +65,38 @@ fn ops_per_sec_mean(json: &str, scenario: &str) -> Result<f64, String> {
         .trim()
         .parse::<f64>()
         .map_err(|e| format!("unparseable mean {:?} for {scenario:?}: {e}", &tail[..end]))
+}
+
+/// Reads a report's top-level `"quick"` flag, which the harness writes
+/// ahead of the scenarios.
+fn quick_flag(json: &str) -> Result<bool, String> {
+    let head = json.split("\"scenarios\":").next().unwrap_or(json);
+    let token = "\"quick\":";
+    let at = head
+        .find(token)
+        .ok_or("report has no top-level \"quick\" flag")?;
+    let value = head[at + token.len()..].trim_start();
+    if value.starts_with("true") {
+        Ok(true)
+    } else if value.starts_with("false") {
+        Ok(false)
+    } else {
+        Err("report's \"quick\" flag is not a boolean".to_owned())
+    }
+}
+
+/// Fails, naming both values, unless the committed and fresh reports
+/// ran in the same mode.
+fn same_mode(committed: &str, fresh: &str) -> Result<(), String> {
+    let (want, got) = (quick_flag(committed)?, quick_flag(fresh)?);
+    if want == got {
+        Ok(())
+    } else {
+        Err(format!(
+            "the committed report has \"quick\":{want} but the fresh one has \"quick\":{got}; \
+             rerun baseline in the committed report's mode"
+        ))
+    }
 }
 
 /// One gated scenario: its label and, when given, a per-scenario
@@ -145,6 +179,7 @@ fn run() -> Result<(), String> {
         .map_err(|e| format!("reading {}: {e}", args.committed))?;
     let fresh =
         std::fs::read_to_string(&args.fresh).map_err(|e| format!("reading {}: {e}", args.fresh))?;
+    same_mode(&committed, &fresh)?;
     let mut regressions = Vec::new();
     for gate in &args.gates {
         let drop = gate.max_drop.unwrap_or(args.max_drop);
@@ -187,7 +222,7 @@ mod tests {
     use super::*;
 
     /// Minimal but faithful excerpt of the `gridvm-bench/v1` shape.
-    const SAMPLE: &str = r#"{"schema":"gridvm-bench/v1","scenarios":[
+    const SAMPLE: &str = r#"{"schema":"gridvm-bench/v1","quick":false,"scenarios":[
         {"label":"engine: chained events","samples":5,"paper":null,
          "measurements":{"ops_per_sec":{"count":5,"mean":42132855.097271875,"std":770302.34,"min":41457238.5,"max":43048820.8},
                          "wall_us":{"count":5,"mean":2374.07,"std":43.13,"min":2322.9,"max":2412.1}},
@@ -236,6 +271,22 @@ mod tests {
     fn gate_spec_rejects_bad_thresholds() {
         assert!(parse_gate("engine: chained events=1.5").is_err());
         assert!(parse_gate("engine: chained events=nope").is_err());
+    }
+
+    #[test]
+    fn reports_in_different_modes_are_refused() {
+        let quick = SAMPLE.replacen("\"quick\":false", "\"quick\":true", 1);
+        assert_eq!(quick_flag(SAMPLE), Ok(false));
+        assert_eq!(quick_flag(&quick), Ok(true));
+        assert!(same_mode(SAMPLE, SAMPLE).is_ok());
+        assert!(same_mode(&quick, &quick).is_ok());
+        let err = same_mode(SAMPLE, &quick).unwrap_err();
+        assert!(
+            err.contains("\"quick\":false") && err.contains("\"quick\":true"),
+            "{err}"
+        );
+        let unflagged = SAMPLE.replacen("\"quick\":false,", "", 1);
+        assert!(same_mode(&unflagged, SAMPLE).is_err());
     }
 
     #[test]

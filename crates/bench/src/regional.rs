@@ -18,7 +18,7 @@
 //! at [`SiteTopology::lookahead`], so the
 //! bench can assert digest equality while comparing barrier counts.
 
-use gridvm_simcore::engine::{Engine, Event};
+use gridvm_simcore::engine::Engine;
 use gridvm_simcore::metrics::Counter;
 use gridvm_simcore::shard::{ShardWorld, ShardedSim, SiteId, SiteState};
 use gridvm_simcore::time::{SimDuration, SimTime};
@@ -104,7 +104,7 @@ impl ShardWorld for HandoffSite {
 }
 
 /// One token work step; `[token << 32 | steps_left, legs_left]` ride
-/// in the event's inline argument words.
+/// in the event's two words.
 fn burst(
     args: [u64; 2],
     site: &mut SiteState<HandoffSite>,
@@ -118,10 +118,7 @@ fn burst(
         ^ en.now().as_nanos();
     if steps_left > 0 {
         let gap = w.step_gap;
-        en.schedule_event_in(
-            gap,
-            Event::Arg2([(token << 32) | (steps_left - 1), legs_left], burst),
-        );
+        en.schedule_in(gap, [(token << 32) | (steps_left - 1), legs_left], burst);
         return;
     }
     w.legs_done += 1;
@@ -179,9 +176,10 @@ pub fn build_handoff(cfg: &HandoffConfig) -> ShardedSim<HandoffSite> {
             // Stagger region starts so same-instant pileups don't mask
             // ordering differences between the protocols.
             let start = SimTime::ZERO + SimDuration::from_micros(137 * u64::from(r));
-            en.schedule_event_at(
+            en.schedule_at(
                 start,
-                Event::Arg2([(u64::from(r) << 32) | steps, u64::from(cfg.legs)], burst),
+                [(u64::from(r) << 32) | steps, u64::from(cfg.legs)],
+                burst,
             );
         });
     }
@@ -198,7 +196,7 @@ mod tests {
         sim: ShardedSim<HandoffSite>,
         shards: usize,
         threads: usize,
-    ) -> (u64, Vec<u64>, u64, u64, u64) {
+    ) -> (u64, Vec<u64>, u64, u64) {
         let mut sim = sim.shards(shards).threads(threads);
         metrics::reset();
         sim.run();
@@ -206,14 +204,7 @@ mod tests {
         let checksums = (0..sim.sites())
             .map(|i| sim.with_site(i, |s, _| s.world.checksum))
             .collect();
-        let boxed = sim.merged_metrics().counter("sim.events_boxed");
-        (
-            sim.trace_digest(),
-            checksums,
-            sim.messages(),
-            sim.windows(),
-            boxed,
-        )
+        (sim.trace_digest(), checksums, sim.messages(), sim.windows())
     }
 
     #[test]
@@ -225,8 +216,8 @@ mod tests {
         let topo = SiteTopology::regional_vo(cfg.regions, 2);
         let global =
             LookaheadMatrix::uniform(topo.sites(), topo.lookahead().expect("regional_vo meshes"));
-        let (digest, checksums, messages, paired_windows, boxed) = run(build_handoff(&cfg), 4, 2);
-        let (gdigest, gchecksums, gmessages, global_windows, gboxed) =
+        let (digest, checksums, messages, paired_windows) = run(build_handoff(&cfg), 4, 2);
+        let (gdigest, gchecksums, gmessages, global_windows) =
             run(build_handoff(&cfg).with_lookahead(global), 4, 2);
         assert_eq!(digest, gdigest, "protocols diverged");
         assert_eq!(checksums, gchecksums);
@@ -242,7 +233,6 @@ mod tests {
         );
         assert_eq!(oracle.messages(), messages);
         assert_eq!(messages, u64::from(cfg.regions) * u64::from(cfg.legs));
-        assert_eq!((boxed, gboxed), (0, 0), "handoffs must ride inline");
         assert!(
             paired_windows * 3 <= global_windows,
             "expected >= 3x fewer windows, got {paired_windows} vs {global_windows}"

@@ -24,7 +24,7 @@
 //! assert_eq!(m.counter("vo.sessions_completed"), 3 * 4);
 //! ```
 
-use gridvm_simcore::engine::{Engine, Event};
+use gridvm_simcore::engine::Engine;
 use gridvm_simcore::metrics::{self, Counter};
 use gridvm_simcore::replication::{derive_seed_sharded, derive_seed_stream};
 use gridvm_simcore::rng::SimRng;
@@ -147,7 +147,7 @@ impl ShardWorld for VoSite {
 }
 
 /// One session work step; `[session, steps_left]` ride in the event's
-/// inline argument words.
+/// two words.
 fn step(args: [u64; 2], site: &mut SiteState<VoSite>, en: &mut Engine<SiteState<VoSite>>) {
     let [session, steps_left] = args;
     let my_id = site.id().0;
@@ -191,11 +191,11 @@ fn step(args: [u64; 2], site: &mut SiteState<VoSite>, en: &mut Engine<SiteState<
         let delay = w.retry_delay;
         site.trace
             .record(en.now(), "vo", format_args!("session {session} recovering"));
-        en.schedule_event_in(delay, Event::Arg2([session, steps_left], step));
+        en.schedule_in(delay, [session, steps_left], step);
     } else {
         let jitter = w.rng.next_below(w.step_spacing.as_nanos() / 4 + 1);
         let delay = w.step_spacing + SimDuration::from_nanos(jitter);
-        en.schedule_event_in(delay, Event::Arg2([session, steps_left - 1], step));
+        en.schedule_in(delay, [session, steps_left - 1], step);
     }
 }
 
@@ -254,9 +254,10 @@ pub fn build_vo(cfg: &VoConfig) -> ShardedSim<VoSite> {
                     .world
                     .rng
                     .next_below(cfg.step_spacing.as_nanos().max(1));
-                en.schedule_event_at(
+                en.schedule_at(
                     SimTime::ZERO + SimDuration::from_nanos(start),
-                    Event::Arg2([session, u64::from(cfg.steps_per_session)], step),
+                    [session, u64::from(cfg.steps_per_session)],
+                    step,
                 );
             }
         });
@@ -549,7 +550,7 @@ impl ShardWorld for VoScaleSite {
 }
 
 /// One session work step of the scale world; the session's packed
-/// state rides in the event's two inline argument words.
+/// state rides in the event's two words.
 fn scale_step(
     args: [u64; 2],
     site: &mut SiteState<VoScaleSite>,
@@ -605,12 +606,10 @@ fn scale_step(
         let congestion = 1 + w.active / w.capacity;
         let jitter = w.rng.next_below(w.step_spacing.as_nanos() / 4 + 1);
         let delay = (w.step_spacing + SimDuration::from_nanos(jitter)) * congestion;
-        en.schedule_event_in(
+        en.schedule_in(
             delay,
-            Event::Arg2(
-                [(session << STEP_BITS) | (steps_left - 1), start],
-                scale_step,
-            ),
+            [(session << STEP_BITS) | (steps_left - 1), start],
+            scale_step,
         );
     }
 }
@@ -643,12 +642,10 @@ fn diurnal_arrive(
     start_session(session, steps, site, en);
     if remaining > 1 {
         let gap = site.world.arrival_gap(en.now());
-        en.schedule_event_in(
+        en.schedule_in(
             gap,
-            Event::Arg2(
-                [((remaining - 1) << STEP_BITS) | steps, session + 1],
-                diurnal_arrive,
-            ),
+            [((remaining - 1) << STEP_BITS) | steps, session + 1],
+            diurnal_arrive,
         );
     }
 }
@@ -668,12 +665,10 @@ fn burst_arrive(
     if remaining > 1 {
         let w = &mut site.world;
         let gap = w.burst_gap_ns / 2 + w.rng.next_below(w.burst_gap_ns / 2 + 1);
-        en.schedule_event_in(
+        en.schedule_in(
             SimDuration::from_nanos(gap),
-            Event::Arg2(
-                [((remaining - 1) << STEP_BITS) | steps, session + 1],
-                burst_arrive,
-            ),
+            [((remaining - 1) << STEP_BITS) | steps, session + 1],
+            burst_arrive,
         );
     }
 }
@@ -786,9 +781,10 @@ pub fn build_vo_scale(cfg: &VoScaleConfig) -> ShardedSim<VoScaleSite> {
                 // Stagger generator starts across one mean gap so
                 // sites don't fire in lockstep.
                 let start = site.world.rng.next_below(site.world.mean_gap_ns);
-                en.schedule_event_at(
+                en.schedule_at(
                     SimTime::ZERO + SimDuration::from_nanos(start),
-                    Event::Arg2([(regular << STEP_BITS) | steps, base], diurnal_arrive),
+                    [(regular << STEP_BITS) | steps, base],
+                    diurnal_arrive,
                 );
             }
             if flash_total > 0 {
@@ -803,9 +799,10 @@ pub fn build_vo_scale(cfg: &VoScaleConfig) -> ShardedSim<VoScaleSite> {
                         continue;
                     }
                     let at = span_ns * (k + 1) / (crowds + 1);
-                    en.schedule_event_at(
+                    en.schedule_at(
                         SimTime::ZERO + SimDuration::from_nanos(at),
-                        Event::Arg2([(size << STEP_BITS) | steps, next_id], burst_arrive),
+                        [(size << STEP_BITS) | steps, next_id],
+                        burst_arrive,
                     );
                     next_id += size;
                 }

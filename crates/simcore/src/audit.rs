@@ -20,9 +20,10 @@
 //!   agreement in [`crate::slot::DenseMap::audit`].
 //!
 //! The module is compiled under `debug_assertions` (so every dev-
-//! profile test run exercises it) or the `audit` cargo feature (to opt
-//! a release build in); release builds without the feature carry zero
-//! audit code. [`Engine::step`](crate::engine::Engine::step)
+//! profile test run exercises it), under `test` (so the crate's own
+//! unit tests build and run it in release too) or with the `audit`
+//! cargo feature (to opt a release build in); other release builds
+//! carry zero audit code. [`Engine::step`](crate::engine::Engine::step)
 //! additionally self-audits every [`AUTO_AUDIT_INTERVAL`] events, so
 //! long-running tests sweep the invariants continuously without O(n)
 //! work per event.

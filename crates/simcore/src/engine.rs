@@ -9,16 +9,36 @@
 //!
 //! ## Allocation-free dispatch
 //!
-//! Events are stored as an [`Event<W>`] enum directly inside the
-//! queue's recycled arena slots. Handlers that are plain function
-//! pointers — optionally carrying one or two machine words of state —
-//! live entirely in the slot; only closures with larger captures fall
-//! back to a heap `Box`, counted by the `sim.events_boxed` metric so
-//! experiments can prove the fallback is rare. A zero-sized closure
-//! (no captures) nominally takes the boxed path but `Box::new` of a
-//! zero-sized type performs no allocation, so it is neither counted
-//! nor costed. Steady-state scheduling through the inline variants
-//! therefore makes zero allocator calls.
+//! Every event has one shape: a plain function pointer plus two
+//! machine words of state, which the handler receives as its first
+//! argument. The event lives directly in the queue's recycled arena
+//! slot, 24 bytes with the pointer's non-null niche holding the slot's
+//! `Option` tag, so scheduling never calls the allocator. Captureless
+//! closures coerce to the pointer. A closure that captures does not
+//! compile; its state belongs in the two words or in the world:
+//!
+//! ```compile_fail,E0308
+//! use gridvm_simcore::engine::Engine;
+//! use gridvm_simcore::time::SimTime;
+//!
+//! let mut en: Engine<u64> = Engine::new();
+//! let step = 3;
+//! en.schedule_at(SimTime::ZERO, [0; 2], move |_, w, _| *w += step);
+//! ```
+//!
+//! The same handler with its state in the words compiles and runs:
+//!
+//! ```
+//! use gridvm_simcore::engine::Engine;
+//! use gridvm_simcore::time::SimTime;
+//!
+//! let mut en: Engine<u64> = Engine::new();
+//! let step = 3;
+//! en.schedule_at(SimTime::ZERO, [step, 0], |words, w, _| *w += words[0]);
+//! let mut w = 0;
+//! en.run(&mut w);
+//! assert_eq!(w, 3);
+//! ```
 
 use crate::event::{EventId, EventQueue};
 use crate::metrics::Counter;
@@ -26,75 +46,13 @@ use crate::time::{SimDuration, SimTime};
 
 /// Events executed across all engine run loops (pre-resolved handle:
 /// the increment happens once per run call, but runs themselves can be
-/// hot — e.g. the host scheduler's micro-simulations).
+/// hot — e.g. the shard loop's per-site window chunks).
 static EVENTS_EXECUTED: Counter = Counter::new("sim.events_executed");
 
-/// Events whose handler captured too much state to store inline and
-/// fell back to a heap allocation. A healthy model keeps this a tiny
-/// fraction of `sim.events_executed`.
-static EVENTS_BOXED: Counter = Counter::new("sim.events_boxed");
-
-/// A boxed event handler: the fallback representation for closures
-/// whose captures do not fit an [`Event`]'s inline variants. `Send`
-/// so an engine (and its pending events) can migrate between the
-/// worker threads of a [`crate::shard::ShardedSim`] window.
-pub type EventFn<W> = Box<dyn FnOnce(&mut W, &mut Engine<W>) + Send>;
-
-/// A schedulable event: the handler plus up to two machine words of
-/// inline state, stored directly in the event queue's arena.
-///
-/// Construct the inline variants through
-/// [`Engine::schedule_fn_at`] / [`Engine::schedule_arg_in`] and
-/// friends; captureless closures coerce to the `fn` pointers these
-/// take. The generic [`Engine::schedule_at`] family accepts arbitrary
-/// closures and boxes the ones with non-zero-sized captures.
-pub enum Event<W> {
-    /// A bare function pointer; no state beyond the world.
-    Fn(fn(&mut W, &mut Engine<W>)),
-    /// A function pointer plus one word of state, passed back as the
-    /// first argument.
-    Arg(u64, fn(u64, &mut W, &mut Engine<W>)),
-    /// A function pointer plus two words of state.
-    Arg2([u64; 2], fn([u64; 2], &mut W, &mut Engine<W>)),
-    /// The boxing fallback for handlers with larger captures.
-    Boxed(EventFn<W>),
-}
-
-impl<W> Event<W> {
-    /// Runs the handler, consuming the event.
-    #[inline]
-    pub fn invoke(self, world: &mut W, en: &mut Engine<W>) {
-        match self {
-            Event::Fn(f) => f(world, en),
-            Event::Arg(a, f) => f(a, world, en),
-            Event::Arg2(a, f) => f(a, world, en),
-            Event::Boxed(f) => f(world, en),
-        }
-    }
-}
-
-impl<W> std::fmt::Debug for Event<W> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Event::Fn(_) => "Event::Fn",
-            Event::Arg(..) => "Event::Arg",
-            Event::Arg2(..) => "Event::Arg2",
-            Event::Boxed(_) => "Event::Boxed",
-        })
-    }
-}
-
-/// Boxes a closure into the fallback variant, counting it against
-/// `sim.events_boxed` only when the capture is non-zero-sized (boxing
-/// a zero-sized closure performs no allocation).
-fn boxed_event<W, F>(f: F) -> Event<W>
-where
-    F: FnOnce(&mut W, &mut Engine<W>) + Send + 'static,
-{
-    if std::mem::size_of::<F>() > 0 {
-        EVENTS_BOXED.add(1);
-    }
-    Event::Boxed(Box::new(f))
+/// A pending event: the handler and the two words it is called with.
+struct Event<W> {
+    words: [u64; 2],
+    f: fn([u64; 2], &mut W, &mut Engine<W>),
 }
 
 /// A discrete-event simulation executor over a world type `W`.
@@ -149,165 +107,39 @@ impl<W> Engine<W> {
         self.queue.len()
     }
 
-    /// Schedules a pre-built [`Event`] at the absolute instant `at` —
-    /// the core all `schedule_*` helpers funnel through.
+    /// Schedules `f` to run at the absolute instant `at`, called with
+    /// `words`. Events due at one instant run in the order they were
+    /// scheduled.
     ///
     /// # Panics
     ///
     /// Panics if `at` is before the current clock: the past is
     /// immutable in a discrete-event simulation, so this is always a
     /// caller bug.
-    pub fn schedule_event_at(&mut self, at: SimTime, ev: Event<W>) -> EventId {
+    pub fn schedule_at(
+        &mut self,
+        at: SimTime,
+        words: [u64; 2],
+        f: fn([u64; 2], &mut W, &mut Engine<W>),
+    ) -> EventId {
         assert!(
             at >= self.clock,
             "schedule_at: {at} is before current time {}",
             self.clock
         );
-        self.queue.push(at, ev)
+        self.queue.push(at, Event { words, f })
     }
 
-    /// Schedules a pre-built [`Event`] `delay` after the current
-    /// instant.
-    pub fn schedule_event_in(&mut self, delay: SimDuration, ev: Event<W>) -> EventId {
-        self.queue.push(self.clock + delay, ev)
-    }
-
-    /// Schedules a pre-built [`Event`] at the current instant, after
-    /// all events already scheduled for this instant.
-    pub fn schedule_event_now(&mut self, ev: Event<W>) -> EventId {
-        self.queue.push(self.clock, ev)
-    }
-
-    /// Schedules `f` to run at the absolute instant `at`.
-    ///
-    /// Closures with non-zero-sized captures are boxed (counted by
-    /// `sim.events_boxed`); prefer the `schedule_fn_*` /
-    /// `schedule_arg_*` variants on hot paths.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is before the current clock.
-    pub fn schedule_at<F>(&mut self, at: SimTime, f: F) -> EventId
-    where
-        F: FnOnce(&mut W, &mut Engine<W>) + Send + 'static,
-    {
-        self.schedule_event_at(at, boxed_event(f))
-    }
-
-    /// Schedules `f` to run `delay` after the current instant.
-    ///
-    /// Closures with non-zero-sized captures are boxed; see
-    /// [`schedule_at`](Engine::schedule_at).
-    pub fn schedule_in<F>(&mut self, delay: SimDuration, f: F) -> EventId
-    where
-        F: FnOnce(&mut W, &mut Engine<W>) + Send + 'static,
-    {
-        self.schedule_event_in(delay, boxed_event(f))
-    }
-
-    /// Schedules `f` to run at the current instant, after all events
-    /// already scheduled for this instant.
-    ///
-    /// Closures with non-zero-sized captures are boxed; see
-    /// [`schedule_at`](Engine::schedule_at).
-    pub fn schedule_now<F>(&mut self, f: F) -> EventId
-    where
-        F: FnOnce(&mut W, &mut Engine<W>) + Send + 'static,
-    {
-        self.schedule_event_now(boxed_event(f))
-    }
-
-    /// Schedules a bare function pointer at the absolute instant `at`
-    /// — fully inline, no allocation. Captureless closures coerce.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is before the current clock.
-    pub fn schedule_fn_at(&mut self, at: SimTime, f: fn(&mut W, &mut Engine<W>)) -> EventId {
-        self.schedule_event_at(at, Event::Fn(f))
-    }
-
-    /// Schedules a bare function pointer `delay` after the current
-    /// instant — fully inline, no allocation.
-    pub fn schedule_fn_in(&mut self, delay: SimDuration, f: fn(&mut W, &mut Engine<W>)) -> EventId {
-        self.schedule_event_in(delay, Event::Fn(f))
-    }
-
-    /// Schedules a bare function pointer at the current instant —
-    /// fully inline, no allocation.
-    pub fn schedule_fn_now(&mut self, f: fn(&mut W, &mut Engine<W>)) -> EventId {
-        self.schedule_event_now(Event::Fn(f))
-    }
-
-    /// Schedules a function pointer carrying one word of state at the
-    /// absolute instant `at` — fully inline, no allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is before the current clock.
-    pub fn schedule_arg_at(
-        &mut self,
-        at: SimTime,
-        arg: u64,
-        f: fn(u64, &mut W, &mut Engine<W>),
-    ) -> EventId {
-        self.schedule_event_at(at, Event::Arg(arg, f))
-    }
-
-    /// Schedules a function pointer carrying one word of state `delay`
-    /// after the current instant — fully inline, no allocation.
-    pub fn schedule_arg_in(
+    /// Schedules `f` to run `delay` after the current instant, called
+    /// with `words`. A zero delay runs it at the current instant, after
+    /// every event already scheduled for it.
+    pub fn schedule_in(
         &mut self,
         delay: SimDuration,
-        arg: u64,
-        f: fn(u64, &mut W, &mut Engine<W>),
-    ) -> EventId {
-        self.schedule_event_in(delay, Event::Arg(arg, f))
-    }
-
-    /// Schedules a function pointer carrying one word of state at the
-    /// current instant — fully inline, no allocation.
-    pub fn schedule_arg_now(&mut self, arg: u64, f: fn(u64, &mut W, &mut Engine<W>)) -> EventId {
-        self.schedule_event_now(Event::Arg(arg, f))
-    }
-
-    /// Schedules a function pointer carrying two words of state at the
-    /// absolute instant `at` — fully inline, no allocation. This is
-    /// the widest inline shape, and the one the sharded mailbox drain
-    /// uses to deliver encoded cross-site messages without boxing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is before the current clock.
-    pub fn schedule_arg2_at(
-        &mut self,
-        at: SimTime,
-        arg: [u64; 2],
+        words: [u64; 2],
         f: fn([u64; 2], &mut W, &mut Engine<W>),
     ) -> EventId {
-        self.schedule_event_at(at, Event::Arg2(arg, f))
-    }
-
-    /// Schedules a function pointer carrying two words of state
-    /// `delay` after the current instant — fully inline, no
-    /// allocation.
-    pub fn schedule_arg2_in(
-        &mut self,
-        delay: SimDuration,
-        arg: [u64; 2],
-        f: fn([u64; 2], &mut W, &mut Engine<W>),
-    ) -> EventId {
-        self.schedule_event_in(delay, Event::Arg2(arg, f))
-    }
-
-    /// Schedules a function pointer carrying two words of state at the
-    /// current instant — fully inline, no allocation.
-    pub fn schedule_arg2_now(
-        &mut self,
-        arg: [u64; 2],
-        f: fn([u64; 2], &mut W, &mut Engine<W>),
-    ) -> EventId {
-        self.schedule_event_now(Event::Arg2(arg, f))
+        self.queue.push(self.clock + delay, Event { words, f })
     }
 
     /// Cancels a pending event. Returns `true` if it had not yet run.
@@ -329,7 +161,7 @@ impl<W> Engine<W> {
         self.executed += 1;
         // Periodic self-audit: every dev-profile run continuously
         // sweeps the queue invariants without O(n) work per event.
-        #[cfg(any(debug_assertions, feature = "audit"))]
+        #[cfg(any(debug_assertions, test, feature = "audit"))]
         if self
             .executed
             .is_multiple_of(crate::audit::AUTO_AUDIT_INTERVAL)
@@ -341,7 +173,7 @@ impl<W> Engine<W> {
                 );
             }
         }
-        ev.invoke(world, self);
+        (ev.f)(ev.words, world, self);
         true
     }
 
@@ -349,7 +181,7 @@ impl<W> Engine<W> {
     /// [`crate::audit`]): the event queue's structural checks plus
     /// causality — no pending event may be earlier than the clock,
     /// since the past is immutable in a discrete-event simulation.
-    #[cfg(any(debug_assertions, feature = "audit"))]
+    #[cfg(any(debug_assertions, test, feature = "audit"))]
     pub fn audit(&self) -> crate::audit::AuditResult {
         self.queue.audit()?;
         if let Some(next) = self.queue.earliest_time() {
@@ -433,7 +265,6 @@ impl<W> Engine<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics;
 
     #[derive(Default)]
     struct W {
@@ -445,13 +276,18 @@ mod tests {
     }
 
     #[test]
+    fn queued_events_take_three_words() {
+        assert_eq!(std::mem::size_of::<Option<Event<W>>>(), 24);
+    }
+
+    #[test]
     fn events_run_in_time_order() {
         let mut en: Engine<W> = Engine::new();
         let mut w = W::default();
-        en.schedule_at(secs(2), |w: &mut W, en| {
+        en.schedule_at(secs(2), [0; 2], |_, w, en| {
             w.log.push((en.now().as_nanos(), "b"))
         });
-        en.schedule_at(secs(1), |w: &mut W, en| {
+        en.schedule_at(secs(1), [0; 2], |_, w, en| {
             w.log.push((en.now().as_nanos(), "a"))
         });
         en.run(&mut w);
@@ -466,9 +302,9 @@ mod tests {
     fn handlers_can_chain() {
         let mut en: Engine<W> = Engine::new();
         let mut w = W::default();
-        en.schedule_in(SimDuration::from_secs(1), |w: &mut W, en| {
+        en.schedule_in(SimDuration::from_secs(1), [0; 2], |_, w, en| {
             w.log.push((en.now().as_nanos(), "first"));
-            en.schedule_in(SimDuration::from_secs(1), |w: &mut W, en| {
+            en.schedule_in(SimDuration::from_secs(1), [0; 2], |_, w, en| {
                 w.log.push((en.now().as_nanos(), "second"));
             });
         });
@@ -481,48 +317,34 @@ mod tests {
     fn schedule_now_runs_after_current_instant_events() {
         let mut en: Engine<W> = Engine::new();
         let mut w = W::default();
-        en.schedule_at(secs(1), |w: &mut W, en| {
+        en.schedule_at(secs(1), [0; 2], |_, w, en| {
             w.log.push((0, "outer"));
-            en.schedule_now(|w: &mut W, _| w.log.push((0, "inner")));
+            en.schedule_in(SimDuration::ZERO, [0; 2], |_, w, _| {
+                w.log.push((0, "inner"))
+            });
         });
-        en.schedule_at(secs(1), |w: &mut W, _| w.log.push((0, "peer")));
+        en.schedule_at(secs(1), [0; 2], |_, w, _| w.log.push((0, "peer")));
         en.run(&mut w);
         let names: Vec<&str> = w.log.iter().map(|(_, n)| *n).collect();
         assert_eq!(names, vec!["outer", "peer", "inner"]);
     }
 
     #[test]
-    fn inline_variants_interleave_with_boxed_in_schedule_order() {
+    fn words_ride_along_chains_and_cancel() {
         let mut en: Engine<W> = Engine::new();
         let mut w = W::default();
-        en.schedule_fn_at(secs(1), |w, _| w.log.push((0, "fn")));
-        en.schedule_arg_at(secs(1), 7, |a, w, _| {
-            assert_eq!(a, 7);
-            w.log.push((a, "arg"));
-        });
-        en.schedule_at(secs(1), |w: &mut W, _| w.log.push((0, "boxed")));
-        en.schedule_event_at(
-            secs(1),
-            Event::Arg2([3, 4], |a, w, _| w.log.push((a[0] + a[1], "arg2"))),
-        );
-        en.run(&mut w);
-        let names: Vec<&str> = w.log.iter().map(|(_, n)| *n).collect();
-        assert_eq!(names, vec!["fn", "arg", "boxed", "arg2"]);
-        assert_eq!(w.log[3].0, 7, "arg2 words delivered");
-    }
-
-    #[test]
-    fn inline_fn_and_arg_events_chain_and_cancel() {
-        let mut en: Engine<W> = Engine::new();
-        let mut w = W::default();
-        fn tick(left: u64, w: &mut W, en: &mut Engine<W>) {
+        fn tick(words: [u64; 2], w: &mut W, en: &mut Engine<W>) {
+            let [left, tag] = words;
+            assert_eq!(tag, 7, "both words are delivered");
             w.log.push((left, "tick"));
             if left > 0 {
-                en.schedule_arg_in(SimDuration::from_secs(1), left - 1, tick);
+                en.schedule_in(SimDuration::from_secs(1), [left - 1, tag], tick);
             }
         }
-        en.schedule_arg_now(3, tick);
-        let doomed = en.schedule_fn_in(SimDuration::from_secs(10), |w, _| w.log.push((0, "no")));
+        en.schedule_in(SimDuration::ZERO, [3, 7], tick);
+        let doomed = en.schedule_in(SimDuration::from_secs(10), [0; 2], |_, w, _| {
+            w.log.push((0, "no"))
+        });
         assert!(en.cancel(doomed));
         en.run(&mut w);
         let ticks: Vec<u64> = w.log.iter().map(|(n, _)| *n).collect();
@@ -531,34 +353,11 @@ mod tests {
     }
 
     #[test]
-    fn events_boxed_counts_only_real_captures() {
-        metrics::reset();
-        let mut en: Engine<W> = Engine::new();
-        let mut w = W::default();
-        // Inline variants and captureless (zero-sized) closures never
-        // count as boxed.
-        en.schedule_fn_at(secs(1), |w, _| w.log.push((0, "a")));
-        en.schedule_arg_in(SimDuration::from_secs(1), 1, |_, w, _| w.log.push((0, "b")));
-        en.schedule_now(|w: &mut W, _| w.log.push((0, "c")));
-        let snap = metrics::take();
-        assert_eq!(snap.counter("sim.events_boxed"), 0);
-        // A closure with a real capture does.
-        let payload = [1u8, 2, 3].to_vec();
-        en.schedule_at(secs(2), move |w: &mut W, _| {
-            w.log.push((payload.len() as u64, "d"))
-        });
-        let snap = metrics::take();
-        assert_eq!(snap.counter("sim.events_boxed"), 1);
-        en.run(&mut w);
-        assert_eq!(w.log.len(), 4);
-    }
-
-    #[test]
     fn run_until_stops_at_deadline_and_advances_clock() {
         let mut en: Engine<W> = Engine::new();
         let mut w = W::default();
-        en.schedule_at(secs(1), |w: &mut W, _| w.log.push((1, "in")));
-        en.schedule_at(secs(5), |w: &mut W, _| w.log.push((5, "out")));
+        en.schedule_at(secs(1), [0; 2], |_, w, _| w.log.push((1, "in")));
+        en.schedule_at(secs(5), [0; 2], |_, w, _| w.log.push((5, "out")));
         en.run_until(&mut w, secs(3));
         assert_eq!(w.log.len(), 1);
         assert_eq!(en.now(), secs(3), "clock advances to deadline");
@@ -571,7 +370,7 @@ mod tests {
     fn run_until_includes_deadline_events() {
         let mut en: Engine<W> = Engine::new();
         let mut w = W::default();
-        en.schedule_at(secs(3), |w: &mut W, _| w.log.push((3, "at")));
+        en.schedule_at(secs(3), [0; 2], |_, w, _| w.log.push((3, "at")));
         en.run_until(&mut w, secs(3));
         assert_eq!(w.log.len(), 1);
     }
@@ -580,14 +379,14 @@ mod tests {
     fn run_before_excludes_bound_and_leaves_clock() {
         let mut en: Engine<W> = Engine::new();
         let mut w = W::default();
-        en.schedule_at(secs(1), |w: &mut W, _| w.log.push((1, "in")));
-        en.schedule_at(secs(3), |w: &mut W, _| w.log.push((3, "at-bound")));
+        en.schedule_at(secs(1), [0; 2], |_, w, _| w.log.push((1, "in")));
+        en.schedule_at(secs(3), [0; 2], |_, w, _| w.log.push((3, "at-bound")));
         assert_eq!(en.next_event_time(), Some(secs(1)));
         assert_eq!(en.run_before(&mut w, secs(3)), 1, "bound is exclusive");
         assert_eq!(en.now(), secs(1), "clock stays at the last event");
         assert_eq!(en.next_event_time(), Some(secs(3)));
         // An event landing exactly at the previous bound is legal.
-        en.schedule_at(secs(3), |w: &mut W, _| w.log.push((3, "delivered")));
+        en.schedule_at(secs(3), [0; 2], |_, w, _| w.log.push((3, "delivered")));
         assert_eq!(en.run_before(&mut w, secs(4)), 2);
         let names: Vec<&str> = w.log.iter().map(|(_, n)| *n).collect();
         assert_eq!(names, vec!["in", "at-bound", "delivered"]);
@@ -598,7 +397,7 @@ mod tests {
     fn cancel_prevents_execution() {
         let mut en: Engine<W> = Engine::new();
         let mut w = W::default();
-        let id = en.schedule_at(secs(1), |w: &mut W, _| w.log.push((1, "no")));
+        let id = en.schedule_at(secs(1), [0; 2], |_, w, _| w.log.push((1, "no")));
         assert!(en.cancel(id));
         en.run(&mut w);
         assert!(w.log.is_empty());
@@ -609,19 +408,8 @@ mod tests {
     fn scheduling_in_the_past_panics() {
         let mut en: Engine<W> = Engine::new();
         let mut w = W::default();
-        en.schedule_at(secs(5), |_, en| {
-            en.schedule_at(secs(1), |_, _| {});
-        });
-        en.run(&mut w);
-    }
-
-    #[test]
-    #[should_panic(expected = "before current time")]
-    fn scheduling_fn_in_the_past_panics() {
-        let mut en: Engine<W> = Engine::new();
-        let mut w = W::default();
-        en.schedule_at(secs(5), |_, en| {
-            en.schedule_fn_at(secs(1), |_, _| {});
+        en.schedule_at(secs(5), [0; 2], |_, _, en| {
+            en.schedule_at(secs(1), [0; 2], |_, _, _| {});
         });
         en.run(&mut w);
     }
@@ -631,9 +419,9 @@ mod tests {
         let mut en: Engine<W> = Engine::new();
         let mut w = W::default();
         for i in 0..50 {
-            en.schedule_at(secs(i / 5), |w: &mut W, en| {
+            en.schedule_at(secs(i / 5), [0; 2], |_, w, en| {
                 w.log.push((0, "x"));
-                en.schedule_in(SimDuration::from_secs(1), |_, _| {});
+                en.schedule_in(SimDuration::from_secs(1), [0; 2], |_, _, _| {});
             });
         }
         en.audit().expect("clean before running");
@@ -648,15 +436,15 @@ mod tests {
         // Schedules several times AUTO_AUDIT_INTERVAL chained events so
         // the in-step sweep fires repeatedly; a corrupted queue would
         // panic the run.
-        fn chain(w: &mut W, en: &mut Engine<W>) {
+        fn chain(_: [u64; 2], w: &mut W, en: &mut Engine<W>) {
             if en.executed() < 4 * crate::audit::AUTO_AUDIT_INTERVAL {
                 w.log.push((0, "t"));
-                en.schedule_fn_in(SimDuration::from_nanos(1), chain);
+                en.schedule_in(SimDuration::from_nanos(1), [0; 2], chain);
             }
         }
         let mut en: Engine<W> = Engine::new();
         let mut w = W::default();
-        en.schedule_fn_now(chain);
+        en.schedule_in(SimDuration::ZERO, [0; 2], chain);
         en.run(&mut w);
         assert!(en.executed() >= 4 * crate::audit::AUTO_AUDIT_INTERVAL);
     }
@@ -666,7 +454,7 @@ mod tests {
         let mut en: Engine<W> = Engine::new();
         let mut w = W::default();
         for i in 0..10 {
-            en.schedule_at(secs(i), |w: &mut W, _| w.log.push((0, "x")));
+            en.schedule_at(secs(i), [0; 2], |_, w, _| w.log.push((0, "x")));
         }
         assert_eq!(en.run_steps(&mut w, 3), 3);
         assert_eq!(w.log.len(), 3);

@@ -85,9 +85,10 @@ impl Entry {
 
 /// A cancellable min-priority queue of timestamped payloads.
 ///
-/// This is the storage layer under [`crate::engine::Engine`]; it is
-/// public so substrates that run their own micro-simulations (e.g. the
-/// host CPU scheduler) can reuse it.
+/// This is the storage layer under [`crate::engine::Engine`], its one
+/// user in library code; it is public so the benchmarks (the
+/// `baseline` queue scenarios and the criterion benches) can measure
+/// it on its own.
 ///
 /// ```
 /// use gridvm_simcore::event::EventQueue;
@@ -399,7 +400,7 @@ impl<E> EventQueue<E> {
     ///
     /// O(n) in pending events — called periodically by
     /// [`crate::engine::Engine::step`], directly by tests.
-    #[cfg(any(debug_assertions, feature = "audit"))]
+    #[cfg(any(debug_assertions, test, feature = "audit"))]
     pub fn audit(&self) -> crate::audit::AuditResult {
         use crate::audit::violated;
         // Heap property over the (time, seq) key.
@@ -468,7 +469,7 @@ impl<E> EventQueue<E> {
 
     /// Shared audit predicate: a pending entry's payload is live and
     /// its sequence number predates the counter.
-    #[cfg(any(debug_assertions, feature = "audit"))]
+    #[cfg(any(debug_assertions, test, feature = "audit"))]
     fn check_live(&self, slot: usize, e: &Entry, what: &str) -> crate::audit::AuditResult {
         use crate::audit::violated;
         if self.payloads.get(slot).is_none_or(|p| p.is_none()) {
@@ -817,7 +818,6 @@ mod proptests {
                     model.live.iter().map(|(t, _, _)| *t).min()
                 );
             }
-            #[cfg(any(debug_assertions, feature = "audit"))]
             q.audit().expect("invariants hold mid-drain");
             // Drain: remaining pops agree to the end.
             loop {

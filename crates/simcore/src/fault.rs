@@ -13,12 +13,7 @@
 //! with a consumed-bitmap so each injected fault fires **at most
 //! once** — retry loops cannot spin forever on one event, and replays
 //! are bit-identical.
-//!
-//! For event-driven worlds, [`FaultPlan::schedule_into`] plants each
-//! event in an [`Engine`](crate::engine::Engine) queue; the world
-//! applies it through the [`FaultSink`] trait.
 
-use crate::engine::Engine;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 
@@ -223,21 +218,6 @@ impl FaultPlan {
         }
         h.finish()
     }
-
-    /// Plants every event into an engine queue; when the event fires,
-    /// the world applies it through [`FaultSink`].
-    pub fn schedule_into<W: FaultSink>(&self, engine: &mut Engine<W>) {
-        for e in self.events.iter().cloned() {
-            engine.schedule_at(e.at, move |w: &mut W, _| w.apply_fault(&e));
-        }
-    }
-}
-
-/// A world that can absorb injected faults from an engine-scheduled
-/// plan.
-pub trait FaultSink {
-    /// Applies one fault at its scheduled time.
-    fn apply_fault(&mut self, event: &FaultEvent);
 }
 
 /// A consuming cursor over a [`FaultPlan`]: each event fires at most
@@ -499,31 +479,6 @@ mod tests {
         assert_eq!(FaultKind::StorageIoError.layer(), FaultLayer::Storage);
         assert_eq!(FaultKind::NfsTimeout.layer(), FaultLayer::Vfs);
         assert_eq!(FaultKind::HostCrash.counter_name(), "fault.host_crash");
-    }
-
-    #[test]
-    fn engine_scheduled_plan_applies_through_the_sink() {
-        #[derive(Default)]
-        struct World {
-            applied: Vec<(SimTime, String)>,
-        }
-        impl FaultSink for World {
-            fn apply_fault(&mut self, event: &FaultEvent) {
-                self.applied.push((event.at, event.target.clone()));
-            }
-        }
-        let plan = FaultPlan::new()
-            .with("V0", t(3), FaultKind::HostCrash)
-            .with("lan", t(1), FaultKind::LinkLoss);
-        let mut engine = Engine::new();
-        plan.schedule_into(&mut engine);
-        let mut world = World::default();
-        engine.run(&mut world);
-        assert_eq!(
-            world.applied,
-            vec![(t(1), "lan".to_owned()), (t(3), "V0".to_owned())]
-        );
-        assert_eq!(engine.now(), t(3));
     }
 
     #[test]

@@ -16,11 +16,10 @@
 //! * [`rng`] — a seedable, splittable PRNG ([`SimRng`](rng::SimRng),
 //!   xoshiro256++) plus the distributions the workload and load-trace
 //!   generators need.
-//! * [`event`] + [`engine`] — the event queue and executor. Events are
-//!   [`Event<W>`](engine::Event) handlers over a caller-supplied world
-//!   type — function pointers with up to two inline argument words
-//!   stored directly in recycled arena slots, with a counted `Box`
-//!   fallback for closures with larger captures — ordered by
+//! * [`event`] + [`engine`] — the event queue and executor. An event
+//!   is a function pointer over a caller-supplied world type plus two
+//!   words of state, stored directly in a recycled arena slot, so
+//!   scheduling never allocates. Events are ordered by
 //!   `(time, sequence)` so same-time events run in schedule order
 //!   (deterministic tie-breaking) in an index-tracked 4-ary heap with
 //!   in-place cancellation.
@@ -76,11 +75,12 @@
 //! #[derive(Default)]
 //! struct World { ticks: u32 }
 //!
-//! let mut engine = Engine::new();
+//! let mut engine: Engine<World> = Engine::new();
 //! let mut world = World::default();
-//! engine.schedule_in(SimDuration::from_secs(1), |w: &mut World, en| {
+//! // A handler gets the event's two words, the world and the engine.
+//! engine.schedule_in(SimDuration::from_secs(1), [0; 2], |_, w, en| {
 //!     w.ticks += 1;
-//!     en.schedule_in(SimDuration::from_secs(1), |w: &mut World, _| w.ticks += 1);
+//!     en.schedule_in(SimDuration::from_secs(1), [0; 2], |_, w, _| w.ticks += 1);
 //! });
 //! engine.run(&mut world);
 //! assert_eq!(world.ticks, 2);
@@ -90,7 +90,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-#[cfg(any(debug_assertions, feature = "audit"))]
+#[cfg(any(debug_assertions, test, feature = "audit"))]
 pub mod audit;
 pub mod engine;
 pub mod event;

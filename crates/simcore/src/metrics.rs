@@ -77,8 +77,13 @@ pub struct Metrics {
 
 impl Metrics {
     /// An empty registry.
-    pub fn new() -> Self {
-        Metrics::default()
+    pub const fn new() -> Self {
+        Metrics {
+            counters: BTreeMap::new(),
+            gauges: BTreeMap::new(),
+            timers: BTreeMap::new(),
+            histograms: BTreeMap::new(),
+        }
     }
 
     /// True when nothing has been recorded.
@@ -211,33 +216,85 @@ impl fmt::Display for Metrics {
     }
 }
 
+/// A metrics context: a named registry plus the cells of the
+/// pre-resolved [`Counter`] handles recorded into it.
+///
+/// Each thread has one installed, which the free functions and
+/// [`Counter::add`] record into. Code that runs work on behalf of
+/// several owners on one thread gives each owner a context of its own
+/// and [`swap`]s it in while the owner's work runs.
+#[derive(Debug)]
+pub struct Context {
+    registry: Metrics,
+    /// Counter values indexed by registry slot, folded into
+    /// `registry` by name on harvest: an increment is one array add,
+    /// with no string hash and no map walk.
+    cells: Vec<u64>,
+}
+
+impl Default for Context {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Context {
+    /// An empty context with a cell for every counter registered so
+    /// far, so no [`Counter::add`] into it regrows the cells once the
+    /// process has warmed up.
+    pub fn new() -> Self {
+        let registered = COUNTER_REGISTRY
+            .lock()
+            .expect("counter registry poisoned")
+            .len();
+        Context {
+            registry: Metrics::new(),
+            cells: vec![0; registered],
+        }
+    }
+
+    /// Folds the counter cells into the registry by name, zeroing
+    /// them, and returns the registry: everything recorded into this
+    /// context.
+    pub fn fold(&mut self) -> &Metrics {
+        if self.cells.iter().any(|&v| v != 0) {
+            let names = COUNTER_REGISTRY.lock().expect("counter registry poisoned");
+            for (slot, v) in self.cells.iter_mut().enumerate() {
+                if *v != 0 {
+                    self.registry.counter_add(names[slot], std::mem::take(v));
+                }
+            }
+        }
+        &self.registry
+    }
+
+    /// True when nothing has been recorded.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.registry.is_empty() && self.cells.iter().all(|&v| v == 0)
+    }
+}
+
 thread_local! {
-    static CONTEXT: RefCell<Metrics> = RefCell::new(Metrics::new());
-    /// Flat per-thread cells for pre-resolved [`Counter`] handles:
-    /// indexed by registry slot, folded into the named registry on
-    /// harvest. Hot-loop increments touch only this vector — no
-    /// string hash, no `BTreeMap` walk.
-    static FAST_COUNTERS: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
-    /// Per-thread snapshot of [`COUNTER_REGISTRY`]: slot → name.
-    /// Refreshed (under the registry lock) only when a harvest sees
-    /// cells beyond the snapshot, so steady-state harvests — the
-    /// sharded synchronizer does one per site per window — stay
-    /// entirely lock-free.
-    static REGISTRY_CACHE: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
+    static CONTEXT: RefCell<Context> = const {
+        RefCell::new(Context {
+            registry: Metrics::new(),
+            cells: Vec::new(),
+        })
+    };
 }
 
 /// Global slot registry backing [`Counter`] handles: slot index →
-/// counter name. Locked only on first use of each handle and on
-/// harvest, never on the increment path.
+/// counter name. Locked on first use of each handle and when a
+/// context is created or folded, never on the increment path.
 static COUNTER_REGISTRY: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
 
 /// A pre-resolved counter handle for hot loops.
 ///
 /// A `Counter` is declared once as a `static` and resolves its
 /// registry slot on first use; after that, [`add`](Counter::add) is an
-/// index into a thread-local vector — no string hashing per increment,
-/// unlike [`counter_add`]. Values land under the same name in the
-/// harvested [`Metrics`], so reports and their merge order are
+/// index into the thread's context cells — no string hashing per
+/// increment, unlike [`counter_add`]. Values land under the same name
+/// in the harvested [`Metrics`], so reports and their merge order are
 /// unchanged.
 ///
 /// ```
@@ -282,8 +339,8 @@ impl Counter {
     /// Adds `delta` to this counter in the current thread's context.
     pub fn add(&self, delta: u64) {
         let slot = self.slot();
-        FAST_COUNTERS.with(|f| {
-            let mut cells = f.borrow_mut();
+        CONTEXT.with(|c| {
+            let cells = &mut c.borrow_mut().cells;
             if cells.len() <= slot {
                 cells.resize(slot + 1, 0);
             }
@@ -292,147 +349,39 @@ impl Counter {
     }
 }
 
-/// Folds this thread's fast-counter cells into `m` by name and zeroes
-/// them.
-fn drain_fast(m: &mut Metrics) {
-    FAST_COUNTERS.with(|f| {
-        let mut cells = f.borrow_mut();
-        if cells.iter().all(|&v| v == 0) {
-            return;
-        }
-        REGISTRY_CACHE.with(|rc| {
-            let mut cache = rc.borrow_mut();
-            if cache.len() < cells.len() {
-                let reg = COUNTER_REGISTRY.lock().expect("counter registry poisoned");
-                cache.clear();
-                cache.extend(reg.iter().copied());
-            }
-            for (slot, v) in cells.iter_mut().enumerate() {
-                if *v != 0 {
-                    m.counter_add(cache[slot], *v);
-                    *v = 0;
-                }
-            }
-        });
-    });
-}
-
-/// Clears this thread's metrics context. The replication runner calls
-/// this before each replication so contexts never bleed across
-/// replications sharing an OS thread.
+/// Installs an empty context on this thread, with a cell for every
+/// counter registered so far. The replication runner calls this before
+/// each replication so contexts never bleed across replications
+/// sharing an OS thread, and no `Counter::add` mid-replication regrows
+/// the cells.
 pub fn reset() {
-    CONTEXT.with(|c| *c.borrow_mut() = Metrics::new());
-    FAST_COUNTERS.with(|f| f.borrow_mut().iter_mut().for_each(|v| *v = 0));
+    CONTEXT.with(|c| *c.borrow_mut() = Context::new());
 }
 
-/// [`reset`] plus pre-sizing: grows this thread's fast-counter cells
-/// to cover every counter registered so far, so no `Counter::add`
-/// mid-replication has to regrow the vector. The replication runner
-/// calls this before each replication — by then the first replication
-/// (or the process's warm-up) has registered the hot counters.
-pub fn reset_presized() {
-    CONTEXT.with(|c| *c.borrow_mut() = Metrics::new());
-    let registered = COUNTER_REGISTRY
-        .lock()
-        .expect("counter registry poisoned")
-        .len();
-    FAST_COUNTERS.with(|f| {
-        let mut cells = f.borrow_mut();
-        cells.iter_mut().for_each(|v| *v = 0);
-        if cells.len() < registered {
-            cells.resize(registered, 0);
-        }
-    });
-}
-
-/// Takes this thread's metrics context, leaving an empty one.
-/// Pre-resolved [`Counter`] cells are folded in by name.
+/// Takes everything recorded into this thread's context as one
+/// registry, leaving the context empty.
 pub fn take() -> Metrics {
-    let mut m = CONTEXT.with(|c| std::mem::take(&mut *c.borrow_mut()));
-    drain_fast(&mut m);
-    m
-}
-
-/// Swaps this thread's context with `m`: installs `m` as the registry
-/// the free functions record into and hands back the one it replaces.
-/// Pre-resolved [`Counter`] cells are not touched; they keep
-/// accumulating per thread until [`take`], [`harvest_into`] or
-/// [`drain_fast_cells`] claims them.
-///
-/// This is how code that runs work on behalf of different owners on
-/// one thread keeps each owner's activity in the owner's own registry:
-/// the sharded synchronizer installs a site's registry for the site's
-/// window and swaps it back out after — two swaps per window, with no
-/// registry built, merged or freed. Recording into the
-/// installed registry is exactly recording into an owner-held
-/// [`Metrics`], so a gauge keeps its last write and timers accumulate
-/// in one distribution, however the owner's work is cut into windows.
-pub fn swap(m: &mut Metrics) {
-    CONTEXT.with(|c| std::mem::swap(&mut *c.borrow_mut(), m));
-}
-
-/// Harvests this thread's metrics activity since the last harvest
-/// directly into `m`: pre-resolved [`Counter`] cells fold straight in,
-/// and any slow-path context activity (string-keyed counters, gauges,
-/// timers, histograms) is folded in and cleared.
-///
-/// This is the cheapest harvest for activity too sparse to deserve a
-/// registry of its own, for callers that guarantee the ambient
-/// context is empty when the activity begins. The sharded
-/// synchronizer's mailbox drain qualifies: its run saves the ambient
-/// context up front. Owners with steady activity want [`swap`], which
-/// keeps the owner's registry installed while its work runs.
-pub fn harvest_into(m: &mut Metrics) {
-    drain_fast(m);
     CONTEXT.with(|c| {
         let mut ctx = c.borrow_mut();
-        if !ctx.is_empty() {
-            m.merge(&ctx);
-            *ctx = Metrics::new();
-        }
-    });
+        ctx.fold();
+        std::mem::take(&mut ctx.registry)
+    })
 }
 
-/// Drains this thread's fast-counter cells into a plain slot-indexed
-/// accumulator, growing `acc` to cover every cell and zeroing the
-/// cells — no name resolution, no map walk, just array adds. The
-/// accumulator materializes into named counters via [`fold_cells`],
-/// typically once at the end of the owner's run; between the two, the
-/// same empty-ambient-context precondition as [`harvest_into`]
-/// applies. Callers that also use slow-path metrics pair this with
-/// [`swap`], which installs the owner's registry for them.
-pub fn drain_fast_cells(acc: &mut Vec<u64>) {
-    FAST_COUNTERS.with(|f| {
-        let mut cells = f.borrow_mut();
-        if cells.len() > acc.len() {
-            acc.resize(cells.len(), 0);
-        }
-        for (a, v) in acc.iter_mut().zip(cells.iter_mut()) {
-            *a += std::mem::take(v);
-        }
-    });
-}
-
-/// Folds a slot-indexed accumulator filled by [`drain_fast_cells`]
-/// into `m` by registry name, zeroing it.
-pub fn fold_cells(acc: &mut [u64], m: &mut Metrics) {
-    if acc.iter().all(|&v| v == 0) {
-        return;
-    }
-    REGISTRY_CACHE.with(|rc| {
-        let mut cache = rc.borrow_mut();
-        if cache.len() < acc.len() {
-            let reg = COUNTER_REGISTRY.lock().expect("counter registry poisoned");
-            cache.clear();
-            cache.extend(reg.iter().copied());
-        }
-        for (slot, v) in acc.iter_mut().enumerate() {
-            if *v != 0 {
-                m.counter_add(cache[slot], *v);
-                *v = 0;
-            }
-        }
-    });
+/// Swaps this thread's context with `ctx`, registry and counter cells
+/// together: installs `ctx` as the context that every recording call
+/// on this thread lands in and hands back the one it replaces.
+///
+/// This is how code that runs work on behalf of different owners on
+/// one thread keeps each owner's activity in the owner's own context:
+/// the sharded synchronizer installs a site's context for the site's
+/// window and swaps it back out after — two swaps per window, with no
+/// registry built, merged or freed and no cells drained. Recording
+/// into the installed context is exactly recording into an owner-held
+/// one, so a gauge keeps its last write and timers accumulate in one
+/// distribution, however the owner's work is cut into windows.
+pub fn swap(ctx: &mut Context) {
+    CONTEXT.with(|c| std::mem::swap(&mut *c.borrow_mut(), ctx));
 }
 
 /// Folds a harvested registry back into this thread's context — the
@@ -441,29 +390,29 @@ pub fn fold_cells(acc: &mut [u64], m: &mut Metrics) {
 /// order, so a run's merged metrics land in whatever context invoked
 /// it (a replication, a test, a bench sample).
 pub fn merge_current(m: &Metrics) {
-    CONTEXT.with(|c| c.borrow_mut().merge(m));
+    CONTEXT.with(|c| c.borrow_mut().registry.merge(m));
 }
 
 /// Adds `delta` to a counter in this thread's context.
 pub fn counter_add(name: &'static str, delta: u64) {
-    CONTEXT.with(|c| c.borrow_mut().counter_add(name, delta));
+    CONTEXT.with(|c| c.borrow_mut().registry.counter_add(name, delta));
 }
 
 /// Sets a gauge in this thread's context.
 pub fn gauge_set(name: &'static str, value: f64) {
-    CONTEXT.with(|c| c.borrow_mut().gauge_set(name, value));
+    CONTEXT.with(|c| c.borrow_mut().registry.gauge_set(name, value));
 }
 
 /// Records a duration (seconds) against a timer in this thread's
 /// context.
 pub fn timer_record(name: &'static str, secs: f64) {
-    CONTEXT.with(|c| c.borrow_mut().timer_record(name, secs));
+    CONTEXT.with(|c| c.borrow_mut().registry.timer_record(name, secs));
 }
 
 /// Records a value into a log-scale histogram in this thread's
 /// context. See [`Metrics::histogram_record`].
 pub fn histogram_record(name: &'static str, v: u64) {
-    CONTEXT.with(|c| c.borrow_mut().histogram_record(name, v));
+    CONTEXT.with(|c| c.borrow_mut().registry.histogram_record(name, v));
 }
 
 #[cfg(test)]
@@ -588,26 +537,30 @@ mod tests {
     }
 
     #[test]
-    fn swap_installs_a_registry_and_leaves_fast_cells_alone() {
+    fn swap_moves_counter_cells_with_the_context() {
         static HANDLE: Counter = Counter::new("swap.fast");
         reset();
-        let mut owned = Metrics::new();
-        owned.gauge_set("swap.gauge", 1.0);
+        HANDLE.add(1);
+        let mut owned = Context::new();
         swap(&mut owned);
-        assert!(owned.is_empty(), "the replaced context was empty");
+        gauge_set("swap.gauge", 1.0);
         gauge_set("swap.gauge", 2.0);
         timer_record("swap.timer", 0.25);
         HANDLE.add(3);
         swap(&mut owned);
-        // Slow-path activity landed in the installed registry, the
-        // gauge keeping its last write as in any one registry.
-        let g = owned.gauge("swap.gauge").expect("set");
+        // Everything recorded while the owner's context was installed
+        // landed in it, the gauge keeping its last write as in any one
+        // registry, and the counter in the owner's own cells.
+        let m = owned.fold();
+        let g = m.gauge("swap.gauge").expect("set");
         assert_eq!((g.count(), g.mean()), (1, 2.0));
-        assert_eq!(owned.timer("swap.timer").map(TimerStat::count), Some(1));
-        assert_eq!(owned.counter("swap.fast"), 0, "cells stay with the thread");
+        assert_eq!(m.timer("swap.timer").map(TimerStat::count), Some(1));
+        assert_eq!(m.counter("swap.fast"), 3);
+        // The thread's own context saw none of it.
         let rest = take();
-        assert_eq!(rest.counter("swap.fast"), 3);
+        assert_eq!(rest.counter("swap.fast"), 1);
         assert!(rest.gauge("swap.gauge").is_none());
+        assert!(rest.timer("swap.timer").is_none());
     }
 
     #[test]

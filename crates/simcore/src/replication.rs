@@ -168,10 +168,7 @@ impl ReplicationRunner {
             };
             // A fresh context per replication: activity from other
             // replications sharing this OS thread must not bleed in.
-            // Pre-sized to the counters registered so far, so hot
-            // Counter::add calls never regrow the cell vector
-            // mid-replication.
-            metrics::reset_presized();
+            metrics::reset();
             let result = f(&ctx);
             (result, metrics::take())
         };

@@ -12,7 +12,7 @@
 //! ## The window protocol
 //!
 //! A [`ShardedSim`] owns one `SiteRuntime` per site — its own
-//! [`Engine`], world state, [`TraceLog`] segment, [`Metrics`] registry
+//! [`Engine`], world state, [`TraceLog`] segment, metrics context
 //! and (by caller convention) seeded RNG stream — and a
 //! [`LookaheadMatrix`], whose entry `la(s, d)` bounds how soon anything
 //! sent at site `s` can reach site `d`. `run` repeats:
@@ -48,14 +48,21 @@
 //! `(time, seq)` order over local state) do not depend on how sites
 //! are packed into shards or shards onto threads, which only decide
 //! *which OS thread* runs a site's window. Traces live per site and
-//! digest in site order. A site's own [`Metrics`] registry is the
-//! executing thread's context for the whole of each of its windows
-//! ([`metrics::swap`]), and its counter cells drain into a per-site
-//! accumulator; registries merge in site order into the caller's
-//! context, which is saved before the run. So a gauge keeps its last
-//! write per site and a timer one distribution per site wherever the
-//! windows fall: two matrices over one world cut different windows
-//! but report the same metrics apart from `shard.windows`.
+//! digest in site order. A site's own metrics context, registry and
+//! counter cells together, is the executing thread's context for the
+//! whole of each of its windows ([`metrics::swap`]); the sites'
+//! registries merge in site order into the caller's context, which is
+//! saved before the run. So a gauge keeps its last write per site and
+//! a timer one distribution per site wherever the windows fall.
+//!
+//! Two lookahead matrices over one world cut different windows. They
+//! report the same history and the same metrics apart from
+//! `shard.windows` when no message arrives at the same instant as
+//! another event at its destination. Otherwise they can differ: a
+//! message takes its queue sequence number, which breaks same-instant
+//! ties, at the window boundary that delivers it, and where those
+//! boundaries fall depends on the matrix. ROADMAP.md's item on making
+//! same-instant order part of the model would remove that dependence.
 //!
 //! A panic on any thread — an event handler's, a self-send's, the
 //! drain's lookahead violation — is caught where it happens; every
@@ -75,10 +82,9 @@
 //!
 //! ## Allocation-free delivery
 //!
-//! Delivery schedules each message through the engine's 32-byte
-//! inline event machinery: the world's
-//! [`encode_msg`](ShardWorld::encode_msg) packs it into two machine
-//! words ([`Event::Arg2`](crate::engine::Event)) and
+//! Delivery schedules each message as an ordinary 24-byte engine
+//! event: the world's [`encode_msg`](ShardWorld::encode_msg) packs it
+//! into the event's two words and
 //! [`decode_msg`](ShardWorld::decode_msg) unpacks it at the
 //! destination. Together with the double-buffered outboxes
 //! (reallocations counted by `shard.outbox_regrown`), steady-state
@@ -102,7 +108,7 @@
 //!     fn deliver(msg: u64, site: &mut SiteState<Self>, _: &mut Engine<SiteState<Self>>) {
 //!         site.world.received += msg;
 //!     }
-//!     // Pack the payload into the inline event words: delivery
+//!     // Pack the payload into the event's two words: delivery
 //!     // never touches the allocator.
 //!     fn encode_msg(msg: u64) -> [u64; 2] { [msg, 0] }
 //!     fn decode_msg(words: [u64; 2]) -> u64 { words[0] }
@@ -111,8 +117,8 @@
 //! let lookahead = LookaheadMatrix::uniform(2, SimDuration::from_millis(5));
 //! let mut sim = ShardedSim::new(lookahead, (0..2).map(|_| Counter { received: 0 }));
 //! sim.with_site(0, |_, en| {
-//!     en.schedule_at(SimTime::ZERO, move |site: &mut SiteState<Counter>, en| {
-//!         site.send(SiteId(1), en.now() + SimDuration::from_millis(5), 7);
+//!     en.schedule_at(SimTime::ZERO, [7, 0], |words, site, en| {
+//!         site.send(SiteId(1), en.now() + SimDuration::from_millis(5), words[0]);
 //!     });
 //! });
 //! sim.run();
@@ -177,10 +183,9 @@ pub trait ShardWorld: Send + Sized + 'static {
     /// schedule follow-ups and send further messages.
     fn deliver(msg: Self::Msg, site: &mut SiteState<Self>, en: &mut Engine<SiteState<Self>>);
 
-    /// Packs a message into the two inline event words the mailbox
-    /// drain delivers it in ([`Event::Arg2`](crate::engine::Event)),
-    /// so delivery never allocates. Implementations must round-trip:
-    /// `decode_msg(encode_msg(m)) == m`.
+    /// Packs a message into the two words of the engine event that
+    /// delivers it, so delivery never allocates. Implementations must
+    /// round-trip: `decode_msg(encode_msg(m)) == m`.
     fn encode_msg(msg: Self::Msg) -> [u64; 2];
 
     /// Reverses [`encode_msg`](Self::encode_msg).
@@ -194,9 +199,8 @@ pub trait ShardWorld: Send + Sized + 'static {
     fn flush_metrics(&mut self) {}
 }
 
-/// The delivery trampoline: a plain `fn` item, so it fits
-/// [`Event::Arg2`](crate::engine::Event) as a function pointer with
-/// the encoded words as its argument.
+/// The delivery trampoline: a plain `fn` item, so it is an engine
+/// event's handler with the encoded message as its words.
 fn deliver_inline<W: ShardWorld>(
     words: [u64; 2],
     state: &mut SiteState<W>,
@@ -270,18 +274,14 @@ impl<W: ShardWorld> SiteState<W> {
     }
 }
 
-/// One site's execution state: its engine, world, metrics registry
+/// One site's execution state: its engine, world, metrics context
 /// and the bounds of its windows.
 struct SiteRuntime<W: ShardWorld> {
     en: Engine<SiteState<W>>,
     state: SiteState<W>,
-    /// The site's registry, installed as the thread's metrics context
-    /// while the site's window runs ([`run_site_window`]).
-    metrics: Metrics,
-    /// Slot-indexed fast-counter accumulator: each window drains the
-    /// thread's counter cells here; names materialize once per run via
-    /// [`metrics::fold_cells`].
-    fast: Vec<u64>,
+    /// The site's metrics context, installed as the thread's while the
+    /// site's window runs ([`run_site_window`]).
+    metrics: metrics::Context,
     /// The running maximum of the bounds the site actually guaranteed:
     /// it has executed everything strictly before `safe`, so the drain
     /// rejects a message arriving earlier as a lookahead violation.
@@ -335,8 +335,7 @@ impl<W: ShardWorld> ShardedSim<W> {
                         echo_row: Vec::new(),
                         echo_min: u64::MAX,
                     },
-                    metrics: Metrics::new(),
-                    fast: Vec::new(),
+                    metrics: metrics::Context::new(),
                     safe: 0,
                 })
             })
@@ -360,8 +359,10 @@ impl<W: ShardWorld> ShardedSim<W> {
     /// Replaces the lookahead matrix — how a comparison re-runs a
     /// built world under [`LookaheadMatrix::uniform`] at its
     /// topology's minimum latency. Any matrix whose entries are at
-    /// most the latencies the world sends at gives the same history;
-    /// matrices differ only in the windows they cut.
+    /// most the latencies the world sends at runs the world safely,
+    /// and gives the same history when no message arrives at the same
+    /// instant as another event at its destination (see the
+    /// [module docs](self)).
     ///
     /// # Panics
     ///
@@ -505,13 +506,13 @@ impl<W: ShardWorld> ShardedSim<W> {
         h.finish()
     }
 
-    /// Coordinator metrics (`shard.windows`, `shard.messages`, drain
-    /// scheduling) merged with every site's registry in site-id
-    /// order.
+    /// Coordinator metrics (`shard.windows`, `shard.messages`,
+    /// `shard.outbox_regrown`) merged with every site's registry in
+    /// site-id order.
     pub fn merged_metrics(&mut self) -> Metrics {
         let mut m = self.coord.clone();
         for site in &mut self.sites {
-            m.merge(&runtime(site).metrics);
+            m.merge(runtime(site).metrics.fold());
         }
         m
     }
@@ -577,22 +578,20 @@ impl<W: ShardWorld> ShardedSim<W> {
         }
         self.coord.counter_add("shard.windows", self.windows);
         self.coord.counter_add("shard.messages", self.messages);
-        // Materialize the zero-allocation counters even when nothing
-        // incremented them: a steady-state run *proves* its fast path
-        // by showing these at 0 rather than omitting them.
-        self.coord.counter_add("sim.events_boxed", 0);
+        // Materialize the zero-allocation counter even when nothing
+        // incremented it: a steady-state run *proves* its fast path
+        // by showing it at 0 rather than omitting it.
         self.coord.counter_add("shard.outbox_regrown", 0);
         metrics::merge_current(&ambient);
         metrics::merge_current(&self.coord);
         for site in &mut self.sites {
             let rt = runtime(site);
-            // The world publishes its plain-field tallies into this
-            // thread's cells; claiming them before the fold keeps the
-            // attribution per-site.
+            // The world publishes its plain-field tallies into the
+            // site's own context.
+            metrics::swap(&mut rt.metrics);
             rt.state.world.flush_metrics();
-            metrics::drain_fast_cells(&mut rt.fast);
-            metrics::fold_cells(&mut rt.fast, &mut rt.metrics);
-            metrics::merge_current(&rt.metrics);
+            metrics::swap(&mut rt.metrics);
+            metrics::merge_current(rt.metrics.fold());
         }
     }
 
@@ -613,7 +612,6 @@ impl<W: ShardWorld> ShardedSim<W> {
             let end = now + SimDuration::from_nanos(1);
             self.total_events += rt.en.run_before(&mut rt.state, end);
             metrics::swap(&mut rt.metrics);
-            metrics::drain_fast_cells(&mut rt.fast);
             for d in rt.state.dirty.drain(..) {
                 let batch = rt.state.outboxes[d as usize].drain(..);
                 sent.extend(batch.map(|(at, msg)| (d as usize, at, msg)));
@@ -628,12 +626,11 @@ impl<W: ShardWorld> ShardedSim<W> {
                 );
                 let rt = runtime(&mut self.sites[dst]);
                 rt.en
-                    .schedule_arg2_at(at, W::encode_msg(msg), deliver_inline::<W>);
+                    .schedule_at(at, W::encode_msg(msg), deliver_inline::<W>);
                 self.messages += 1;
             }
         }
         self.critical_events = self.total_events;
-        metrics::harvest_into(&mut self.coord);
     }
 
     /// The window loop. The caller's thread is worker 0 and the
@@ -683,7 +680,7 @@ impl<W: ShardWorld> ShardedSim<W> {
             }
             loop {
                 let busy = failure.catch(|| {
-                    self.messages += drain_segment(&mut self.coord, sites, &mut buf);
+                    self.messages += drain_segment(sites, &mut buf);
                     // One pass over the whole matrix while it is hot in
                     // cache, rather than a column per site-window.
                     for (i, h) in horizons.iter().enumerate() {
@@ -869,7 +866,7 @@ fn deliver_batch<W: ShardWorld>(
             SimTime::from_nanos(rt.safe)
         );
         rt.en
-            .schedule_arg2_at(at, W::encode_msg(msg), deliver_inline::<W>);
+            .schedule_at(at, W::encode_msg(msg), deliver_inline::<W>);
     }
     delivered
 }
@@ -882,11 +879,8 @@ fn deliver_batch<W: ShardWorld>(
 ///
 /// On the way it records each site's earliest pending event in
 /// `buf.times` (`u64::MAX` when idle): a source's when its turn comes,
-/// and a destination's again after its batch lands. Message
-/// scheduling's metrics are harvested into `coord`, apart from the
-/// sites' registries.
+/// and a destination's again after its batch lands.
 fn drain_segment<W: ShardWorld>(
-    coord: &mut Metrics,
     sites: &[Mutex<SiteRuntime<W>>],
     buf: &mut CoordBuffers<(SimTime, W::Msg)>,
 ) -> u64 {
@@ -914,10 +908,6 @@ fn drain_segment<W: ShardWorld>(
         }
         buf.dirty.clear();
     }
-    if delivered > 0 {
-        // Scheduling ran against the run's empty context.
-        metrics::harvest_into(coord);
-    }
     delivered
 }
 
@@ -939,8 +929,8 @@ fn horizon(matrix: &LookaheadMatrix, times: &[u64], i: usize) -> u64 {
 }
 
 /// Executes one site's share of a window, up to its cross-source
-/// horizon `h_cross`, with the site's own metrics registry installed
-/// as the thread's metrics context. Returns how many events ran.
+/// horizon `h_cross`, with the site's own metrics context installed
+/// as the thread's. Returns how many events ran.
 ///
 /// The site self-limits against its own sends: it runs in chunks of
 /// at most `rt_self`, its minimum round trip, past its next event,
@@ -958,7 +948,7 @@ fn run_site_window<W: ShardWorld>(rt: &mut SiteRuntime<W>, h_cross: u64, rt_self
     metrics::swap(&mut rt.metrics);
     debug_assert!(
         rt.metrics.is_empty(),
-        "{}: the metrics context a site's registry replaces must be empty",
+        "{}: a site's metrics context must replace an empty one",
         rt.state.id
     );
     let mut ran = 0u64;
@@ -989,7 +979,6 @@ fn run_site_window<W: ShardWorld>(rt: &mut SiteRuntime<W>, h_cross: u64, rt_self
     // lower.
     rt.safe = rt.safe.max(achieved);
     metrics::swap(&mut rt.metrics);
-    metrics::drain_fast_cells(&mut rt.fast);
     ran
 }
 
@@ -1025,7 +1014,11 @@ mod tests {
         }
     }
 
-    fn tick(left: u64, site: &mut SiteState<PingWorld>, en: &mut Engine<SiteState<PingWorld>>) {
+    fn tick(
+        [left, _]: [u64; 2],
+        site: &mut SiteState<PingWorld>,
+        en: &mut Engine<SiteState<PingWorld>>,
+    ) {
         metrics::counter_add("ping.ticks", 1);
         let jitter = site.world.rng.next_below(400);
         if left.is_multiple_of(3) {
@@ -1033,7 +1026,7 @@ mod tests {
             site.send(dst, en.now() + LAT, left);
         }
         if left > 0 {
-            en.schedule_arg_in(SimDuration::from_micros(800 + jitter), left - 1, tick);
+            en.schedule_in(SimDuration::from_micros(800 + jitter), [left - 1, 0], tick);
         } else {
             site.trace
                 .record(en.now(), "ping", format!("{} drained", site.id()));
@@ -1054,10 +1047,7 @@ mod tests {
         for i in 0..n as usize {
             sim.with_site(i, |site, en| {
                 let offset = SimDuration::from_micros(100 + 37 * u64::from(site.id().0));
-                en.schedule_event_at(
-                    SimTime::ZERO + offset,
-                    crate::engine::Event::Arg(ticks, tick),
-                );
+                en.schedule_at(SimTime::ZERO + offset, [ticks, 0], tick);
             });
         }
         sim
@@ -1158,11 +1148,6 @@ mod tests {
         let m = sim.merged_metrics();
         assert!(m.counter("shard.messages") > 0, "messages flowed");
         assert_eq!(
-            m.counter("sim.events_boxed"),
-            0,
-            "every mailbox delivery took the inline Arg2 path"
-        );
-        assert_eq!(
             m.counter("shard.outbox_regrown"),
             0,
             "outbox double-buffers never regrew"
@@ -1194,7 +1179,7 @@ mod tests {
         // the coordinator's fixed drain order.
         let mut sim = idle(2).outbox_capacity(1);
         sim.with_site(0, |_, en| {
-            en.schedule_fn_at(SimTime::ZERO, |site: &mut SiteState<Idle>, en| {
+            en.schedule_at(SimTime::ZERO, [0; 2], |_, site, en| {
                 for _ in 0..8 {
                     site.send(SiteId(1), en.now() + LAT, ());
                 }
@@ -1271,18 +1256,17 @@ mod tests {
         assert!(sharded.model_speedup() <= 4.0 + 1e-12);
     }
 
+    /// An event handler on an `Idle` site.
+    type IdleHandler = fn([u64; 2], &mut SiteState<Idle>, &mut Engine<SiteState<Idle>>);
+
     /// Runs an 8-site, 8-shard `Idle` world on `threads` threads with
     /// `first` scheduled at time zero on site 3, and returns the
     /// message of the panic the run must fail with.
-    fn failure_at(
-        threads: usize,
-        run: fn(&mut ShardedSim<Idle>),
-        first: fn(&mut SiteState<Idle>, &mut Engine<SiteState<Idle>>),
-    ) -> String {
+    fn failure_at(threads: usize, run: fn(&mut ShardedSim<Idle>), first: IdleHandler) -> String {
         let run = panic::catch_unwind(|| {
             let mut sim = idle(8).shards(8).threads(threads);
             sim.with_site(3, |_, en| {
-                en.schedule_fn_at(SimTime::ZERO, first);
+                en.schedule_at(SimTime::ZERO, [0; 2], first);
             });
             run(&mut sim);
         });
@@ -1297,7 +1281,7 @@ mod tests {
     /// Asserts the run fails with `expected` at 1, 2 and 8 threads
     /// (on the caller alone, and with the failure on a helper thread),
     /// and so does the sequential reference.
-    fn fails_loudly(expected: &str, first: fn(&mut SiteState<Idle>, &mut Engine<SiteState<Idle>>)) {
+    fn fails_loudly(expected: &str, first: IdleHandler) {
         for threads in [1, 2, 8] {
             let message = failure_at(threads, ShardedSim::run, first);
             assert!(
@@ -1316,23 +1300,23 @@ mod tests {
     fn sends_below_the_lookahead_fail_loudly() {
         // Arriving now, a lookahead short of the earliest legal
         // instant: the destination may already have run past it.
-        fails_loudly("lookahead violation", |site, en| {
+        fails_loudly("lookahead violation", |_, site, en| {
             site.send(SiteId(4), en.now(), ());
         });
     }
 
     #[test]
     fn self_sends_fail_loudly() {
-        fails_loudly("self-send", |site, en| {
+        fails_loudly("self-send", |_, site, en| {
             site.send(site.id(), en.now() + LAT, ());
         });
     }
 
     #[test]
     fn handler_panics_fail_loudly() {
-        fails_loudly("handler exploded", |site, en| {
+        fails_loudly("handler exploded", |_, site, en| {
             // Fail in a later window, after the helpers have run one.
-            en.schedule_fn_in(LAT + LAT, |site: &mut SiteState<Idle>, _| {
+            en.schedule_in(LAT + LAT, [0; 2], |_, site, _| {
                 panic!("{}: handler exploded", site.id());
             });
             site.send(SiteId(4), en.now() + LAT, ());
@@ -1346,7 +1330,7 @@ mod tests {
             metrics::counter_add("ambient.before", 3);
             let mut sim = idle(8).shards(8).threads(threads);
             sim.with_site(3, |_, en| {
-                en.schedule_fn_at(SimTime::ZERO, |site: &mut SiteState<Idle>, _| {
+                en.schedule_at(SimTime::ZERO, [0; 2], |_, site, _| {
                     metrics::counter_add("site.before_failure", 1);
                     panic!("{}: handler exploded", site.id());
                 });
@@ -1414,7 +1398,7 @@ mod tests {
             metrics::timer_record("burst.step_s", 1e-3 * (burst_left + 1) as f64);
             metrics::histogram_record("burst.left", burst_left);
             if burst_left > 0 {
-                en.schedule_arg2_in(
+                en.schedule_in(
                     SimDuration::from_millis(1),
                     [hops_left, burst_left - 1],
                     burst,
@@ -1447,7 +1431,7 @@ mod tests {
             let mut sim = ShardedSim::new(matrix, (0..4).map(|_| Burster));
             for src in [0usize, 2] {
                 sim.with_site(src, |_, en| {
-                    en.schedule_arg2_in(SimDuration::ZERO, [12, 19], burst);
+                    en.schedule_in(SimDuration::ZERO, [12, 19], burst);
                 });
             }
             metrics::reset();

@@ -387,7 +387,7 @@ impl<Tag, T> SlotMap<Tag, T> {
     ///
     /// An [`AuditViolation`](crate::audit::AuditViolation) naming the
     /// broken invariant.
-    #[cfg(any(debug_assertions, feature = "audit"))]
+    #[cfg(any(debug_assertions, test, feature = "audit"))]
     pub fn audit(&self) -> crate::audit::AuditResult {
         use crate::audit::violated;
         // Walk the free list: bounded, in range, and only free slots.
@@ -464,7 +464,7 @@ impl<Tag, T> SlotMap<Tag, T> {
     /// Test-only corruption hook: severs the free list at its head so
     /// the audit's partition check must notice. Compiled only with the
     /// audit layer.
-    #[cfg(any(debug_assertions, feature = "audit"))]
+    #[cfg(any(debug_assertions, test, feature = "audit"))]
     #[doc(hidden)]
     pub fn corrupt_free_list_for_test(&mut self) {
         let beyond = self.slots.len() as u32;
@@ -642,7 +642,7 @@ impl<T> DenseMap<T> {
     ///
     /// An [`AuditViolation`](crate::audit::AuditViolation) naming the
     /// broken invariant.
-    #[cfg(any(debug_assertions, feature = "audit"))]
+    #[cfg(any(debug_assertions, test, feature = "audit"))]
     pub fn audit(&self) -> crate::audit::AuditResult {
         use crate::audit::violated;
         let mut pointed = 0usize;

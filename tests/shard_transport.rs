@@ -1,10 +1,11 @@
 //! Cross-shard transport regressions: the zero-allocation delivery
 //! path and the per-(src,dst) window protocol.
 //!
-//! Local dispatch is allocation-free, pinned by
-//! `sim.events_boxed == 0`; these tests pin the same property for the
-//! cross-shard mailboxes (every VO message rides the inline `Arg2`
-//! event words) and pin the per-pair lookahead protocol's contract:
+//! Every engine event is a function pointer and two words, so local
+//! dispatch is allocation-free by construction; these tests pin the
+//! same property for the cross-shard mailboxes (every VO message rides
+//! its delivery event's two words, and the pre-sized outboxes never
+//! regrow) and pin the per-pair lookahead protocol's contract:
 //! under a topology's lookahead matrix and under the uniform matrix at
 //! its minimum link latency (the global-lookahead protocol), at every
 //! shard/thread packing, the window protocol reproduces the history —
@@ -66,8 +67,8 @@ fn history(
 }
 
 /// Runs a VO world with `run` (the window protocol or the sequential
-/// reference) and returns its history, windows and boxed events.
-fn run_vo(mut sim: ShardedSim<VoSite>, run: fn(&mut ShardedSim<VoSite>)) -> (History, u64, u64) {
+/// reference) and returns its history and windows.
+fn run_vo(mut sim: ShardedSim<VoSite>, run: fn(&mut ShardedSim<VoSite>)) -> (History, u64) {
     metrics::reset();
     run(&mut sim);
     metrics::reset();
@@ -75,7 +76,6 @@ fn run_vo(mut sim: ShardedSim<VoSite>, run: fn(&mut ShardedSim<VoSite>)) -> (His
         .map(|i| sim.with_site(i, |s, _| s.world.checksum))
         .collect();
     let m = sim.merged_metrics();
-    let boxed = m.counter("sim.events_boxed");
     (
         history(
             sim.trace_digest(),
@@ -85,15 +85,14 @@ fn run_vo(mut sim: ShardedSim<VoSite>, run: fn(&mut ShardedSim<VoSite>)) -> (His
             &m,
         ),
         sim.windows(),
-        boxed,
     )
 }
 
 #[test]
 fn steady_state_vo_mailbox_traffic_is_allocation_free() {
-    // The tentpole regression: every cross-site hop in both VO worlds
-    // encodes to the two inline event words, so a steady-state run
-    // boxes nothing — and the pre-sized outboxes never regrow.
+    // Every cross-site hop in both VO worlds encodes to its delivery
+    // event's two words, and the pre-sized outboxes never regrow, so
+    // steady-state mailbox traffic makes no allocator calls.
     let cfg = VoConfig {
         sites: 6,
         hop_per_mille: 200,
@@ -105,7 +104,6 @@ fn steady_state_vo_mailbox_traffic_is_allocation_free() {
     metrics::reset();
     let m = sim.merged_metrics();
     assert!(sim.messages() > 100, "the run must cross shard boundaries");
-    assert_eq!(m.counter("sim.events_boxed"), 0, "boxed cross-shard event");
     assert_eq!(m.counter("shard.outbox_regrown"), 0, "outbox regrew");
 }
 
@@ -125,7 +123,7 @@ fn steady_state_vo_scale_mailbox_traffic_is_allocation_free() {
     metrics::reset();
     let m = sim.merged_metrics();
     assert!(sim.messages() > 100, "the run must cross shard boundaries");
-    assert_eq!(m.counter("sim.events_boxed"), 0, "boxed cross-shard event");
+    assert_eq!(m.counter("shard.outbox_regrown"), 0, "outbox regrew");
 }
 
 #[test]
@@ -145,7 +143,6 @@ fn per_pair_windows_cut_barriers_threefold_on_the_regional_handoff_world() {
             .map(|i| sim.with_site(i, |s, _| s.world.checksum))
             .collect();
         let m = sim.merged_metrics();
-        assert_eq!(m.counter("sim.events_boxed"), 0, "boxed handoff message");
         (
             history(
                 sim.trace_digest(),
@@ -256,21 +253,19 @@ proptest! {
         };
         let uniform = global(&SiteTopology::paper_vo(sites));
         let global_vo = || build_vo(&cfg).with_lookahead(uniform.clone());
-        let (oracle, _, _) = run_vo(build_vo(&cfg), ShardedSim::run_sequential);
-        let (global, global_windows, global_boxed) = run_vo(global_vo(), ShardedSim::run);
-        let (paired, paired_windows, paired_boxed) = run_vo(build_vo(&cfg), ShardedSim::run);
+        let (oracle, _) = run_vo(build_vo(&cfg), ShardedSim::run_sequential);
+        let (global, global_windows) = run_vo(global_vo(), ShardedSim::run);
+        let (paired, paired_windows) = run_vo(build_vo(&cfg), ShardedSim::run);
         prop_assert_eq!(&global, &oracle, "the global protocol diverged from the reference");
         prop_assert_eq!(&paired, &oracle, "per-pair lookahead diverged from the reference");
         prop_assert!(
             paired_windows <= global_windows,
             "per-pair widened windows: {} vs {}", paired_windows, global_windows
         );
-        prop_assert_eq!(global_boxed, 0);
-        prop_assert_eq!(paired_boxed, 0);
         for shards in [2usize, 4, 8] {
             for threads in [1usize, 8] {
                 let sim = build_vo(&cfg).shards(shards).threads(threads);
-                let (got, windows, _) = run_vo(sim, ShardedSim::run);
+                let (got, windows) = run_vo(sim, ShardedSim::run);
                 prop_assert_eq!(
                     &got, &paired,
                     "per-pair diverged at shards={} threads={}", shards, threads
@@ -280,7 +275,7 @@ proptest! {
                     "window count must not depend on packing"
                 );
                 let sim = global_vo().shards(shards).threads(threads);
-                let (got, windows, _) = run_vo(sim, ShardedSim::run);
+                let (got, windows) = run_vo(sim, ShardedSim::run);
                 prop_assert_eq!(
                     &got, &global,
                     "global diverged at shards={} threads={}", shards, threads
