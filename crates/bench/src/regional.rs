@@ -168,8 +168,7 @@ pub fn build_handoff(cfg: &HandoffConfig) -> ShardedSim<HandoffSite> {
                 legs_done: 0,
             }
         }),
-    )
-    .outbox_capacity(4);
+    );
     for r in 0..cfg.regions {
         sim.with_site((2 * r) as usize, |site, en| {
             let steps = u64::from(site.world.burst_steps);

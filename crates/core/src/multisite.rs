@@ -8,7 +8,7 @@
 //! simulated virtual organization with many concurrent sessions per
 //! site, where cross-site traffic (a session migrating to a remote
 //! site, in the spirit of Section 3.1's VM migration) flows through
-//! the deterministic per-(src,dst) mailboxes and everything local —
+//! the deterministic per-site outboxes and everything local —
 //! work steps, crash/retry recovery — stays on the site's own event
 //! queue. Results are bit-identical at any shard/thread count; the
 //! shard sweep in `tests/determinism.rs` and the sharded golden trace
@@ -239,10 +239,6 @@ pub fn build_vo(cfg: &VoConfig) -> ShardedSim<VoSite> {
             checksum: 0,
         }),
     );
-    // A site's per-window traffic to one destination is bounded by its
-    // hopping sessions; pre-size the outboxes so steady state never
-    // regrows them.
-    sim = sim.outbox_capacity((cfg.sessions_per_site as usize).clamp(8, 64));
     for i in 0..cfg.sites as usize {
         sim.with_site(i, |site, en| {
             for k in 0..cfg.sessions_per_site {
@@ -752,9 +748,6 @@ pub fn build_vo_scale(cfg: &VoScaleConfig) -> ShardedSim<VoScaleSite> {
             }
         }),
     );
-    // Hint kept modest: outboxes are lazily sized, so hundreds of
-    // sites do not pay O(sites²·hint) resident memory up front.
-    sim = sim.outbox_capacity(16);
     let steps = u64::from(cfg.steps_per_session);
     for i in 0..n {
         let site_sessions = cfg.sessions_at(i);

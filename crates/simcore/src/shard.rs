@@ -17,15 +17,16 @@
 //! [`LookaheadMatrix`], whose entry `la(s, d)` bounds how soon anything
 //! sent at site `s` can reach site `d`. `run` repeats:
 //!
-//! 1. **Drain mailboxes** in ascending source site id: each non-empty
-//!    (src,dst) outbox is swapped out under the source's lock and
-//!    scheduled into its destination under one destination lock per
-//!    batch, recycling buffer capacity so steady-state traffic
-//!    allocates nothing. A message timestamped before its
-//!    destination's already-executed bound is a *lookahead violation*
-//!    and panics: it was sent below the declared link latency. Under
-//!    the same locks the drain records every site's earliest pending
-//!    event `t_s`.
+//! 1. **Drain mailboxes** in ascending source site id: each site's
+//!    non-empty outbox is swapped with one scratch buffer under the
+//!    source's lock, and its messages, in send order, are scheduled
+//!    into their destinations under one destination lock each. The
+//!    buffers' capacity circulates, so steady-state traffic allocates
+//!    nothing. A message timestamped before its destination's
+//!    already-executed bound is a *lookahead violation* and panics:
+//!    it was sent below the declared link latency. Under the same
+//!    locks the drain records every site's earliest pending event
+//!    `t_s`.
 //! 2. **Compute horizons**: site `i`'s is `min over active sources
 //!    s ≠ i of (t_s + la(s, i))`, all sites in one pass over the
 //!    matrix. Where metro and WAN latencies mix, these are far wider
@@ -86,9 +87,13 @@
 //! event: the world's [`encode_msg`](ShardWorld::encode_msg) packs it
 //! into the event's two words and
 //! [`decode_msg`](ShardWorld::decode_msg) unpacks it at the
-//! destination. Together with the double-buffered outboxes
-//! (reallocations counted by `shard.outbox_regrown`), steady-state
-//! mailbox traffic makes zero allocator calls.
+//! destination. Each site has one outbox, which reserves room for
+//! `OUTBOX_RESERVE` (128) messages up front and trades buffers with
+//! the drain's scratch `Vec` at every window boundary; a site that
+//! queues more in one window regrows its buffer, counted by
+//! `shard.outbox_regrown`. So steady-state mailbox traffic makes zero
+//! allocator calls, and the mailboxes' memory grows with the sites,
+//! not with the pairs of sites.
 //!
 //! The cross-thread primitives this module uses (`Mutex`, `Barrier`,
 //! atomics) are sanctioned *here only* — the `sync-primitive` audit
@@ -137,15 +142,20 @@ use crate::metrics::{self, Counter, Metrics};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::TraceLog;
 
-/// Outbox buffers that regrew after their first allocation — a
-/// non-zero count means the pre-size hint
-/// ([`ShardedSim::outbox_capacity`]) is below the real per-window
-/// batch size and steady-state sends are hitting the allocator.
+/// Outbox buffers that regrew — a non-zero count means some site
+/// queued more than [`OUTBOX_RESERVE`] messages in one window and
+/// steady-state sends are hitting the allocator.
 static OUTBOX_REGROWN: Counter = Counter::new("shard.outbox_regrown");
 
-/// Default per-(src,dst) outbox capacity reserved on first use when
-/// the caller installs no hint.
-const DEFAULT_OUTBOX_HINT: usize = 8;
+/// Messages each outbox (and the drain's scratch buffer) has room for
+/// from the start: at least twice the most any site of a shipped world
+/// queues in one window, 53 on the 200k-session VO race
+/// (EXPERIMENTS.md, "One outbox per site").
+const OUTBOX_RESERVE: usize = 128;
+
+/// A site's queued cross-site messages, `(destination, arrival,
+/// message)` in send order.
+type Outbox<M> = Vec<(SiteId, SimTime, M)>;
 
 /// Identifies one site — the unit of the conservative protocol and
 /// the owner of one event queue, trace segment and RNG stream.
@@ -174,8 +184,7 @@ impl fmt::Display for SiteId {
 /// between threads at window boundaries; the protocol guarantees
 /// exclusive access within a window.
 pub trait ShardWorld: Send + Sized + 'static {
-    /// Cross-site message payload, moved through the per-(src,dst)
-    /// mailboxes.
+    /// Cross-site message payload, moved through the sites' outboxes.
     type Msg: Send + 'static;
 
     /// Applies one delivered message at its arrival instant. Runs as
@@ -211,7 +220,7 @@ fn deliver_inline<W: ShardWorld>(
 
 /// The world type each site's [`Engine`] executes over: the caller's
 /// per-site state plus the site's identity, trace segment and
-/// outbound mailboxes.
+/// outbox.
 pub struct SiteState<W: ShardWorld> {
     id: SiteId,
     /// The caller's per-site world state.
@@ -219,21 +228,10 @@ pub struct SiteState<W: ShardWorld> {
     /// This site's trace segment. Digested in site-id order by
     /// [`ShardedSim::trace_digest`].
     pub trace: TraceLog,
-    /// One outbox per destination site, so the drain can move a whole
-    /// (src,dst) batch under one destination lock. Capacity is
-    /// recycled across windows by the drain's double-buffer swap.
-    outboxes: Vec<Vec<(SimTime, W::Msg)>>,
-    /// Destinations with a non-empty outbox, in first-touch order.
-    dirty: Vec<u32>,
-    /// Capacity reserved on an outbox's first allocation.
-    outbox_hint: usize,
-    /// `echo_row[d]` is the return lookahead `la(d → self)` in
-    /// nanoseconds, so a send's earliest possible echo is
-    /// `arrival + echo_row[dst]`.
-    echo_row: Vec<u64>,
-    /// Minimum echo bound over the messages queued this window;
-    /// `u64::MAX` when the outbox is clean (reset at every drain).
-    echo_min: u64,
+    /// Messages sent since the last drain, to every destination. The
+    /// drain swaps it with its scratch buffer, so the capacity
+    /// circulates across windows.
+    outbox: Outbox<W::Msg>,
 }
 
 impl<W: ShardWorld> SiteState<W> {
@@ -243,11 +241,12 @@ impl<W: ShardWorld> SiteState<W> {
     }
 
     /// Queues a cross-site message for delivery at the absolute
-    /// instant `at`. The message is moved into the destination's
-    /// engine at the next barrier; `at` must be at least one link
-    /// latency past the window it was sent in (guaranteed when `at`
-    /// is `now + link_latency`, since the lookahead matrix never
-    /// exceeds any link latency) or the drain panics.
+    /// instant `at`, behind every message this site sent before it.
+    /// The message is moved into the destination's engine at the next
+    /// barrier; `at` must be at least one link latency past the
+    /// window it was sent in (guaranteed when `at` is
+    /// `now + link_latency`, since the lookahead matrix never exceeds
+    /// any link latency) or the drain panics.
     ///
     /// # Panics
     ///
@@ -259,18 +258,10 @@ impl<W: ShardWorld> SiteState<W> {
             "{}: self-send through the mailbox; schedule a local event instead",
             self.id
         );
-        let q = &mut self.outboxes[dst.index()];
-        if q.is_empty() {
-            self.dirty.push(dst.0);
-        }
-        if q.capacity() == 0 {
-            q.reserve(self.outbox_hint.max(1));
-        } else if q.len() == q.capacity() {
+        if self.outbox.len() == self.outbox.capacity() {
             OUTBOX_REGROWN.add(1);
         }
-        q.push((at, msg));
-        let echo = at.as_nanos().saturating_add(self.echo_row[dst.index()]);
-        self.echo_min = self.echo_min.min(echo);
+        self.outbox.push((dst, at, msg));
     }
 }
 
@@ -317,9 +308,7 @@ impl<W: ShardWorld> ShardedSim<W> {
     ///
     /// Panics when the matrix does not cover one site per world.
     pub fn new(matrix: LookaheadMatrix, worlds: impl IntoIterator<Item = W>) -> Self {
-        let worlds: Vec<W> = worlds.into_iter().collect();
-        let n = worlds.len();
-        let sites = worlds
+        let sites: Vec<_> = worlds
             .into_iter()
             .enumerate()
             .map(|(i, world)| {
@@ -329,18 +318,15 @@ impl<W: ShardWorld> ShardedSim<W> {
                         id: SiteId(i as u32),
                         world,
                         trace: TraceLog::default(),
-                        outboxes: (0..n).map(|_| Vec::new()).collect(),
-                        dirty: Vec::new(),
-                        outbox_hint: DEFAULT_OUTBOX_HINT,
-                        echo_row: Vec::new(),
-                        echo_min: u64::MAX,
+                        outbox: Vec::with_capacity(OUTBOX_RESERVE),
                     },
                     metrics: metrics::Context::new(),
                     safe: 0,
                 })
             })
             .collect();
-        let mut sim = ShardedSim {
+        assert_covers(&matrix, sites.len());
+        ShardedSim {
             sites,
             matrix,
             shards: 1,
@@ -351,9 +337,7 @@ impl<W: ShardWorld> ShardedSim<W> {
             critical_events: 0,
             coord: Metrics::new(),
             ran: false,
-        };
-        sim.install_matrix();
-        sim
+        }
     }
 
     /// Replaces the lookahead matrix — how a comparison re-runs a
@@ -368,33 +352,8 @@ impl<W: ShardWorld> ShardedSim<W> {
     ///
     /// Panics when the matrix does not cover exactly this sim's sites.
     pub fn with_lookahead(mut self, matrix: LookaheadMatrix) -> Self {
+        assert_covers(&matrix, self.sites.len());
         self.matrix = matrix;
-        self.install_matrix();
-        self
-    }
-
-    /// Derives each site's echo row from the matrix.
-    fn install_matrix(&mut self) {
-        let m = &self.matrix;
-        let n = self.sites.len();
-        assert_eq!(
-            m.sites(),
-            n,
-            "lookahead matrix covers a different site count than the sim"
-        );
-        for (i, site) in self.sites.iter_mut().enumerate() {
-            runtime(site).state.echo_row = (0..n).map(|d| m.lookahead_nanos(d, i)).collect();
-        }
-    }
-
-    /// Sets the capacity reserved on each (src,dst) outbox's first
-    /// allocation — the replication-level hint that keeps
-    /// `shard.outbox_regrown` at zero. Reservation is lazy (on first
-    /// send to that destination), so quiet pairs cost nothing.
-    pub fn outbox_capacity(mut self, hint: usize) -> Self {
-        for site in &mut self.sites {
-            runtime(site).state.outbox_hint = hint;
-        }
         self
     }
 
@@ -599,7 +558,7 @@ impl<W: ShardWorld> ShardedSim<W> {
     /// earliest instant at a time, each message checked against its
     /// pair's lookahead and scheduled at once.
     fn run_queue(&mut self) {
-        let mut sent = Vec::new();
+        let mut sent = Vec::with_capacity(OUTBOX_RESERVE);
         while let Some((now, src)) = self
             .sites
             .iter_mut()
@@ -612,19 +571,16 @@ impl<W: ShardWorld> ShardedSim<W> {
             let end = now + SimDuration::from_nanos(1);
             self.total_events += rt.en.run_before(&mut rt.state, end);
             metrics::swap(&mut rt.metrics);
-            for d in rt.state.dirty.drain(..) {
-                let batch = rt.state.outboxes[d as usize].drain(..);
-                sent.extend(batch.map(|(at, msg)| (d as usize, at, msg)));
-            }
+            std::mem::swap(&mut rt.state.outbox, &mut sent);
             for (dst, at, msg) in sent.drain(..) {
-                let la = self.matrix.lookahead_nanos(src, dst);
+                let la = self.matrix.lookahead_nanos(src, dst.index());
                 assert!(
                     at.as_nanos() >= now.as_nanos().saturating_add(la),
                     "lookahead violation: site{src} sent a message at {now} for {at}, \
-                     less than its {} lookahead to site{dst} ahead",
+                     less than its {} lookahead to {dst} ahead",
                     SimDuration::from_nanos(la)
                 );
-                let rt = runtime(&mut self.sites[dst]);
+                let rt = runtime(&mut self.sites[dst.index()]);
                 rt.en
                     .schedule_at(at, W::encode_msg(msg), deliver_inline::<W>);
                 self.messages += 1;
@@ -665,7 +621,9 @@ impl<W: ShardWorld> ShardedSim<W> {
         let window = || {
             failure.catch(|| run_shards(sites, matrix, &horizons, shards, &cursor, &tally));
         };
-        let mut buf = CoordBuffers::new(sites.len());
+        // Earliest pending event per site, nanos; `u64::MAX` when idle.
+        let mut times = vec![u64::MAX; sites.len()];
+        let mut scratch = Vec::with_capacity(OUTBOX_RESERVE);
         std::thread::scope(|scope| {
             for _ in 1..threads {
                 // audit:allow(shard-state-escape): scoped helper borrows the epoch barrier; threads join at scope end before any result is read
@@ -680,13 +638,13 @@ impl<W: ShardWorld> ShardedSim<W> {
             }
             loop {
                 let busy = failure.catch(|| {
-                    self.messages += drain_segment(sites, &mut buf);
+                    self.messages += drain(sites, &mut times, &mut scratch);
                     // One pass over the whole matrix while it is hot in
                     // cache, rather than a column per site-window.
                     for (i, h) in horizons.iter().enumerate() {
-                        h.store(horizon(matrix, &buf.times, i), Ordering::Relaxed);
+                        h.store(horizon(matrix, &times, i), Ordering::Relaxed);
                     }
-                    buf.times.iter().any(|&t| t != u64::MAX)
+                    times.iter().any(|&t| t != u64::MAX)
                 });
                 if busy != Some(true) {
                     break;
@@ -754,6 +712,15 @@ impl Failure {
     }
 }
 
+/// Panics unless `matrix` covers exactly `sites` sites.
+fn assert_covers(matrix: &LookaheadMatrix, sites: usize) {
+    assert_eq!(
+        matrix.sites(),
+        sites,
+        "lookahead matrix covers a different site count than the sim"
+    );
+}
+
 /// A site's runtime, exclusively borrowed. Panics when a run failed
 /// inside the site's window and so poisoned its lock.
 fn runtime<W: ShardWorld>(site: &mut Mutex<SiteRuntime<W>>) -> &mut SiteRuntime<W> {
@@ -795,7 +762,7 @@ fn run_shards<W: ShardWorld>(
             .map(|i| {
                 let h = horizons[i].load(Ordering::Relaxed);
                 let mut rt = sites[i].lock().expect("site lock poisoned");
-                run_site_window(&mut rt, h, matrix.round_trip_nanos(i))
+                run_site_window(&mut rt, h, matrix)
             })
             .sum();
         events += ran;
@@ -805,108 +772,46 @@ fn run_shards<W: ShardWorld>(
     tally.busiest.fetch_max(busiest, Ordering::Relaxed);
 }
 
-/// The coordinator's reusable per-window working set: per-site event
-/// times and the drain's double-buffer scratch. Allocated once per
-/// run; every window reuses the capacity.
-struct CoordBuffers<M> {
-    /// Earliest pending event per site, nanos; `u64::MAX` when idle.
-    times: Vec<u64>,
-    /// Per-destination swap buffers for the drain; capacity circulates
-    /// between these and the sites' outboxes.
-    scratch: Vec<Vec<M>>,
-    /// Swap buffer for a source's dirty-destination list.
-    dirty: Vec<u32>,
-}
-
-impl<M> CoordBuffers<M> {
-    fn new(n: usize) -> Self {
-        CoordBuffers {
-            times: vec![u64::MAX; n],
-            scratch: (0..n).map(|_| Vec::new()).collect(),
-            dirty: Vec::new(),
-        }
-    }
-}
-
-/// Swaps one source's dirty-destination list and its non-empty
-/// outboxes out into the coordinator's scratch buffers — the emptied
-/// scratch vecs go back in, so buffer capacity circulates instead of
-/// being reallocated every window — and re-arms the echo bound.
-fn take_outboxes<W: ShardWorld>(
-    rt: &mut SiteRuntime<W>,
-    buf: &mut CoordBuffers<(SimTime, W::Msg)>,
-) {
-    std::mem::swap(&mut rt.state.dirty, &mut buf.dirty);
-    for &d in &buf.dirty {
-        std::mem::swap(
-            &mut rt.state.outboxes[d as usize],
-            &mut buf.scratch[d as usize],
-        );
-    }
-    // The outbox is clean again, so no queued send bounds the
-    // next window's echo check.
-    rt.state.echo_min = u64::MAX;
-}
-
-/// Schedules one (src,dst) batch into the destination engine, checking
-/// each message against the destination's already-executed bound.
-/// Returns the batch size.
-fn deliver_batch<W: ShardWorld>(
-    src: usize,
-    rt: &mut SiteRuntime<W>,
-    batch: &mut Vec<(SimTime, W::Msg)>,
-) -> u64 {
-    let delivered = batch.len() as u64;
-    for (at, msg) in batch.drain(..) {
-        assert!(
-            at.as_nanos() >= rt.safe,
-            "lookahead violation: site{src} sent a message for {at}, inside the \
-             already-executed window ending at {}; cross-site sends must be at \
-             least one lookahead (the minimum link latency) in the future",
-            SimTime::from_nanos(rt.safe)
-        );
-        rt.en
-            .schedule_at(at, W::encode_msg(msg), deliver_inline::<W>);
-    }
-    delivered
-}
-
-/// Moves every queued cross-site message into its destination engine,
-/// in ascending source order and, within one source, each
-/// destination's batch in send order, which preserves every
-/// destination's arrival order. Each batch locks its destination
-/// once. Returns how many messages were delivered.
+/// Moves every queued cross-site message into its destination engine:
+/// sources in ascending site id, each source's messages in send order,
+/// so every destination receives its messages in the same order at
+/// any packing. Each non-empty outbox is swapped with `scratch`, so
+/// buffer capacity circulates instead of being reallocated every
+/// window. Returns how many messages were delivered.
 ///
 /// On the way it records each site's earliest pending event in
-/// `buf.times` (`u64::MAX` when idle): a source's when its turn comes,
-/// and a destination's again after its batch lands.
-fn drain_segment<W: ShardWorld>(
+/// `times` (`u64::MAX` when idle): a source's when its turn comes,
+/// and a destination's again after each message lands.
+fn drain<W: ShardWorld>(
     sites: &[Mutex<SiteRuntime<W>>],
-    buf: &mut CoordBuffers<(SimTime, W::Msg)>,
+    times: &mut [u64],
+    scratch: &mut Outbox<W::Msg>,
 ) -> u64 {
     let next = |rt: &SiteRuntime<W>| rt.en.next_event_time().map_or(u64::MAX, SimTime::as_nanos);
     let mut delivered = 0u64;
     for src in 0..sites.len() {
         {
             let mut rt = sites[src].lock().expect("site lock poisoned");
-            buf.times[src] = next(&rt);
-            if rt.state.dirty.is_empty() {
+            times[src] = next(&rt);
+            if rt.state.outbox.is_empty() {
                 continue;
             }
-            take_outboxes(&mut rt, buf);
+            std::mem::swap(&mut rt.state.outbox, scratch);
         }
-        let CoordBuffers {
-            times,
-            scratch,
-            dirty,
-        } = &mut *buf;
-        for &d in dirty.iter() {
-            let dst = d as usize;
-            let mut rt = sites[dst].lock().expect("site lock poisoned");
-            delivered += deliver_batch(src, &mut rt, &mut scratch[dst]);
-            times[dst] = next(&rt);
+        delivered += scratch.len() as u64;
+        for (dst, at, msg) in scratch.drain(..) {
+            let mut rt = sites[dst.index()].lock().expect("site lock poisoned");
+            assert!(
+                at.as_nanos() >= rt.safe,
+                "lookahead violation: site{src} sent a message for {at}, inside the \
+                 already-executed window ending at {}; cross-site sends must be at \
+                 least one lookahead (the minimum link latency) in the future",
+                SimTime::from_nanos(rt.safe)
+            );
+            rt.en
+                .schedule_at(at, W::encode_msg(msg), deliver_inline::<W>);
+            times[dst.index()] = next(&rt);
         }
-        buf.dirty.clear();
     }
     delivered
 }
@@ -933,11 +838,16 @@ fn horizon(matrix: &LookaheadMatrix, times: &[u64], i: usize) -> u64 {
 /// as the thread's. Returns how many events ran.
 ///
 /// The site self-limits against its own sends: it runs in chunks of
-/// at most `rt_self`, its minimum round trip, past its next event,
-/// and after each chunk its queued sends' echo bounds (`echo_min`,
-/// see [`SiteState::send`]) cap the rest of the window. The bound
-/// actually guaranteed raises `rt.safe` for the drain's check.
-fn run_site_window<W: ShardWorld>(rt: &mut SiteRuntime<W>, h_cross: u64, rt_self: u64) -> u64 {
+/// at most its minimum round trip past its next event, and after each
+/// chunk every send the chunk queued caps the rest of the window at
+/// the earliest instant it could echo back, `arrival + la(dst →
+/// site)`. The bound actually guaranteed raises `rt.safe` for the
+/// drain's check.
+fn run_site_window<W: ShardWorld>(
+    rt: &mut SiteRuntime<W>,
+    h_cross: u64,
+    matrix: &LookaheadMatrix,
+) -> u64 {
     match rt.en.next_event_time() {
         Some(next) if next.as_nanos() < h_cross => {}
         _ => {
@@ -951,12 +861,20 @@ fn run_site_window<W: ShardWorld>(rt: &mut SiteRuntime<W>, h_cross: u64, rt_self
         "{}: a site's metrics context must replace an empty one",
         rt.state.id
     );
+    let me = rt.state.id.index();
+    let rt_self = matrix.round_trip_nanos(me);
     let mut ran = 0u64;
+    // The earliest echo of the sends folded so far. The outbox was
+    // drained at the window boundary, so it holds only this window's
+    // sends.
+    let (mut echo, mut folded) = (u64::MAX, 0);
     let achieved = loop {
-        // Queued sends lower the bound to their earliest possible
-        // echo; the outbox was drained at the window boundary, so
-        // only this window's own sends contribute.
-        let bound = h_cross.min(rt.state.echo_min);
+        for &(dst, at, _) in &rt.state.outbox[folded..] {
+            let back = matrix.lookahead_nanos(dst.index(), me);
+            echo = echo.min(at.as_nanos().saturating_add(back));
+        }
+        folded = rt.state.outbox.len();
+        let bound = h_cross.min(echo);
         let Some(next) = rt.en.next_event_time() else {
             break bound;
         };
@@ -1150,7 +1068,7 @@ mod tests {
         assert_eq!(
             m.counter("shard.outbox_regrown"),
             0,
-            "outbox double-buffers never regrew"
+            "no outbox outgrew its reservation"
         );
     }
 
@@ -1173,14 +1091,14 @@ mod tests {
 
     #[test]
     fn undersized_outboxes_count_their_regrowth() {
-        // A 1-slot hint under a world whose sites send several
-        // messages per window forces regrowth, and the counter says
-        // so — deterministically, since buffer circulation is part of
-        // the coordinator's fixed drain order.
-        let mut sim = idle(2).outbox_capacity(1);
+        // One more message in one window than an outbox reserves
+        // forces regrowth, and the counter says so — deterministically,
+        // since buffer circulation is part of the coordinator's fixed
+        // drain order.
+        let mut sim = idle(2);
         sim.with_site(0, |_, en| {
             en.schedule_at(SimTime::ZERO, [0; 2], |_, site, en| {
-                for _ in 0..8 {
+                for _ in 0..=OUTBOX_RESERVE {
                     site.send(SiteId(1), en.now() + LAT, ());
                 }
             });
@@ -1189,11 +1107,76 @@ mod tests {
         sim.run();
         metrics::reset();
         let m = sim.merged_metrics();
-        assert_eq!(m.counter("shard.messages"), 8);
+        assert_eq!(m.counter("shard.messages"), OUTBOX_RESERVE as u64 + 1);
         assert!(
             m.counter("shard.outbox_regrown") > 0,
-            "a 1-slot hint must regrow under an 8-message burst"
+            "an outbox must regrow past its reservation"
         );
+    }
+
+    /// A world that logs the payloads delivered to it, in order.
+    struct Log(Vec<u64>);
+
+    impl ShardWorld for Log {
+        type Msg = u64;
+        fn deliver(msg: u64, site: &mut SiteState<Self>, _: &mut Engine<SiteState<Self>>) {
+            site.world.0.push(msg);
+        }
+        fn encode_msg(msg: u64) -> [u64; 2] {
+            [msg, 0]
+        }
+        fn decode_msg(words: [u64; 2]) -> u64 {
+            words[0]
+        }
+    }
+
+    /// Runs a 3-site `Log` world in which, at time zero, site 0 sends
+    /// 1 to site 2, 2 to site 1 and 3 to site 2, and site 1 sends 4
+    /// and 5 to site 2, all arriving `LAT` later; returns what sites
+    /// 2 and 1 delivered, in order.
+    fn same_instant_deliveries(
+        threads: usize,
+        run: fn(&mut ShardedSim<Log>),
+    ) -> (Vec<u64>, Vec<u64>) {
+        let mut sim = ShardedSim::new(
+            LookaheadMatrix::uniform(3, LAT),
+            (0..3).map(|_| Log(Vec::new())),
+        )
+        .shards(3)
+        .threads(threads);
+        sim.with_site(0, |_, en| {
+            en.schedule_at(SimTime::ZERO, [0; 2], |_, site, en| {
+                for (dst, payload) in [(2, 1), (1, 2), (2, 3)] {
+                    site.send(SiteId(dst), en.now() + LAT, payload);
+                }
+            });
+        });
+        sim.with_site(1, |_, en| {
+            en.schedule_at(SimTime::ZERO, [0; 2], |_, site, en| {
+                for payload in [4, 5] {
+                    site.send(SiteId(2), en.now() + LAT, payload);
+                }
+            });
+        });
+        metrics::reset();
+        run(&mut sim);
+        metrics::reset();
+        let mut got = |i| sim.with_site(i, |site, _| site.world.0.clone());
+        (got(2), got(1))
+    }
+
+    #[test]
+    fn drains_deliver_by_ascending_source_then_send_order() {
+        // Every message arrives at the same instant, so each site's
+        // delivery order is the order the messages entered its queue:
+        // site 0's sends before site 1's, each source's in send order.
+        let want = (vec![1, 3, 4, 5], vec![2]);
+        for threads in [1, 2, 8] {
+            let got = same_instant_deliveries(threads, ShardedSim::run);
+            assert_eq!(got, want, "run at threads={threads}");
+        }
+        let got = same_instant_deliveries(1, ShardedSim::run_sequential);
+        assert_eq!(got, want, "sequential reference");
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! Every engine event is a function pointer and two words, so local
 //! dispatch is allocation-free by construction; these tests pin the
 //! same property for the cross-shard mailboxes (every VO message rides
-//! its delivery event's two words, and the pre-sized outboxes never
-//! regrow) and pin the per-pair lookahead protocol's contract:
+//! its delivery event's two words, and no site's outbox outgrows the
+//! room it reserves up front) and pin the per-pair lookahead
+//! protocol's contract:
 //! under a topology's lookahead matrix and under the uniform matrix at
 //! its minimum link latency (the global-lookahead protocol), at every
 //! shard/thread packing, the window protocol reproduces the history —
@@ -91,8 +92,9 @@ fn run_vo(mut sim: ShardedSim<VoSite>, run: fn(&mut ShardedSim<VoSite>)) -> (His
 #[test]
 fn steady_state_vo_mailbox_traffic_is_allocation_free() {
     // Every cross-site hop in both VO worlds encodes to its delivery
-    // event's two words, and the pre-sized outboxes never regrow, so
-    // steady-state mailbox traffic makes no allocator calls.
+    // event's two words, and no site queues more in one window than
+    // its outbox reserves, so steady-state mailbox traffic makes no
+    // allocator calls.
     let cfg = VoConfig {
         sites: 6,
         hop_per_mille: 200,
