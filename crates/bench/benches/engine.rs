@@ -1,11 +1,10 @@
 //! Criterion bench: discrete-event engine throughput — event
-//! scheduling, cancellation, and the RNG the whole suite leans on.
+//! scheduling and the RNG the whole suite leans on.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use gridvm_simcore::engine::Engine;
-use gridvm_simcore::event::EventQueue;
 use gridvm_simcore::rng::SimRng;
-use gridvm_simcore::time::{SimDuration, SimTime};
+use gridvm_simcore::time::SimDuration;
 
 fn bench_engine(c: &mut Criterion) {
     c.bench_function("engine: 10k chained events", |b| {
@@ -24,29 +23,6 @@ fn bench_engine(c: &mut Criterion) {
             assert_eq!(world, 10_000);
             world
         })
-    });
-
-    c.bench_function("event queue: push/pop 10k with cancellations", |b| {
-        b.iter_batched(
-            || {
-                let mut q = EventQueue::new();
-                let ids: Vec<_> = (0..10_000u64)
-                    .map(|i| q.push(SimTime::from_nanos(i * 37 % 10_000), i))
-                    .collect();
-                (q, ids)
-            },
-            |(mut q, ids)| {
-                for id in ids.iter().step_by(3) {
-                    q.cancel(*id);
-                }
-                let mut n = 0;
-                while q.pop().is_some() {
-                    n += 1;
-                }
-                n
-            },
-            BatchSize::SmallInput,
-        )
     });
 
     c.bench_function("rng: 100k doubles", |b| {

@@ -43,10 +43,9 @@ use gridvm_vnet::sites::SiteTopology;
 struct Baseline;
 
 /// Scenario labels; `run_sample` dispatches on index.
-const SCENARIOS: [&str; 12] = [
+const SCENARIOS: [&str; 11] = [
     "engine: chained events",
     "queue: push+pop random times",
-    "queue: push/cancel/drain mix",
     "lru: touch-or-insert churn",
     "proxy: block churn",
     "overlay: routed packet churn",
@@ -118,23 +117,6 @@ impl Experiment for Baseline {
                 (2 * n, started.elapsed())
             }
             2 => {
-                let times: Vec<SimTime> = (0..n)
-                    .map(|_| SimTime::from_nanos(rng.next_u64() % 1_000_000))
-                    .collect();
-                let started = Instant::now();
-                let mut q = EventQueue::new();
-                let ids: Vec<_> = times
-                    .iter()
-                    .enumerate()
-                    .map(|(i, t)| q.push(*t, i))
-                    .collect();
-                for id in ids.iter().step_by(3) {
-                    q.cancel(*id);
-                }
-                while q.pop().is_some() {}
-                (2 * n + n / 3, started.elapsed())
-            }
-            3 => {
                 let keys: Vec<u64> = (0..n).map(|_| rng.next_u64() % 8192).collect();
                 let started = Instant::now();
                 let mut lru = LruSet::new(4096);
@@ -145,7 +127,7 @@ impl Experiment for Baseline {
                 }
                 (n, started.elapsed())
             }
-            4 => {
+            3 => {
                 let churn = n / 10; // proxy ops are block-granular and pricier
                 let bs = NFS_BLOCK.as_u64();
                 let offsets: Vec<u64> = (0..churn).map(|_| (rng.next_u64() % 2048) * bs).collect();
@@ -165,7 +147,7 @@ impl Experiment for Baseline {
                 }
                 (churn, started.elapsed())
             }
-            5 => {
+            4 => {
                 // Per-packet route lookups against a probed mesh, with
                 // periodic measurement churn forcing cache
                 // invalidation — the shape of the overlay ablation
@@ -206,7 +188,7 @@ impl Experiment for Baseline {
                 assert!(latency > SimDuration::ZERO);
                 (n, started.elapsed())
             }
-            6 => {
+            5 => {
                 // The buffer cache under VM-disk block churn:
                 // touch-or-insert over a working set twice the
                 // capacity, the shape `ablation_buffer_cache` sweeps.
@@ -221,7 +203,7 @@ impl Experiment for Baseline {
                 }
                 (n, started.elapsed())
             }
-            7 => {
+            6 => {
                 // The slot layer itself: insert/remove/get churn over
                 // a live set of ~1k entries — the per-entity state
                 // shape under vnet/vfs/sched/storage hot paths.
@@ -246,7 +228,7 @@ impl Experiment for Baseline {
                 assert!(sum != 1, "keep the loop observable");
                 (n, started.elapsed())
             }
-            8 => {
+            7 => {
                 // The conservative synchronizer under a hop-heavy VO:
                 // 6 sites trading sessions at a 40% hop rate, run at 4
                 // shards on 1 worker thread — mailbox drain, window
@@ -267,7 +249,7 @@ impl Experiment for Baseline {
                 assert!(sim.messages() > 0, "hops must cross shard boundaries");
                 (sim.total_events(), started.elapsed())
             }
-            9 => {
+            8 => {
                 // The acceptance scenario: a 4-site VO with >=100k
                 // events per site at full size, executed at 1 shard
                 // and again at 4 shards. The digests must agree
@@ -308,7 +290,7 @@ impl Experiment for Baseline {
                     m("speedup_model_x", four.model_speedup()),
                 ];
             }
-            10 => {
+            9 => {
                 // The streaming-metrics hot path at macro scale:
                 // values land in per-shard log-scale histograms which
                 // then roll up into one VO-level summary — the shape
@@ -329,7 +311,7 @@ impl Experiment for Baseline {
                 assert!(merged.p999() >= merged.p50());
                 (n, started.elapsed())
             }
-            11 => {
+            10 => {
                 // The per-pair window payoff on a regional VO: the
                 // bursty handoff workload run under a uniform matrix
                 // at the topology's minimum latency (the global
@@ -394,14 +376,14 @@ impl Experiment for Baseline {
             engine.mean("ops_per_sec"),
             engine.stats("ops_per_sec").map(|s| s.count()).unwrap_or(0),
         );
-        if let Some(shard) = report.scenario(SCENARIOS[9]) {
+        if let Some(shard) = report.scenario(SCENARIOS[8]) {
             line.push_str(&format!(
                 "\nshard speedup at 4 shards: {:.2}x wall on this machine, {:.2}x critical-path model",
                 shard.mean("speedup_wall_x"),
                 shard.mean("speedup_model_x"),
             ));
         }
-        if let Some(regional) = report.scenario(SCENARIOS[11]) {
+        if let Some(regional) = report.scenario(SCENARIOS[10]) {
             line.push_str(&format!(
                 "\nper-pair lookahead on regional VO: {:.1}x fewer barrier windows at identical history",
                 regional.mean("window_reduction_x"),

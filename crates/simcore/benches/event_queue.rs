@@ -1,10 +1,9 @@
 //! Criterion bench: the event-queue hot path in isolation — the
-//! push/pop/cancel mixes every experiment binary funnels through —
-//! plus the metrics counter fast path.
+//! push/pop mixes every experiment binary funnels through — plus the
+//! metrics counter fast path.
 //!
-//! These sizes (100k events) match the acceptance bar for the indexed
-//! d-ary heap: run `cargo bench -p gridvm-simcore` before and after a
-//! queue change and compare medians.
+//! Run `cargo bench -p gridvm-simcore` before and after a queue change
+//! and compare medians.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use gridvm_simcore::event::EventQueue;
@@ -45,32 +44,11 @@ fn bench_queue(c: &mut Criterion) {
             let mut q = EventQueue::new();
             q.push(SimTime::ZERO, 0usize);
             for i in 0..100_000usize {
-                let (t, _, _) = q.pop().expect("chain stays alive");
+                let (t, _) = q.pop().expect("chain stays alive");
                 q.push(SimTime::from_nanos(t.as_nanos() + 10_000), i);
             }
             q.len()
         })
-    });
-
-    c.bench_function("queue: push 100k / cancel every 3rd / drain", |b| {
-        b.iter_batched(
-            || {
-                let mut q = EventQueue::new();
-                let ids: Vec<_> = ts.iter().enumerate().map(|(i, t)| q.push(*t, i)).collect();
-                (q, ids)
-            },
-            |(mut q, ids)| {
-                for id in ids.iter().step_by(3) {
-                    q.cancel(*id);
-                }
-                let mut n = 0;
-                while q.pop().is_some() {
-                    n += 1;
-                }
-                n
-            },
-            BatchSize::SmallInput,
-        )
     });
 
     c.bench_function("queue: steady-state 100k pop+push (sim loop shape)", |b| {
@@ -84,30 +62,9 @@ fn bench_queue(c: &mut Criterion) {
             }
             let mut horizon: u64 = 1_000_000;
             for i in 0..100_000usize {
-                let (t, _, _) = q.pop().expect("queue stays warm");
+                let (t, _) = q.pop().expect("queue stays warm");
                 horizon = horizon.max(t.as_nanos() + 1);
                 q.push(SimTime::from_nanos(horizon + (i as u64 * 7919) % 10_000), i);
-            }
-            q.len()
-        })
-    });
-
-    c.bench_function("queue: cancel-after-fire churn 100k", |b| {
-        // Cancel handles whose events already fired: the tombstone
-        // leak's worst case in the seed implementation.
-        b.iter(|| {
-            let mut q = EventQueue::new();
-            let mut fired = Vec::with_capacity(100_000);
-            for (i, t) in ts.iter().enumerate() {
-                let id = q.push(*t, i);
-                fired.push(id);
-                if i % 2 == 1 {
-                    q.pop();
-                    q.pop();
-                }
-            }
-            for id in fired {
-                q.cancel(id);
             }
             q.len()
         })

@@ -5,11 +5,10 @@
 //! kernel's data structures `audit()` methods that re-verify their
 //! structural invariants from first principles:
 //!
-//! - **event queue**: d-ary heap ordering, `heap_idx` back-pointer
-//!   integrity, payload liveness, slot-arena/free-list consistency
-//!   (each slot lives in exactly one of heap or free list), and
-//!   sequence-counter sanity — see [`crate::event::EventQueue::audit`];
-//! - **engine**: everything above plus causality (no pending event
+//! - **event queue**: sequence-counter sanity (every pending event
+//!   carries a sequence number the counter has already handed out) —
+//!   see [`crate::event::EventQueue::audit`];
+//! - **engine**: the queue check plus causality (no pending event
 //!   earlier than the clock) — see [`crate::engine::Engine::audit`];
 //! - **LRU set**: intrusive-list link integrity (next/prev agree,
 //!   head/tail terminate, no cycles), map↔node agreement, and
@@ -41,7 +40,7 @@ pub const AUTO_AUDIT_INTERVAL: u64 = 1024;
 /// trips.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AuditViolation {
-    /// Short invariant name (e.g. `"heap-order"`, `"lru-link"`).
+    /// Short invariant name (e.g. `"seq-counter"`, `"lru-link"`).
     pub invariant: &'static str,
     /// What exactly is inconsistent, with indices/values.
     pub detail: String,

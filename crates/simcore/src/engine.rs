@@ -11,11 +11,12 @@
 //!
 //! Every event has one shape: a plain function pointer plus two
 //! machine words of state, which the handler receives as its first
-//! argument. The event lives directly in the queue's recycled arena
-//! slot, 24 bytes with the pointer's non-null niche holding the slot's
-//! `Option` tag, so scheduling never calls the allocator. Captureless
-//! closures coerce to the pointer. A closure that captures does not
-//! compile; its state belongs in the two words or in the world:
+//! argument. The event lives inline in its queue entry beside the
+//! `(time, sequence)` key, 40 bytes in all, so scheduling never calls
+//! the allocator once the queue has grown to its peak length.
+//! Captureless closures coerce to the pointer. A closure that captures
+//! does not compile; its state belongs in the two words or in the
+//! world:
 //!
 //! ```compile_fail,E0308
 //! use gridvm_simcore::engine::Engine;
@@ -40,7 +41,7 @@
 //! assert_eq!(w, 3);
 //! ```
 
-use crate::event::{EventId, EventQueue};
+use crate::event::EventQueue;
 use crate::metrics::Counter;
 use crate::time::{SimDuration, SimTime};
 
@@ -121,13 +122,13 @@ impl<W> Engine<W> {
         at: SimTime,
         words: [u64; 2],
         f: fn([u64; 2], &mut W, &mut Engine<W>),
-    ) -> EventId {
+    ) {
         assert!(
             at >= self.clock,
             "schedule_at: {at} is before current time {}",
             self.clock
         );
-        self.queue.push(at, Event { words, f })
+        self.queue.push(at, Event { words, f });
     }
 
     /// Schedules `f` to run `delay` after the current instant, called
@@ -138,13 +139,8 @@ impl<W> Engine<W> {
         delay: SimDuration,
         words: [u64; 2],
         f: fn([u64; 2], &mut W, &mut Engine<W>),
-    ) -> EventId {
-        self.queue.push(self.clock + delay, Event { words, f })
-    }
-
-    /// Cancels a pending event. Returns `true` if it had not yet run.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        self.queue.cancel(id)
+    ) {
+        self.queue.push(self.clock + delay, Event { words, f });
     }
 
     /// Executes a single event, if any remains (and none lies beyond
@@ -152,8 +148,10 @@ impl<W> Engine<W> {
     /// `true` if an event ran.
     pub fn step(&mut self, world: &mut W) -> bool {
         // One fused queue operation: the horizon check reads the
-        // heap root the pop then removes.
-        let Some((time, _, ev)) = self.queue.pop_due(self.horizon) else {
+        // entry the pop then removes. The event leaves the queue before
+        // its handler runs, so `pending` and `next_event_time` stay
+        // exact inside the handler.
+        let Some((time, ev)) = self.queue.pop_due(self.horizon) else {
             return false;
         };
         debug_assert!(time >= self.clock, "event queue produced the past");
@@ -178,7 +176,7 @@ impl<W> Engine<W> {
     }
 
     /// Re-verifies the engine's invariants (runtime audit layer; see
-    /// [`crate::audit`]): the event queue's structural checks plus
+    /// [`crate::audit`]): the event queue's sequence-counter check plus
     /// causality — no pending event may be earlier than the clock,
     /// since the past is immutable in a discrete-event simulation.
     #[cfg(any(debug_assertions, test, feature = "audit"))]
@@ -276,8 +274,9 @@ mod tests {
     }
 
     #[test]
-    fn queued_events_take_three_words() {
-        assert_eq!(std::mem::size_of::<Option<Event<W>>>(), 24);
+    fn heap_entries_take_five_words() {
+        // time, seq, the fn pointer and the two words.
+        assert_eq!(std::mem::size_of::<crate::event::Entry<Event<W>>>(), 40);
     }
 
     #[test]
@@ -330,7 +329,7 @@ mod tests {
     }
 
     #[test]
-    fn words_ride_along_chains_and_cancel() {
+    fn words_ride_along_chains() {
         let mut en: Engine<W> = Engine::new();
         let mut w = W::default();
         fn tick(words: [u64; 2], w: &mut W, en: &mut Engine<W>) {
@@ -342,10 +341,6 @@ mod tests {
             }
         }
         en.schedule_in(SimDuration::ZERO, [3, 7], tick);
-        let doomed = en.schedule_in(SimDuration::from_secs(10), [0; 2], |_, w, _| {
-            w.log.push((0, "no"))
-        });
-        assert!(en.cancel(doomed));
         en.run(&mut w);
         let ticks: Vec<u64> = w.log.iter().map(|(n, _)| *n).collect();
         assert_eq!(ticks, vec![3, 2, 1, 0]);
@@ -394,13 +389,32 @@ mod tests {
     }
 
     #[test]
-    fn cancel_prevents_execution() {
+    fn pending_and_next_event_time_are_exact_inside_handlers() {
         let mut en: Engine<W> = Engine::new();
         let mut w = W::default();
-        let id = en.schedule_at(secs(1), [0; 2], |_, w, _| w.log.push((1, "no")));
-        assert!(en.cancel(id));
+        en.schedule_at(secs(1), [0; 2], |_, w, en| {
+            // The running event has left the queue: 4 s and 6 s wait.
+            assert_eq!(en.pending(), 2);
+            assert_eq!(en.next_event_time(), Some(secs(4)));
+            // A successor ahead of every pending event.
+            en.schedule_at(secs(2), [0; 2], |_, w, en| {
+                assert_eq!(en.pending(), 2);
+                assert_eq!(en.next_event_time(), Some(secs(4)));
+                // A successor behind the earliest pending event.
+                en.schedule_at(secs(5), [0; 2], |_, w, _| w.log.push((5, "c")));
+                assert_eq!(en.pending(), 3);
+                assert_eq!(en.next_event_time(), Some(secs(4)));
+                w.log.push((2, "b"));
+            });
+            assert_eq!(en.pending(), 3);
+            assert_eq!(en.next_event_time(), Some(secs(2)));
+            w.log.push((1, "a"));
+        });
+        en.schedule_at(secs(4), [0; 2], |_, w, _| w.log.push((4, "x")));
+        en.schedule_at(secs(6), [0; 2], |_, w, _| w.log.push((6, "y")));
         en.run(&mut w);
-        assert!(w.log.is_empty());
+        let names: Vec<&str> = w.log.iter().map(|(_, n)| *n).collect();
+        assert_eq!(names, vec!["a", "b", "x", "c", "y"]);
     }
 
     #[test]

@@ -18,11 +18,11 @@
 //!   generators need.
 //! * [`event`] + [`engine`] — the event queue and executor. An event
 //!   is a function pointer over a caller-supplied world type plus two
-//!   words of state, stored directly in a recycled arena slot, so
-//!   scheduling never allocates. Events are ordered by
-//!   `(time, sequence)` so same-time events run in schedule order
-//!   (deterministic tie-breaking) in an index-tracked 4-ary heap with
-//!   in-place cancellation.
+//!   words of state, stored inline in its queue entry, so scheduling
+//!   does not allocate. Events are ordered by `(time, sequence)` so
+//!   same-time events run in schedule order (deterministic
+//!   tie-breaking), in `std`'s binary heap behind a one-event held
+//!   slot that lets a handler's successor skip the heap.
 //! * [`fault`] — seeded, deterministic fault injection:
 //!   [`FaultPlan`](fault::FaultPlan) schedules typed faults
 //!   (host crash/slowdown, link partition/loss/latency, storage
