@@ -57,15 +57,6 @@ impl HandoffConfig {
     }
 }
 
-/// A token handed to the metro partner: the cross-shard message.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct HandoffMsg {
-    /// Token id (the region that owns it).
-    pub token: u64,
-    /// Handoffs still owed after this one.
-    pub legs_left: u32,
-}
-
 /// One metro site of the handoff world.
 #[derive(Debug)]
 pub struct HandoffSite {
@@ -80,26 +71,13 @@ pub struct HandoffSite {
 }
 
 impl ShardWorld for HandoffSite {
-    type Msg = HandoffMsg;
-
-    fn deliver(msg: HandoffMsg, site: &mut SiteState<Self>, en: &mut Engine<SiteState<Self>>) {
+    /// A token handed over by the metro partner: `[token, legs_left]`,
+    /// the region that owns it and the handoffs it still owes after
+    /// this one. Its next burst starts at once.
+    fn deliver(words: [u64; 2], site: &mut SiteState<Self>, en: &mut Engine<SiteState<Self>>) {
+        let [token, legs_left] = words;
         let steps = u64::from(site.world.burst_steps);
-        burst(
-            [(msg.token << 32) | steps, u64::from(msg.legs_left)],
-            site,
-            en,
-        );
-    }
-
-    fn encode_msg(msg: HandoffMsg) -> [u64; 2] {
-        [msg.token, u64::from(msg.legs_left)]
-    }
-
-    fn decode_msg(words: [u64; 2]) -> HandoffMsg {
-        HandoffMsg {
-            token: words[0],
-            legs_left: words[1] as u32,
-        }
+        burst([(token << 32) | steps, legs_left], site, en);
     }
 }
 
@@ -125,14 +103,7 @@ fn burst(
     HANDOFF_LEGS.add(1);
     if legs_left > 0 {
         let (partner, at) = (w.partner, en.now() + w.partner_latency);
-        site.send(
-            partner,
-            at,
-            HandoffMsg {
-                token,
-                legs_left: (legs_left - 1) as u32,
-            },
-        );
+        site.send(partner, at, [token, legs_left - 1]);
     } else {
         site.trace
             .record(en.now(), "handoff", format_args!("token {token} retired"));

@@ -30,7 +30,7 @@ use gridvm_simcore::replication::{derive_seed_sharded, derive_seed_stream};
 use gridvm_simcore::rng::SimRng;
 use gridvm_simcore::shard::{ShardWorld, ShardedSim, SiteId, SiteState};
 use gridvm_simcore::time::{SimDuration, SimTime};
-use gridvm_simcore::trace::{SamplePolicy, TraceLog};
+use gridvm_simcore::trace::TraceLog;
 use gridvm_vnet::sites::SiteTopology;
 
 /// Shape of one multi-site VO experiment.
@@ -78,15 +78,6 @@ impl VoConfig {
     }
 }
 
-/// A session hopping to a remote site: the cross-shard message.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct VoMsg {
-    /// Globally unique session id.
-    pub session: u64,
-    /// Work steps the session still owes.
-    pub steps_left: u32,
-}
-
 /// One site's world: its seeded RNG stream, link latencies to every
 /// peer, the session parameters, and tallies.
 #[derive(Debug)]
@@ -115,24 +106,13 @@ pub struct VoSite {
 }
 
 impl ShardWorld for VoSite {
-    type Msg = VoMsg;
-
-    fn deliver(msg: VoMsg, site: &mut SiteState<Self>, en: &mut Engine<SiteState<Self>>) {
+    /// A session hopping in from a remote site: `[session,
+    /// steps_left]`, the words of its next work step.
+    fn deliver(words: [u64; 2], site: &mut SiteState<Self>, en: &mut Engine<SiteState<Self>>) {
         site.world.hops_in += 1;
         // The session resumes at its arrival instant on the new home
         // site's own queue and RNG stream.
-        step([msg.session, u64::from(msg.steps_left)], site, en);
-    }
-
-    fn encode_msg(msg: VoMsg) -> [u64; 2] {
-        [msg.session, u64::from(msg.steps_left)]
-    }
-
-    fn decode_msg(words: [u64; 2]) -> VoMsg {
-        VoMsg {
-            session: words[0],
-            steps_left: words[1] as u32,
-        }
+        step(words, site, en);
     }
 
     fn flush_metrics(&mut self) {
@@ -175,14 +155,7 @@ fn step(args: [u64; 2], site: &mut SiteState<VoSite>, en: &mut Engine<SiteState<
         let dst = SiteId((my_id + offset) % w.peers);
         let at = en.now() + w.latency_to[dst.index()];
         w.hops_out += 1;
-        site.send(
-            dst,
-            at,
-            VoMsg {
-                session,
-                steps_left: (steps_left - 1) as u32,
-            },
-        );
+        site.send(dst, at, [session, steps_left - 1]);
     } else if draw < w.hop_per_mille + w.crash_per_mille {
         // Crash: the step is lost and retried after the recovery
         // delay, same site, same remaining work — the self-healing
@@ -371,7 +344,8 @@ pub struct VoScaleConfig {
     pub placement: Placement,
     /// Per-site sampled trace-ring capacity.
     pub trace_capacity: usize,
-    /// Per-mille trace sampling rate for the `vo` category.
+    /// Per-mille trace sampling rate, one for every category (the
+    /// world records only `vo` entries).
     pub trace_rate_per_mille: u32,
     /// Master seed; site `i` draws workload randomness from
     /// [`derive_seed_sharded`]`(seed, 0, i)` and trace-sampling
@@ -423,18 +397,6 @@ impl VoScaleConfig {
         let (q, r) = (self.sessions / n, self.sessions % n);
         u64::from(i) * q + u64::from(i).min(r)
     }
-}
-
-/// A migrating session: the cross-shard message of the scale world.
-/// `meta` packs `session_id << 20 | steps_left`; `start` is the
-/// session's arrival instant in nanoseconds — the session's entire
-/// state, so the simulation holds nothing per session between events.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct VoScaleMsg {
-    /// `session_id << 20 | steps_left`.
-    pub meta: u64,
-    /// Arrival instant, nanoseconds.
-    pub start: u64,
 }
 
 /// Bits of the packed `meta` word holding `steps_left`.
@@ -525,23 +487,13 @@ impl VoScaleSite {
 }
 
 impl ShardWorld for VoScaleSite {
-    type Msg = VoScaleMsg;
-
-    fn deliver(msg: VoScaleMsg, site: &mut SiteState<Self>, en: &mut Engine<SiteState<Self>>) {
+    /// A migrating session: `[session_id << 20 | steps_left, start]`,
+    /// the words of its next work step and its entire state, so the
+    /// simulation holds nothing per session between events.
+    fn deliver(words: [u64; 2], site: &mut SiteState<Self>, en: &mut Engine<SiteState<Self>>) {
         VO_HOPS_IN.add(1);
         site.world.note_arrival();
-        scale_step([msg.meta, msg.start], site, en);
-    }
-
-    fn encode_msg(msg: VoScaleMsg) -> [u64; 2] {
-        [msg.meta, msg.start]
-    }
-
-    fn decode_msg(words: [u64; 2]) -> VoScaleMsg {
-        VoScaleMsg {
-            meta: words[0],
-            start: words[1],
-        }
+        scale_step(words, site, en);
     }
 }
 
@@ -588,14 +540,7 @@ fn scale_step(
         w.active -= 1;
         w.hops_out += 1;
         VO_HOPS.add(1);
-        site.send(
-            dst,
-            at,
-            VoScaleMsg {
-                meta: (session << STEP_BITS) | (steps_left - 1),
-                start,
-            },
-        );
+        site.send(dst, at, [(session << STEP_BITS) | (steps_left - 1), start]);
     } else {
         // Congested sites stretch step times: the slowdown signal the
         // placement policies trade against migration latency.
@@ -760,7 +705,7 @@ pub fn build_vo_scale(cfg: &VoScaleConfig) -> ShardedSim<VoScaleSite> {
             let site_seed = derive_seed_sharded(cfg.seed, 0, u64::from(i));
             site.trace = TraceLog::with_sampling(
                 cfg.trace_capacity.max(1),
-                SamplePolicy::uniform(cfg.trace_rate_per_mille),
+                cfg.trace_rate_per_mille,
                 derive_seed_stream(site_seed, 1),
             );
             if site_sessions == 0 {

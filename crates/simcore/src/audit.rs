@@ -22,10 +22,10 @@
 //! profile test run exercises it), under `test` (so the crate's own
 //! unit tests build and run it in release too) or with the `audit`
 //! cargo feature (to opt a release build in); other release builds
-//! carry zero audit code. [`Engine::step`](crate::engine::Engine::step)
-//! additionally self-audits every [`AUTO_AUDIT_INTERVAL`] events, so
-//! long-running tests sweep the invariants continuously without O(n)
-//! work per event.
+//! carry zero audit code. The [`Engine`](crate::engine::Engine)'s
+//! dispatch loop additionally self-audits every
+//! [`AUTO_AUDIT_INTERVAL`] events, so long-running tests sweep the
+//! invariants continuously without O(n) work per event.
 
 use std::fmt;
 

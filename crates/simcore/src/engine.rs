@@ -143,10 +143,10 @@ impl<W> Engine<W> {
         self.queue.push(self.clock + delay, Event { words, f });
     }
 
-    /// Executes a single event, if any remains (and none lies beyond
-    /// the horizon set by [`run_until`](Engine::run_until)). Returns
-    /// `true` if an event ran.
-    pub fn step(&mut self, world: &mut W) -> bool {
+    /// Executes a single event, if any remains and it does not lie
+    /// beyond the horizon [`run_before`](Engine::run_before) sets.
+    /// Returns `true` if an event ran.
+    fn step(&mut self, world: &mut W) -> bool {
         // One fused queue operation: the horizon check reads the
         // entry the pop then removes. The event leaves the queue before
         // its handler runs, so `pending` and `next_event_time` stay
@@ -201,28 +201,13 @@ impl<W> Engine<W> {
         EVENTS_EXECUTED.add(self.executed - before);
     }
 
-    /// Runs until the queue is empty or the next event lies strictly
-    /// after `deadline`; then sets the clock to `deadline` if it has
-    /// not yet reached it. Events exactly at `deadline` run.
-    pub fn run_until(&mut self, world: &mut W, deadline: SimTime) {
-        self.horizon = Some(deadline);
-        let before = self.executed;
-        while self.step(world) {}
-        EVENTS_EXECUTED.add(self.executed - before);
-        self.horizon = None;
-        if self.clock < deadline {
-            self.clock = deadline;
-        }
-    }
-
     /// Runs every event strictly before `bound`, leaving the clock at
     /// the last executed event (or untouched when nothing ran) — the
     /// window-execution primitive of the conservative synchronizer in
-    /// [`crate::shard`]. Unlike [`run_until`](Engine::run_until), the
-    /// bound itself is *exclusive* and the clock is **not** bumped to
-    /// it: an event delivered exactly at the bound (the next window's
-    /// horizon) must still be schedulable, and schedule-time causality
-    /// checks compare against the clock.
+    /// [`crate::shard`]. The bound is *exclusive* and the clock is
+    /// **not** bumped to it: an event delivered exactly at the bound
+    /// (the next window's horizon) must still be schedulable, and
+    /// schedule-time causality checks compare against the clock.
     ///
     /// Returns how many events ran.
     ///
@@ -247,16 +232,6 @@ impl<W> Engine<W> {
     /// safe-advance minimum.
     pub fn next_event_time(&self) -> Option<SimTime> {
         self.queue.earliest_time()
-    }
-
-    /// Runs at most `max_events` events; returns how many ran.
-    pub fn run_steps(&mut self, world: &mut W, max_events: u64) -> u64 {
-        let mut n = 0;
-        while n < max_events && self.step(world) {
-            n += 1;
-        }
-        EVENTS_EXECUTED.add(n);
-        n
     }
 }
 
@@ -345,29 +320,6 @@ mod tests {
         let ticks: Vec<u64> = w.log.iter().map(|(n, _)| *n).collect();
         assert_eq!(ticks, vec![3, 2, 1, 0]);
         assert_eq!(en.now(), secs(3));
-    }
-
-    #[test]
-    fn run_until_stops_at_deadline_and_advances_clock() {
-        let mut en: Engine<W> = Engine::new();
-        let mut w = W::default();
-        en.schedule_at(secs(1), [0; 2], |_, w, _| w.log.push((1, "in")));
-        en.schedule_at(secs(5), [0; 2], |_, w, _| w.log.push((5, "out")));
-        en.run_until(&mut w, secs(3));
-        assert_eq!(w.log.len(), 1);
-        assert_eq!(en.now(), secs(3), "clock advances to deadline");
-        assert_eq!(en.pending(), 1);
-        en.run(&mut w);
-        assert_eq!(w.log.len(), 2);
-    }
-
-    #[test]
-    fn run_until_includes_deadline_events() {
-        let mut en: Engine<W> = Engine::new();
-        let mut w = W::default();
-        en.schedule_at(secs(3), [0; 2], |_, w, _| w.log.push((3, "at")));
-        en.run_until(&mut w, secs(3));
-        assert_eq!(w.log.len(), 1);
     }
 
     #[test]
@@ -461,17 +413,5 @@ mod tests {
         en.schedule_in(SimDuration::ZERO, [0; 2], chain);
         en.run(&mut w);
         assert!(en.executed() >= 4 * crate::audit::AUTO_AUDIT_INTERVAL);
-    }
-
-    #[test]
-    fn run_steps_bounds_execution() {
-        let mut en: Engine<W> = Engine::new();
-        let mut w = W::default();
-        for i in 0..10 {
-            en.schedule_at(secs(i), [0; 2], |_, w, _| w.log.push((0, "x")));
-        }
-        assert_eq!(en.run_steps(&mut w, 3), 3);
-        assert_eq!(w.log.len(), 3);
-        assert_eq!(en.pending(), 7);
     }
 }

@@ -196,8 +196,8 @@ impl<E> EventQueue<E> {
     /// event carries a sequence number the counter has already handed
     /// out. The heap's ordering is `std`'s to keep.
     ///
-    /// O(n) in pending events — called periodically by
-    /// [`crate::engine::Engine::step`], directly by tests.
+    /// O(n) in pending events — called periodically by the dispatch
+    /// loop of [`crate::engine::Engine`], directly by tests.
     #[cfg(any(debug_assertions, test, feature = "audit"))]
     pub fn audit(&self) -> crate::audit::AuditResult {
         match self

@@ -29,12 +29,12 @@
 //!   errors, NFS timeouts) that every layer consults; a
 //!   [`FaultFeed`](fault::FaultFeed) guarantees each fault fires at
 //!   most once.
-//! * [`stats`] — online statistics (Welford), histograms and series
-//!   summaries used by every experiment harness.
-//! * [`hist`] — streaming log-scale [`Histogram`](hist::Histogram)s
-//!   with integer-exact merge: constant memory per named series,
-//!   p50/p99/p999 extraction, bit-identical rollups at any
-//!   shard/thread count.
+//! * [`stats`] — the one-pass (Welford) mean/std/min/max accumulator
+//!   [`OnlineStats`] behind every experiment harness's summary rows.
+//! * [`hist`] — streaming log-scale [`Histogram`](hist::Histogram)s,
+//!   the workspace's one histogram type, with integer-exact merge:
+//!   constant memory per named series, p50/p99/p999 extraction,
+//!   bit-identical rollups at any shard/thread count.
 //! * [`sample`] — deterministic sampling: the seeded
 //!   [`Reservoir`](sample::Reservoir) and the stratified per-category
 //!   keep decision behind sampled trace logs.
@@ -58,13 +58,16 @@
 //!   bit-identical for any thread count.
 //! * [`shard`] — conservative parallel simulation *within* one
 //!   replication: per-site event queues synchronized by a lookahead
-//!   barrier protocol ([`shard::ShardedSim`]), with cross-site sends
-//!   through deterministic mailboxes — results bit-identical at any
-//!   shard/thread count.
+//!   barrier protocol ([`shard::ShardedSim`]), with cross-site
+//!   messages, two words each like an event's, through deterministic
+//!   mailboxes to the destination world's
+//!   [`deliver`](shard::ShardWorld::deliver) — results bit-identical
+//!   at any shard/thread count.
 //! * [`server`] — analytic FIFO/processor-sharing service primitives
 //!   used to model disks, links and RPC endpoints without spawning an
 //!   event per byte.
-//! * [`trace`] — a lightweight category-tagged trace recorder.
+//! * [`trace`] — a lightweight category-tagged trace recorder, with
+//!   optional seeded sampling at one per-mille rate.
 //!
 //! ## Example
 //!

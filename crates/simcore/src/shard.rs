@@ -83,17 +83,17 @@
 //!
 //! ## Allocation-free delivery
 //!
-//! Delivery schedules each message as an ordinary 24-byte engine
-//! event: the world's [`encode_msg`](ShardWorld::encode_msg) packs it
-//! into the event's two words and
-//! [`decode_msg`](ShardWorld::decode_msg) unpacks it at the
-//! destination. Each site has one outbox, which reserves room for
-//! `OUTBOX_RESERVE` (128) messages up front and trades buffers with
-//! the drain's scratch `Vec` at every window boundary; a site that
-//! queues more in one window regrows its buffer, counted by
-//! `shard.outbox_regrown`. So steady-state mailbox traffic makes zero
-//! allocator calls, and the mailboxes' memory grows with the sites,
-//! not with the pairs of sites.
+//! A message is two words, the two an engine event carries:
+//! [`SiteState::send`] queues `(destination, arrival, words)`, 32
+//! bytes, and delivery schedules the words at the destination as an
+//! ordinary engine event whose handler is the world's
+//! [`deliver`](ShardWorld::deliver). Each site has one outbox, which
+//! reserves room for `OUTBOX_RESERVE` (128) messages up front and
+//! trades buffers with the drain's scratch `Vec` at every window
+//! boundary; a site that queues more in one window regrows its
+//! buffer, counted by `shard.outbox_regrown`. So steady-state mailbox
+//! traffic makes zero allocator calls, and the mailboxes' memory grows
+//! with the sites, not with the pairs of sites.
 //!
 //! The cross-thread primitives this module uses (`Mutex`, `Barrier`,
 //! atomics) are sanctioned *here only* — the `sync-primitive` audit
@@ -109,21 +109,17 @@
 //!
 //! struct Counter { received: u64 }
 //! impl ShardWorld for Counter {
-//!     type Msg = u64;
-//!     fn deliver(msg: u64, site: &mut SiteState<Self>, _: &mut Engine<SiteState<Self>>) {
-//!         site.world.received += msg;
+//!     // The message's two words, exactly as its sender packed them.
+//!     fn deliver(words: [u64; 2], site: &mut SiteState<Self>, _: &mut Engine<SiteState<Self>>) {
+//!         site.world.received += words[0];
 //!     }
-//!     // Pack the payload into the event's two words: delivery
-//!     // never touches the allocator.
-//!     fn encode_msg(msg: u64) -> [u64; 2] { [msg, 0] }
-//!     fn decode_msg(words: [u64; 2]) -> u64 { words[0] }
 //! }
 //!
 //! let lookahead = LookaheadMatrix::uniform(2, SimDuration::from_millis(5));
 //! let mut sim = ShardedSim::new(lookahead, (0..2).map(|_| Counter { received: 0 }));
 //! sim.with_site(0, |_, en| {
 //!     en.schedule_at(SimTime::ZERO, [7, 0], |words, site, en| {
-//!         site.send(SiteId(1), en.now() + SimDuration::from_millis(5), words[0]);
+//!         site.send(SiteId(1), en.now() + SimDuration::from_millis(5), words);
 //!     });
 //! });
 //! sim.run();
@@ -154,8 +150,8 @@ static OUTBOX_REGROWN: Counter = Counter::new("shard.outbox_regrown");
 const OUTBOX_RESERVE: usize = 128;
 
 /// A site's queued cross-site messages, `(destination, arrival,
-/// message)` in send order.
-type Outbox<M> = Vec<(SiteId, SimTime, M)>;
+/// words)` in send order.
+type Outbox = Vec<(SiteId, SimTime, [u64; 2])>;
 
 /// Identifies one site — the unit of the conservative protocol and
 /// the owner of one event queue, trace segment and RNG stream.
@@ -184,21 +180,11 @@ impl fmt::Display for SiteId {
 /// between threads at window boundaries; the protocol guarantees
 /// exclusive access within a window.
 pub trait ShardWorld: Send + Sized + 'static {
-    /// Cross-site message payload, moved through the sites' outboxes.
-    type Msg: Send + 'static;
-
-    /// Applies one delivered message at its arrival instant. Runs as
-    /// an ordinary event on the destination site's engine, so it may
-    /// schedule follow-ups and send further messages.
-    fn deliver(msg: Self::Msg, site: &mut SiteState<Self>, en: &mut Engine<SiteState<Self>>);
-
-    /// Packs a message into the two words of the engine event that
-    /// delivers it, so delivery never allocates. Implementations must
-    /// round-trip: `decode_msg(encode_msg(m)) == m`.
-    fn encode_msg(msg: Self::Msg) -> [u64; 2];
-
-    /// Reverses [`encode_msg`](Self::encode_msg).
-    fn decode_msg(words: [u64; 2]) -> Self::Msg;
+    /// Applies one delivered message, the two words its sender passed
+    /// to [`SiteState::send`], at its arrival instant. It is the
+    /// handler of an ordinary event on the destination site's engine,
+    /// so it may schedule follow-ups and send further messages.
+    fn deliver(words: [u64; 2], site: &mut SiteState<Self>, en: &mut Engine<SiteState<Self>>);
 
     /// Called once per site when the run completes, before the site's
     /// metrics are folded into the caller's context: worlds that
@@ -206,16 +192,6 @@ pub trait ShardWorld: Send + Sized + 'static {
     /// through [`Counter`] handles instead of
     /// a thread-local add per event. The default publishes nothing.
     fn flush_metrics(&mut self) {}
-}
-
-/// The delivery trampoline: a plain `fn` item, so it is an engine
-/// event's handler with the encoded message as its words.
-fn deliver_inline<W: ShardWorld>(
-    words: [u64; 2],
-    state: &mut SiteState<W>,
-    en: &mut Engine<SiteState<W>>,
-) {
-    W::deliver(W::decode_msg(words), state, en);
 }
 
 /// The world type each site's [`Engine`] executes over: the caller's
@@ -231,7 +207,7 @@ pub struct SiteState<W: ShardWorld> {
     /// Messages sent since the last drain, to every destination. The
     /// drain swaps it with its scratch buffer, so the capacity
     /// circulates across windows.
-    outbox: Outbox<W::Msg>,
+    outbox: Outbox,
 }
 
 impl<W: ShardWorld> SiteState<W> {
@@ -240,11 +216,12 @@ impl<W: ShardWorld> SiteState<W> {
         self.id
     }
 
-    /// Queues a cross-site message for delivery at the absolute
-    /// instant `at`, behind every message this site sent before it.
-    /// The message is moved into the destination's engine at the next
-    /// barrier; `at` must be at least one link latency past the
-    /// window it was sent in (guaranteed when `at` is
+    /// Queues a cross-site message, two words handed unchanged to the
+    /// destination world's [`deliver`](ShardWorld::deliver) at the
+    /// absolute instant `at`, behind every message this site sent
+    /// before it. The message is moved into the destination's engine
+    /// at the next barrier; `at` must be at least one link latency
+    /// past the window it was sent in (guaranteed when `at` is
     /// `now + link_latency`, since the lookahead matrix never exceeds
     /// any link latency) or the drain panics.
     ///
@@ -252,7 +229,7 @@ impl<W: ShardWorld> SiteState<W> {
     ///
     /// Panics on a self-send: local follow-ups are ordinary scheduled
     /// events, not mailbox traffic, and are not subject to lookahead.
-    pub fn send(&mut self, dst: SiteId, at: SimTime, msg: W::Msg) {
+    pub fn send(&mut self, dst: SiteId, at: SimTime, words: [u64; 2]) {
         assert!(
             dst != self.id,
             "{}: self-send through the mailbox; schedule a local event instead",
@@ -261,7 +238,7 @@ impl<W: ShardWorld> SiteState<W> {
         if self.outbox.len() == self.outbox.capacity() {
             OUTBOX_REGROWN.add(1);
         }
-        self.outbox.push((dst, at, msg));
+        self.outbox.push((dst, at, words));
     }
 }
 
@@ -572,7 +549,7 @@ impl<W: ShardWorld> ShardedSim<W> {
             self.total_events += rt.en.run_before(&mut rt.state, end);
             metrics::swap(&mut rt.metrics);
             std::mem::swap(&mut rt.state.outbox, &mut sent);
-            for (dst, at, msg) in sent.drain(..) {
+            for (dst, at, words) in sent.drain(..) {
                 let la = self.matrix.lookahead_nanos(src, dst.index());
                 assert!(
                     at.as_nanos() >= now.as_nanos().saturating_add(la),
@@ -581,8 +558,7 @@ impl<W: ShardWorld> ShardedSim<W> {
                     SimDuration::from_nanos(la)
                 );
                 let rt = runtime(&mut self.sites[dst.index()]);
-                rt.en
-                    .schedule_at(at, W::encode_msg(msg), deliver_inline::<W>);
+                rt.en.schedule_at(at, words, W::deliver);
                 self.messages += 1;
             }
         }
@@ -785,7 +761,7 @@ fn run_shards<W: ShardWorld>(
 fn drain<W: ShardWorld>(
     sites: &[Mutex<SiteRuntime<W>>],
     times: &mut [u64],
-    scratch: &mut Outbox<W::Msg>,
+    scratch: &mut Outbox,
 ) -> u64 {
     let next = |rt: &SiteRuntime<W>| rt.en.next_event_time().map_or(u64::MAX, SimTime::as_nanos);
     let mut delivered = 0u64;
@@ -799,7 +775,7 @@ fn drain<W: ShardWorld>(
             std::mem::swap(&mut rt.state.outbox, scratch);
         }
         delivered += scratch.len() as u64;
-        for (dst, at, msg) in scratch.drain(..) {
+        for (dst, at, words) in scratch.drain(..) {
             let mut rt = sites[dst.index()].lock().expect("site lock poisoned");
             assert!(
                 at.as_nanos() >= rt.safe,
@@ -808,8 +784,7 @@ fn drain<W: ShardWorld>(
                  least one lookahead (the minimum link latency) in the future",
                 SimTime::from_nanos(rt.safe)
             );
-            rt.en
-                .schedule_at(at, W::encode_msg(msg), deliver_inline::<W>);
+            rt.en.schedule_at(at, words, W::deliver);
             times[dst.index()] = next(&rt);
         }
     }
@@ -917,18 +892,15 @@ mod tests {
     }
 
     impl ShardWorld for PingWorld {
-        type Msg = u64;
-        fn deliver(msg: u64, site: &mut SiteState<Self>, en: &mut Engine<SiteState<Self>>) {
+        fn deliver(
+            [token, _]: [u64; 2],
+            site: &mut SiteState<Self>,
+            en: &mut Engine<SiteState<Self>>,
+        ) {
             site.world.received += 1;
             metrics::counter_add("ping.received", 1);
             site.trace
-                .record(en.now(), "ping", format!("got token {msg}"));
-        }
-        fn encode_msg(msg: u64) -> [u64; 2] {
-            [msg, 0]
-        }
-        fn decode_msg(words: [u64; 2]) -> u64 {
-            words[0]
+                .record(en.now(), "ping", format!("got token {token}"));
         }
     }
 
@@ -941,7 +913,7 @@ mod tests {
         let jitter = site.world.rng.next_below(400);
         if left.is_multiple_of(3) {
             let dst = SiteId((site.id().0 + 1) % site.world.peers);
-            site.send(dst, en.now() + LAT, left);
+            site.send(dst, en.now() + LAT, [left, 0]);
         }
         if left > 0 {
             en.schedule_in(SimDuration::from_micros(800 + jitter), [left - 1, 0], tick);
@@ -1072,17 +1044,23 @@ mod tests {
         );
     }
 
+    #[test]
+    fn outbox_entries_take_four_words() {
+        // The destination (padded to a word), the arrival and the
+        // message's two words.
+        fn entry_size<T>(_: &Vec<T>) -> usize {
+            std::mem::size_of::<T>()
+        }
+        assert_eq!(entry_size(&Outbox::new()), 32);
+        assert_eq!(std::mem::size_of::<(SiteId, SimTime, [u64; 2])>(), 32);
+    }
+
     /// A world with no behaviour of its own: tests drive it through
     /// closures scheduled on its sites.
     struct Idle;
 
     impl ShardWorld for Idle {
-        type Msg = ();
-        fn deliver(_: (), _: &mut SiteState<Self>, _: &mut Engine<SiteState<Self>>) {}
-        fn encode_msg(_: ()) -> [u64; 2] {
-            [0; 2]
-        }
-        fn decode_msg(_: [u64; 2]) {}
+        fn deliver(_: [u64; 2], _: &mut SiteState<Self>, _: &mut Engine<SiteState<Self>>) {}
     }
 
     fn idle(n: usize) -> ShardedSim<Idle> {
@@ -1099,7 +1077,7 @@ mod tests {
         sim.with_site(0, |_, en| {
             en.schedule_at(SimTime::ZERO, [0; 2], |_, site, en| {
                 for _ in 0..=OUTBOX_RESERVE {
-                    site.send(SiteId(1), en.now() + LAT, ());
+                    site.send(SiteId(1), en.now() + LAT, [0; 2]);
                 }
             });
         });
@@ -1114,30 +1092,29 @@ mod tests {
         );
     }
 
-    /// A world that logs the payloads delivered to it, in order.
-    struct Log(Vec<u64>);
+    /// A world that logs the words delivered to it, in order.
+    struct Log(Vec<[u64; 2]>);
 
     impl ShardWorld for Log {
-        type Msg = u64;
-        fn deliver(msg: u64, site: &mut SiteState<Self>, _: &mut Engine<SiteState<Self>>) {
-            site.world.0.push(msg);
-        }
-        fn encode_msg(msg: u64) -> [u64; 2] {
-            [msg, 0]
-        }
-        fn decode_msg(words: [u64; 2]) -> u64 {
-            words[0]
+        fn deliver(words: [u64; 2], site: &mut SiteState<Self>, _: &mut Engine<SiteState<Self>>) {
+            site.world.0.push(words);
         }
     }
 
+    /// The two words that carry payload `k`, with high bits set in
+    /// both, so a delivery that truncates or drops either word shows.
+    fn payload(k: u64) -> [u64; 2] {
+        [0xa5a5_0000_0000_0000 | k, !k]
+    }
+
     /// Runs a 3-site `Log` world in which, at time zero, site 0 sends
-    /// 1 to site 2, 2 to site 1 and 3 to site 2, and site 1 sends 4
-    /// and 5 to site 2, all arriving `LAT` later; returns what sites
-    /// 2 and 1 delivered, in order.
+    /// payloads 1 to site 2, 2 to site 1 and 3 to site 2, and site 1
+    /// sends 4 and 5 to site 2, all arriving `LAT` later; returns the
+    /// words sites 2 and 1 delivered, in order.
     fn same_instant_deliveries(
         threads: usize,
         run: fn(&mut ShardedSim<Log>),
-    ) -> (Vec<u64>, Vec<u64>) {
+    ) -> (Vec<[u64; 2]>, Vec<[u64; 2]>) {
         let mut sim = ShardedSim::new(
             LookaheadMatrix::uniform(3, LAT),
             (0..3).map(|_| Log(Vec::new())),
@@ -1146,15 +1123,15 @@ mod tests {
         .threads(threads);
         sim.with_site(0, |_, en| {
             en.schedule_at(SimTime::ZERO, [0; 2], |_, site, en| {
-                for (dst, payload) in [(2, 1), (1, 2), (2, 3)] {
-                    site.send(SiteId(dst), en.now() + LAT, payload);
+                for (dst, k) in [(2, 1), (1, 2), (2, 3)] {
+                    site.send(SiteId(dst), en.now() + LAT, payload(k));
                 }
             });
         });
         sim.with_site(1, |_, en| {
             en.schedule_at(SimTime::ZERO, [0; 2], |_, site, en| {
-                for payload in [4, 5] {
-                    site.send(SiteId(2), en.now() + LAT, payload);
+                for k in [4, 5] {
+                    site.send(SiteId(2), en.now() + LAT, payload(k));
                 }
             });
         });
@@ -1170,7 +1147,11 @@ mod tests {
         // Every message arrives at the same instant, so each site's
         // delivery order is the order the messages entered its queue:
         // site 0's sends before site 1's, each source's in send order.
-        let want = (vec![1, 3, 4, 5], vec![2]);
+        // `deliver` sees both words exactly as they were sent.
+        let want = (
+            [1, 3, 4, 5].map(payload).to_vec(),
+            [2].map(payload).to_vec(),
+        );
         for threads in [1, 2, 8] {
             let got = same_instant_deliveries(threads, ShardedSim::run);
             assert_eq!(got, want, "run at threads={threads}");
@@ -1284,14 +1265,14 @@ mod tests {
         // Arriving now, a lookahead short of the earliest legal
         // instant: the destination may already have run past it.
         fails_loudly("lookahead violation", |_, site, en| {
-            site.send(SiteId(4), en.now(), ());
+            site.send(SiteId(4), en.now(), [0; 2]);
         });
     }
 
     #[test]
     fn self_sends_fail_loudly() {
         fails_loudly("self-send", |_, site, en| {
-            site.send(site.id(), en.now() + LAT, ());
+            site.send(site.id(), en.now() + LAT, [0; 2]);
         });
     }
 
@@ -1302,7 +1283,7 @@ mod tests {
             en.schedule_in(LAT + LAT, [0; 2], |_, site, _| {
                 panic!("{}: handler exploded", site.id());
             });
-            site.send(SiteId(4), en.now() + LAT, ());
+            site.send(SiteId(4), en.now() + LAT, [0; 2]);
         });
     }
 
@@ -1388,19 +1369,20 @@ mod tests {
                 );
             } else if hops_left > 0 {
                 let peer = SiteId(site.id().0 ^ 1);
-                site.send(peer, en.now() + SimDuration::from_millis(5), hops_left - 1);
+                site.send(
+                    peer,
+                    en.now() + SimDuration::from_millis(5),
+                    [hops_left - 1, 0],
+                );
             }
         }
         impl ShardWorld for Burster {
-            type Msg = u64;
-            fn deliver(msg: u64, site: &mut SiteState<Self>, en: &mut Engine<SiteState<Self>>) {
-                burst([msg, 19], site, en);
-            }
-            fn encode_msg(msg: u64) -> [u64; 2] {
-                [msg, 0]
-            }
-            fn decode_msg(words: [u64; 2]) -> u64 {
-                words[0]
+            fn deliver(
+                [hops_left, _]: [u64; 2],
+                site: &mut SiteState<Self>,
+                en: &mut Engine<SiteState<Self>>,
+            ) {
+                burst([hops_left, 19], site, en);
             }
         }
         let direct = |a: SiteId, b: SiteId| {

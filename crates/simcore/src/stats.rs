@@ -1,4 +1,4 @@
-//! Online statistics and summaries for experiment harnesses.
+//! Online statistics for experiment harnesses.
 //!
 //! The reproduction binaries report the same aggregates the paper
 //! does: mean, standard deviation, minimum, maximum (Table 2) and mean
@@ -182,124 +182,6 @@ impl fmt::Display for OnlineStats {
     }
 }
 
-/// A fixed-width histogram over `[lo, hi)` with overflow/underflow
-/// buckets, used for latency distributions.
-#[derive(Clone, Debug)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    buckets: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-    stats: OnlineStats,
-}
-
-impl Histogram {
-    /// Creates a histogram with `buckets` equal-width bins over
-    /// `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is empty or `buckets` is zero.
-    pub fn new(lo: f64, hi: f64, buckets: usize) -> Self {
-        assert!(lo < hi, "Histogram: empty range");
-        assert!(buckets > 0, "Histogram: zero buckets");
-        Histogram {
-            lo,
-            hi,
-            buckets: vec![0; buckets],
-            underflow: 0,
-            overflow: 0,
-            stats: OnlineStats::new(),
-        }
-    }
-
-    /// Adds one observation.
-    pub fn record(&mut self, x: f64) {
-        self.stats.record(x);
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let n = self.buckets.len();
-            let idx = ((x - self.lo) / (self.hi - self.lo) * n as f64) as usize;
-            self.buckets[idx.min(n - 1)] += 1;
-        }
-    }
-
-    /// Total observations, including under/overflow.
-    pub fn count(&self) -> u64 {
-        self.stats.count()
-    }
-
-    /// The bucket counts (excludes under/overflow).
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    /// Observations below the range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Observations at or above the upper bound.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// The running summary statistics of all observations.
-    pub fn stats(&self) -> &OnlineStats {
-        &self.stats
-    }
-
-    /// Approximate quantile (inclusive linear scan over buckets;
-    /// under/overflow counted at the extremes).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `[0,1]` or the histogram is empty.
-    pub fn quantile(&self, q: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&q), "quantile: q={q}");
-        let n = self.count();
-        assert!(n > 0, "quantile of empty histogram");
-        let target = (q * n as f64).ceil().max(1.0) as u64;
-        let mut seen = self.underflow;
-        if seen >= target {
-            return self.lo;
-        }
-        let width = (self.hi - self.lo) / self.buckets.len() as f64;
-        for (i, c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return self.lo + width * (i as f64 + 1.0);
-            }
-        }
-        self.hi
-    }
-}
-
-/// Formats a labelled series of [`OnlineStats`] as the
-/// mean/std/min/max table rows the paper prints (Table 2 layout).
-pub fn format_stats_table(rows: &[(&str, &OnlineStats)]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:<38} {:>10} {:>10} {:>10} {:>10}\n",
-        "scenario", "mean", "std", "min", "max"
-    ));
-    for (label, s) in rows {
-        out.push_str(&format!(
-            "{:<38} {:>10.1} {:>10.1} {:>10.1} {:>10.1}\n",
-            label,
-            s.mean(),
-            s.std_dev(),
-            s.min(),
-            s.max()
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -366,41 +248,6 @@ mod tests {
         let mut e = OnlineStats::new();
         e.merge(&before);
         assert_eq!(e, before);
-    }
-
-    #[test]
-    fn histogram_buckets_and_flows() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for x in [-1.0, 0.0, 0.5, 5.0, 9.99, 10.0, 25.0] {
-            h.record(x);
-        }
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 2);
-        assert_eq!(h.buckets()[0], 2); // 0.0 and 0.5
-        assert_eq!(h.buckets()[5], 1);
-        assert_eq!(h.buckets()[9], 1);
-        assert_eq!(h.count(), 7);
-    }
-
-    #[test]
-    fn histogram_quantiles_are_monotone() {
-        let mut h = Histogram::new(0.0, 100.0, 100);
-        for i in 0..1000 {
-            h.record((i % 100) as f64);
-        }
-        let q25 = h.quantile(0.25);
-        let q50 = h.quantile(0.50);
-        let q99 = h.quantile(0.99);
-        assert!(q25 <= q50 && q50 <= q99);
-        assert!((q50 - 50.0).abs() <= 2.0, "median {q50}");
-    }
-
-    #[test]
-    fn table_formatting_contains_rows() {
-        let s: OnlineStats = [1.0, 2.0, 3.0].into_iter().collect();
-        let txt = format_stats_table(&[("VM-restore / DiskFS", &s)]);
-        assert!(txt.contains("VM-restore / DiskFS"));
-        assert!(txt.contains("mean"));
     }
 }
 

@@ -31,48 +31,12 @@ static TRACE_DROPPED: Counter = Counter::new("trace.dropped");
 /// Entries retained by sampling trace logs.
 static TRACE_SAMPLED: Counter = Counter::new("trace.sampled");
 
-/// Per-category sampling rates for a sampled [`TraceLog`].
-///
-/// Rates are per-mille (0 = drop all, 1000 = keep all); categories
-/// without an explicit override use the default rate.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SamplePolicy {
-    default_per_mille: u32,
-    per_category: BTreeMap<&'static str, u32>,
-}
-
-impl SamplePolicy {
-    /// A uniform policy: every category samples at `per_mille`.
-    pub fn uniform(per_mille: u32) -> Self {
-        SamplePolicy {
-            default_per_mille: per_mille.min(1000),
-            per_category: BTreeMap::new(),
-        }
-    }
-
-    /// Overrides one category's rate (builder-style). Categories
-    /// carrying rare, high-value events (completions, faults) keep
-    /// more; chatty step-level categories keep less.
-    pub fn with_category(mut self, category: &'static str, per_mille: u32) -> Self {
-        self.per_category.insert(category, per_mille.min(1000));
-        self
-    }
-
-    /// The effective per-mille rate for a category.
-    pub fn rate_for(&self, category: &str) -> u32 {
-        self.per_category
-            .get(category)
-            .copied()
-            .unwrap_or(self.default_per_mille)
-    }
-}
-
-/// The sampling state of a sampled log: the policy, the decision
-/// seed, and a per-category sequence counter (bounded by the number
-/// of distinct categories, not the entry volume).
+/// The sampling state of a sampled log: the per-mille rate, the
+/// decision seed, and a per-category sequence counter (bounded by the
+/// number of distinct categories, not the entry volume).
 #[derive(Clone, Debug)]
 struct Sampler {
-    policy: SamplePolicy,
+    rate_per_mille: u32,
     seed: u64,
     seq: BTreeMap<&'static str, u64>,
 }
@@ -113,7 +77,6 @@ pub struct TraceLog {
     capacity: usize,
     dropped: u64,
     sampled: u64,
-    enabled: bool,
     sampler: Option<Sampler>,
 }
 
@@ -136,24 +99,25 @@ impl TraceLog {
             capacity,
             dropped: 0,
             sampled: 0,
-            enabled: true,
             sampler: None,
         }
     }
 
-    /// Creates a sampling log: entries pass the seeded stratified
-    /// keep decision ([`keep_per_mille`]) at their category's policy
-    /// rate before entering the ring; the rest count as dropped.
-    /// Retention is a pure function of `(policy, seed, stream)` —
-    /// sampled digests are reproducible and shard/thread invariant.
+    /// Creates a sampling log: every entry passes the seeded
+    /// stratified keep decision ([`keep_per_mille`]) at
+    /// `rate_per_mille` (0 = drop all, 1000 = keep all; higher rates
+    /// clamp to 1000) over its category's own sequence numbers before
+    /// entering the ring; the rest count as dropped. Retention is a
+    /// pure function of `(rate, seed, stream)` — sampled digests are
+    /// reproducible and shard/thread invariant.
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
-    pub fn with_sampling(capacity: usize, policy: SamplePolicy, seed: u64) -> Self {
+    pub fn with_sampling(capacity: usize, rate_per_mille: u32, seed: u64) -> Self {
         let mut log = TraceLog::with_capacity(capacity);
         log.sampler = Some(Sampler {
-            policy,
+            rate_per_mille: rate_per_mille.min(1000),
             seed,
             seq: BTreeMap::new(),
         });
@@ -177,20 +141,8 @@ impl TraceLog {
             capacity,
             dropped: 0,
             sampled: 0,
-            enabled: true,
             sampler: None,
         }
-    }
-
-    /// Disables recording (records become no-ops); useful for
-    /// benchmark runs.
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-    }
-
-    /// True when recording.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Appends an entry, evicting the oldest when full. On a sampling
@@ -199,17 +151,14 @@ impl TraceLog {
     /// summaries, like ring evictions).
     ///
     /// The message is formatted into the entry's `String` only once
-    /// the entry is kept, so a disabled log or a sampled-out entry
-    /// formats nothing. Pass `format_args!` rather than `format!`,
-    /// which would allocate the message up front for nothing (the
-    /// `trace-format` audit rule flags it in library code).
+    /// the entry is kept, so a sampled-out entry formats nothing. Pass
+    /// `format_args!` rather than `format!`, which would allocate the
+    /// message up front for nothing (the `trace-format` audit rule
+    /// flags it in library code).
     pub fn record(&mut self, time: SimTime, category: &'static str, message: impl fmt::Display) {
-        if !self.enabled {
-            return;
-        }
         if let Some(s) = &mut self.sampler {
             let seq = s.seq.entry(category).or_insert(0);
-            let keep = keep_per_mille(s.seed, category, *seq, s.policy.rate_for(category));
+            let keep = keep_per_mille(s.seed, category, *seq, s.rate_per_mille);
             *seq += 1;
             if !keep {
                 self.dropped += 1;
@@ -256,11 +205,6 @@ impl TraceLog {
     /// decision (0 on an unsampled log).
     pub fn sampled(&self) -> u64 {
         self.sampled
-    }
-
-    /// True when this log samples its input stream.
-    pub fn is_sampling(&self) -> bool {
-        self.sampler.is_some()
     }
 
     /// Number of retained entries.
@@ -337,15 +281,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_log_records_nothing() {
-        let mut log = TraceLog::default();
-        log.set_enabled(false);
-        log.record(t(1), "x", "ignored");
-        assert!(log.is_empty());
-        assert!(!log.is_enabled());
-    }
-
-    #[test]
     fn only_kept_entries_are_formatted() {
         struct Counted<'a>(&'a std::cell::Cell<u32>);
         impl fmt::Display for Counted<'_> {
@@ -355,12 +290,9 @@ mod tests {
             }
         }
         let formatted = std::cell::Cell::new(0);
-        let mut sampled_out = TraceLog::with_sampling(8, SamplePolicy::uniform(0), 1);
-        let mut disabled = TraceLog::default();
-        disabled.set_enabled(false);
+        let mut sampled_out = TraceLog::with_sampling(8, 0, 1);
         for i in 0..10 {
             sampled_out.record(t(i), "x", Counted(&formatted));
-            disabled.record(t(i), "x", Counted(&formatted));
         }
         assert_eq!(formatted.get(), 0, "dropped entries format nothing");
         let mut kept = TraceLog::with_capacity(8);
@@ -403,13 +335,18 @@ mod tests {
 
     #[test]
     fn sampling_is_seed_deterministic_and_stratified() {
-        let run = |seed| {
-            let policy = SamplePolicy::uniform(100).with_category("vo", 500);
-            let mut log = TraceLog::with_sampling(4096, policy, seed);
+        let log = |seed, chatty: bool| {
+            let mut log = TraceLog::with_sampling(4096, 300, seed);
             for i in 0..2000u64 {
                 log.record(t(i), "vo", format!("s{i}"));
-                log.record(t(i), "chatty", format!("c{i}"));
+                if chatty {
+                    log.record(t(i), "chatty", format!("c{i}"));
+                }
             }
+            log
+        };
+        let run = |seed| {
+            let log = log(seed, true);
             (log.digest(), log.sampled(), log.dropped(), log.len())
         };
         let a = run(42);
@@ -418,14 +355,25 @@ mod tests {
         let (_, sampled, dropped, len) = a;
         assert_eq!(sampled + dropped, 4000, "every record accounted for");
         assert_eq!(len as u64, sampled, "nothing evicted below capacity");
-        // "vo" keeps ~50%, "chatty" ~10%: total ~1200 of 4000.
+        // ~30% of 4000 in all, and of each category's own 2000.
         assert!((900..1500).contains(&sampled), "sampled {sampled}");
+        let (mixed, alone) = (log(42, true), log(42, false));
+        for category in ["vo", "chatty"] {
+            let kept = mixed.by_category(category).count();
+            assert!((450..750).contains(&kept), "{category} kept {kept}");
+        }
+        // A category's keep decisions follow its own sequence numbers,
+        // so interleaving another category leaves its kept set alone.
+        assert!(
+            mixed.by_category("vo").eq(alone.by_category("vo")),
+            "stratified per category"
+        );
     }
 
     #[test]
     fn sampling_rates_zero_and_full() {
-        let mut none = TraceLog::with_sampling(64, SamplePolicy::uniform(0), 1);
-        let mut all = TraceLog::with_sampling(64, SamplePolicy::uniform(1000), 1);
+        let mut none = TraceLog::with_sampling(64, 0, 1);
+        let mut all = TraceLog::with_sampling(64, 1000, 1);
         for i in 0..50u64 {
             none.record(t(i), "x", "m");
             all.record(t(i), "x", "m");
@@ -435,30 +383,18 @@ mod tests {
         assert_eq!(all.len(), 50);
         assert_eq!(all.sampled(), 50);
         assert_eq!(all.dropped(), 0);
-        assert!(all.is_sampling());
-        assert!(!TraceLog::default().is_sampling());
         assert_eq!(TraceLog::default().sampled(), 0);
     }
 
     #[test]
     fn sampled_log_still_bounds_the_ring() {
-        let mut log = TraceLog::with_sampling(8, SamplePolicy::uniform(1000), 1);
+        let mut log = TraceLog::with_sampling(8, 1000, 1);
         for i in 0..20u64 {
             log.record(t(i), "x", format!("m{i}"));
         }
         assert_eq!(log.len(), 8, "ring bound still applies");
         assert_eq!(log.sampled(), 20);
         assert_eq!(log.dropped(), 12, "evictions counted");
-    }
-
-    #[test]
-    fn policy_rates_resolve_per_category() {
-        let p = SamplePolicy::uniform(50).with_category("vo", 1000);
-        assert_eq!(p.rate_for("vo"), 1000);
-        assert_eq!(p.rate_for("other"), 50);
-        let clamped = SamplePolicy::uniform(5000).with_category("c", 9999);
-        assert_eq!(clamped.rate_for("c"), 1000);
-        assert_eq!(clamped.rate_for("d"), 1000);
     }
 
     #[test]

@@ -91,7 +91,7 @@ fn run_vo(mut sim: ShardedSim<VoSite>, run: fn(&mut ShardedSim<VoSite>)) -> (His
 
 #[test]
 fn steady_state_vo_mailbox_traffic_is_allocation_free() {
-    // Every cross-site hop in both VO worlds encodes to its delivery
+    // Every cross-site hop in both VO worlds travels as its delivery
     // event's two words, and no site queues more in one window than
     // its outbox reserves, so steady-state mailbox traffic makes no
     // allocator calls.
