@@ -204,7 +204,7 @@ pub fn scan_source_with(
             crate_name: krate.to_owned(),
             kind: rules::SourceKind::Lib,
             hot: false,
-            sync_sanctioned: false,
+            shard_file: false,
         },
         None => FileContext::from_path(rel_path),
     };

@@ -15,7 +15,7 @@
 //! | `float-accum`     | float reduction (`sum`/`fold`/`+=`) over an unordered hash iteration: result depends on visit order |
 //! | `unwrap-lib`      | `.unwrap()` in library code: panics without an invariant message |
 //! | `hot-btree-lookup`| `BTreeMap`/`BTreeSet` in a file listed under `[hot_paths]` in `audit.toml`: O(log n) lookups on a measured hot path |
-//! | `sync-primitive`  | `Mutex`/`RwLock`/`Atomic*` in sim-state library code outside the sanctioned `simcore::shard` synchronizer: ad-hoc cross-thread coordination invites schedule-dependent results |
+//! | `sync-primitive`  | `Mutex`/`RwLock`/`Atomic*` in sim-state library code, `simcore::shard` included: ad-hoc cross-thread coordination invites schedule-dependent results |
 //! | `trace-format`    | `format!` handed to a `.record(` call in library code: allocates a trace message the sampler may drop; `format_args!` defers formatting to the kept entries |
 
 use crate::analysis::{balanced, find_closures, receiver_chain, FileIndex, SymbolTable, UseDef};
@@ -73,10 +73,10 @@ pub struct FileContext {
     /// `audit.toml`: its per-entity lookups are measured hot paths,
     /// so ordered containers need an audited reason.
     pub hot: bool,
-    /// True for the one file allowed to hold locks and atomics:
-    /// `crates/simcore/src/shard.rs`, the conservative synchronizer
-    /// that *is* the sanctioned cross-thread coordination layer.
-    pub sync_sanctioned: bool,
+    /// True for [`SHARD_FILE`], the one file that may touch the shard
+    /// protocol's private site-owned state (`shard-state-escape`'s
+    /// cross-file check skips it).
+    pub shard_file: bool,
 }
 
 impl FileContext {
@@ -104,7 +104,7 @@ impl FileContext {
             crate_name,
             kind,
             hot: false,
-            sync_sanctioned: rel_path == "crates/simcore/src/shard.rs",
+            shard_file: rel_path == SHARD_FILE,
         }
     }
 
@@ -194,9 +194,9 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         name: "sync-primitive",
-        summary: "Mutex/RwLock/Atomic* in sim-state library code outside the sanctioned \
-                  simcore::shard synchronizer: ad-hoc locking makes results depend on the \
-                  OS schedule; route coordination through shard/replication or allowlist \
+        summary: "Mutex/RwLock/Atomic* in sim-state library code, simcore::shard \
+                  included: ad-hoc locking makes results depend on the OS schedule; lend \
+                  state to scoped threads by exclusive borrow, as shard does, or allowlist \
                   with an audited reason",
     },
     RuleInfo {
@@ -301,20 +301,16 @@ pub fn scan_with(src: &str, ctx: &FileContext, symbols: Option<&SymbolTable>) ->
                             .to_owned(),
                     });
                 }
-                "Mutex" | "RwLock"
-                    if ctx.is_sim_state()
-                        && ctx.kind == SourceKind::Lib
-                        && !ctx.sync_sanctioned =>
-                {
+                "Mutex" | "RwLock" if ctx.is_sim_state() && ctx.kind == SourceKind::Lib => {
                     out.push(Finding {
                         rule: "sync-primitive",
                         line: t.line,
                         col: t.col,
                         message: format!(
-                            "{name} in sim-state crate `{}` outside the sanctioned \
-                             simcore::shard synchronizer: ad-hoc locking makes results \
-                             depend on the OS schedule; route cross-thread coordination \
-                             through shard/replication or record an audited exception",
+                            "{name} in sim-state crate `{}`: ad-hoc locking makes results \
+                             depend on the OS schedule; lend state to scoped threads by \
+                             exclusive borrow, as simcore::shard does, or record an \
+                             audited exception",
                             ctx.crate_name
                         ),
                     });
@@ -336,19 +332,17 @@ pub fn scan_with(src: &str, ctx: &FileContext, symbols: Option<&SymbolTable>) ->
                 }
                 _ if name.starts_with("Atomic")
                     && ctx.is_sim_state()
-                    && ctx.kind == SourceKind::Lib
-                    && !ctx.sync_sanctioned =>
+                    && ctx.kind == SourceKind::Lib =>
                 {
                     out.push(Finding {
                         rule: "sync-primitive",
                         line: t.line,
                         col: t.col,
                         message: format!(
-                            "{name} in sim-state crate `{}` outside the sanctioned \
-                             simcore::shard synchronizer: lock-free shared state still \
-                             makes results depend on the OS schedule; route cross-thread \
-                             coordination through shard/replication or record an audited \
-                             exception",
+                            "{name} in sim-state crate `{}`: lock-free shared state \
+                             still makes results depend on the OS schedule; lend state to \
+                             scoped threads by exclusive borrow, as simcore::shard does, \
+                             or record an audited exception",
                             ctx.crate_name
                         ),
                     });
@@ -401,8 +395,8 @@ fn defers_closure(name: &str) -> bool {
 /// 3. (cross-file, via the symbol table) a field that is private
 ///    site-owned state of the `simcore::shard` protocol — declared in
 ///    [`SHARD_FILE`], nowhere else in the workspace, and not in this
-///    file — accessed outside the sanctioned synchronizer: cross-site
-///    interaction bypassing the mailbox API.
+///    file — accessed anywhere else: cross-site interaction bypassing
+///    the mailbox API.
 fn scan_shard_state_escape(
     toks: &[Token],
     ctx: &FileContext,
@@ -475,9 +469,9 @@ fn scan_shard_state_escape(
             }
         }
         // Shape 3: unambiguous private shard-protocol fields reached
-        // outside the sanctioned file.
+        // outside the shard file.
         if let Some(table) = symbols {
-            if !ctx.sync_sanctioned {
+            if !ctx.shard_file {
                 for i in f.body.clone() {
                     if !toks[i].is_punct('.') {
                         continue;
@@ -1029,7 +1023,7 @@ mod tests {
             crate_name: krate.to_owned(),
             kind: SourceKind::Lib,
             hot: false,
-            sync_sanctioned: false,
+            shard_file: false,
         }
     }
 
@@ -1046,7 +1040,7 @@ mod tests {
             crate_name: "sched".into(),
             kind: SourceKind::Test,
             hot: false,
-            sync_sanctioned: false,
+            shard_file: false,
         };
         assert!(rules_fired(src, &test_ctx).is_empty());
     }
@@ -1100,7 +1094,7 @@ fn f() { let r = rand::thread_rng(); let t = Instant::now(); }\n";
             crate_name: "bench".into(),
             kind: SourceKind::Bin,
             hot: false,
-            sync_sanctioned: false,
+            shard_file: false,
         };
         assert!(rules_fired(src, &bin_ctx).is_empty());
         // unwrap_or_else is not unwrap
@@ -1166,7 +1160,7 @@ fn done(trace: &mut TraceLog, t: SimTime, s: u64) {\n\
     }
 
     #[test]
-    fn sync_primitive_fires_outside_the_sanctioned_shard_layer() {
+    fn sync_primitive_fires_in_sim_state_lib_code_including_shard() {
         let src = "\
 use std::sync::{Mutex, RwLock};\n\
 use std::sync::atomic::AtomicU64;\n\
@@ -1181,15 +1175,15 @@ struct S { m: Mutex<u32>, n: AtomicU64 }\n";
                 "sync-primitive", // AtomicU64 (field)
             ]
         );
-        // The shard synchronizer is the sanctioned holder of locks.
-        let sanctioned = FileContext {
-            sync_sanctioned: true,
-            ..lib_ctx("simcore")
-        };
-        assert!(rules_fired(src, &sanctioned).is_empty());
-        // from_path marks exactly that one file.
-        assert!(FileContext::from_path("crates/simcore/src/shard.rs").sync_sanctioned);
-        assert!(!FileContext::from_path("crates/simcore/src/metrics.rs").sync_sanctioned);
+        // The shard layer lends sites to scoped threads by exclusive
+        // borrow and holds no lock: the rule covers its file too.
+        let shard = FileContext::from_path(SHARD_FILE);
+        assert!(shard.shard_file);
+        assert!(!FileContext::from_path("crates/simcore/src/metrics.rs").shard_file);
+        assert_eq!(
+            rules_fired(src, &shard),
+            rules_fired(src, &lib_ctx("simcore"))
+        );
         // Outside sim-state crates (harness code) the rule is silent,
         // as it is in test/bench targets of sim-state crates.
         assert!(rules_fired(src, &lib_ctx("bench")).is_empty());

@@ -1,6 +1,6 @@
 // Fixture: sync primitives in sim-state library code. Every lock and
-// atomic outside the sanctioned simcore::shard synchronizer must be
-// flagged; #[cfg(test)] regions stay exempt.
+// atomic without an audited exception, simcore::shard's included, must
+// be flagged; #[cfg(test)] regions stay exempt.
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, RwLock};
 

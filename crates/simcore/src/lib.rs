@@ -57,8 +57,8 @@
 //!   independent replications across OS threads while keeping results
 //!   bit-identical for any thread count.
 //! * [`shard`] — conservative parallel simulation *within* one
-//!   replication: per-site event queues synchronized by a lookahead
-//!   barrier protocol ([`shard::ShardedSim`]), with cross-site
+//!   replication: per-site event queues synchronized in lookahead
+//!   windows ([`shard::ShardedSim`]), with cross-site
 //!   messages, two words each like an event's, through deterministic
 //!   mailboxes to the destination world's
 //!   [`deliver`](shard::ShardWorld::deliver) — results bit-identical

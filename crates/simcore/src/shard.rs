@@ -1,5 +1,5 @@
 //! Sharded conservative parallel simulation: per-site event queues
-//! synchronized by a lookahead barrier protocol.
+//! synchronized in lookahead windows.
 //!
 //! The paper's target is a *grid* — many administrative sites, each
 //! dynamically instantiating VMs, separated by wide-area links whose
@@ -18,15 +18,13 @@
 //! sent at site `s` can reach site `d`. `run` repeats:
 //!
 //! 1. **Drain mailboxes** in ascending source site id: each site's
-//!    non-empty outbox is swapped with one scratch buffer under the
-//!    source's lock, and its messages, in send order, are scheduled
-//!    into their destinations under one destination lock each. The
-//!    buffers' capacity circulates, so steady-state traffic allocates
-//!    nothing. A message timestamped before its destination's
-//!    already-executed bound is a *lookahead violation* and panics:
-//!    it was sent below the declared link latency. Under the same
-//!    locks the drain records every site's earliest pending event
-//!    `t_s`.
+//!    non-empty outbox is swapped with one scratch buffer, and its
+//!    messages, in send order, are scheduled into their destinations.
+//!    The buffers' capacity circulates, so steady-state traffic
+//!    allocates nothing. A message timestamped before its
+//!    destination's already-executed bound is a *lookahead violation*
+//!    and panics: it was sent below its pair's lookahead. On the way
+//!    the drain records every site's earliest pending event `t_s`.
 //! 2. **Compute horizons**: site `i`'s is `min over active sources
 //!    s ≠ i of (t_s + la(s, i))`, all sites in one pass over the
 //!    matrix. Where metro and WAN latencies mix, these are far wider
@@ -36,10 +34,15 @@
 //!    before its horizon, in chunks of at most its minimum round trip
 //!    past its next event, and each send it queues caps the window at
 //!    `arrival + la(dst → site)`, the earliest that send could echo
-//!    back. Sites are grouped into `shards` by `site_id % shards`;
-//!    the caller's thread and `threads - 1` scoped helpers claim
-//!    shards off an atomic cursor.
-//! 4. **Barrier**, then repeat until no events remain anywhere.
+//!    back. Sites are grouped into `shards` by `site_id % shards`, and
+//!    shards onto threads by `shard % threads`: thread `t` borrows
+//!    every site of its shards mutably and runs them in ascending id.
+//!    Thread 0 is the caller; the others are helpers spawned in a
+//!    scope for this window alone. With one thread the caller runs
+//!    every site in place and spawns nothing.
+//! 4. **Join**: the scope ends once every thread has run its sites,
+//!    which hands every site back to the caller; repeat until no
+//!    events remain anywhere.
 //!
 //! ## Why results are bit-identical at any shard/thread count
 //!
@@ -65,12 +68,15 @@
 //! boundaries fall depends on the matrix. ROADMAP.md's item on making
 //! same-instant order part of the model would remove that dependence.
 //!
-//! A panic on any thread — an event handler's, a self-send's, the
-//! drain's lookahead violation — is caught where it happens; every
-//! thread leaves through the barrier and `run` re-raises the first
-//! payload on the caller, with the caller's metrics context restored,
-//! so a failing run fails with its original message at any thread
-//! count. The failed sim itself cannot be run or inspected again.
+//! A panic in a site's window — an event handler's, a self-send's —
+//! is caught on the thread running the site, which then runs none of
+//! its later sites. The run re-raises the panic of the lowest failing
+//! site. Every packing runs that site, because every site below it on
+//! its thread succeeded, so a failing run fails with the same message
+//! at any thread count. The drain's lookahead violation is caught on
+//! the caller. Either way the caller's metrics context is restored
+//! before the panic resumes. A failed sim cannot be run again, and
+//! every accessor that reads site state panics saying the run failed.
 //!
 //! ## The reference executor
 //!
@@ -95,11 +101,12 @@
 //! traffic makes zero allocator calls, and the mailboxes' memory grows
 //! with the sites, not with the pairs of sites.
 //!
-//! The cross-thread primitives this module uses (`Mutex`, `Barrier`,
-//! atomics) are sanctioned *here only* — the `sync-primitive` audit
-//! rule flags them anywhere else in sim-state code, because ad-hoc
-//! cross-thread coordination is how scheduling order leaks into
-//! results.
+//! No lock, atomic or barrier coordinates the threads. Each window
+//! lends every site by `&mut` to exactly one thread, and the scope's
+//! join returns them, so the borrow checker proves that a site has one
+//! owner per window. The `sync-primitive` audit rule holds this module
+//! to that as it does all sim-state code: ad-hoc cross-thread
+//! coordination is how scheduling order leaks into results.
 //!
 //! ```
 //! use gridvm_simcore::shard::{ShardWorld, ShardedSim, SiteId, SiteState};
@@ -129,8 +136,6 @@
 use std::any::Any;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Barrier, Mutex};
 
 use crate::engine::Engine;
 use crate::lookahead::LookaheadMatrix;
@@ -176,9 +181,9 @@ impl fmt::Display for SiteId {
 
 /// A per-site world that can run under a [`ShardedSim`].
 ///
-/// `Send` because a site (engine, world, pending events) migrates
-/// between threads at window boundaries; the protocol guarantees
-/// exclusive access within a window.
+/// `Send` because each window lends a site (engine, world, pending
+/// events) to whichever thread runs its shard; the borrow is
+/// exclusive, and it ends before the next window.
 pub trait ShardWorld: Send + Sized + 'static {
     /// Applies one delivered message, the two words its sender passed
     /// to [`SiteState::send`], at its arrival instant. It is the
@@ -220,8 +225,8 @@ impl<W: ShardWorld> SiteState<W> {
     /// destination world's [`deliver`](ShardWorld::deliver) at the
     /// absolute instant `at`, behind every message this site sent
     /// before it. The message is moved into the destination's engine
-    /// at the next barrier; `at` must be at least one link latency
-    /// past the window it was sent in (guaranteed when `at` is
+    /// when the window ends; `at` must be at least the pair's
+    /// lookahead past the instant it was sent (guaranteed when `at` is
     /// `now + link_latency`, since the lookahead matrix never exceeds
     /// any link latency) or the drain panics.
     ///
@@ -260,9 +265,11 @@ struct SiteRuntime<W: ShardWorld> {
 ///
 /// Results — traces, metrics, digests — are bit-identical for every
 /// shard and thread count; see the [module docs](self) for the
-/// argument.
+/// argument. After a failed run every method that reads site state
+/// panics: [`with_site`](Self::with_site) and the trace and metrics
+/// accessors.
 pub struct ShardedSim<W: ShardWorld> {
-    sites: Vec<Mutex<SiteRuntime<W>>>,
+    sites: Vec<SiteRuntime<W>>,
     matrix: LookaheadMatrix,
     shards: usize,
     threads: usize,
@@ -272,6 +279,9 @@ pub struct ShardedSim<W: ShardWorld> {
     critical_events: u64,
     coord: Metrics,
     ran: bool,
+    /// Set when a run fails: some site stopped mid-event, so no site's
+    /// state may be read.
+    failed: bool,
 }
 
 impl<W: ShardWorld> ShardedSim<W> {
@@ -288,18 +298,16 @@ impl<W: ShardWorld> ShardedSim<W> {
         let sites: Vec<_> = worlds
             .into_iter()
             .enumerate()
-            .map(|(i, world)| {
-                Mutex::new(SiteRuntime {
-                    en: Engine::new(),
-                    state: SiteState {
-                        id: SiteId(i as u32),
-                        world,
-                        trace: TraceLog::default(),
-                        outbox: Vec::with_capacity(OUTBOX_RESERVE),
-                    },
-                    metrics: metrics::Context::new(),
-                    safe: 0,
-                })
+            .map(|(i, world)| SiteRuntime {
+                en: Engine::new(),
+                state: SiteState {
+                    id: SiteId(i as u32),
+                    world,
+                    trace: TraceLog::default(),
+                    outbox: Vec::with_capacity(OUTBOX_RESERVE),
+                },
+                metrics: metrics::Context::new(),
+                safe: 0,
             })
             .collect();
         assert_covers(&matrix, sites.len());
@@ -314,6 +322,7 @@ impl<W: ShardWorld> ShardedSim<W> {
             critical_events: 0,
             coord: Metrics::new(),
             ran: false,
+            failed: false,
         }
     }
 
@@ -349,9 +358,10 @@ impl<W: ShardWorld> ShardedSim<W> {
 
     /// Sets the thread count, the caller's own thread included:
     /// `threads(1)` runs every window on the caller's thread and
-    /// spawns nothing, `threads(n)` adds `n - 1` scoped helpers, and
-    /// `0` means one thread per available core. Clamped to the shard
-    /// count at run time. Does not affect results.
+    /// spawns nothing, `threads(n)` spawns `n - 1` scoped helpers for
+    /// each window, and `0` means one thread per available core.
+    /// Clamped to the shard count at run time. Does not affect
+    /// results.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = if threads == 0 {
             std::thread::available_parallelism()
@@ -376,11 +386,11 @@ impl<W: ShardWorld> ShardedSim<W> {
         site: usize,
         f: impl FnOnce(&mut SiteState<W>, &mut Engine<SiteState<W>>) -> R,
     ) -> R {
-        let rt = runtime(&mut self.sites[site]);
+        let rt = &mut self.inspect()[site];
         f(&mut rt.state, &mut rt.en)
     }
 
-    /// Barrier windows executed.
+    /// Windows executed.
     pub fn windows(&self) -> u64 {
         self.windows
     }
@@ -415,18 +425,15 @@ impl<W: ShardWorld> ShardedSim<W> {
     /// sampled per-site logs ([`TraceLog::with_sampling`]) this stays
     /// O(sites × capacity) however many events the run executes.
     pub fn retained_trace_entries(&mut self) -> usize {
-        self.sites
-            .iter_mut()
-            .map(|s| runtime(s).state.trace.len())
-            .sum()
+        self.inspect().iter().map(|rt| rt.state.trace.len()).sum()
     }
 
     /// Sum of `trace.sampled` over all sites' logs (0 when no site
     /// samples).
     pub fn sampled_trace_entries(&mut self) -> u64 {
-        self.sites
-            .iter_mut()
-            .map(|s| runtime(s).state.trace.sampled())
+        self.inspect()
+            .iter()
+            .map(|rt| rt.state.trace.sampled())
             .sum()
     }
 
@@ -434,8 +441,7 @@ impl<W: ShardWorld> ShardedSim<W> {
     /// — the sharded golden-trace anchor.
     pub fn trace_digest(&mut self) -> u64 {
         let mut h = crate::fault::Fnv::new();
-        for site in &mut self.sites {
-            let rt = runtime(site);
+        for rt in self.inspect() {
             h.mix(&u64::from(rt.state.id.0).to_le_bytes());
             h.mix(&rt.state.trace.digest().to_le_bytes());
         }
@@ -447,10 +453,20 @@ impl<W: ShardWorld> ShardedSim<W> {
     /// site-id order.
     pub fn merged_metrics(&mut self) -> Metrics {
         let mut m = self.coord.clone();
-        for site in &mut self.sites {
-            m.merge(runtime(site).metrics.fold());
+        for rt in self.inspect() {
+            m.merge(rt.metrics.fold());
         }
         m
+    }
+
+    /// Every site, for reading or seeding its state; refused after a
+    /// failed run, since some site stopped mid-event.
+    fn inspect(&mut self) -> &mut [SiteRuntime<W>] {
+        assert!(
+            !self.failed,
+            "ShardedSim: the run failed, so its sites cannot be inspected"
+        );
+        &mut self.sites
     }
 
     /// Runs the windowed protocol to completion: until no site has a
@@ -464,11 +480,11 @@ impl<W: ShardWorld> ShardedSim<W> {
     ///
     /// Panics on a second call and on a lookahead violation: a
     /// cross-site message timestamped inside an already-executed
-    /// window. A panic on any thread of the run, such as an event
-    /// handler's, resurfaces here with its original payload, after the
-    /// caller's metrics context is restored without the run's
-    /// activity. The failed sim itself is not to be used again: a site
-    /// that stopped mid-event poisons the accessors that reach it.
+    /// window. A panic in any site's window, such as an event
+    /// handler's, resurfaces here with its original payload (the
+    /// lowest failing site's, at any packing), after the caller's
+    /// metrics context is restored without the run's activity. Every
+    /// accessor that reads site state panics after a failed run.
     pub fn run(&mut self) {
         self.execute(Self::run_windows);
     }
@@ -497,7 +513,8 @@ impl<W: ShardWorld> ShardedSim<W> {
 
     /// Runs `body` between saving the caller's metrics context and
     /// folding the run's registries into it, re-raising the panic
-    /// `body` reports with the caller's context restored.
+    /// `body` reports with the caller's context restored and the sim
+    /// marked failed.
     fn execute(&mut self, body: impl FnOnce(&mut Self) -> Option<Payload>) {
         assert!(!self.ran, "ShardedSim::run is single-shot");
         self.ran = true;
@@ -506,6 +523,7 @@ impl<W: ShardWorld> ShardedSim<W> {
         }
         let ambient = metrics::take();
         if let Some(payload) = body(self) {
+            self.failed = true;
             // Leave the caller's thread as the run found it: drop the
             // failed run's partial activity, reinstall the ambient.
             metrics::take();
@@ -520,8 +538,7 @@ impl<W: ShardWorld> ShardedSim<W> {
         self.coord.counter_add("shard.outbox_regrown", 0);
         metrics::merge_current(&ambient);
         metrics::merge_current(&self.coord);
-        for site in &mut self.sites {
-            let rt = runtime(site);
+        for rt in &mut self.sites {
             // The world publishes its plain-field tallies into the
             // site's own context.
             metrics::swap(&mut rt.metrics);
@@ -538,12 +555,12 @@ impl<W: ShardWorld> ShardedSim<W> {
         let mut sent = Vec::with_capacity(OUTBOX_RESERVE);
         while let Some((now, src)) = self
             .sites
-            .iter_mut()
+            .iter()
             .enumerate()
-            .filter_map(|(i, s)| runtime(s).en.next_event_time().map(|t| (t, i)))
+            .filter_map(|(i, rt)| rt.en.next_event_time().map(|t| (t, i)))
             .min()
         {
-            let rt = runtime(&mut self.sites[src]);
+            let rt = &mut self.sites[src];
             metrics::swap(&mut rt.metrics);
             let end = now + SimDuration::from_nanos(1);
             self.total_events += rt.en.run_before(&mut rt.state, end);
@@ -557,89 +574,53 @@ impl<W: ShardWorld> ShardedSim<W> {
                      less than its {} lookahead to {dst} ahead",
                     SimDuration::from_nanos(la)
                 );
-                let rt = runtime(&mut self.sites[dst.index()]);
-                rt.en.schedule_at(at, words, W::deliver);
+                self.sites[dst.index()]
+                    .en
+                    .schedule_at(at, words, W::deliver);
                 self.messages += 1;
             }
         }
         self.critical_events = self.total_events;
     }
 
-    /// The window loop. The caller's thread is worker 0 and the
-    /// coordinator: between windows it drains mailboxes (recording
-    /// every site's next event time) and computes every horizon;
-    /// within a window it claims shards alongside `threads - 1` scoped
-    /// helpers. A panic in the drain or in any thread's window is
-    /// caught on its thread ([`Failure`]); the window still closes,
-    /// the loop stops, the helpers leave through the exit barrier, and
-    /// the first payload is returned.
+    /// The window loop. Between windows the caller drains the
+    /// mailboxes (recording every site's next event time) and computes
+    /// every horizon; [`run_window`] then lends the sites to the
+    /// window's threads. A panic in the drain, or the lowest failing
+    /// site's in a window, stops the loop and is returned.
     fn run_windows(&mut self) -> Option<Payload> {
         let shards = self.shards.min(self.sites.len());
         let threads = self.threads.min(shards);
-        let (sites, matrix) = (&self.sites, &self.matrix);
-        // Each site's horizon for the current window, written by the
-        // caller and read by whichever thread runs the site. `Relaxed`
-        // suffices because the barriers order the caller's stores
-        // before the window's loads, and those before the next stores.
-        let horizons: Vec<AtomicU64> = sites.iter().map(|_| AtomicU64::new(0)).collect();
-        let cursor = AtomicUsize::new(0);
-        let tally = WindowTally::default();
-        let barrier = Barrier::new(threads);
-        // A lone caller has no one to wait for, and `Barrier::wait`
-        // would still make a system call to wake nobody.
-        let sync = || {
-            if threads > 1 {
-                barrier.wait();
-            }
-        };
-        let done = AtomicBool::new(false);
-        let failure = Failure::default();
-        let window = || {
-            failure.catch(|| run_shards(sites, matrix, &horizons, shards, &cursor, &tally));
-        };
         // Earliest pending event per site, nanos; `u64::MAX` when idle.
-        let mut times = vec![u64::MAX; sites.len()];
+        let mut times = vec![u64::MAX; self.sites.len()];
+        let mut horizons = vec![0; self.sites.len()];
         let mut scratch = Vec::with_capacity(OUTBOX_RESERVE);
-        std::thread::scope(|scope| {
-            for _ in 1..threads {
-                // audit:allow(shard-state-escape): scoped helper borrows the epoch barrier; threads join at scope end before any result is read
-                scope.spawn(|| loop {
-                    barrier.wait();
-                    if done.load(Ordering::Acquire) {
-                        break;
-                    }
-                    window();
-                    barrier.wait();
-                });
+        // Each thread's events per shard, reused every window.
+        let mut tallies = vec![vec![0; shards]; threads];
+        loop {
+            let (sites, matrix) = (&mut self.sites, &self.matrix);
+            match panic::catch_unwind(AssertUnwindSafe(|| {
+                drain(sites, matrix, &mut times, &mut scratch)
+            })) {
+                Ok(delivered) => self.messages += delivered,
+                Err(payload) => return Some(payload),
             }
-            loop {
-                let busy = failure.catch(|| {
-                    self.messages += drain(sites, &mut times, &mut scratch);
-                    // One pass over the whole matrix while it is hot in
-                    // cache, rather than a column per site-window.
-                    for (i, h) in horizons.iter().enumerate() {
-                        h.store(horizon(matrix, &times, i), Ordering::Relaxed);
-                    }
-                    times.iter().any(|&t| t != u64::MAX)
-                });
-                if busy != Some(true) {
-                    break;
-                }
-                cursor.store(0, Ordering::Relaxed);
-                sync(); // open the window
-                window();
-                sync(); // every site has executed
-                if failure.raised() {
-                    break;
-                }
-                self.windows += 1;
-                self.total_events += tally.events.swap(0, Ordering::Relaxed);
-                self.critical_events += tally.busiest.swap(0, Ordering::Relaxed);
+            if times.iter().all(|&t| t == u64::MAX) {
+                return None;
             }
-            done.store(true, Ordering::Release);
-            sync(); // release the helpers into the exit check
-        });
-        failure.into_payload()
+            // One pass over the whole matrix while it is hot in cache,
+            // rather than a column per site-window.
+            for (i, h) in horizons.iter_mut().enumerate() {
+                *h = horizon(matrix, &times, i);
+            }
+            let share = run_window(sites, &mut tallies, &horizons, matrix);
+            if let Some((_, payload)) = share.failure {
+                return Some(payload);
+            }
+            self.windows += 1;
+            self.total_events += share.events;
+            self.critical_events += share.busiest;
+        }
     }
 }
 
@@ -657,37 +638,6 @@ impl<W: ShardWorld> fmt::Debug for ShardedSim<W> {
 /// A caught panic's payload.
 type Payload = Box<dyn Any + Send>;
 
-/// The first panic caught on any thread of a run. A stored payload is
-/// the abort flag: the loop stops after the current window, and the
-/// caller re-raises the payload once every helper has left.
-#[derive(Default)]
-struct Failure(Mutex<Option<Payload>>);
-
-impl Failure {
-    /// Runs `f`, catching a panic: the first payload is kept and the
-    /// result is `None`.
-    fn catch<R>(&self, f: impl FnOnce() -> R) -> Option<R> {
-        panic::catch_unwind(AssertUnwindSafe(f))
-            .map_err(|payload| {
-                self.0
-                    .lock()
-                    .expect("failure slot poisoned")
-                    .get_or_insert(payload);
-            })
-            .ok()
-    }
-
-    /// Whether any thread has panicked.
-    fn raised(&self) -> bool {
-        self.0.lock().expect("failure slot poisoned").is_some()
-    }
-
-    /// The first caught payload, if any.
-    fn into_payload(self) -> Option<Payload> {
-        self.0.into_inner().expect("failure slot poisoned")
-    }
-}
-
 /// Panics unless `matrix` covers exactly `sites` sites.
 fn assert_covers(matrix: &LookaheadMatrix, sites: usize) {
     assert_eq!(
@@ -697,55 +647,90 @@ fn assert_covers(matrix: &LookaheadMatrix, sites: usize) {
     );
 }
 
-/// A site's runtime, exclusively borrowed. Panics when a run failed
-/// inside the site's window and so poisoned its lock.
-fn runtime<W: ShardWorld>(site: &mut Mutex<SiteRuntime<W>>) -> &mut SiteRuntime<W> {
-    site.get_mut()
-        .expect("site lock poisoned: a failed run stopped this site mid-event")
+/// What a thread reports for its sites' share of one window.
+struct Share {
+    /// Events its sites executed.
+    events: u64,
+    /// Events its busiest shard executed.
+    busiest: u64,
+    /// Its first site to panic, by index, with the payload.
+    failure: Option<(usize, Payload)>,
 }
 
-/// One window's critical-path accounting, to which each thread adds
-/// the shards it ran: sums and maxima commute, so the totals do not
-/// depend on the packing. `Relaxed` suffices because the closing
-/// barrier orders every thread's update before the caller reads them.
-#[derive(Default)]
-struct WindowTally {
-    /// Events executed across all shards.
-    events: AtomicU64,
-    /// Events executed by the busiest shard.
-    busiest: AtomicU64,
-}
-
-/// Claims shards off `cursor` until none are left, running each
-/// claimed shard's sites (`site_id % shards == shard`) in site order,
-/// each to its horizon, then adds this thread's share to the tally.
-fn run_shards<W: ShardWorld>(
-    sites: &[Mutex<SiteRuntime<W>>],
+/// Runs one window over every site. With one tally (one thread) the
+/// caller runs every site in place. Otherwise thread `t` of `threads`
+/// gets every site with `id % shards % threads == t`, where `shards`
+/// is the tallies' length: thread 0's share runs on the caller and
+/// the rest on helpers spawned for this window, each handed its own
+/// partition and tally. The shares combine by sum and maximum, which
+/// commute, and the lowest failing site wins, so the result does not
+/// depend on the packing.
+fn run_window<W: ShardWorld>(
+    sites: &mut [SiteRuntime<W>],
+    tallies: &mut [Vec<u64>],
+    horizons: &[u64],
     matrix: &LookaheadMatrix,
-    horizons: &[AtomicU64],
-    shards: usize,
-    cursor: &AtomicUsize,
-    tally: &WindowTally,
-) {
-    let (mut events, mut busiest) = (0, 0);
-    loop {
-        let shard = cursor.fetch_add(1, Ordering::Relaxed);
-        if shard >= shards {
-            break;
-        }
-        let ran: u64 = (shard..sites.len())
-            .step_by(shards)
-            .map(|i| {
-                let h = horizons[i].load(Ordering::Relaxed);
-                let mut rt = sites[i].lock().expect("site lock poisoned");
-                run_site_window(&mut rt, h, matrix)
-            })
-            .sum();
-        events += ran;
-        busiest = busiest.max(ran);
+) -> Share {
+    let threads = tallies.len();
+    if threads == 1 {
+        return run_share(sites.iter_mut(), &mut tallies[0], horizons, matrix);
     }
-    tally.events.fetch_add(events, Ordering::Relaxed);
-    tally.busiest.fetch_max(busiest, Ordering::Relaxed);
+    let shards = tallies[0].len();
+    let mut parts: Vec<Vec<&mut SiteRuntime<W>>> = (0..threads).map(|_| Vec::new()).collect();
+    for (i, rt) in sites.iter_mut().enumerate() {
+        parts[i % shards % threads].push(rt);
+    }
+    std::thread::scope(|scope| {
+        let mut work = parts.into_iter().zip(tallies);
+        let (mine, my_tally) = work.next().expect("a window has a first thread");
+        let helpers: Vec<_> = work
+            .map(|(part, tally)| scope.spawn(move || run_share(part, tally, horizons, matrix)))
+            .collect();
+        let mut share = run_share(mine, my_tally, horizons, matrix);
+        for helper in helpers {
+            let other = helper
+                .join()
+                .expect("a window thread catches its sites' panics");
+            share.events += other.events;
+            share.busiest = share.busiest.max(other.busiest);
+            share.failure = [share.failure, other.failure]
+                .into_iter()
+                .flatten()
+                .min_by_key(|&(site, _)| site);
+        }
+        share
+    })
+}
+
+/// Runs one thread's sites, in ascending id, each to its horizon,
+/// adding each site's events to its shard's entry of `per_shard`
+/// (`site_id % per_shard.len()`). A site's panic is caught, and the
+/// thread runs none of its later sites.
+fn run_share<'a, W: ShardWorld>(
+    sites: impl IntoIterator<Item = &'a mut SiteRuntime<W>>,
+    per_shard: &mut [u64],
+    horizons: &[u64],
+    matrix: &LookaheadMatrix,
+) -> Share {
+    per_shard.fill(0);
+    let mut failure = None;
+    for rt in sites {
+        let i = rt.state.id.index();
+        match panic::catch_unwind(AssertUnwindSafe(|| {
+            run_site_window(rt, horizons[i], matrix)
+        })) {
+            Ok(ran) => per_shard[i % per_shard.len()] += ran,
+            Err(payload) => {
+                failure = Some((i, payload));
+                break;
+            }
+        }
+    }
+    Share {
+        events: per_shard.iter().sum(),
+        busiest: per_shard.iter().copied().max().unwrap_or(0),
+        failure,
+    }
 }
 
 /// Moves every queued cross-site message into its destination engine:
@@ -759,33 +744,33 @@ fn run_shards<W: ShardWorld>(
 /// `times` (`u64::MAX` when idle): a source's when its turn comes,
 /// and a destination's again after each message lands.
 fn drain<W: ShardWorld>(
-    sites: &[Mutex<SiteRuntime<W>>],
+    sites: &mut [SiteRuntime<W>],
+    matrix: &LookaheadMatrix,
     times: &mut [u64],
     scratch: &mut Outbox,
 ) -> u64 {
     let next = |rt: &SiteRuntime<W>| rt.en.next_event_time().map_or(u64::MAX, SimTime::as_nanos);
     let mut delivered = 0u64;
     for src in 0..sites.len() {
-        {
-            let mut rt = sites[src].lock().expect("site lock poisoned");
-            times[src] = next(&rt);
-            if rt.state.outbox.is_empty() {
-                continue;
-            }
-            std::mem::swap(&mut rt.state.outbox, scratch);
+        let rt = &mut sites[src];
+        times[src] = next(rt);
+        if rt.state.outbox.is_empty() {
+            continue;
         }
+        std::mem::swap(&mut rt.state.outbox, scratch);
         delivered += scratch.len() as u64;
         for (dst, at, words) in scratch.drain(..) {
-            let mut rt = sites[dst.index()].lock().expect("site lock poisoned");
+            let rt = &mut sites[dst.index()];
             assert!(
                 at.as_nanos() >= rt.safe,
-                "lookahead violation: site{src} sent a message for {at}, inside the \
-                 already-executed window ending at {}; cross-site sends must be at \
-                 least one lookahead (the minimum link latency) in the future",
-                SimTime::from_nanos(rt.safe)
+                "lookahead violation: site{src} sent {dst} a message for {at}, inside \
+                 {dst}'s already-executed window ending at {}: it was sent less than \
+                 its {} lookahead to {dst} ahead",
+                SimTime::from_nanos(rt.safe),
+                SimDuration::from_nanos(matrix.lookahead_nanos(src, dst.index()))
             );
             rt.en.schedule_at(at, words, W::deliver);
-            times[dst.index()] = next(&rt);
+            times[dst.index()] = next(rt);
         }
     }
     delivered
@@ -1234,7 +1219,11 @@ mod tests {
             });
             run(&mut sim);
         });
-        let payload = run.expect_err("the run must fail");
+        message(&run.expect_err("the run must fail"))
+    }
+
+    /// The message a panic payload carries.
+    fn message(payload: &Payload) -> String {
         payload
             .downcast_ref::<String>()
             .cloned()
@@ -1308,6 +1297,71 @@ mod tests {
                 [("ambient.before", 3)],
                 "threads={threads}"
             );
+        }
+    }
+
+    #[test]
+    fn same_window_failures_raise_the_lowest_site() {
+        // Sites 1 and 2 fail at the same instant on different shards.
+        // Every packing runs site 1, since no site below it fails, so
+        // every packing raises its panic, whichever shard runs first.
+        fn failure(threads: usize, run: fn(&mut ShardedSim<Idle>)) -> String {
+            let mut sim = idle(8).shards(2).threads(threads);
+            for i in [1, 2] {
+                sim.with_site(i, |_, en| {
+                    en.schedule_at(SimTime::ZERO, [0; 2], |_, site, _| {
+                        panic!("{}: handler exploded", site.id());
+                    });
+                });
+            }
+            let failed = panic::catch_unwind(AssertUnwindSafe(|| run(&mut sim)));
+            message(&failed.expect_err("the run must fail"))
+        }
+        for threads in [1, 2, 8] {
+            assert_eq!(
+                failure(threads, ShardedSim::run),
+                "site1: handler exploded",
+                "threads={threads}"
+            );
+        }
+        assert_eq!(
+            failure(1, ShardedSim::run_sequential),
+            "site1: handler exploded",
+            "sequential reference"
+        );
+    }
+
+    #[test]
+    fn failed_runs_refuse_inspection() {
+        type Read = fn(&mut ShardedSim<Idle>);
+        let reads: [(&str, Read); 3] = [
+            ("with_site(0)", |sim| sim.with_site(0, |_, _| ())),
+            ("trace_digest", |sim| {
+                sim.trace_digest();
+            }),
+            ("merged_metrics", |sim| {
+                sim.merged_metrics();
+            }),
+        ];
+        for threads in [1, 2, 8] {
+            let mut sim = idle(8).shards(8).threads(threads);
+            sim.with_site(3, |_, en| {
+                en.schedule_at(SimTime::ZERO, [0; 2], |_, site, _| {
+                    panic!("{}: handler exploded", site.id());
+                });
+            });
+            let failed = panic::catch_unwind(AssertUnwindSafe(|| sim.run()));
+            assert!(failed.is_err(), "threads={threads}: the run must fail");
+            // Site 0 never panicked, but its state is not a state of
+            // the simulation either.
+            for (what, read) in reads {
+                let refused = panic::catch_unwind(AssertUnwindSafe(|| read(&mut sim)));
+                let why = message(&refused.expect_err("a failed sim refuses inspection"));
+                assert!(
+                    why.contains("the run failed"),
+                    "threads={threads}: {what} panicked with {why:?}"
+                );
+            }
         }
     }
 
