@@ -26,6 +26,10 @@
 //! path = "crates/vnet/src/overlay.rs"
 //! path = "crates/sched/src/wfq.rs"
 //! ```
+//!
+//! A `[hot_paths]` entry that prefixes no scanned file is stale, like
+//! an `[[allow]]` entry that suppresses nothing: a workspace scan
+//! reports it, and it fails deny mode unless `--allow-stale`.
 
 use crate::rules::{Finding, RULES};
 
@@ -160,6 +164,17 @@ impl Allowlist {
     /// the `hot-btree-lookup` rule applies to it.
     pub fn is_hot(&self, path: &str) -> bool {
         self.hot_paths.iter().any(|p| path.starts_with(p.as_str()))
+    }
+
+    /// Indices of the `[hot_paths]` entries that prefix none of the
+    /// `scanned` paths — stale entries naming moved or deleted files.
+    pub fn unused_hot_paths(&self, scanned: &[&str]) -> Vec<usize> {
+        self.hot_paths
+            .iter()
+            .enumerate()
+            .filter(|(_, p)| !scanned.iter().any(|s| s.starts_with(p.as_str())))
+            .map(|(i, _)| i)
+            .collect()
     }
 
     /// Index of the first entry suppressing `finding` at `path`, if
@@ -642,6 +657,19 @@ reason = \"deadline order is semantic\"\n";
             1,
             "allow table after [hot_paths] parses"
         );
+    }
+
+    #[test]
+    fn hot_paths_matching_no_scanned_file_are_stale() {
+        let text = "\
+[hot_paths]\n\
+path = \"crates/vnet/src/overlay.rs\"\n\
+path = \"crates/vfs/src/client.rs\"\n\
+path = \"crates/sched/src\"\n";
+        let list = Allowlist::parse(text).expect("parses");
+        let scanned = ["crates/vnet/src/overlay.rs", "crates/sched/src/wfq.rs"];
+        assert_eq!(list.unused_hot_paths(&scanned), vec![1]);
+        assert_eq!(list.unused_hot_paths(&[]), vec![0, 1, 2]);
     }
 
     #[test]

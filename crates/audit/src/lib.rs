@@ -80,6 +80,9 @@ pub struct Report {
     /// Allowlist entry indices that never matched anything (stale
     /// suppressions worth deleting).
     pub unused_allows: Vec<usize>,
+    /// `[hot_paths]` entry indices that prefix no scanned file (stale
+    /// entries worth deleting).
+    pub unused_hot_paths: Vec<usize>,
     /// Baseline budgets not fully consumed (progress to ratchet), set
     /// by [`apply_baseline`].
     pub stale_baseline: Vec<BaselineUse>,
@@ -348,6 +351,8 @@ pub fn scan_workspace(root: &Path, allow: &Allowlist) -> std::io::Result<Report>
         .enumerate()
         .filter_map(|(i, u)| (!u).then_some(i))
         .collect();
+    let scanned: Vec<&str> = files.iter().map(|(rel, _)| rel.as_str()).collect();
+    report.unused_hot_paths = allow.unused_hot_paths(&scanned);
     Ok(report)
 }
 
@@ -470,6 +475,17 @@ pub fn render_json(report: &Report, allow: &Allowlist) -> String {
         ));
     }
     out.push_str("],\n");
+    out.push_str("  \"unused_hot_paths\": [");
+    for (i, idx) in report.unused_hot_paths.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(&format!(
+            "\n    {{\"path\": {}}}",
+            json_escape(&allow.hot_paths[*idx])
+        ));
+    }
+    out.push_str("],\n");
     out.push_str("  \"unused_inline\": [");
     for (i, (path, ia)) in report.unused_inline().iter().enumerate() {
         if i > 0 {
@@ -514,9 +530,10 @@ pub fn render_rules_md() -> String {
          Suppressions: an `audit.toml` `[[allow]]` entry (rule/path/reason) or an\n\
          inline `// audit:allow(rule): <reason>` comment covering the next line\n\
          (or its own, when trailing code). Both demand a written reason; stale\n\
-         suppressions fail deny mode unless `--allow-stale`. Known findings ride\n\
-         the `audit_baseline.json` ratchet (`--baseline`), which only ever\n\
-         shrinks. DESIGN.md \u{a7}13 documents the architecture.\n\n",
+         suppressions, and `[hot_paths]` entries that match no file, fail deny\n\
+         mode unless `--allow-stale`. Known findings ride the\n\
+         `audit_baseline.json` ratchet (`--baseline`), which only ever shrinks.\n\
+         DESIGN.md \u{a7}13 documents the architecture.\n\n",
     );
     out.push_str("| rule | hazard |\n|------|--------|\n");
     for r in RULES {

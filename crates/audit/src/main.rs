@@ -90,7 +90,8 @@ fn parse_args() -> Result<Options, String> {
                             [--list-rules] [--rules-md]\n\
                             [--file PATH [--treat-as CRATE] [--hot]]\n\n\
                      --deny            exit non-zero on any unsuppressed finding or (in a\n\
-                                       workspace scan) any stale suppression (CI mode)\n\
+                                       workspace scan) any stale suppression or\n\
+                                       [hot_paths] entry (CI mode)\n\
                      --allow-stale     stale suppressions warn instead of failing deny mode\n\
                      --baseline FILE   findings ratchet: absorb findings budgeted in FILE,\n\
                                        report fixed-but-still-listed entries\n\
@@ -210,10 +211,11 @@ fn main() -> ExitCode {
         }
     }
 
-    // Stale suppressions: dead [[allow]] entries, inline comments that
-    // matched nothing, and baseline budgets no longer consumed. Under
-    // --deny these fail (the ratchet must shrink); --allow-stale keeps
-    // them warnings for local triage runs.
+    // Stale suppressions: dead [[allow]] entries, [hot_paths] entries
+    // naming no file, inline comments that matched nothing, and
+    // baseline budgets no longer consumed. Under --deny these fail (the
+    // ratchet must shrink); --allow-stale keeps them warnings for local
+    // triage runs.
     let mut stale = 0usize;
     for idx in &report.unused_allows {
         let e = &allow.entries[*idx];
@@ -224,6 +226,15 @@ fn main() -> ExitCode {
             e.line,
             e.rule,
             e.path
+        );
+        stale += 1;
+    }
+    for idx in &report.unused_hot_paths {
+        eprintln!(
+            "{}: audit.toml: [hot_paths] entry `{}` matches no scanned file \
+             — delete it if the file is gone",
+            stale_level(opts.deny, opts.allow_stale),
+            allow.hot_paths[*idx]
         );
         stale += 1;
     }

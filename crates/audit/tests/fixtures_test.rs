@@ -364,6 +364,11 @@ fn workspace_scan_is_clean_under_repo_allowlist_and_baseline() {
         Vec::<usize>::new(),
         "stale audit.toml entries"
     );
+    assert_eq!(
+        report.unused_hot_paths,
+        Vec::<usize>::new(),
+        "stale [hot_paths] entries"
+    );
     assert!(
         report.unused_inline().is_empty(),
         "stale inline audit:allow comments: {:?}",

@@ -4,8 +4,7 @@
 
 use gridvm_gridmw::gram::GramServer;
 use gridvm_host::HostConfig;
-use gridvm_simcore::time::SimDuration;
-use gridvm_simcore::units::{Bandwidth, ByteSize};
+use gridvm_simcore::units::ByteSize;
 use gridvm_storage::disk::{DiskModel, DiskProfile};
 use gridvm_storage::imageserver::ImageServer;
 use gridvm_vfs::server::NfsServer;
@@ -99,14 +98,6 @@ pub fn paper_data_server(user: &str, input: ByteSize) -> NfsServer {
         .create_synthetic(udir, "input.dat", input, 0xDA7A, t0)
         .expect("fresh fs");
     s
-}
-
-/// The WAN path between the paper's two sites (UF ↔ Northwestern).
-pub fn uf_to_nw_wan() -> (SimDuration, Bandwidth) {
-    (
-        SimDuration::from_millis(17),
-        Bandwidth::from_mbit_per_sec(20.0),
-    )
 }
 
 #[cfg(test)]

@@ -72,11 +72,6 @@ impl BatchOutcome {
     pub fn wait(&self) -> SimDuration {
         self.started.duration_since(self.submitted)
     }
-
-    /// Turnaround (submit → finish).
-    pub fn turnaround(&self) -> SimDuration {
-        self.finished.duration_since(self.submitted)
-    }
 }
 
 /// Errors from batch scheduling.
@@ -381,12 +376,12 @@ mod tests {
     }
 
     #[test]
-    fn outcomes_account_waits_and_turnaround() {
+    fn outcomes_account_waits() {
         let subs = vec![(t(0), job("a", 4, 50)), (t(10), job("b", 4, 50))];
         let out = schedule(&subs, 4, QueuePolicy::Fifo).unwrap();
         let b = out.iter().find(|o| o.job.name == "b").unwrap();
         assert_eq!(b.wait(), d(40));
-        assert_eq!(b.turnaround(), d(90));
+        assert_eq!(b.finished, t(100));
     }
 
     #[test]

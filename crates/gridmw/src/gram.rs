@@ -35,9 +35,6 @@ pub enum JobState {
     Active,
     /// Finished; wall-clock endpoints known.
     Done,
-    /// The resource died under the job (host crash); the job must be
-    /// resubmitted to finish.
-    Failed,
 }
 
 /// Errors from the gatekeeper.
@@ -59,12 +56,6 @@ pub enum GramError {
         /// The handle.
         JobId,
     ),
-    /// The job's resource failed; `globusrun` cannot complete it and
-    /// the caller must resubmit.
-    JobFailed(
-        /// The handle.
-        JobId,
-    ),
 }
 
 impl std::fmt::Display for GramError {
@@ -73,36 +64,20 @@ impl std::fmt::Display for GramError {
             GramError::NotAuthorized(s) => write!(f, "subject {s:?} not authorized"),
             GramError::UnknownJob(id) => write!(f, "unknown job {id:?}"),
             GramError::StillRunning(id) => write!(f, "job {id:?} still running"),
-            GramError::JobFailed(id) => write!(f, "job {id:?} failed; resubmit it"),
         }
     }
 }
 
 impl std::error::Error for GramError {}
 
-/// Timing profile of the middleware path.
-#[derive(Clone, Copy, Debug)]
-pub struct GramCosts {
-    /// GSI mutual authentication (certificate exchange, delegation).
-    pub authenticate: SimDuration,
-    /// Gatekeeper fork + job-manager start.
-    pub dispatch: SimDuration,
-    /// Poll interval for status.
-    pub poll_interval: SimDuration,
-    /// Client-side teardown after Done is observed.
-    pub teardown: SimDuration,
-}
-
-impl Default for GramCosts {
-    fn default() -> Self {
-        GramCosts {
-            authenticate: SimDuration::from_millis(1_600),
-            dispatch: SimDuration::from_millis(1_200),
-            poll_interval: SimDuration::from_millis(500),
-            teardown: SimDuration::from_millis(300),
-        }
-    }
-}
+/// GSI mutual authentication (certificate exchange, delegation).
+const AUTHENTICATE: SimDuration = SimDuration::from_millis(1_600);
+/// Gatekeeper fork + job-manager start.
+const DISPATCH: SimDuration = SimDuration::from_millis(1_200);
+/// Poll interval for status.
+const POLL_INTERVAL: SimDuration = SimDuration::from_millis(500);
+/// Client-side teardown after Done is observed.
+const TEARDOWN: SimDuration = SimDuration::from_millis(300);
 
 #[derive(Clone, Debug)]
 struct Job {
@@ -130,7 +105,6 @@ struct Job {
 /// ```
 #[derive(Debug, Default)]
 pub struct GramServer {
-    costs: GramCosts,
     mapfile: Vec<String>,
     gatekeeper: FifoServer,
     jobs: BTreeMap<JobId, Job>,
@@ -138,21 +112,9 @@ pub struct GramServer {
 }
 
 impl GramServer {
-    /// Creates a gatekeeper with default costs and an empty
-    /// grid-mapfile.
+    /// Creates a gatekeeper with an empty grid-mapfile.
     pub fn new() -> Self {
         GramServer::default()
-    }
-
-    /// Overrides the timing profile.
-    pub fn with_costs(mut self, costs: GramCosts) -> Self {
-        self.costs = costs;
-        self
-    }
-
-    /// The timing profile.
-    pub fn costs(&self) -> &GramCosts {
-        &self.costs
     }
 
     /// Adds a subject to the grid-mapfile.
@@ -176,9 +138,7 @@ impl GramServer {
         }
         // Authentication and dispatch serialize through the
         // gatekeeper process.
-        let grant = self
-            .gatekeeper
-            .admit(now, self.costs.authenticate + self.costs.dispatch);
+        let grant = self.gatekeeper.admit(now, AUTHENTICATE + DISPATCH);
         let id = JobId(self.next_id);
         self.next_id += 1;
         self.jobs.insert(
@@ -216,21 +176,6 @@ impl GramServer {
         Ok(())
     }
 
-    /// Marks the job's resource as dead at `when` (an injected host
-    /// crash): the job moves to [`JobState::Failed`] and can only be
-    /// completed through [`GramServer::resubmit`].
-    ///
-    /// # Errors
-    ///
-    /// [`GramError::UnknownJob`].
-    pub fn fail_job(&mut self, id: JobId, when: SimTime) -> Result<(), GramError> {
-        let job = self.jobs.get_mut(&id).ok_or(GramError::UnknownJob(id))?;
-        job.state = JobState::Failed;
-        job.payload_done = Some(when);
-        gridvm_simcore::metrics::counter_add("gram.jobs_failed", 1);
-        Ok(())
-    }
-
     /// Resubmits after a failure: a fresh submission (full
     /// authentication + dispatch — GSI does not reuse the dead job's
     /// delegation), counted in `gram.resubmissions`.
@@ -252,34 +197,16 @@ impl GramServer {
     ///
     /// # Errors
     ///
-    /// Unknown job, a failed job, or the payload has not been
-    /// reported finished.
+    /// Unknown job, or the payload has not been reported finished.
     pub fn globusrun_end(&self, id: JobId) -> Result<SimTime, GramError> {
         let job = self.jobs.get(&id).ok_or(GramError::UnknownJob(id))?;
-        if job.state == JobState::Failed {
-            return Err(GramError::JobFailed(id));
-        }
         let done = job.payload_done.ok_or(GramError::StillRunning(id))?;
         // Polling starts when the job went active; the client sees
         // Done at the next poll boundary.
         let elapsed = done.saturating_duration_since(job.started);
-        let interval = self.costs.poll_interval.as_nanos().max(1);
-        let polls = elapsed.as_nanos().div_ceil(interval);
-        let observed = job.started + self.costs.poll_interval * polls;
-        Ok(observed + self.costs.teardown)
-    }
-
-    /// Total middleware overhead for a payload of the given length:
-    /// `globusrun` wall time minus the payload itself.
-    pub fn middleware_overhead(&self, payload: SimDuration) -> SimDuration {
-        // auth + dispatch + poll rounding (≤ one interval) + teardown
-        self.costs.authenticate
-            + self.costs.dispatch
-            + self.costs.poll_interval
-            + self.costs.teardown
-            - SimDuration::from_nanos(
-                payload.as_nanos() % self.costs.poll_interval.as_nanos().max(1),
-            )
+        let polls = elapsed.as_nanos().div_ceil(POLL_INTERVAL.as_nanos());
+        let observed = job.started + POLL_INTERVAL * polls;
+        Ok(observed + TEARDOWN)
     }
 }
 
@@ -338,15 +265,6 @@ mod tests {
     }
 
     #[test]
-    fn middleware_floor_is_about_four_seconds() {
-        let g = server();
-        let o = g
-            .middleware_overhead(SimDuration::from_secs(8))
-            .as_secs_f64();
-        assert!((3.5..4.5).contains(&o), "middleware overhead {o}");
-    }
-
-    #[test]
     fn concurrent_submissions_queue_on_the_gatekeeper() {
         let mut g = server();
         let (a, _) = g.submit(SimTime::ZERO, &req()).unwrap();
@@ -355,13 +273,10 @@ mod tests {
     }
 
     #[test]
-    fn failed_job_must_be_resubmitted() {
+    fn resubmission_is_a_fresh_counted_job() {
         gridvm_simcore::metrics::reset();
         let mut g = server();
         let (start, id) = g.submit(SimTime::ZERO, &req()).unwrap();
-        g.fail_job(id, start + SimDuration::from_secs(3)).unwrap();
-        assert_eq!(g.state(id).unwrap(), JobState::Failed);
-        assert!(matches!(g.globusrun_end(id), Err(GramError::JobFailed(_))));
         let (restart, id2) = g
             .resubmit(start + SimDuration::from_secs(5), &req())
             .unwrap();
@@ -371,7 +286,6 @@ mod tests {
             .unwrap();
         assert!(g.globusrun_end(id2).is_ok());
         let m = gridvm_simcore::metrics::take();
-        assert_eq!(m.counter("gram.jobs_failed"), 1);
         assert_eq!(m.counter("gram.resubmissions"), 1);
     }
 

@@ -87,8 +87,6 @@ pub struct ResourceRecord {
     pub kind: ResourceKind,
     /// Owning site / administrative domain.
     pub site: String,
-    /// Free-form attributes (key → value), queryable.
-    pub attrs: BTreeMap<String, String>,
 }
 
 /// A relational query over records.
@@ -108,13 +106,6 @@ pub enum Query {
     /// Match records from a site.
     Site(
         /// Site name.
-        String,
-    ),
-    /// Match records whose attribute equals a value.
-    AttrEq(
-        /// Attribute key.
-        String,
-        /// Required value.
         String,
     ),
     /// Match VM futures that can instantiate the named image with at
@@ -159,7 +150,6 @@ impl Query {
             Query::All => true,
             Query::Kind(tag) => r.kind.tag() == *tag,
             Query::Site(s) => r.site == *s,
-            Query::AttrEq(k, v) => r.attrs.get(k).is_some_and(|x| x == v),
             Query::CanInstantiate(image) => matches!(
                 &r.kind,
                 ResourceKind::VmFuture { images, available_slots, .. }
@@ -229,37 +219,16 @@ impl InfoService {
                 id,
                 kind,
                 site: site.to_owned(),
-                attrs: BTreeMap::new(),
             },
         );
         self.registered_at.insert(id, now);
         id
     }
 
-    /// Sets an attribute on a record. No-op for unknown ids.
-    pub fn set_attr(&mut self, id: ResourceId, key: &str, value: &str) {
-        if let Some(r) = self.records.get_mut(&id) {
-            r.attrs.insert(key.to_owned(), value.to_owned());
-        }
-    }
-
     /// Deregisters (VM shutdown, host withdrawal). Idempotent.
     pub fn deregister(&mut self, id: ResourceId) {
         self.records.remove(&id);
         self.registered_at.remove(&id);
-    }
-
-    /// Updates the free-slot count of a VM future. No-op for other
-    /// kinds.
-    pub fn update_future_slots(&mut self, id: ResourceId, slots: u32) {
-        if let Some(r) = self.records.get_mut(&id) {
-            if let ResourceKind::VmFuture {
-                available_slots, ..
-            } = &mut r.kind
-            {
-                *available_slots = slots;
-            }
-        }
     }
 
     /// Fetches a record by id (visible immediately to its owner).
@@ -395,23 +364,6 @@ mod tests {
     }
 
     #[test]
-    fn slot_updates_change_visibility() {
-        let (mut mds, _, h2) = directory();
-        let mut rng = SimRng::seed_from(3);
-        // Find the nw future and give it slots.
-        let future_id = mds.query(
-            &Query::Kind("future").and(Query::Site("nw".into())),
-            1,
-            &mut rng,
-        )[0]
-        .id;
-        mds.update_future_slots(future_id, 3);
-        let rh71 = mds.query(&Query::CanInstantiate("rh71".into()), 10, &mut rng);
-        assert_eq!(rh71.len(), 2);
-        let _ = h2;
-    }
-
-    #[test]
     fn results_are_bounded_and_partial() {
         let mut mds = InfoService::new().with_propagation(SimDuration::ZERO);
         for i in 0..50 {
@@ -447,16 +399,6 @@ mod tests {
                 .len(),
             1
         );
-    }
-
-    #[test]
-    fn attributes_are_queryable() {
-        let (mut mds, h1, _) = directory();
-        mds.set_attr(h1, "arch", "i686");
-        let mut rng = SimRng::seed_from(6);
-        let hits = mds.query(&Query::AttrEq("arch".into(), "i686".into()), 10, &mut rng);
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].id, h1);
     }
 
     #[test]

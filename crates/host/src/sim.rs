@@ -86,13 +86,6 @@ pub enum HostError {
         /// The offending id.
         TaskId,
     ),
-    /// The host crashed (injected fault) while the task was running.
-    Crashed {
-        /// The task that was being awaited.
-        task: TaskId,
-        /// When the crash took effect.
-        at: SimTime,
-    },
 }
 
 impl std::fmt::Display for HostError {
@@ -102,9 +95,6 @@ impl std::fmt::Display for HostError {
                 write!(f, "{task} did not complete within {cap}")
             }
             HostError::UnknownTask(id) => write!(f, "unknown task {id}"),
-            HostError::Crashed { task, at } => {
-                write!(f, "host crashed at {at} while running {task}")
-            }
         }
     }
 }
@@ -139,8 +129,6 @@ pub struct HostSim {
     finished: BTreeMap<TaskId, TaskOutcome>,
     background: Option<BackgroundLoad>,
     ran_last: BTreeSet<TaskId>,
-    busy: SimDuration,
-    crash_at: Option<SimTime>,
     /// Scratch buffer handed to `Scheduler::select_into` each quantum
     /// so the hot loop does not allocate.
     picked_buf: Vec<TaskId>,
@@ -170,29 +158,8 @@ impl HostSim {
             finished: BTreeMap::new(),
             background: None,
             ran_last: BTreeSet::new(),
-            busy: SimDuration::ZERO,
-            crash_at: None,
             picked_buf: Vec::new(),
         }
-    }
-
-    /// Schedules a crash (fault injection): once simulated time
-    /// reaches `at`, [`run_until_complete`](HostSim::run_until_complete)
-    /// reports [`HostError::Crashed`] instead of making progress. A
-    /// later call replaces the pending crash.
-    pub fn schedule_crash(&mut self, at: SimTime) {
-        self.crash_at = Some(at);
-    }
-
-    /// The pending crash time, if one is scheduled.
-    pub fn crash_at(&self) -> Option<SimTime> {
-        self.crash_at
-    }
-
-    /// Clears a pending crash (the host was repaired / rebooted into
-    /// a fresh simulation segment).
-    pub fn clear_crash(&mut self) {
-        self.crash_at = None;
     }
 
     /// The host configuration.
@@ -203,11 +170,6 @@ impl HostSim {
     /// Current simulated time on this host.
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// Total core-busy time accumulated (for utilization assertions).
-    pub fn busy_time(&self) -> SimDuration {
-        self.busy
     }
 
     /// Submits a finite task; it becomes runnable immediately.
@@ -353,7 +315,6 @@ impl HostSim {
                     let used = overhead + rem;
                     task.cpu_time += rem;
                     task.overhead_time += overhead;
-                    self.busy += used;
                     let outcome = TaskOutcome {
                         submitted_at: task.submitted_at,
                         completed_at: now + used,
@@ -376,7 +337,6 @@ impl HostSim {
                     task.remaining = Some(rem - avail);
                     task.cpu_time += avail;
                     task.overhead_time += overhead;
-                    self.busy += quantum;
                     self.scheduler.charge(id, quantum);
                     ran_now.insert(id);
                 }
@@ -384,7 +344,6 @@ impl HostSim {
                     // Infinite background task: consumes the quantum.
                     task.cpu_time += avail;
                     task.overhead_time += overhead;
-                    self.busy += quantum;
                     self.scheduler.charge(id, quantum);
                     ran_now.insert(id);
                 }
@@ -401,8 +360,7 @@ impl HostSim {
     /// # Errors
     ///
     /// [`HostError::UnknownTask`] if `id` was never spawned;
-    /// [`HostError::Timeout`] if the cap elapses first;
-    /// [`HostError::Crashed`] if a scheduled crash fires first.
+    /// [`HostError::Timeout`] if the cap elapses first.
     pub fn run_until_complete(
         &mut self,
         id: TaskId,
@@ -416,36 +374,11 @@ impl HostSim {
             if let Some(out) = self.finished.get(&id) {
                 return Ok(*out);
             }
-            match self.crash_at {
-                Some(at) if self.now >= at => {
-                    return Err(HostError::Crashed { task: id, at });
-                }
-                _ => {}
-            }
             if self.now >= deadline {
                 return Err(HostError::Timeout { task: id, cap });
             }
             self.step();
         }
-    }
-
-    /// Runs until every finite task has completed or `cap` elapses;
-    /// returns the number still unfinished.
-    pub fn run_all(&mut self, cap: SimDuration) -> usize {
-        let deadline = self.now + cap;
-        let bg: BTreeSet<TaskId> = self
-            .background
-            .as_ref()
-            .map(|b| b.pool().iter().copied().collect())
-            .unwrap_or_default();
-        while self.now < deadline {
-            let live = self.tasks.keys().filter(|id| !bg.contains(id)).count();
-            if live == 0 {
-                break;
-            }
-            self.step();
-        }
-        self.tasks.keys().filter(|id| !bg.contains(id)).count()
     }
 }
 
@@ -603,45 +536,12 @@ mod tests {
     }
 
     #[test]
-    fn scheduled_crash_interrupts_the_run() {
-        let mut h = host(SchedulerKind::TimeShare);
-        let id = h.spawn(TaskSpec::compute(one_sec_work()));
-        h.schedule_crash(h.now() + SimDuration::from_millis(300));
-        let err = h
-            .run_until_complete(id, SimDuration::from_secs(5))
-            .unwrap_err();
-        match err {
-            HostError::Crashed { task, at } => {
-                assert_eq!(task, id);
-                assert!(at <= h.now(), "crash observed once time reached it");
-                assert!(h.now().as_secs_f64() < 0.5, "stopped promptly");
-            }
-            other => panic!("expected crash, got {other:?}"),
-        }
-        assert!(err.to_string().contains("crashed"));
-        // Repair: a fresh host segment resumes service.
-        h.clear_crash();
-        assert_eq!(h.crash_at(), None);
-        assert!(h.run_until_complete(id, SimDuration::from_secs(5)).is_ok());
-    }
-
-    #[test]
     fn unknown_task_is_reported() {
         let mut h = host(SchedulerKind::TimeShare);
         let err = h
             .run_until_complete(TaskId(999), SimDuration::from_secs(1))
             .unwrap_err();
         assert_eq!(err, HostError::UnknownTask(TaskId(999)));
-    }
-
-    #[test]
-    fn run_all_finishes_everything() {
-        let mut h = host(SchedulerKind::Stride);
-        for _ in 0..5 {
-            h.spawn(TaskSpec::compute(one_sec_work()));
-        }
-        let left = h.run_all(SimDuration::from_secs(60));
-        assert_eq!(left, 0);
     }
 
     #[test]

@@ -11,13 +11,16 @@
 //!    epochal behaviour responsible for self-similarity (Hurst
 //!    parameter ≈ 0.8–0.95).
 //!
-//! Samples are clamped to `[0, max_load]`. The three presets mirror
+//! Samples are clamped to `[0, 8]`. The three presets mirror
 //! the paper's *none / light / heavy* background-load conditions.
 
 use gridvm_simcore::rng::SimRng;
 use gridvm_simcore::time::SimDuration;
 
 use crate::trace::LoadTrace;
+
+/// The clamp ceiling: at most eight runnable background processes.
+const MAX_LOAD: f64 = 8.0;
 
 /// The paper's three background-load intensities (Figure 1).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -72,7 +75,6 @@ pub struct TraceGenerator {
     burst_height: f64,
     burst_alpha: f64,
     burst_min_len: f64,
-    max_load: f64,
     interval: SimDuration,
 }
 
@@ -81,8 +83,8 @@ impl TraceGenerator {
     ///
     /// # Panics
     ///
-    /// Panics if `mean` is negative, `phi` is outside `[0, 1)`,
-    /// `sigma` is negative, or `max_load` is not positive.
+    /// Panics if `mean` is negative, `phi` is outside `[0, 1)` or
+    /// `sigma` is negative.
     pub fn new(mean: f64, phi: f64, sigma: f64) -> Self {
         assert!(mean >= 0.0, "negative mean load");
         assert!((0.0..1.0).contains(&phi), "phi must be in [0,1)");
@@ -95,7 +97,6 @@ impl TraceGenerator {
             burst_height: 0.0,
             burst_alpha: 1.5,
             burst_min_len: 2.0,
-            max_load: 8.0,
             interval: SimDuration::from_millis(1000),
         }
     }
@@ -147,17 +148,6 @@ impl TraceGenerator {
         self
     }
 
-    /// Overrides the clamp ceiling (default 8.0).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `max_load` is positive.
-    pub fn with_max_load(mut self, max_load: f64) -> Self {
-        assert!(max_load > 0.0, "non-positive max load");
-        self.max_load = max_load;
-        self
-    }
-
     /// Generates a trace of `len` samples.
     ///
     /// # Panics
@@ -170,7 +160,7 @@ impl TraceGenerator {
         let mut burst_remaining = 0u64;
         for _ in 0..len {
             x = self.mean + self.phi * (x - self.mean) + rng.normal(0.0, self.sigma);
-            x = x.clamp(0.0, self.max_load);
+            x = x.clamp(0.0, MAX_LOAD);
             let mut v = x;
             if burst_remaining > 0 {
                 burst_remaining -= 1;
@@ -181,7 +171,7 @@ impl TraceGenerator {
                     .min(len as f64) as u64;
                 v += self.burst_height;
             }
-            samples.push(v.clamp(0.0, self.max_load));
+            samples.push(v.clamp(0.0, MAX_LOAD));
         }
         LoadTrace::from_samples(self.interval, samples)
             .expect("generator produced an invalid trace")
@@ -215,10 +205,8 @@ mod tests {
     #[test]
     fn samples_stay_in_bounds() {
         let mut rng = SimRng::seed_from(3);
-        let t = TraceGenerator::preset(LoadLevel::Heavy)
-            .with_max_load(4.0)
-            .generate(10_000, &mut rng);
-        assert!(t.samples().iter().all(|s| (0.0..=4.0).contains(s)));
+        let t = TraceGenerator::preset(LoadLevel::Heavy).generate(10_000, &mut rng);
+        assert!(t.samples().iter().all(|s| (0.0..=MAX_LOAD).contains(s)));
     }
 
     #[test]

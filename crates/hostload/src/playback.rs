@@ -5,16 +5,13 @@
 //! produced by host load trace playback of load traces collected on
 //! the Pittsburgh Supercomputing Center's Alpha Cluster"): the trace
 //! value at time *t* is the number of runnable background processes,
-//! which the playback exposes both as an instantaneous process count
-//! (for schedulers that need a run queue) and as an exact average
-//! demand over a quantum (for analytic accounting).
+//! which the host's background-load model turns into a run queue.
 
-use gridvm_simcore::time::{SimDuration, SimTime};
+use gridvm_simcore::time::SimTime;
 
 use crate::trace::LoadTrace;
 
-/// Plays a [`LoadTrace`] from a configurable phase offset, wrapping
-/// indefinitely.
+/// Plays a [`LoadTrace`] from its start, wrapping indefinitely.
 ///
 /// ```
 /// use gridvm_hostload::{LoadTrace, TracePlayback};
@@ -22,30 +19,19 @@ use crate::trace::LoadTrace;
 ///
 /// let trace = LoadTrace::from_samples(SimDuration::from_secs(1), vec![0.0, 2.4])?;
 /// let pb = TracePlayback::new(trace);
-/// assert_eq!(pb.runnable_at(SimTime::ZERO), 0);
-/// assert_eq!(pb.runnable_at(SimTime::from_secs(1)), 3); // ceil(2.4)
+/// assert_eq!(pb.load_at(SimTime::ZERO), 0.0);
+/// assert_eq!(pb.load_at(SimTime::from_secs(3)), 2.4); // wrapped
 /// # Ok::<(), gridvm_hostload::trace::TraceError>(())
 /// ```
 #[derive(Clone, Debug)]
 pub struct TracePlayback {
     trace: LoadTrace,
-    offset: SimDuration,
 }
 
 impl TracePlayback {
     /// Starts playback at the beginning of the trace.
     pub fn new(trace: LoadTrace) -> Self {
-        TracePlayback {
-            trace,
-            offset: SimDuration::ZERO,
-        }
-    }
-
-    /// Starts playback `offset` into the trace (different experiment
-    /// replications use different offsets, as Dinda's playback tool
-    /// did).
-    pub fn with_offset(trace: LoadTrace, offset: SimDuration) -> Self {
-        TracePlayback { trace, offset }
+        TracePlayback { trace }
     }
 
     /// The underlying trace.
@@ -55,88 +41,6 @@ impl TracePlayback {
 
     /// Instantaneous load at simulation time `t`.
     pub fn load_at(&self, t: SimTime) -> f64 {
-        self.trace.load_at(t + self.offset)
-    }
-
-    /// Number of runnable background processes at `t`: the load
-    /// rounded up, so a load of 0.3 presents one occasionally-runnable
-    /// process rather than none.
-    pub fn runnable_at(&self, t: SimTime) -> usize {
-        self.load_at(t).ceil() as usize
-    }
-
-    /// Exact average load over `[start, end)`.
-    pub fn average_load(&self, start: SimTime, end: SimTime) -> f64 {
-        self.trace
-            .average_between(start + self.offset, end + self.offset)
-    }
-
-    /// The CPU time the background demands during `[start, end)` on a
-    /// host with `cores` CPUs: `min(load, cores) * window`, i.e. load
-    /// beyond the core count queues rather than consuming extra CPU.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cores` is zero or `end < start`.
-    pub fn cpu_demand(&self, start: SimTime, end: SimTime, cores: usize) -> SimDuration {
-        assert!(cores > 0, "cpu_demand: zero cores");
-        let window = end.duration_since(start);
-        let load = self.average_load(start, end).min(cores as f64);
-        window.mul_f64(load / 1.0)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::generator::{LoadLevel, TraceGenerator};
-    use gridvm_simcore::rng::SimRng;
-
-    fn secs(s: u64) -> SimDuration {
-        SimDuration::from_secs(s)
-    }
-
-    #[test]
-    fn offset_shifts_phase() {
-        let trace = LoadTrace::from_samples(secs(1), vec![1.0, 2.0, 3.0]).unwrap();
-        let pb = TracePlayback::with_offset(trace, secs(1));
-        assert_eq!(pb.load_at(SimTime::ZERO), 2.0);
-        assert_eq!(pb.load_at(SimTime::from_secs(2)), 1.0, "wraps");
-    }
-
-    #[test]
-    fn runnable_rounds_up() {
-        let trace = LoadTrace::from_samples(secs(1), vec![0.0, 0.3, 1.0, 2.4]).unwrap();
-        let pb = TracePlayback::new(trace);
-        let counts: Vec<usize> = (0..4)
-            .map(|i| pb.runnable_at(SimTime::from_secs(i)))
-            .collect();
-        assert_eq!(counts, vec![0, 1, 1, 3]);
-    }
-
-    #[test]
-    fn cpu_demand_caps_at_core_count() {
-        let trace = LoadTrace::from_samples(secs(1), vec![4.0]).unwrap();
-        let pb = TracePlayback::new(trace);
-        let d = pb.cpu_demand(SimTime::ZERO, SimTime::from_secs(10), 2);
-        assert_eq!(d, secs(20), "4 runnable on 2 cores burns 2 cpu-sec/sec");
-    }
-
-    #[test]
-    fn cpu_demand_of_silence_is_zero() {
-        let pb = TracePlayback::new(LoadTrace::silent(secs(1), 4));
-        assert_eq!(
-            pb.cpu_demand(SimTime::ZERO, SimTime::from_secs(100), 2),
-            SimDuration::ZERO
-        );
-    }
-
-    #[test]
-    fn generated_playback_round_trip() {
-        let mut rng = SimRng::seed_from(10);
-        let trace = TraceGenerator::preset(LoadLevel::Light).generate(600, &mut rng);
-        let pb = TracePlayback::new(trace.clone());
-        let avg = pb.average_load(SimTime::ZERO, SimTime::ZERO + trace.duration());
-        assert!((avg - trace.mean()).abs() < 1e-9);
+        self.trace.load_at(t)
     }
 }

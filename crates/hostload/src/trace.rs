@@ -38,11 +38,6 @@ pub enum TraceError {
         /// Index of the offending sample.
         index: usize,
     },
-    /// A text line failed to parse.
-    Malformed {
-        /// 1-based line number.
-        line: usize,
-    },
 }
 
 impl std::fmt::Display for TraceError {
@@ -52,9 +47,6 @@ impl std::fmt::Display for TraceError {
             TraceError::ZeroInterval => write!(f, "load trace interval is zero"),
             TraceError::InvalidSample { index } => {
                 write!(f, "load sample {index} is negative or not finite")
-            }
-            TraceError::Malformed { line } => {
-                write!(f, "trace text line {line} is malformed")
             }
         }
     }
@@ -124,31 +116,6 @@ impl LoadTrace {
         self.samples[idx]
     }
 
-    /// The average load over `[start, end)`, integrating the
-    /// zero-order-hold signal exactly (with wrap-around).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `end < start`.
-    pub fn average_between(&self, start: SimTime, end: SimTime) -> f64 {
-        assert!(end >= start, "average_between: end before start");
-        if end == start {
-            return self.load_at(start);
-        }
-        let step = self.interval.as_nanos();
-        let mut acc = 0.0_f64;
-        let mut t = start.as_nanos();
-        let end = end.as_nanos();
-        while t < end {
-            let idx = (t / step) as usize % self.samples.len();
-            let seg_end = ((t / step) + 1) * step;
-            let upto = seg_end.min(end);
-            acc += self.samples[idx] * (upto - t) as f64;
-            t = upto;
-        }
-        acc / (end - start.as_nanos()) as f64
-    }
-
     /// Mean load over the whole trace.
     pub fn mean(&self) -> f64 {
         self.samples.iter().sum::<f64>() / self.samples.len() as f64
@@ -157,44 +124,6 @@ impl LoadTrace {
     /// Peak load over the whole trace.
     pub fn peak(&self) -> f64 {
         self.samples.iter().fold(0.0_f64, |a, b| a.max(*b))
-    }
-
-    /// Serializes the trace to the one-sample-per-line text format
-    /// of Dinda's trace archives: a header line `interval-ns <n>`
-    /// followed by one load value per line.
-    pub fn to_text(&self) -> String {
-        let mut out = format!("interval-ns {}\n", self.interval.as_nanos());
-        for s in &self.samples {
-            out.push_str(&format!("{s}\n"));
-        }
-        out
-    }
-
-    /// Parses the text format written by [`to_text`](LoadTrace::to_text).
-    ///
-    /// # Errors
-    ///
-    /// [`TraceError::Malformed`] (with a 1-based line number) on
-    /// syntax problems, plus the usual construction errors.
-    pub fn from_text(text: &str) -> Result<Self, TraceError> {
-        let mut lines = text.lines().enumerate();
-        let (_, header) = lines.next().ok_or(TraceError::Empty)?;
-        let interval_ns: u64 = header
-            .strip_prefix("interval-ns ")
-            .and_then(|v| v.trim().parse().ok())
-            .ok_or(TraceError::Malformed { line: 1 })?;
-        let mut samples = Vec::new();
-        for (idx, line) in lines {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let v: f64 = line
-                .parse()
-                .map_err(|_| TraceError::Malformed { line: idx + 1 })?;
-            samples.push(v);
-        }
-        LoadTrace::from_samples(SimDuration::from_nanos(interval_ns), samples)
     }
 
     /// Pointwise-scales every sample by `factor` (>= 0).
@@ -254,25 +183,6 @@ mod tests {
     }
 
     #[test]
-    fn average_integrates_exactly() {
-        let t = LoadTrace::from_samples(secs(10), vec![0.0, 2.0]).unwrap();
-        // [5s,15s): 5s at 0.0 then 5s at 2.0 -> 1.0
-        let avg = t.average_between(SimTime::from_secs(5), SimTime::from_secs(15));
-        assert!((avg - 1.0).abs() < 1e-12);
-        // full period -> mean
-        let avg2 = t.average_between(SimTime::ZERO, SimTime::from_secs(20));
-        assert!((avg2 - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn average_wraps_past_end() {
-        let t = LoadTrace::from_samples(secs(1), vec![1.0, 3.0]).unwrap();
-        let avg = t.average_between(SimTime::from_secs(1), SimTime::from_secs(3));
-        // sample 1 (3.0) then wrap to sample 0 (1.0)
-        assert!((avg - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn silent_trace_is_zero_everywhere() {
         let t = LoadTrace::silent(secs(1), 5);
         assert_eq!(t.mean(), 0.0);
@@ -289,86 +199,10 @@ mod tests {
     }
 
     #[test]
-    fn degenerate_average_is_pointwise() {
-        let t = LoadTrace::from_samples(secs(1), vec![4.0]).unwrap();
-        assert_eq!(
-            t.average_between(SimTime::from_secs(2), SimTime::from_secs(2)),
-            4.0
-        );
-    }
-
-    #[test]
-    fn text_round_trip_preserves_trace() {
-        let t = LoadTrace::from_samples(secs(2), vec![0.0, 1.5, 2.25]).unwrap();
-        let text = t.to_text();
-        assert!(text.starts_with("interval-ns 2000000000"));
-        let back = LoadTrace::from_text(&text).unwrap();
-        assert_eq!(back, t);
-    }
-
-    #[test]
-    fn text_parsing_reports_line_numbers() {
-        assert_eq!(LoadTrace::from_text(""), Err(TraceError::Empty));
-        assert_eq!(
-            LoadTrace::from_text("bogus header\n1.0\n"),
-            Err(TraceError::Malformed { line: 1 })
-        );
-        assert_eq!(
-            LoadTrace::from_text("interval-ns 1000\n1.0\nnot-a-number\n"),
-            Err(TraceError::Malformed { line: 3 })
-        );
-        // comments and blank lines are tolerated
-        let t = LoadTrace::from_text("interval-ns 1000\n# comment\n\n0.5\n").unwrap();
-        assert_eq!(t.samples(), &[0.5]);
-        // construction errors still apply
-        assert_eq!(
-            LoadTrace::from_text("interval-ns 1000\n-1.0\n"),
-            Err(TraceError::InvalidSample { index: 0 })
-        );
-        assert_eq!(
-            LoadTrace::from_text("interval-ns 0\n1.0\n"),
-            Err(TraceError::ZeroInterval)
-        );
-    }
-
-    #[test]
     fn error_display_is_meaningful() {
         assert!(TraceError::Empty.to_string().contains("no samples"));
         assert!(TraceError::InvalidSample { index: 3 }
             .to_string()
             .contains("sample 3"));
-    }
-}
-
-#[cfg(test)]
-mod proptests {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-        /// The exact integral average over any window must lie between
-        /// the min and max sample values.
-        #[test]
-        fn average_is_bounded(samples in proptest::collection::vec(0.0f64..4.0, 1..32),
-                              start in 0u64..1_000, len in 0u64..1_000) {
-            let t = LoadTrace::from_samples(SimDuration::from_millis(7), samples.clone()).unwrap();
-            let s = SimTime::from_nanos(start * 1_000_000);
-            let e = s + SimDuration::from_nanos(len * 1_000_000);
-            let avg = t.average_between(s, e);
-            let lo = samples.iter().cloned().fold(f64::INFINITY, f64::min);
-            let hi = samples.iter().cloned().fold(0.0, f64::max);
-            prop_assert!(avg >= lo - 1e-9 && avg <= hi + 1e-9, "avg {} not in [{}, {}]", avg, lo, hi);
-        }
-
-        /// Averaging over an exact whole number of trace periods gives
-        /// the trace mean.
-        #[test]
-        fn whole_period_average_is_mean(samples in proptest::collection::vec(0.0f64..4.0, 1..16),
-                                        periods in 1u64..4) {
-            let t = LoadTrace::from_samples(SimDuration::from_millis(3), samples).unwrap();
-            let end = SimTime::ZERO + t.duration() * periods;
-            let avg = t.average_between(SimTime::ZERO, end);
-            prop_assert!((avg - t.mean()).abs() < 1e-9);
-        }
     }
 }

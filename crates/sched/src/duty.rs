@@ -26,7 +26,6 @@ use gridvm_simcore::time::{SimDuration, SimTime};
 pub struct DutyCycle {
     period: SimDuration,
     on_fraction: f64,
-    phase: SimDuration,
 }
 
 impl DutyCycle {
@@ -45,25 +44,7 @@ impl DutyCycle {
         DutyCycle {
             period,
             on_fraction,
-            phase: SimDuration::ZERO,
         }
-    }
-
-    /// Shifts the cycle by `phase` (different VMs can be staggered to
-    /// avoid synchronized wakeups).
-    pub fn with_phase(mut self, phase: SimDuration) -> Self {
-        self.phase = phase;
-        self
-    }
-
-    /// The fraction of time the task is runnable.
-    pub fn on_fraction(&self) -> f64 {
-        self.on_fraction
-    }
-
-    /// The modulation period.
-    pub fn period(&self) -> SimDuration {
-        self.period
     }
 
     /// True when the controlled task is CONT (runnable) at `t`.
@@ -74,56 +55,8 @@ impl DutyCycle {
         if self.on_fraction <= 0.0 {
             return false;
         }
-        let pos = (t + self.phase).as_nanos() % self.period.as_nanos();
+        let pos = t.as_nanos() % self.period.as_nanos();
         (pos as f64) < self.period.as_nanos() as f64 * self.on_fraction
-    }
-
-    /// The next instant at or after `t` when the task becomes
-    /// runnable (`t` itself if already runnable). Returns `None` for
-    /// a permanently-stopped (0%) cycle.
-    pub fn next_runnable(&self, t: SimTime) -> Option<SimTime> {
-        if self.on_fraction <= 0.0 {
-            return None;
-        }
-        if self.is_runnable(t) {
-            return Some(t);
-        }
-        let period = self.period.as_nanos();
-        let pos = (t + self.phase).as_nanos() % period;
-        let wait = period - pos;
-        Some(t + SimDuration::from_nanos(wait))
-    }
-
-    /// Exact fraction of `[start, end)` during which the task is
-    /// runnable.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `end < start`.
-    pub fn runnable_fraction(&self, start: SimTime, end: SimTime) -> f64 {
-        assert!(end >= start, "runnable_fraction: end before start");
-        if end == start {
-            return if self.is_runnable(start) { 1.0 } else { 0.0 };
-        }
-        let period = self.period.as_nanos();
-        let on = (period as f64 * self.on_fraction) as u64;
-        let mut t = (start + self.phase).as_nanos();
-        let stop = (end + self.phase).as_nanos();
-        let mut total_on = 0u64;
-        while t < stop {
-            let pos = t % period;
-            let (seg_end, is_on) = if pos < on {
-                ((t - pos) + on, true)
-            } else {
-                ((t - pos) + period, false)
-            };
-            let upto = seg_end.min(stop);
-            if is_on {
-                total_on += upto - t;
-            }
-            t = upto;
-        }
-        total_on as f64 / (stop - (start + self.phase).as_nanos()) as f64
     }
 }
 
@@ -157,74 +90,11 @@ mod tests {
             assert!(on.is_runnable(at(i)));
             assert!(!off.is_runnable(at(i)));
         }
-        assert_eq!(off.next_runnable(at(5)), None);
-    }
-
-    #[test]
-    fn phase_shifts_the_window() {
-        let d = DutyCycle::new(ms(100), 0.5).with_phase(ms(50));
-        assert!(!d.is_runnable(at(0)), "phase shifted into the off half");
-        assert!(d.is_runnable(at(50)));
-    }
-
-    #[test]
-    fn next_runnable_finds_window_start() {
-        let d = DutyCycle::new(ms(100), 0.25);
-        assert_eq!(d.next_runnable(at(10)), Some(at(10)), "already on");
-        assert_eq!(d.next_runnable(at(30)), Some(at(100)));
-        assert_eq!(d.next_runnable(at(99)), Some(at(100)));
-    }
-
-    #[test]
-    fn runnable_fraction_over_whole_periods_matches_duty() {
-        let d = DutyCycle::new(ms(100), 0.3);
-        let f = d.runnable_fraction(at(0), at(1000));
-        assert!((f - 0.3).abs() < 1e-9, "fraction {f}");
-    }
-
-    #[test]
-    fn runnable_fraction_of_partial_window() {
-        let d = DutyCycle::new(ms(100), 0.5);
-        // [25ms, 75ms): 25ms on, 25ms off
-        let f = d.runnable_fraction(at(25), at(75));
-        assert!((f - 0.5).abs() < 1e-9);
-        // [50ms, 100ms): fully off
-        assert_eq!(d.runnable_fraction(at(50), at(100)), 0.0);
     }
 
     #[test]
     #[should_panic(expected = "outside [0,1]")]
     fn invalid_fraction_panics() {
         let _ = DutyCycle::new(ms(10), 1.5);
-    }
-}
-
-#[cfg(test)]
-mod proptests {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-        /// Over many whole periods the measured runnable fraction
-        /// converges to the configured duty.
-        #[test]
-        fn fraction_matches_duty(duty in 0.0f64..=1.0, periods in 1u64..20, phase_ms in 0u64..500) {
-            let d = DutyCycle::new(SimDuration::from_millis(100), duty)
-                .with_phase(SimDuration::from_millis(phase_ms));
-            let end = SimTime::ZERO + SimDuration::from_millis(100) * periods;
-            let f = d.runnable_fraction(SimTime::ZERO, end);
-            prop_assert!((f - duty).abs() < 0.011, "duty {} measured {}", duty, f);
-        }
-
-        /// `next_runnable` always returns a runnable instant no
-        /// earlier than the query.
-        #[test]
-        fn next_runnable_is_sound(duty in 0.01f64..=1.0, t_ms in 0u64..10_000) {
-            let d = DutyCycle::new(SimDuration::from_millis(73), duty);
-            let t = SimTime::ZERO + SimDuration::from_millis(t_ms);
-            let n = d.next_runnable(t).expect("duty > 0 always has a next window");
-            prop_assert!(n >= t);
-            prop_assert!(d.is_runnable(n));
-        }
     }
 }

@@ -53,32 +53,7 @@ pub enum FaultKind {
     NfsTimeout,
 }
 
-/// The architectural layer a fault kind targets.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum FaultLayer {
-    /// Physical host (crash, slowdown).
-    Host,
-    /// Virtual-network link/tunnel (partition, loss, latency).
-    Link,
-    /// Block storage (I/O error, slow disk).
-    Storage,
-    /// Virtual file system / NFS proxy (RPC timeout).
-    Vfs,
-}
-
 impl FaultKind {
-    /// The layer this kind targets.
-    pub fn layer(&self) -> FaultLayer {
-        match self {
-            FaultKind::HostCrash | FaultKind::HostSlowdown { .. } => FaultLayer::Host,
-            FaultKind::LinkPartition { .. }
-            | FaultKind::LinkLoss
-            | FaultKind::LatencySpike { .. } => FaultLayer::Link,
-            FaultKind::StorageIoError | FaultKind::StorageSlow { .. } => FaultLayer::Storage,
-            FaultKind::NfsTimeout => FaultLayer::Vfs,
-        }
-    }
-
     /// Stable metrics-counter name for this kind.
     pub fn counter_name(&self) -> &'static str {
         match self {
@@ -274,39 +249,6 @@ impl FaultFeed {
         Some(&self.plan.events[i])
     }
 
-    /// Takes the earliest unconsumed event for `target` whose kind's
-    /// layer matches, within `[start, end)`. Borrows like
-    /// [`take_matching`](FaultFeed::take_matching).
-    pub fn take_for(
-        &mut self,
-        target: &str,
-        layer: FaultLayer,
-        start: SimTime,
-        end: SimTime,
-    ) -> Option<&FaultEvent> {
-        self.take_matching(start, end, |e| {
-            e.target == target && e.kind.layer() == layer
-        })
-    }
-
-    /// Peeks (without consuming) at the earliest unconsumed event in
-    /// `[start, end)` matching `pred`.
-    pub fn peek_matching(
-        &self,
-        start: SimTime,
-        end: SimTime,
-        pred: impl Fn(&FaultEvent) -> bool,
-    ) -> Option<&FaultEvent> {
-        self.plan
-            .events
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !self.consumed[*i])
-            .map(|(_, e)| e)
-            .take_while(|e| e.at < end)
-            .find(|e| e.at >= start && pred(e))
-    }
-
     /// How many events have not fired yet.
     pub fn remaining(&self) -> usize {
         self.consumed.iter().filter(|c| !**c).count()
@@ -427,34 +369,34 @@ mod tests {
             .with("nfs", t(5), FaultKind::NfsTimeout)
             .with("nfs", t(6), FaultKind::NfsTimeout);
         let mut feed = FaultFeed::new(&plan);
+        let nfs = |e: &FaultEvent| e.target == "nfs";
         assert_eq!(feed.remaining(), 2);
         let first = feed
-            .take_for("nfs", FaultLayer::Vfs, t(0), t(10))
+            .take_matching(t(0), t(10), nfs)
             .expect("first event in window");
         assert_eq!(first.at, t(5));
         let second = feed
-            .take_for("nfs", FaultLayer::Vfs, t(0), t(10))
+            .take_matching(t(0), t(10), nfs)
             .expect("second event in window");
         assert_eq!(second.at, t(6));
-        assert!(feed.take_for("nfs", FaultLayer::Vfs, t(0), t(10)).is_none());
+        assert!(feed.take_matching(t(0), t(10), nfs).is_none());
         assert_eq!(feed.remaining(), 0);
     }
 
     #[test]
-    fn feed_windows_and_layers_filter() {
+    fn feed_windows_and_predicates_filter() {
         let plan = FaultPlan::new()
             .with("V0", t(10), FaultKind::HostCrash)
             .with("lan", t(20), FaultKind::LinkLoss);
         let mut feed = FaultFeed::new(&plan);
-        // Wrong layer / wrong window: nothing fires.
-        assert!(feed.take_for("V0", FaultLayer::Link, t(0), t(60)).is_none());
+        let crash = |e: &FaultEvent| e.target == "V0" && e.kind == FaultKind::HostCrash;
+        // Wrong kind / wrong window: nothing fires.
         assert!(feed
-            .take_for("V0", FaultLayer::Host, t(11), t(60))
+            .take_matching(t(0), t(60), |e| e.target == "V0"
+                && e.kind == FaultKind::LinkLoss)
             .is_none());
-        assert!(feed
-            .peek_matching(t(0), t(60), |e| e.kind == FaultKind::LinkLoss)
-            .is_some());
-        assert!(feed.take_for("V0", FaultLayer::Host, t(0), t(60)).is_some());
+        assert!(feed.take_matching(t(11), t(60), crash).is_none());
+        assert!(feed.take_matching(t(0), t(60), crash).is_some());
         assert_eq!(feed.remaining(), 1);
     }
 
@@ -467,17 +409,7 @@ mod tests {
     }
 
     #[test]
-    fn kinds_map_to_layers_and_counters() {
-        assert_eq!(FaultKind::HostCrash.layer(), FaultLayer::Host);
-        assert_eq!(
-            FaultKind::LinkPartition {
-                heal_after: SimDuration::from_secs(1)
-            }
-            .layer(),
-            FaultLayer::Link
-        );
-        assert_eq!(FaultKind::StorageIoError.layer(), FaultLayer::Storage);
-        assert_eq!(FaultKind::NfsTimeout.layer(), FaultLayer::Vfs);
+    fn kinds_map_to_counters() {
         assert_eq!(FaultKind::HostCrash.counter_name(), "fault.host_crash");
     }
 

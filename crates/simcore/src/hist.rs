@@ -101,11 +101,6 @@ impl Histogram {
         (self.sub_bits, self.max_exp)
     }
 
-    /// Number of buckets the layout allocates (constant per layout).
-    pub fn bucket_count(&self) -> usize {
-        self.buckets.len()
-    }
-
     /// Bucket index of a value. Values below `2^sub_bits` map
     /// exactly (one value per bucket); larger values map into the
     /// `2^sub_bits` equal-width sub-buckets of their power-of-two

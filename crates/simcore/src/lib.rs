@@ -26,18 +26,15 @@
 //! * [`fault`] — seeded, deterministic fault injection:
 //!   [`FaultPlan`](fault::FaultPlan) schedules typed faults
 //!   (host crash/slowdown, link partition/loss/latency, storage
-//!   errors, NFS timeouts) that every layer consults; a
-//!   [`FaultFeed`](fault::FaultFeed) guarantees each fault fires at
-//!   most once.
+//!   errors, NFS timeouts); sessions consume them through a
+//!   [`FaultFeed`](fault::FaultFeed)'s one query, `take_matching`,
+//!   which fires each fault at most once.
 //! * [`stats`] — the one-pass (Welford) mean/std/min/max accumulator
 //!   [`OnlineStats`] behind every experiment harness's summary rows.
 //! * [`hist`] — streaming log-scale [`Histogram`](hist::Histogram)s,
 //!   the workspace's one histogram type, with integer-exact merge:
 //!   constant memory per named series, p50/p99/p999 extraction,
 //!   bit-identical rollups at any shard/thread count.
-//! * [`sample`] — deterministic sampling: the seeded
-//!   [`Reservoir`](sample::Reservoir) and the stratified per-category
-//!   keep decision behind sampled trace logs.
 //! * [`metrics`] — counter/gauge/timer registries recorded into a
 //!   thread-local per-replication context and merged across
 //!   replications; pre-resolved [`metrics::Counter`] handles keep
@@ -67,7 +64,9 @@
 //!   used to model disks, links and RPC endpoints without spawning an
 //!   event per byte.
 //! * [`trace`] — a lightweight category-tagged trace recorder, with
-//!   optional seeded sampling at one per-mille rate.
+//!   optional seeded sampling at one per-mille rate: a stratified,
+//!   stateless per-category keep decision, so sampled digests are
+//!   shard/thread invariant.
 //!
 //! ## Example
 //!
@@ -104,7 +103,6 @@ pub mod lru;
 pub mod metrics;
 pub mod replication;
 pub mod rng;
-pub mod sample;
 pub mod server;
 pub mod shard;
 pub mod slot;
@@ -121,7 +119,6 @@ pub use lru::LruSet;
 pub use metrics::Metrics;
 pub use replication::{ReplicationCtx, ReplicationRunner};
 pub use rng::SimRng;
-pub use sample::Reservoir;
 pub use shard::{ShardWorld, ShardedSim, SiteId, SiteState};
 pub use stats::OnlineStats;
 pub use time::{SimDuration, SimTime};

@@ -211,15 +211,6 @@ impl<K: Eq + Hash + Copy> LruSet<K> {
         }
     }
 
-    /// Drops every key.
-    pub fn clear(&mut self) {
-        self.map.clear();
-        self.nodes.clear();
-        self.free.clear();
-        self.head = NIL;
-        self.tail = NIL;
-    }
-
     /// Re-verifies the set's structural invariants from first
     /// principles (runtime audit layer; see [`crate::audit`]):
     /// intrusive-list link integrity (`prev`/`next` agree, the walk
@@ -297,19 +288,6 @@ impl<K: Eq + Hash + Copy> LruSet<K> {
         }
         Ok(())
     }
-
-    /// Keys in most-recently-used-first order (diagnostics and tests;
-    /// O(len)).
-    pub fn iter_mru(&self) -> impl Iterator<Item = &K> + '_ {
-        let mut i = self.head;
-        std::iter::from_fn(move || {
-            (i != NIL).then(|| {
-                let n = &self.nodes[i as usize];
-                i = n.next;
-                &n.key
-            })
-        })
-    }
 }
 
 #[cfg(test)]
@@ -346,13 +324,11 @@ mod tests {
     }
 
     #[test]
-    fn explicit_removal_and_clear() {
+    fn explicit_removal() {
         let mut c = LruSet::new(2);
         c.insert(1u64);
         assert!(c.remove(&1));
         assert!(!c.remove(&1));
-        c.insert(2);
-        c.clear();
         assert!(c.is_empty());
         assert_eq!(c.lru(), None);
     }
@@ -381,17 +357,6 @@ mod tests {
         assert!(c.len() <= 4);
         // The arena never grows past capacity despite 100 inserts.
         assert!(c.nodes.len() <= 4);
-    }
-
-    #[test]
-    fn iter_mru_reports_recency_order() {
-        let mut c = LruSet::new(3);
-        c.insert(1u64);
-        c.insert(2);
-        c.insert(3);
-        c.touch(&1);
-        let order: Vec<u64> = c.iter_mru().copied().collect();
-        assert_eq!(order, vec![1, 3, 2]);
     }
 
     #[test]

@@ -87,18 +87,6 @@ impl ReplicationCtx {
     pub fn rng(&self) -> SimRng {
         SimRng::seed_from(self.seed)
     }
-
-    /// The seed of one shard (site) of this replication. When the
-    /// context's seed came from [`derive_seed`], this equals
-    /// [`derive_seed_sharded`]`(master, index, shard)`.
-    pub fn shard_seed(&self, shard_index: u64) -> u64 {
-        mix_shard(self.seed, shard_index)
-    }
-
-    /// A generator seeded for one shard (site) of this replication.
-    pub fn shard_rng(&self, shard_index: u64) -> SimRng {
-        SimRng::seed_from(self.shard_seed(shard_index))
-    }
 }
 
 /// Everything a batch of replications produced.
@@ -262,15 +250,6 @@ mod tests {
             derive_seed_sharded(7, 3, 1),
             "replication index still matters"
         );
-        // The ctx helper agrees with the standalone derivation when the
-        // ctx seed came from derive_seed.
-        let ctx = ReplicationCtx {
-            index: 3,
-            seed: base,
-        };
-        assert_eq!(ctx.shard_seed(1), s1);
-        let mut rng = ctx.shard_rng(1);
-        assert_eq!(rng.next_u64(), SimRng::seed_from(s1).next_u64());
     }
 
     #[test]

@@ -144,16 +144,6 @@ impl SimRng {
         lo + self.next_below(hi - lo + 1)
     }
 
-    /// A uniform float in `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is empty or not finite.
-    pub fn next_f64_in(&mut self, lo: f64, hi: f64) -> f64 {
-        assert!(lo < hi && lo.is_finite() && hi.is_finite(), "bad range");
-        lo + self.next_f64() * (hi - lo)
-    }
-
     /// Bernoulli draw: `true` with probability `p`.
     ///
     /// # Panics
@@ -218,33 +208,6 @@ impl SimRng {
             }
         };
         x_min / u.powf(1.0 / alpha)
-    }
-
-    /// A Zipf-like rank in `[0, n)` with skew `theta >= 0`
-    /// (`theta = 0` is uniform). Used for block popularity in the
-    /// file-system cache experiments.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero or `theta` is negative.
-    pub fn zipf(&mut self, n: usize, theta: f64) -> usize {
-        assert!(n > 0, "zipf: empty universe");
-        assert!(theta >= 0.0, "zipf: negative skew");
-        if theta == 0.0 {
-            return self.next_below(n as u64) as usize;
-        }
-        // Inverse-CDF by bisection over the generalized harmonic sums
-        // would be exact but slow; the standard approximation below
-        // (Gray et al.) is accurate enough for cache-locality modeling.
-        let zeta: f64 = (1..=n).map(|i| 1.0 / (i as f64).powf(theta)).sum();
-        let mut u = self.next_f64() * zeta;
-        for i in 1..=n {
-            u -= 1.0 / (i as f64).powf(theta);
-            if u <= 0.0 {
-                return i - 1;
-            }
-        }
-        n - 1
     }
 
     /// Fisher–Yates shuffle of a slice.
@@ -360,34 +323,6 @@ mod tests {
         for _ in 0..1_000 {
             assert!(r.pareto(2.0, 1.5) >= 2.0);
         }
-    }
-
-    #[test]
-    fn zipf_skews_toward_low_ranks() {
-        let mut r = SimRng::seed_from(29);
-        let mut low = 0;
-        let n = 10_000;
-        for _ in 0..n {
-            if r.zipf(100, 1.0) < 10 {
-                low += 1;
-            }
-        }
-        // With theta=1 the first 10 of 100 ranks carry well over half
-        // the mass; uniform would give ~10%.
-        assert!(low > n / 3, "low-rank draws: {low}");
-    }
-
-    #[test]
-    fn zipf_zero_theta_is_uniform() {
-        let mut r = SimRng::seed_from(31);
-        let mut low = 0;
-        let n = 10_000;
-        for _ in 0..n {
-            if r.zipf(100, 0.0) < 10 {
-                low += 1;
-            }
-        }
-        assert!((700..1_300).contains(&low), "low-rank draws: {low}");
     }
 
     #[test]

@@ -32,8 +32,6 @@ use crate::units::{Bandwidth, ByteSize};
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FifoServer {
     free_at: SimTime,
-    served: u64,
-    busy: SimDuration,
 }
 
 /// The service interval granted to one admitted request.
@@ -50,11 +48,6 @@ impl ServiceGrant {
     pub fn latency_from(&self, admitted: SimTime) -> SimDuration {
         self.finish.duration_since(admitted)
     }
-
-    /// Time spent waiting before service began.
-    pub fn queueing_from(&self, admitted: SimTime) -> SimDuration {
-        self.start.saturating_duration_since(admitted)
-    }
 }
 
 impl FifoServer {
@@ -69,39 +62,7 @@ impl FifoServer {
         let start = self.free_at.max(now);
         let finish = start + service;
         self.free_at = finish;
-        self.served += 1;
-        self.busy += service;
         ServiceGrant { start, finish }
-    }
-
-    /// The instant the server next becomes idle.
-    pub fn free_at(&self) -> SimTime {
-        self.free_at
-    }
-
-    /// True if the server would start a request immediately at `now`.
-    pub fn is_idle_at(&self, now: SimTime) -> bool {
-        self.free_at <= now
-    }
-
-    /// Number of requests admitted so far.
-    pub fn served(&self) -> u64 {
-        self.served
-    }
-
-    /// Total busy time accumulated.
-    pub fn busy_time(&self) -> SimDuration {
-        self.busy
-    }
-
-    /// Utilization over `[SimTime::ZERO, now]`, in `[0, 1]`
-    /// (1 if `now` is zero and nothing was served).
-    pub fn utilization(&self, now: SimTime) -> f64 {
-        let elapsed = now.as_secs_f64();
-        if elapsed <= 0.0 {
-            return 0.0;
-        }
-        (self.busy.as_secs_f64() / elapsed).min(1.0)
     }
 }
 
@@ -142,11 +103,6 @@ impl Pipe {
         self.latency
     }
 
-    /// The configured bandwidth.
-    pub fn bandwidth(&self) -> Bandwidth {
-        self.bandwidth
-    }
-
     /// Sends `size` bytes at `now`: serialization is FIFO through the
     /// pipe, and the fixed latency is added after serialization
     /// completes (store-and-forward).
@@ -160,19 +116,9 @@ impl Pipe {
         }
     }
 
-    /// The time a `size`-byte message would take on an idle pipe.
-    pub fn unloaded_time(&self, size: ByteSize) -> SimDuration {
-        self.latency + self.bandwidth.transfer_time(size)
-    }
-
     /// Total bytes pushed through so far.
     pub fn bytes_sent(&self) -> ByteSize {
         self.bytes
-    }
-
-    /// Messages sent so far.
-    pub fn messages_sent(&self) -> u64 {
-        self.server.served()
     }
 }
 
@@ -190,7 +136,6 @@ mod tests {
         let g = s.admit(SimTime::from_secs(5), ms(100));
         assert_eq!(g.start, SimTime::from_secs(5));
         assert_eq!(g.finish, SimTime::from_secs(5) + ms(100));
-        assert_eq!(g.queueing_from(SimTime::from_secs(5)), SimDuration::ZERO);
     }
 
     #[test]
@@ -203,20 +148,14 @@ mod tests {
         assert_eq!(b.start, a.finish);
         assert_eq!(c.start, b.finish);
         assert_eq!(c.finish, t + ms(35));
-        assert_eq!(c.queueing_from(t), ms(30));
-        assert_eq!(s.served(), 3);
     }
 
     #[test]
     fn server_idles_between_bursts() {
         let mut s = FifoServer::new();
         s.admit(SimTime::ZERO, ms(10));
-        assert!(s.is_idle_at(SimTime::from_secs(1)));
         let g = s.admit(SimTime::from_secs(1), ms(10));
         assert_eq!(g.start, SimTime::from_secs(1));
-        // busy 20ms over 1.01s
-        let u = s.utilization(g.finish);
-        assert!((u - 0.02 / 1.01).abs() < 1e-9, "utilization {u}");
     }
 
     #[test]
@@ -225,7 +164,6 @@ mod tests {
         let g = p.send(SimTime::ZERO, ByteSize::from_mib(2));
         assert!((g.finish.as_secs_f64() - 2.05).abs() < 1e-9);
         assert_eq!(p.bytes_sent(), ByteSize::from_mib(2));
-        assert_eq!(p.messages_sent(), 1);
     }
 
     #[test]
@@ -237,14 +175,6 @@ mod tests {
         assert!((a.finish.as_secs_f64() - 1.1).abs() < 1e-9);
         assert!((b.finish.as_secs_f64() - 2.1).abs() < 1e-9);
     }
-
-    #[test]
-    fn unloaded_time_ignores_queue() {
-        let mut p = Pipe::new(ms(10), Bandwidth::from_mib_per_sec(10.0));
-        p.send(SimTime::ZERO, ByteSize::from_gib(1)); // long queue
-        let t = p.unloaded_time(ByteSize::from_mib(10));
-        assert!((t.as_secs_f64() - 1.01).abs() < 1e-9);
-    }
 }
 
 #[cfg(test)]
@@ -253,15 +183,14 @@ mod proptests {
     use proptest::prelude::*;
 
     proptest! {
-        /// FIFO invariants: starts are non-decreasing, no overlap, and
-        /// total busy time equals the sum of service times.
+        /// FIFO invariants: starts are non-decreasing and no two
+        /// services overlap.
         #[test]
         fn fifo_never_overlaps(reqs in proptest::collection::vec((0u64..1_000_000, 1u64..10_000), 1..100)) {
             let mut s = FifoServer::new();
             let mut sorted = reqs.clone();
             sorted.sort_by_key(|(t, _)| *t);
             let mut last_finish = SimTime::ZERO;
-            let mut total = SimDuration::ZERO;
             for (t, svc) in sorted {
                 let now = SimTime::from_nanos(t);
                 let d = SimDuration::from_nanos(svc);
@@ -270,9 +199,7 @@ mod proptests {
                 prop_assert!(g.start >= last_finish);
                 prop_assert_eq!(g.finish, g.start + d);
                 last_finish = g.finish;
-                total += d;
             }
-            prop_assert_eq!(s.busy_time(), total);
         }
     }
 }

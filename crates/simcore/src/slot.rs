@@ -233,11 +233,6 @@ impl<Tag, T> SlotMap<Tag, T> {
         self.len == 0
     }
 
-    /// Number of slots ever allocated (live + free).
-    pub fn slot_count(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Inserts a value, reusing the most recently freed slot if one
     /// exists, and returns its handle.
     pub fn insert(&mut self, value: T) -> Handle<Tag> {
@@ -358,24 +353,6 @@ impl<Tag, T> SlotMap<Tag, T> {
                 )),
                 Entry::Free(_) => None,
             })
-    }
-
-    /// Mutable variant of [`iter`](SlotMap::iter).
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (Handle<Tag>, &mut T)> {
-        self.slots.iter_mut().enumerate().filter_map(|(i, s)| {
-            let gen = s.gen;
-            match &mut s.entry {
-                Entry::Occupied(v) => Some((
-                    Handle {
-                        idx: i as u32,
-                        gen,
-                        _tag: PhantomData,
-                    },
-                    v,
-                )),
-                Entry::Free(_) => None,
-            }
-        })
     }
 
     /// Re-verifies the arena's structural invariants from first
@@ -782,10 +759,6 @@ mod tests {
         let vals: Vec<u32> = m.iter().map(|(_, v)| *v).collect();
         assert_eq!(vals, vec![3, 1, 2], "slot order, not insertion order");
         assert_eq!(m.iter().next().unwrap().0, d);
-        for (_, v) in m.iter_mut() {
-            *v += 10;
-        }
-        assert_eq!(m.get(d), Ok(&13));
     }
 
     #[test]

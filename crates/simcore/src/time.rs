@@ -141,11 +141,6 @@ impl SimDuration {
         self.0
     }
 
-    /// Whole milliseconds in the span (truncating).
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000_000
-    }
-
     /// Seconds as a float (lossy above 2^53 ns).
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9

@@ -20,7 +20,6 @@ use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::fmt;
 
-use crate::sample::keep_per_mille;
 use crate::time::SimTime;
 
 use crate::metrics::Counter;
@@ -39,6 +38,25 @@ struct Sampler {
     rate_per_mille: u32,
     seed: u64,
     seq: BTreeMap<&'static str, u64>,
+}
+
+/// The stratified Bernoulli keep decision of a sampled log: item
+/// `seq` of stratum `category` under `seed` is kept iff a hash of the
+/// triple lands below `rate_per_mille`. Deterministic, O(1),
+/// stateless — every shard makes identical decisions for identical
+/// streams, so sampled digests are shard/thread invariant.
+fn keep_per_mille(seed: u64, category: &str, seq: u64, rate_per_mille: u32) -> bool {
+    if rate_per_mille >= 1000 {
+        return true;
+    }
+    if rate_per_mille == 0 {
+        return false;
+    }
+    let mut h = crate::fault::Fnv::new();
+    h.mix(&seed.to_le_bytes());
+    h.mix(category.as_bytes());
+    h.mix(&seq.to_le_bytes());
+    (h.finish() % 1000) < u64::from(rate_per_mille)
 }
 
 /// A single trace entry.
@@ -103,8 +121,9 @@ impl TraceLog {
         }
     }
 
-    /// Creates a sampling log: every entry passes the seeded
-    /// stratified keep decision ([`keep_per_mille`]) at
+    /// Creates a sampling log: every entry passes a seeded
+    /// stratified keep decision (a hash of seed, category and
+    /// sequence number) at
     /// `rate_per_mille` (0 = drop all, 1000 = keep all; higher rates
     /// clamp to 1000) over its category's own sequence numbers before
     /// entering the ring; the rest count as dropped. Retention is a
@@ -254,6 +273,22 @@ mod tests {
         assert_eq!(log.len(), 3);
         let vmm: Vec<_> = log.by_category("vmm").map(|e| e.message.as_str()).collect();
         assert_eq!(vmm, vec!["boot", "ready"]);
+    }
+
+    #[test]
+    fn keep_decision_edges_and_rate() {
+        assert!(keep_per_mille(1, "x", 0, 1000));
+        assert!(!keep_per_mille(1, "x", 0, 0));
+        let kept = (0..10_000u64)
+            .filter(|&i| keep_per_mille(99, "vo", i, 100))
+            .count();
+        // 10% nominal rate; the hash is uniform enough for ±3%.
+        assert!((700..1300).contains(&kept), "kept {kept} of 10000");
+        assert_eq!(
+            keep_per_mille(5, "a", 3, 500),
+            keep_per_mille(5, "a", 3, 500),
+            "pure function"
+        );
     }
 
     #[test]

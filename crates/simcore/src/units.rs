@@ -275,19 +275,9 @@ impl Bandwidth {
         Bandwidth::from_bytes_per_sec(mbps * 1e6 / 8.0)
     }
 
-    /// Raw bytes per second.
-    pub fn as_bytes_per_sec(self) -> f64 {
-        self.0
-    }
-
     /// Time to push `size` through at this rate.
     pub fn transfer_time(self, size: ByteSize) -> SimDuration {
         SimDuration::from_secs_f64(size.as_f64() / self.0)
-    }
-
-    /// The smaller of two rates (bottleneck composition).
-    pub fn min(self, other: Bandwidth) -> Bandwidth {
-        Bandwidth(self.0.min(other.0))
     }
 }
 

@@ -186,11 +186,6 @@ impl MemBlockStore {
         self
     }
 
-    /// The content seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Number of blocks that have been explicitly written.
     pub fn written_blocks(&self) -> u64 {
         self.written.len() as u64

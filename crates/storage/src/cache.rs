@@ -89,17 +89,6 @@ impl BufferCache {
         self.resident.insert(addr)
     }
 
-    /// Removes `addr` (e.g. on invalidation). Returns whether it was
-    /// resident.
-    pub fn evict(&mut self, addr: BlockAddr) -> bool {
-        self.resident.remove(&addr)
-    }
-
-    /// Drops everything (e.g. host reboot).
-    pub fn clear(&mut self) {
-        self.resident.clear();
-    }
-
     /// Lookup hits so far.
     pub fn hits(&self) -> u64 {
         self.hits
@@ -108,16 +97,6 @@ impl BufferCache {
     /// Lookup misses so far.
     pub fn misses(&self) -> u64 {
         self.misses
-    }
-
-    /// Hit ratio over all lookups (0 when none).
-    pub fn hit_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
     }
 }
 
@@ -137,7 +116,6 @@ mod tests {
         assert!(c.touch(a(1)));
         assert_eq!(c.hits(), 1);
         assert_eq!(c.misses(), 1);
-        assert!((c.hit_ratio() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -162,17 +140,6 @@ mod tests {
         assert_eq!(c.insert(a(1)), None, "already resident");
         assert_eq!(c.len(), 2);
         assert_eq!(c.insert(a(3)), Some(a(2)), "1 was refreshed, 2 evicts");
-    }
-
-    #[test]
-    fn explicit_eviction_and_clear() {
-        let mut c = BufferCache::new(2);
-        c.insert(a(1));
-        assert!(c.evict(a(1)));
-        assert!(!c.evict(a(1)));
-        c.insert(a(2));
-        c.clear();
-        assert!(c.is_empty());
     }
 
     #[test]

@@ -64,31 +64,10 @@ impl CowOverlay {
         ByteSize::from_bytes(self.diff_blocks() * self.base.block_size().as_u64())
     }
 
-    /// True when `addr` has been modified relative to the base.
-    pub fn is_dirty(&self, addr: BlockAddr) -> bool {
-        self.diff.contains_key(addr.0)
-    }
-
     /// Discards all modifications (the non-persistent semantics at VM
     /// shutdown).
     pub fn discard(&mut self) {
         self.diff.clear();
-    }
-
-    /// Merges the diff into a *new* owned store (commit-to-persistent:
-    /// what a user does to keep a modified environment). The base is
-    /// untouched.
-    pub fn materialize(&self) -> MemBlockStore {
-        let mut out = MemBlockStore::new(
-            self.base.block_size(),
-            self.base.num_blocks(),
-            self.base.seed(),
-        );
-        for (addr, data) in self.diff.iter() {
-            out.write(BlockAddr(addr), data.clone())
-                .expect("diff blocks are in range and sized");
-        }
-        out
     }
 }
 
@@ -162,8 +141,6 @@ mod tests {
             b.read(BlockAddr(3)).unwrap(),
             b.expected_pristine(BlockAddr(3))
         );
-        assert!(o.is_dirty(BlockAddr(3)));
-        assert!(!o.is_dirty(BlockAddr(4)));
         assert_eq!(o.diff_size(), ByteSize::from_bytes(16));
     }
 
@@ -188,20 +165,6 @@ mod tests {
         assert_eq!(
             o.read(BlockAddr(1)).unwrap(),
             b.expected_pristine(BlockAddr(1))
-        );
-    }
-
-    #[test]
-    fn materialize_captures_base_plus_diff() {
-        let b = base();
-        let mut o = CowOverlay::new(Arc::clone(&b));
-        o.write(BlockAddr(2), blk(0x33)).unwrap();
-        let owned = o.materialize();
-        assert_eq!(owned.read(BlockAddr(2)).unwrap(), blk(0x33));
-        assert_eq!(
-            owned.read(BlockAddr(3)).unwrap(),
-            b.expected_pristine(BlockAddr(3)),
-            "unmodified blocks come from the same synthetic lineage"
         );
     }
 

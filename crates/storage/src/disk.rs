@@ -150,13 +150,6 @@ impl DiskModel {
         self.blocks_written
     }
 
-    /// Drops the buffer cache (host reboot between experiment
-    /// samples).
-    pub fn drop_cache(&mut self) {
-        self.cache.clear();
-        self.last_block = None;
-    }
-
     /// Times a single-block access at `now`.
     ///
     /// Reads that hit the buffer cache cost
@@ -333,15 +326,6 @@ mod tests {
         let a = d.access(SimTime::ZERO, BlockAddr(10), AccessKind::Read);
         let b = d.access(SimTime::ZERO, BlockAddr(500), AccessKind::Read);
         assert_eq!(b.start, a.finish, "arm is FIFO");
-    }
-
-    #[test]
-    fn drop_cache_forgets_residency() {
-        let mut d = model();
-        let g = d.access(SimTime::ZERO, BlockAddr(1), AccessKind::Read);
-        d.drop_cache();
-        let g2 = d.access(g.finish, BlockAddr(1), AccessKind::Read);
-        assert!(g2.latency_from(g.finish) > d.profile.cache_hit_time);
     }
 
     #[test]

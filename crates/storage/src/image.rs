@@ -98,14 +98,6 @@ impl VmImage {
             .into_read_only(),
         )
     }
-
-    /// Memory-snapshot size in blocks of this image's block size
-    /// (zero when no snapshot).
-    pub fn snapshot_blocks(&self) -> u64 {
-        self.memory_snapshot
-            .map(|s| ByteSize::from(s).blocks(self.block_size.into()))
-            .unwrap_or(0)
-    }
 }
 
 /// Errors from catalog operations.
@@ -203,7 +195,6 @@ mod tests {
         );
         assert_eq!(img.disk_blocks(), 2 * 1024 * 1024 / 4);
         assert_eq!(img.boot_working_set_blocks, 50 * 1024 / 4);
-        assert!(img.snapshot_blocks() > 0);
     }
 
     #[test]

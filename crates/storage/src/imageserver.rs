@@ -1,20 +1,18 @@
-//! The image server: archives static VM states and serves them either
-//! block-by-block (on-demand, through a grid virtual file system) or
-//! wholesale (staging) — Figure 2's server `I` and Section 3.1.
+//! The image server: archives static VM states and serves them
+//! block-by-block (on demand, through a grid virtual file system) —
+//! Figure 2's server `I` and Section 3.1.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use gridvm_simcore::server::{Pipe, ServiceGrant};
+use gridvm_simcore::server::ServiceGrant;
 use gridvm_simcore::slot::{Handle, SlotMap};
 use gridvm_simcore::time::SimTime;
-use gridvm_simcore::units::ByteSize;
 
 use crate::block::{BlockAddr, BlockStore, MemBlockStore, StorageError};
 use crate::disk::{AccessKind, DiskModel};
 use crate::image::{CatalogError, ImageCatalog, VmImage};
-use crate::staging::{stage_remote, StagingReport};
 
 /// Errors from image-server requests.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -185,32 +183,12 @@ impl ImageServer {
         self.blocks_served += 1;
         Ok((grant, data))
     }
-
-    /// Stages a whole image to a remote disk through `pipe`
-    /// (GridFTP-style explicit transfer).
-    ///
-    /// # Errors
-    ///
-    /// Unknown image name.
-    pub fn stage_to(
-        &mut self,
-        now: SimTime,
-        name: &str,
-        pipe: &mut Pipe,
-        dst: &mut DiskModel,
-    ) -> Result<StagingReport, ImageServerError> {
-        let image = self.catalog.lookup(name)?;
-        let size: ByteSize = image.disk_size.into();
-        Ok(stage_remote(&mut self.disk, pipe, dst, size, now))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::disk::DiskProfile;
-    use gridvm_simcore::time::SimDuration;
-    use gridvm_simcore::units::Bandwidth;
 
     fn server() -> ImageServer {
         let mut s = ImageServer::new(DiskModel::new(DiskProfile::ide_2003()));
@@ -258,22 +236,6 @@ mod tests {
             s.read_block(SimTime::ZERO, "rh72", BlockAddr(beyond)),
             Err(ImageServerError::Storage(StorageError::OutOfRange { .. }))
         ));
-    }
-
-    #[test]
-    fn staging_whole_image_over_lan() {
-        let mut s = server();
-        let mut pipe = Pipe::new(
-            SimDuration::from_micros(200),
-            Bandwidth::from_mbit_per_sec(100.0),
-        );
-        let mut dst = DiskModel::new(DiskProfile::ide_2003());
-        let r = s
-            .stage_to(SimTime::ZERO, "rh72", &mut pipe, &mut dst)
-            .unwrap();
-        let secs = r.elapsed().as_secs_f64();
-        // 2 GiB over 100 Mbit/s ≈ 171.8 s (wire-limited).
-        assert!((168.0..180.0).contains(&secs), "LAN staging {secs}s");
     }
 
     #[test]

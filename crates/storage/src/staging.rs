@@ -1,18 +1,12 @@
 //! Whole-image transfers: the explicit-copy path of Table 2's
-//! *persistent* rows and the GridFTP-style staging of Section 3.1.
+//! *persistent* rows.
 //!
-//! Two cases matter to the paper:
-//!
-//! * [`copy_local`] — copying a disk image within one host's file
-//!   system before a persistent-disk VM can start. Read and write
-//!   share the same arm, so a 2 GB copy at 16 MiB/s costs ≈ 4+
-//!   minutes — the paper's ">4 minutes if explicit copies of a VM
-//!   disk need to be generated".
-//! * [`stage_remote`] — pulling an image from a remote server over a
-//!   network pipe, pipelined, so the slowest stage (source disk, the
-//!   pipe, or destination disk) sets the rate.
+//! [`copy_local`] copies a disk image within one host's file system
+//! before a persistent-disk VM can start. Read and write share the
+//! same arm, so a 2 GB copy at 16 MiB/s costs ≈ 4+ minutes — the
+//! paper's ">4 minutes if explicit copies of a VM disk need to be
+//! generated".
 
-use gridvm_simcore::server::Pipe;
 use gridvm_simcore::time::{SimDuration, SimTime};
 use gridvm_simcore::units::ByteSize;
 
@@ -76,52 +70,10 @@ pub fn copy_local(
     }
 }
 
-/// Stages `size` bytes from a source disk through a network pipe onto
-/// a destination disk, fully pipelined: the transfer proceeds at the
-/// bandwidth of the slowest stage, plus one pipe latency and the
-/// initial positioning costs.
-///
-/// # Panics
-///
-/// Panics on a zero-byte transfer.
-pub fn stage_remote(
-    src: &mut DiskModel,
-    pipe: &mut Pipe,
-    dst: &mut DiskModel,
-    size: ByteSize,
-    now: SimTime,
-) -> StagingReport {
-    assert!(!size.is_zero(), "zero-byte transfer");
-    let src_bw = src.profile().bandwidth;
-    let dst_bw = dst.profile().bandwidth;
-    let eff = src_bw.min(pipe.bandwidth()).min(dst_bw);
-    // Account the work on each component so their arms/queues reflect
-    // the transfer for any concurrent users.
-    let src_blocks = size.blocks(src.profile().block_size);
-    let dst_blocks = size.blocks(dst.profile().block_size);
-    let _ = src.access_run(now, BlockAddr(0), src_blocks, AccessKind::Read);
-    let sent = pipe.send(now, size);
-    let _ = dst.access_run(now, BlockAddr(0), dst_blocks, AccessKind::Write);
-    // The pipelined finish: positioning + streaming at the bottleneck
-    // + one pipe latency for the tail.
-    let stream = eff.transfer_time(size);
-    let positioning = src.profile().seek + dst.profile().seek;
-    let finished = now + positioning + stream + pipe.latency();
-    // sent.finish already covers the pipe-only view; take the later of
-    // the two so a slow pipe is never under-reported.
-    let finished = finished.max(sent.finish);
-    StagingReport {
-        started: now,
-        finished,
-        bytes: size,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::disk::DiskProfile;
-    use gridvm_simcore::units::Bandwidth;
 
     fn ide() -> DiskModel {
         DiskModel::new(DiskProfile::ide_2003())
@@ -152,43 +104,6 @@ mod tests {
         assert_eq!(
             g.finish.duration_since(r.finished),
             d.profile().cache_hit_time * blocks
-        );
-    }
-
-    #[test]
-    fn remote_staging_is_bottlenecked_by_slowest_stage() {
-        let mut src = ide();
-        let mut dst = ide();
-        // A 10 Mbit/s WAN pipe is far slower than either disk.
-        let mut pipe = Pipe::new(
-            SimDuration::from_millis(30),
-            Bandwidth::from_mbit_per_sec(10.0),
-        );
-        let size = ByteSize::from_mib(128);
-        let r = stage_remote(&mut src, &mut pipe, &mut dst, size, SimTime::ZERO);
-        let expect = size.as_f64() / (10e6 / 8.0);
-        let got = r.elapsed().as_secs_f64();
-        assert!(
-            (got - expect).abs() / expect < 0.02,
-            "staging {got}s vs wire-limited {expect}s"
-        );
-    }
-
-    #[test]
-    fn fast_pipe_staging_is_disk_limited() {
-        let mut src = ide();
-        let mut dst = ide();
-        let mut pipe = Pipe::new(
-            SimDuration::from_micros(100),
-            Bandwidth::from_mbit_per_sec(1000.0),
-        );
-        let size = ByteSize::from_mib(256);
-        let r = stage_remote(&mut src, &mut pipe, &mut dst, size, SimTime::ZERO);
-        let disk_limited = size.as_f64() / (16.0 * 1024.0 * 1024.0);
-        let got = r.elapsed().as_secs_f64();
-        assert!(
-            (got - disk_limited).abs() / disk_limited < 0.05,
-            "staging {got}s vs disk-limited {disk_limited}s"
         );
     }
 

@@ -2,10 +2,9 @@
 //!
 //! The grid virtual file system of Section 3.1 and Figure 2: an
 //! NFS-like block-level RPC protocol, an in-memory hierarchical file
-//! system and server, a client with attribute caching, and the
-//! PVFS-style *proxy* that adds client-side block caching,
-//! prefetching and write buffering between a kernel NFS client and a
-//! remote server.
+//! system and server, and the PVFS-style *proxy* that adds
+//! client-side block caching, prefetching and write buffering between
+//! a kernel NFS client and a remote server.
 //!
 //! The paper's data-management design distributes a VM session across
 //! an **image server** (VM state), a **compute server** (where the
@@ -25,7 +24,6 @@
 //! * [`fs`] — the in-memory hierarchical file system (inodes,
 //!   directories, block-addressed file data).
 //! * [`server`] — an NFS daemon serving a file system from a disk.
-//! * [`client`] — a kernel-client model with attribute cache.
 //! * [`proxy`] — the PVFS proxy: LRU block cache, sequential
 //!   prefetch, write-behind buffer.
 //! * [`mount`] — composing client → (proxy →) server over local,
@@ -34,14 +32,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod client;
 pub mod fs;
 pub mod mount;
 pub mod protocol;
 pub mod proxy;
 pub mod server;
 
-pub use client::VfsClient;
 pub use fs::{FileHandle, InMemoryFs};
 pub use mount::{Mount, Transport};
 pub use protocol::{NfsError, NfsRequest, NfsResponse};

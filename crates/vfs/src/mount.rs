@@ -84,15 +84,6 @@ impl Transport {
         }
     }
 
-    /// A custom transport.
-    pub fn custom(latency: SimDuration, bandwidth: Bandwidth, per_rpc: SimDuration) -> Self {
-        Transport {
-            pipe: Pipe::new(latency, bandwidth),
-            per_rpc,
-            label: "custom",
-        }
-    }
-
     /// Human-readable label.
     pub fn label(&self) -> &'static str {
         self.label
@@ -187,11 +178,6 @@ impl Mount {
     /// The server behind this mount.
     pub fn server(&self) -> &NfsServer {
         &self.server
-    }
-
-    /// Mutable server access (setup convenience).
-    pub fn server_mut(&mut self) -> &mut NfsServer {
-        &mut self.server
     }
 
     /// The proxy, if one is configured.

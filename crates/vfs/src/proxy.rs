@@ -131,11 +131,6 @@ impl VfsProxy {
         self.flushes
     }
 
-    /// Blocks currently cached.
-    pub fn cached_blocks(&self) -> usize {
-        self.cache.len()
-    }
-
     fn touch(&mut self, key: (u64, u64)) -> bool {
         self.cache.touch(&key)
     }
@@ -347,7 +342,7 @@ mod tests {
         p.install(fh(1), 100 * bs(), bs()); // evicts block 1 (LRU)
         assert!(p.try_read_hit(fh(1), 0, bs(), SimTime::ZERO).is_some());
         assert!(p.try_read_hit(fh(1), bs(), bs(), SimTime::ZERO).is_none());
-        assert_eq!(p.cached_blocks(), 4);
+        assert_eq!(p.cache.len(), 4);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!
 //! * [`machine`] — VM configuration and the lifecycle state machine
 //!   (powered-off → staging → booting/restoring → running →
-//!   suspended/migrating → terminated).
+//!   suspending/migrating → terminated).
 //! * [`boot`] — the cold-boot cost model: guest kernel CPU work plus
 //!   the scattered boot-working-set reads whose cold/warm split
 //!   drives Table 2.

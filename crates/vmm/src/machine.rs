@@ -87,8 +87,6 @@ pub enum VmState {
     Running,
     /// Memory being written out.
     Suspending,
-    /// Hibernated to an image.
-    Suspended,
     /// In transit between hosts.
     Migrating,
     /// Life cycle over ("the life cycle of a virtual machine ends
@@ -105,7 +103,6 @@ impl fmt::Display for VmState {
             VmState::Restoring => "restoring",
             VmState::Running => "running",
             VmState::Suspending => "suspending",
-            VmState::Suspended => "suspended",
             VmState::Migrating => "migrating",
             VmState::Terminated => "terminated",
         };
@@ -211,11 +208,11 @@ impl Vm {
     ///
     /// # Errors
     ///
-    /// Unless powered off or suspended (re-instantiation).
+    /// Unless powered off.
     pub fn begin_staging(&mut self, now: SimTime) -> Result<(), VmError> {
         self.transition(
             now,
-            &[VmState::PoweredOff, VmState::Suspended],
+            &[VmState::PoweredOff],
             VmState::Staging,
             "begin staging",
         )
@@ -262,32 +259,13 @@ impl Vm {
         self.transition(now, &[VmState::Running], VmState::Suspending, "suspend")
     }
 
-    /// Completes the suspend.
+    /// Begins migrating a running VM.
     ///
     /// # Errors
     ///
-    /// Unless suspending.
-    pub fn mark_suspended(&mut self, now: SimTime) -> Result<(), VmError> {
-        self.transition(
-            now,
-            &[VmState::Suspending],
-            VmState::Suspended,
-            "finish suspend",
-        )
-    }
-
-    /// Begins migrating a running or suspended VM.
-    ///
-    /// # Errors
-    ///
-    /// Unless running or suspended.
+    /// Unless running.
     pub fn begin_migration(&mut self, now: SimTime) -> Result<(), VmError> {
-        self.transition(
-            now,
-            &[VmState::Running, VmState::Suspended],
-            VmState::Migrating,
-            "migrate",
-        )
+        self.transition(now, &[VmState::Running], VmState::Migrating, "migrate")
     }
 
     /// Ends the life cycle. Discards a non-persistent diff.
@@ -345,13 +323,9 @@ mod tests {
         vm.begin_boot(t(1)).unwrap();
         vm.mark_running(t(2)).unwrap();
         vm.begin_suspend(t(10)).unwrap();
-        vm.mark_suspended(t(11)).unwrap();
-        vm.begin_staging(t(20)).unwrap(); // re-instantiation elsewhere
-        vm.begin_restore(t(21)).unwrap();
-        vm.mark_running(t(22)).unwrap();
         vm.terminate(t(30)).unwrap();
         assert_eq!(vm.state(), VmState::Terminated);
-        assert_eq!(vm.history().len(), 9);
+        assert_eq!(vm.history().len(), 5);
         assert_eq!(vm.state_since(), t(30));
     }
 
@@ -368,7 +342,7 @@ mod tests {
     }
 
     #[test]
-    fn migration_only_from_running_or_suspended() {
+    fn migration_only_from_running() {
         let mut vm = vm();
         assert!(vm.begin_migration(t(0)).is_err());
         vm.begin_staging(t(0)).unwrap();

@@ -63,13 +63,6 @@ impl NetLink {
         self.bandwidth
     }
 
-    /// Whether the link is administratively up (a scheduled outage
-    /// window may still reject traffic — see
-    /// [`up_at`](NetLink::up_at)).
-    pub fn is_up(&self) -> bool {
-        self.up
-    }
-
     /// Whether the link would carry traffic at `now`: administratively
     /// up and outside any scheduled outage window.
     pub fn up_at(&self, now: SimTime) -> bool {
@@ -107,16 +100,6 @@ impl NetLink {
     /// flight were lost, new ones queue fresh).
     pub fn set_up(&mut self) {
         self.up = true;
-    }
-
-    /// Degrades the link to a new latency/bandwidth (path
-    /// congestion); queued history is preserved.
-    pub fn degrade(&mut self, latency: SimDuration, bandwidth: Bandwidth) {
-        self.latency = latency;
-        self.bandwidth = bandwidth;
-        self.pipe = Pipe::new(latency, bandwidth);
-        // note: outstanding queue time is dropped; degradation in
-        // this model applies to subsequent traffic.
     }
 
     /// Transmits `size` bytes at `now`.
@@ -162,31 +145,12 @@ mod tests {
             Bandwidth::from_mbit_per_sec(10.0),
         );
         l.set_down();
-        assert!(!l.is_up());
         assert_eq!(
             l.send(SimTime::ZERO, ByteSize::from_bytes(100)),
             Err(LinkError::Down)
         );
         l.set_up();
         assert!(l.send(SimTime::ZERO, ByteSize::from_bytes(100)).is_ok());
-    }
-
-    #[test]
-    fn degradation_slows_subsequent_traffic() {
-        let mut l = NetLink::new(
-            SimDuration::from_millis(1),
-            Bandwidth::from_mbit_per_sec(100.0),
-        );
-        let fast = l.send(SimTime::ZERO, ByteSize::from_kib(100)).unwrap();
-        l.degrade(
-            SimDuration::from_millis(50),
-            Bandwidth::from_mbit_per_sec(1.0),
-        );
-        let slow = l.send(fast.finish, ByteSize::from_kib(100)).unwrap();
-        assert!(
-            slow.latency_from(fast.finish) > fast.latency_from(SimTime::ZERO) * 10,
-            "degraded link must be much slower"
-        );
     }
 
     #[test]
@@ -206,7 +170,7 @@ mod tests {
             Err(LinkError::Down)
         );
         assert_eq!(l.outage_until(SimTime::from_secs(15)), Some(until));
-        assert!(l.is_up(), "outage is not an administrative down");
+        assert!(l.up, "outage is not an administrative down");
         // At the heal boundary and after: fine again, no manual set_up.
         assert!(l.send(until, ByteSize::from_kib(1)).is_ok());
         assert_eq!(l.outage_until(until), None);

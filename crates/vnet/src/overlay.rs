@@ -72,13 +72,6 @@ pub struct Route {
     pub latency: SimDuration,
 }
 
-impl Route {
-    /// Number of intermediate relay nodes.
-    pub fn relays(&self) -> usize {
-        self.hops.len().saturating_sub(2)
-    }
-}
-
 /// The overlay: nodes plus a mesh of measured pairwise latencies.
 ///
 /// ```
@@ -98,17 +91,14 @@ impl Route {
 pub struct Overlay {
     next_id: u32,
     nodes: Vec<NodeId>,
-    /// Liveness indexed by node id (ids are sequential and never
-    /// reused) — O(1) membership on the per-packet path.
-    alive: Vec<bool>,
     /// Per-node adjacency lists, each sorted by neighbor id so
     /// Dijkstra relaxes neighbors in exactly the order the previous
     /// `BTreeMap` range scan produced (identical tie-breaking,
     /// identical routes). Probes set both directions.
     adj: DenseMap<Vec<(NodeId, SimDuration)>>,
     reroutes: u64,
-    /// Bumped by every topology mutation (node/link add, remove,
-    /// measurement change, outage); cached answers are valid only
+    /// Bumped by every topology mutation (node add, measurement
+    /// change, outage); cached answers are valid only
     /// while their recorded version matches.
     topo_version: u64,
     /// Per-source shortest-path tree, computed by one full Dijkstra
@@ -140,42 +130,16 @@ impl Overlay {
         let id = NodeId(self.next_id);
         self.next_id += 1;
         self.nodes.push(id);
-        // Ids are issued sequentially, so `alive` stays index == id.
-        self.alive.push(true);
         // audit:allow(alloc-in-hot): topology construction, not packet forwarding; nodes are added during setup and after faults only
         self.adj.insert(u64::from(id.0), Vec::new());
         self.topo_version += 1;
         id
     }
 
+    /// Ids are issued sequentially and nodes never leave, so every id
+    /// below the next one is a member.
     fn is_member(&self, node: NodeId) -> bool {
-        self.alive.get(node.0 as usize).copied().unwrap_or(false)
-    }
-
-    /// Removes a node and every measurement touching it (VM
-    /// shutdown/migration away).
-    pub fn remove_node(&mut self, node: NodeId) {
-        self.nodes.retain(|n| *n != node);
-        if let Some(flag) = self.alive.get_mut(node.0 as usize) {
-            *flag = false;
-        }
-        // Measurements are symmetric, so the node's own list names
-        // every neighbor whose list must drop it.
-        if let Some(neighbors) = self.adj.remove(u64::from(node.0)) {
-            for (b, _) in neighbors {
-                if let Some(list) = self.adj.get_mut(u64::from(b.0)) {
-                    if let Ok(i) = list.binary_search_by_key(&node, |(n, _)| *n) {
-                        list.remove(i);
-                    }
-                }
-            }
-        }
-        self.spt_cache.remove(u64::from(node.0));
-        self.route_cache.remove(u64::from(node.0));
-        for (_, row) in self.route_cache.iter_mut() {
-            row.remove(u64::from(node.0));
-        }
-        self.topo_version += 1;
+        node.0 < self.next_id
     }
 
     /// The current node set.
@@ -230,12 +194,6 @@ impl Overlay {
     /// Times the overlay has changed its answer for a pair.
     pub fn reroutes(&self) -> u64 {
         self.reroutes
-    }
-
-    /// The current topology version. Bumped by every mutation; two
-    /// equal versions guarantee identical routing answers.
-    pub fn topology_version(&self) -> u64 {
-        self.topo_version
     }
 
     /// Computes the minimum-latency route from `from` to `to` over
@@ -429,7 +387,6 @@ mod tests {
         let r = ov.route(a, b).unwrap();
         assert_eq!(r.hops, vec![a, b]);
         assert_eq!(r.latency, ms(5));
-        assert_eq!(r.relays(), 0);
     }
 
     #[test]
@@ -438,19 +395,18 @@ mod tests {
         let r = ov.route(a, b).unwrap();
         assert_eq!(r.hops, vec![a, c, b]);
         assert_eq!(r.latency, ms(20));
-        assert_eq!(r.relays(), 1);
     }
 
     #[test]
     fn degradation_triggers_reroute() {
-        let (mut ov, a, b, _c) = triangle();
+        let (mut ov, a, b, c) = triangle();
         ov.update_measurement(a, b, ms(5));
         let _ = ov.route(a, b).unwrap();
         assert_eq!(ov.reroutes(), 0);
         // The direct path congests: overlay self-optimizes.
         ov.update_measurement(a, b, ms(500));
         let r = ov.route(a, b).unwrap();
-        assert_eq!(r.relays(), 1);
+        assert_eq!(r.hops, vec![a, c, b]);
         assert_eq!(ov.reroutes(), 1);
     }
 
@@ -486,15 +442,6 @@ mod tests {
     }
 
     #[test]
-    fn node_removal_cleans_measurements() {
-        let (mut ov, a, b, c) = triangle();
-        ov.remove_node(c);
-        let r = ov.route(a, b).unwrap();
-        assert_eq!(r.hops, vec![a, b], "relay is gone, direct only");
-        assert_eq!(ov.nodes().len(), 2);
-    }
-
-    #[test]
     fn probe_mesh_populates_all_pairs() {
         let mut ov = Overlay::new();
         let nodes: Vec<NodeId> = (0..5).map(|_| ov.add_node()).collect();
@@ -524,10 +471,10 @@ mod tests {
     fn topology_change_invalidates_cache() {
         gridvm_simcore::metrics::reset();
         let (mut ov, a, b, c) = triangle();
-        let v0 = ov.topology_version();
+        let v0 = ov.topo_version;
         let _ = ov.route(a, b).unwrap();
         ov.mark_down(a, c);
-        assert!(ov.topology_version() > v0, "mutation bumps the version");
+        assert!(ov.topo_version > v0, "mutation bumps the version");
         let r = ov.route(a, b).unwrap();
         assert_eq!(r.hops, vec![a, b], "recomputed around the outage");
         let snap = gridvm_simcore::metrics::take();
@@ -562,17 +509,6 @@ mod tests {
             ov.route_ref(a, NodeId(99)),
             Err(OverlayError::UnknownNode(_))
         ));
-    }
-
-    #[test]
-    fn cached_routes_survive_node_removal_of_third_parties() {
-        let (mut ov, a, b, c) = triangle();
-        ov.update_measurement(a, b, ms(5));
-        let _ = ov.route(a, b).unwrap();
-        ov.remove_node(c);
-        let r = ov.route(a, b).unwrap();
-        assert_eq!(r.hops, vec![a, b]);
-        assert_eq!(r.latency, ms(5));
     }
 
     #[test]

@@ -95,12 +95,6 @@ impl SiteTopology {
         self.links.get(&pair_key(a, b))
     }
 
-    /// Mutable access to the link between two sites (fault
-    /// injection: outages, degradation).
-    pub fn link_mut(&mut self, a: SiteId, b: SiteId) -> Option<&mut NetLink> {
-        self.links.get_mut(&pair_key(a, b))
-    }
-
     /// One-way propagation latency between two sites, if connected.
     pub fn latency(&self, a: SiteId, b: SiteId) -> Option<SimDuration> {
         self.link(a, b).map(NetLink::latency)
@@ -270,7 +264,7 @@ mod tests {
             topo.latency(SiteId(1), SiteId(0)),
             Some(SimDuration::from_millis(3))
         );
-        assert!(topo.link_mut(SiteId(0), SiteId(2)).is_some());
+        assert!(topo.link(SiteId(0), SiteId(2)).is_some());
         assert!(topo.link(SiteId(0), SiteId(0)).is_none());
     }
 

@@ -25,6 +25,9 @@ use crate::link::{LinkError, NetLink};
 /// SSH packet framing, MAC, padding).
 pub const FRAME_OVERHEAD: ByteSize = ByteSize::from_bytes(14 + 64);
 
+/// SSH crypto time per KiB of payload (3DES-era), paid at each end.
+const CRYPTO_PER_KIB: SimDuration = SimDuration::from_micros(80);
+
 /// An Ethernet-level tunnel over an SSH connection.
 ///
 /// ```
@@ -41,25 +44,16 @@ pub const FRAME_OVERHEAD: ByteSize = ByteSize::from_bytes(14 + 64);
 #[derive(Clone, Debug)]
 pub struct EthernetTunnel {
     underlay: NetLink,
-    crypto_per_kib: SimDuration,
     frames: u64,
 }
 
 impl EthernetTunnel {
-    /// Wraps an underlay link with default (3DES-era) crypto cost of
-    /// ~80 µs per KiB.
+    /// Wraps an underlay link; SSH crypto costs 80 µs per KiB.
     pub fn new(underlay: NetLink) -> Self {
         EthernetTunnel {
             underlay,
-            crypto_per_kib: SimDuration::from_micros(80),
             frames: 0,
         }
-    }
-
-    /// Overrides the per-KiB crypto cost.
-    pub fn with_crypto_cost(mut self, per_kib: SimDuration) -> Self {
-        self.crypto_per_kib = per_kib;
-        self
     }
 
     /// The underlay link (for failure injection).
@@ -84,7 +78,7 @@ impl EthernetTunnel {
         payload: ByteSize,
     ) -> Result<ServiceGrant, LinkError> {
         let kib = payload.as_f64() / 1024.0;
-        let crypto = self.crypto_per_kib.mul_f64(kib.max(0.05));
+        let crypto = CRYPTO_PER_KIB.mul_f64(kib.max(0.05));
         let wire = self.underlay.send(now + crypto, payload + FRAME_OVERHEAD)?;
         self.frames += 1;
         Ok(ServiceGrant {
@@ -208,11 +202,6 @@ impl Vpn {
         self.members.get(&mac).copied()
     }
 
-    /// Number of joined VMs.
-    pub fn member_count(&self) -> usize {
-        self.members.len()
-    }
-
     /// Sends application traffic from a joined VM to the home
     /// network.
     ///
@@ -292,7 +281,6 @@ mod tests {
         // 4 frames × ~25 ms latency each way: the join takes ~100+ ms.
         assert!(done.as_secs_f64() > 0.09, "join at {done}");
         assert_eq!(v.address_of(MacAddr::local(7)), Some(addr));
-        assert_eq!(v.member_count(), 1);
     }
 
     #[test]

@@ -1,11 +1,9 @@
-//! Synthetic tasks: the Figure 1 microbenchmark and parameterized
-//! CPU/I-O mixes for ablation benches.
+//! Synthetic tasks: the Figure 1 microbenchmark.
 
-use gridvm_simcore::rng::SimRng;
 use gridvm_simcore::time::SimDuration;
-use gridvm_simcore::units::{ByteSize, CpuWork};
+use gridvm_simcore::units::CpuWork;
 
-use crate::profile::{AppProfile, IoPattern};
+use crate::profile::AppProfile;
 
 /// The Figure 1 *test task*: a pure compute-bound task of roughly
 /// `seconds` of dedicated CPU at `hz` (no syscalls, no I/O — its
@@ -15,47 +13,6 @@ pub fn micro_test_task(seconds: f64, hz: f64) -> AppProfile {
         "micro-test",
         CpuWork::from_duration(SimDuration::from_secs_f64(seconds), hz),
     )
-}
-
-/// A parameterized mix for ablations: `compute_seconds` of user work
-/// with `io_mib` of file I/O in the given pattern and a syscall per
-/// 64 KiB of I/O plus a base rate.
-pub fn mixed_task(compute_seconds: f64, io_mib: u64, pattern: IoPattern, hz: f64) -> AppProfile {
-    let io = ByteSize::from_mib(io_mib);
-    AppProfile::new(
-        format!("mixed-{compute_seconds}s-{io_mib}MiB"),
-        CpuWork::from_duration(SimDuration::from_secs_f64(compute_seconds), hz),
-    )
-    .with_syscalls(1000 + io.as_u64() / (64 * 1024))
-    .with_reads(ByteSize::from_bytes(io.as_u64() / 2), pattern)
-    .with_writes(ByteSize::from_bytes(io.as_u64() / 2))
-}
-
-/// A jittered batch of micro test tasks, as an experiment would
-/// submit across samples: durations vary ±`jitter` fraction around
-/// `seconds`.
-///
-/// # Panics
-///
-/// Panics if `jitter` is not in `[0, 1)` or `count` is zero.
-pub fn micro_batch(
-    count: usize,
-    seconds: f64,
-    jitter: f64,
-    hz: f64,
-    rng: &mut SimRng,
-) -> Vec<AppProfile> {
-    assert!(count > 0, "empty batch");
-    assert!((0.0..1.0).contains(&jitter), "jitter outside [0,1)");
-    (0..count)
-        .map(|i| {
-            let f = 1.0 + jitter * (rng.next_f64() * 2.0 - 1.0);
-            AppProfile::new(
-                format!("micro-{i}"),
-                CpuWork::from_duration(SimDuration::from_secs_f64(seconds * f), hz),
-            )
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -68,36 +25,5 @@ mod tests {
         assert_eq!(t.syscalls(), 0);
         assert!(t.io_bytes().is_zero());
         assert!((t.native_user_time_at(800e6).as_secs_f64() - 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn mixed_task_scales_syscalls_with_io() {
-        let small = mixed_task(1.0, 1, IoPattern::Random, 1e9);
-        let big = mixed_task(1.0, 1024, IoPattern::Random, 1e9);
-        assert!(big.syscalls() > small.syscalls());
-        assert_eq!(big.io_bytes(), ByteSize::from_gib(1));
-        assert_eq!(big.io_pattern(), IoPattern::Random);
-    }
-
-    #[test]
-    fn micro_batch_jitters_deterministically() {
-        let mut r1 = SimRng::seed_from(5);
-        let mut r2 = SimRng::seed_from(5);
-        let a = micro_batch(10, 3.0, 0.1, 800e6, &mut r1);
-        let b = micro_batch(10, 3.0, 0.1, 800e6, &mut r2);
-        assert_eq!(a, b);
-        let base = CpuWork::from_duration(SimDuration::from_secs_f64(3.0), 800e6);
-        for t in &a {
-            let ratio = t.user_work().as_cycles() as f64 / base.as_cycles() as f64;
-            assert!((0.9..=1.1).contains(&ratio), "jitter ratio {ratio}");
-        }
-        // Not all identical.
-        assert!(a.iter().any(|t| t.user_work() != base));
-    }
-
-    #[test]
-    #[should_panic(expected = "empty batch")]
-    fn empty_batch_panics() {
-        let _ = micro_batch(0, 1.0, 0.0, 1e9, &mut SimRng::seed_from(1));
     }
 }

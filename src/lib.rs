@@ -18,7 +18,7 @@
 //! | [`storage`] | `gridvm-storage` | block stores, COW, images, staging |
 //! | [`vfs`] | `gridvm-vfs` | grid virtual file system (PVFS) |
 //! | [`vnet`] | `gridvm-vnet` | DHCP, tunnels, VPN, overlays |
-//! | [`gridmw`] | `gridvm-gridmw` | information service, GRAM, GridFTP, RPS |
+//! | [`gridmw`] | `gridvm-gridmw` | information service, GRAM, accounts, RPS, retry |
 //! | [`workloads`] | `gridvm-workloads` | SPEChpc profiles & synthetic tasks |
 //! | [`core`] | `gridvm-core` | the VM-grid architecture itself |
 //!

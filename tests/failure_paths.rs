@@ -327,12 +327,12 @@ fn retry_budget_exhaustion_fails_the_session_loudly() {
 }
 
 #[test]
-#[should_panic(expected = "Reservoir capacity must be positive")]
-fn zero_capacity_reservoir_is_rejected_loudly() {
-    // A zero-slot reservoir would silently drop every trace sample
-    // while reporting a healthy `seen` count — construction must
-    // refuse instead.
-    let _ = gridvm::simcore::sample::Reservoir::<u64>::new(0, 42);
+#[should_panic(expected = "TraceLog capacity must be positive")]
+fn zero_capacity_trace_log_is_rejected_loudly() {
+    // A zero-slot sampled log would drop every kept entry while its
+    // `sampled` count looked healthy — construction must refuse
+    // instead.
+    let _ = gridvm::simcore::trace::TraceLog::with_sampling(0, 20, 1);
 }
 
 #[test]
