@@ -1,36 +1,18 @@
-//! The semantic layer under the dataflow-aware rules: a per-file item
-//! index (functions, structs, impls, fields), intra-function scope
-//! tracking with use-def chains, closure extraction, and a two-pass
-//! workspace symbol table for cross-file reference resolution.
+//! The item index under `alloc-in-hot`: which function each token
+//! sits in, and what type each struct field or annotated binding was
+//! declared with.
 //!
 //! Everything here is built from the [`crate::lexer`] token stream —
 //! no parser dependency, no type inference. The index is deliberately
 //! approximate in the same spirit as the token rules: it only needs to
-//! answer the questions the semantic rules ask (which function does
-//! this token sit in, what is this name bound to here, which names
-//! does this closure capture from its environment, what type was this
-//! field declared with, which file defines this item), and to answer
-//! them deterministically with exact source positions.
+//! answer the questions `alloc-in-hot` asks (is this a constructor or
+//! steady-state code, is this receiver declared with a heap type), and
+//! to answer them deterministically with exact source positions.
 
 use std::collections::BTreeMap;
 use std::ops::Range;
 
 use crate::lexer::{Token, TokenKind};
-
-/// What kind of item an index entry describes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ItemKind {
-    /// A `fn` (free, method, or trait default).
-    Fn,
-    /// A `struct` with named fields.
-    Struct,
-    /// An `enum`.
-    Enum,
-    /// An `impl` block.
-    Impl,
-    /// A `trait` definition.
-    Trait,
-}
 
 /// One indexed function: its name, parameter-list and body token
 /// ranges (both inclusive of their delimiters).
@@ -38,40 +20,10 @@ pub enum ItemKind {
 pub struct FnItem {
     /// Function name.
     pub name: String,
-    /// Token index of the name identifier.
-    pub name_tok: usize,
     /// Token range of the parenthesized parameter list.
     pub params: Range<usize>,
     /// Token range of the braced body (empty for bodiless trait fns).
     pub body: Range<usize>,
-    /// 1-based line of the `fn` keyword.
-    pub line: u32,
-}
-
-/// One named field (or type-annotated binding) with the last path
-/// segment of its declared type (`Vec` for `std::vec::Vec<u8>`).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FieldDecl {
-    /// Field or binding name.
-    pub name: String,
-    /// Last path-segment identifier of the declared type.
-    pub ty: String,
-    /// Token index of the name.
-    pub tok: usize,
-    /// Declared with any `pub` visibility (including `pub(crate)`).
-    pub is_pub: bool,
-}
-
-/// One indexed struct and its named fields.
-#[derive(Clone, Debug)]
-pub struct StructItem {
-    /// Struct name.
-    pub name: String,
-    /// Named fields in declaration order (empty for tuple/unit
-    /// structs).
-    pub fields: Vec<FieldDecl>,
-    /// 1-based line of the `struct` keyword.
-    pub line: u32,
 }
 
 /// The per-file item index.
@@ -79,11 +31,6 @@ pub struct StructItem {
 pub struct FileIndex {
     /// Every function with a body, in source order (methods included).
     pub fns: Vec<FnItem>,
-    /// Every struct, in source order.
-    pub structs: Vec<StructItem>,
-    /// Non-fn top-level item names: (kind, name), for the symbol
-    /// table.
-    pub items: Vec<(ItemKind, String)>,
     /// Declared type (last path segment) by field/binding name, from
     /// struct fields and type-annotated `let`s. Later declarations
     /// win; the rules only use this for coarse is-it-a-heap-type
@@ -109,29 +56,10 @@ impl FileIndex {
                     }
                 }
                 Some("struct") => {
-                    if let Some((s, next)) = parse_struct(toks, i) {
-                        for f in &s.fields {
-                            idx.type_of.insert(f.name.clone(), f.ty.clone());
-                        }
-                        idx.items.push((ItemKind::Struct, s.name.clone()));
-                        idx.structs.push(s);
+                    if let Some(next) = parse_struct(toks, i, &mut idx.type_of) {
                         i = next;
                         continue;
                     }
-                }
-                Some(kw @ ("enum" | "trait" | "impl")) => {
-                    let kind = match kw {
-                        "enum" => ItemKind::Enum,
-                        "trait" => ItemKind::Trait,
-                        _ => ItemKind::Impl,
-                    };
-                    if kind != ItemKind::Impl {
-                        if let Some(name) = toks.get(i + 1).and_then(Token::ident) {
-                            idx.items.push((kind, name.to_owned()));
-                        }
-                    }
-                    // Do not skip the block: impls/traits contain fns
-                    // the outer loop must still index.
                 }
                 _ => {}
             }
@@ -154,14 +82,6 @@ impl FileIndex {
         idx
     }
 
-    /// The innermost function whose body contains token `tok`.
-    pub fn enclosing_fn(&self, tok: usize) -> Option<&FnItem> {
-        self.fns
-            .iter()
-            .filter(|f| f.body.contains(&tok))
-            .min_by_key(|f| f.body.end - f.body.start)
-    }
-
     /// The declared type (last path segment) of `name`, if a struct
     /// field or annotated binding declared it.
     pub fn declared_type(&self, name: &str) -> Option<&str> {
@@ -171,10 +91,9 @@ impl FileIndex {
 
 /// Parses a `fn` starting at `toks[at]` (`at` is the `fn` keyword).
 fn parse_fn(toks: &[Token], at: usize) -> Option<FnItem> {
-    let name_tok = at + 1;
-    let name = toks.get(name_tok)?.ident()?.to_owned();
+    let name = toks.get(at + 1)?.ident()?.to_owned();
     // Skip generics between the name and the parameter list.
-    let mut j = name_tok + 1;
+    let mut j = at + 2;
     if toks.get(j).is_some_and(|t| t.is_punct('<')) {
         let mut depth = 0i32;
         while j < toks.len() {
@@ -203,13 +122,7 @@ fn parse_fn(toks: &[Token], at: usize) -> Option<FnItem> {
         match toks[k].kind {
             TokenKind::Punct('{') => {
                 let body = balanced(toks, k, '{', '}')?;
-                return Some(FnItem {
-                    name,
-                    name_tok,
-                    params,
-                    body,
-                    line: toks[at].line,
-                });
+                return Some(FnItem { name, params, body });
             }
             TokenKind::Punct(';') => break,
             _ => {}
@@ -218,18 +131,19 @@ fn parse_fn(toks: &[Token], at: usize) -> Option<FnItem> {
     }
     Some(FnItem {
         name,
-        name_tok,
         params,
         body: 0..0,
-        line: toks[at].line,
     })
 }
 
-/// Parses a `struct` starting at the keyword; returns the item and
-/// the token index to resume scanning at.
-fn parse_struct(toks: &[Token], at: usize) -> Option<(StructItem, usize)> {
-    let name = toks.get(at + 1)?.ident()?.to_owned();
-    let line = toks[at].line;
+/// Records the named fields of a `struct` starting at the keyword in
+/// `type_of`; returns the token index to resume scanning at.
+fn parse_struct(
+    toks: &[Token],
+    at: usize,
+    type_of: &mut BTreeMap<String, String>,
+) -> Option<usize> {
+    toks.get(at + 1)?.ident()?;
     // Find the `{`, `(` or `;` that decides the struct's shape,
     // skipping generics.
     let mut j = at + 2;
@@ -239,39 +153,20 @@ fn parse_struct(toks: &[Token], at: usize) -> Option<(StructItem, usize)> {
             TokenKind::Punct('<') => angle += 1,
             TokenKind::Punct('>') => angle -= 1,
             TokenKind::Punct('{') if angle == 0 => break,
-            TokenKind::Punct('(') | TokenKind::Punct(';') if angle == 0 => {
-                // Tuple or unit struct: no named fields to index.
-                return Some((
-                    StructItem {
-                        name,
-                        fields: Vec::new(),
-                        line,
-                    },
-                    j + 1,
-                ));
-            }
+            // Tuple or unit struct: no named fields to index.
+            TokenKind::Punct('(') | TokenKind::Punct(';') if angle == 0 => return Some(j + 1),
             _ => {}
         }
         j += 1;
     }
     let body = balanced(toks, j, '{', '}')?;
-    let mut fields = Vec::new();
     let mut k = body.start + 1;
     while k + 1 < body.end {
         // At field position: `[pub [(..)]] name : Type , ...`
         if let Some(fname) = toks[k].ident() {
             if fname != "pub" && toks.get(k + 1).is_some_and(|t| t.is_punct(':')) {
                 if let Some(ty) = type_name(toks, k + 2) {
-                    // `pub name` or `pub(crate) name` — the token just
-                    // before the field name decides visibility.
-                    let is_pub = k > body.start + 1
-                        && (toks[k - 1].is_ident("pub") || toks[k - 1].is_punct(')'));
-                    fields.push(FieldDecl {
-                        name: fname.to_owned(),
-                        ty,
-                        tok: k,
-                        is_pub,
-                    });
+                    type_of.insert(fname.to_owned(), ty);
                 }
                 // Skip to the comma separating fields (balance
                 // everything nested inside the type).
@@ -293,7 +188,7 @@ fn parse_struct(toks: &[Token], at: usize) -> Option<(StructItem, usize)> {
         }
         k += 1;
     }
-    Some((StructItem { name, fields, line }, body.end))
+    Some(body.end)
 }
 
 /// The last path-segment identifier of the type starting at
@@ -340,446 +235,10 @@ pub fn balanced(toks: &[Token], open: usize, l: char, r: char) -> Option<Range<u
     None
 }
 
-/// How a name was introduced.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BindKind {
-    /// A `let` binding.
-    Let,
-    /// A function parameter.
-    Param,
-    /// A `for`-loop pattern variable.
-    ForPat,
-    /// A closure parameter.
-    ClosureParam,
-}
-
-/// One binding visible somewhere inside a function body.
-#[derive(Clone, Debug)]
-pub struct Binding {
-    /// Bound name.
-    pub name: String,
-    /// Token index of the name at its definition site.
-    pub def_tok: usize,
-    /// Brace depth the binding was introduced at (function body = 1).
-    pub depth: usize,
-    /// How the name was introduced.
-    pub kind: BindKind,
-    /// True when the binding holds a mutable borrow: `let r = &mut x`
-    /// or a `&mut T` parameter annotation.
-    pub mut_borrow: bool,
-    /// Token range of the `let` initializer expression (empty when
-    /// there is none).
-    pub init: Range<usize>,
-}
-
-/// Use-def chains for one function body: every identifier use resolved
-/// to the innermost live binding of that name at that point.
-#[derive(Clone, Debug, Default)]
-pub struct UseDef {
-    /// All bindings, in definition order.
-    pub bindings: Vec<Binding>,
-    /// Use-site token index → index into `bindings`.
-    pub resolved: BTreeMap<usize, usize>,
-}
-
-impl UseDef {
-    /// Builds use-def chains over `f`'s parameter list and body.
-    pub fn build(toks: &[Token], f: &FnItem) -> Self {
-        let mut ud = UseDef::default();
-        let mut live: Vec<usize> = Vec::new(); // indices into ud.bindings
-        let mut scopes: Vec<usize> = Vec::new(); // live.len() watermark per open brace
-
-        // Parameters: `name : Type` pairs at paren depth 1.
-        let mut depth = 0usize;
-        let mut j = f.params.start;
-        while j < f.params.end {
-            match toks[j].kind {
-                TokenKind::Punct('(') | TokenKind::Punct('<') | TokenKind::Punct('[') => depth += 1,
-                TokenKind::Punct(')') | TokenKind::Punct('>') | TokenKind::Punct(']') => {
-                    depth = depth.saturating_sub(1);
-                }
-                _ => {
-                    if depth == 1 {
-                        if let Some(name) = toks[j].ident() {
-                            if name == "self" {
-                                ud.push_binding(&mut live, name, j, 1, BindKind::Param, false);
-                            } else if name != "mut"
-                                && toks.get(j + 1).is_some_and(|t| t.is_punct(':'))
-                            {
-                                let mut_borrow = toks.get(j + 2).is_some_and(|t| t.is_punct('&'))
-                                    && toks.get(j + 3).is_some_and(|t| {
-                                        t.is_ident("mut") || t.kind == TokenKind::Lifetime
-                                    })
-                                    && (toks.get(j + 3).is_some_and(|t| t.is_ident("mut"))
-                                        || toks.get(j + 4).is_some_and(|t| t.is_ident("mut")));
-                                ud.push_binding(&mut live, name, j, 1, BindKind::Param, mut_borrow);
-                            }
-                        }
-                    }
-                }
-            }
-            j += 1;
-        }
-
-        // Body walk.
-        let mut depth = 0usize;
-        let mut i = f.body.start;
-        while i < f.body.end {
-            match toks[i].kind {
-                TokenKind::Punct('{') => {
-                    depth += 1;
-                    scopes.push(live.len());
-                }
-                TokenKind::Punct('}') => {
-                    depth = depth.saturating_sub(1);
-                    if let Some(mark) = scopes.pop() {
-                        live.truncate(mark);
-                    }
-                }
-                _ => {
-                    if toks[i].is_ident("let") {
-                        let mut j = i + 1;
-                        if toks.get(j).is_some_and(|t| t.is_ident("mut")) {
-                            j += 1;
-                        }
-                        if let Some(name) = toks.get(j).and_then(Token::ident) {
-                            // `let name [: Ty] = init ;` — resolve uses in
-                            // the initializer against the *old* scope first.
-                            let mut k = j + 1;
-                            // Skip a type annotation up to `=` or `;`.
-                            let mut angle = 0i32;
-                            while k < f.body.end {
-                                match toks[k].kind {
-                                    TokenKind::Punct('<') => angle += 1,
-                                    TokenKind::Punct('>') => angle -= 1,
-                                    TokenKind::Punct('=') if angle <= 0 => break,
-                                    TokenKind::Punct(';') if angle <= 0 => break,
-                                    _ => {}
-                                }
-                                k += 1;
-                            }
-                            let init_start = k + 1;
-                            let mut init_end = init_start;
-                            if toks.get(k).is_some_and(|t| t.is_punct('=')) {
-                                let mut d = 0i32;
-                                let mut m = init_start;
-                                while m < f.body.end {
-                                    match toks[m].kind {
-                                        TokenKind::Punct('(')
-                                        | TokenKind::Punct('[')
-                                        | TokenKind::Punct('{') => d += 1,
-                                        TokenKind::Punct(')')
-                                        | TokenKind::Punct(']')
-                                        | TokenKind::Punct('}') => {
-                                            if d == 0 {
-                                                break;
-                                            }
-                                            d -= 1;
-                                        }
-                                        TokenKind::Punct(';') if d == 0 => break,
-                                        _ => {}
-                                    }
-                                    m += 1;
-                                }
-                                init_end = m;
-                                for u in init_start..init_end {
-                                    ud.resolve_use(toks, u, &live);
-                                }
-                            }
-                            let mut_borrow = toks.get(init_start).is_some_and(|t| t.is_punct('&'))
-                                && toks.get(init_start + 1).is_some_and(|t| t.is_ident("mut"));
-                            let bidx = ud.push_binding(
-                                &mut live,
-                                name,
-                                j,
-                                depth,
-                                BindKind::Let,
-                                mut_borrow,
-                            );
-                            ud.bindings[bidx].init = init_start..init_end;
-                            i = init_end.max(j + 1);
-                            continue;
-                        }
-                    }
-                    if toks[i].is_ident("for") {
-                        // `for pat in ...`: bind every ident in the
-                        // pattern (tuple patterns included).
-                        let mut j = i + 1;
-                        while j < f.body.end && !toks[j].is_ident("in") {
-                            if let Some(name) = toks[j].ident() {
-                                if name != "mut" && name != "_" {
-                                    ud.push_binding(
-                                        &mut live,
-                                        name,
-                                        j,
-                                        depth + 1,
-                                        BindKind::ForPat,
-                                        false,
-                                    );
-                                }
-                            }
-                            j += 1;
-                            if j - i > 16 {
-                                break; // not a for-pattern shape we model
-                            }
-                        }
-                        i = j;
-                        continue;
-                    }
-                    ud.resolve_use(toks, i, &live);
-                }
-            }
-            i += 1;
-        }
-        ud
-    }
-
-    fn push_binding(
-        &mut self,
-        live: &mut Vec<usize>,
-        name: &str,
-        def_tok: usize,
-        depth: usize,
-        kind: BindKind,
-        mut_borrow: bool,
-    ) -> usize {
-        self.bindings.push(Binding {
-            name: name.to_owned(),
-            def_tok,
-            depth,
-            kind,
-            mut_borrow,
-            init: 0..0,
-        });
-        let idx = self.bindings.len() - 1;
-        live.push(idx);
-        idx
-    }
-
-    fn resolve_use(&mut self, toks: &[Token], i: usize, live: &[usize]) {
-        let Some(name) = toks[i].ident() else { return };
-        // Field and method names after `.` are not variable uses, nor
-        // are path segments before `::` or macro names before `!`.
-        if i > 0 && toks[i - 1].is_punct('.') {
-            return;
-        }
-        if toks.get(i + 1).is_some_and(|t| t.is_punct(':'))
-            && toks.get(i + 2).is_some_and(|t| t.is_punct(':'))
-        {
-            return;
-        }
-        if let Some(bidx) = live
-            .iter()
-            .rev()
-            .find(|&&b| self.bindings[b].name == name && self.bindings[b].def_tok != i)
-        {
-            self.resolved.insert(i, *bidx);
-        }
-    }
-
-    /// The binding a use site resolves to, if any.
-    pub fn binding_for(&self, use_tok: usize) -> Option<&Binding> {
-        self.resolved.get(&use_tok).map(|&b| &self.bindings[b])
-    }
-}
-
-/// One closure expression found inside a function body.
-#[derive(Clone, Debug)]
-pub struct ClosureExpr {
-    /// Token index where the closure starts (`move` or the opening
-    /// `|`).
-    pub start: usize,
-    /// True for `move` closures.
-    pub is_move: bool,
-    /// Parameter names.
-    pub params: Vec<String>,
-    /// Token range of the closure body (block or expression).
-    pub body: Range<usize>,
-}
-
-/// Extracts closures from `range`. A `|` opens a closure when it
-/// follows a position where an expression may begin (after `(`, `,`,
-/// `=`, `{`, `return`, `move`, `;`, or `=>`); `a | b` and `a || b`
-/// stay bitwise/logical ops.
-pub fn find_closures(toks: &[Token], range: Range<usize>) -> Vec<ClosureExpr> {
-    let mut out = Vec::new();
-    let mut i = range.start;
-    while i < range.end {
-        let (start, is_move, bar) =
-            if toks[i].is_ident("move") && toks.get(i + 1).is_some_and(|t| t.is_punct('|')) {
-                (i, true, i + 1)
-            } else if toks[i].is_punct('|') && closure_position(toks, i) {
-                (i, false, i)
-            } else {
-                i += 1;
-                continue;
-            };
-        // Parameter list: idents up to the closing `|` (or an empty
-        // `||`).
-        let mut params = Vec::new();
-        let mut j = bar + 1;
-        if toks.get(j).is_some_and(|t| t.is_punct('|')) {
-            j += 1; // `||`
-        } else {
-            let mut depth = 0i32;
-            let mut in_type = false;
-            while j < range.end {
-                match toks[j].kind {
-                    TokenKind::Punct('(') | TokenKind::Punct('<') | TokenKind::Punct('[') => {
-                        depth += 1;
-                    }
-                    TokenKind::Punct(')') | TokenKind::Punct('>') | TokenKind::Punct(']') => {
-                        depth -= 1;
-                    }
-                    TokenKind::Punct('|') if depth == 0 => {
-                        j += 1;
-                        break;
-                    }
-                    TokenKind::Punct(':') if depth == 0 => in_type = true,
-                    TokenKind::Punct(',') if depth == 0 => in_type = false,
-                    _ => {
-                        if depth == 0 && !in_type {
-                            if let Some(name) = toks[j].ident() {
-                                if name != "mut" && name != "_" {
-                                    params.push(name.to_owned());
-                                }
-                            }
-                        }
-                    }
-                }
-                j += 1;
-            }
-        }
-        // Skip a `-> Type` return annotation.
-        if toks.get(j).is_some_and(|t| t.is_punct('-'))
-            && toks.get(j + 1).is_some_and(|t| t.is_punct('>'))
-        {
-            j += 2;
-            while j < range.end && !toks[j].is_punct('{') {
-                j += 1;
-            }
-        }
-        let body = if toks.get(j).is_some_and(|t| t.is_punct('{')) {
-            balanced(toks, j, '{', '}').unwrap_or(j..range.end)
-        } else {
-            // Expression body: to the first `,` or `)` at depth 0.
-            let mut d = 0i32;
-            let mut m = j;
-            while m < range.end {
-                match toks[m].kind {
-                    TokenKind::Punct('(') | TokenKind::Punct('[') | TokenKind::Punct('{') => d += 1,
-                    TokenKind::Punct(')') | TokenKind::Punct(']') | TokenKind::Punct('}') => {
-                        if d == 0 {
-                            break;
-                        }
-                        d -= 1;
-                    }
-                    TokenKind::Punct(',') | TokenKind::Punct(';') if d == 0 => break,
-                    _ => {}
-                }
-                m += 1;
-            }
-            j..m
-        };
-        let next = body.end.max(j + 1);
-        out.push(ClosureExpr {
-            start,
-            is_move,
-            params,
-            body,
-        });
-        i = next;
-    }
-    out
-}
-
-/// True when a `|` at `i` sits where a closure may begin.
-fn closure_position(toks: &[Token], i: usize) -> bool {
-    if i == 0 {
-        return true;
-    }
-    match &toks[i - 1].kind {
-        TokenKind::Punct('(') | TokenKind::Punct(',') | TokenKind::Punct('{') => true,
-        TokenKind::Punct('=') => true, // `= |..|`, and `=> |..|` ends with '='? no: '>' — handled below
-        TokenKind::Punct('>') => toks.get(i.wrapping_sub(2)).is_some_and(|t| t.is_punct('=')),
-        TokenKind::Ident(s) => s == "move" || s == "return" || s == "else",
-        _ => false,
-    }
-}
-
-/// Where one symbol is defined.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SymbolDef {
-    /// Workspace-relative path of the defining file.
-    pub path: String,
-    /// Item kind at the definition.
-    pub kind: ItemKind,
-}
-
-/// The two-pass workspace symbol table: pass one feeds every file's
-/// [`FileIndex`] in via [`add_file`](Self::add_file); pass two lets
-/// rules resolve names across files (`which file defines SiteRuntime?
-/// is `outbox` a field of a shard-owned struct?`).
-#[derive(Clone, Debug, Default)]
-pub struct SymbolTable {
-    types: BTreeMap<String, Vec<SymbolDef>>,
-    /// Field name → owning struct names, defining paths, and whether
-    /// the declaration carries `pub` visibility.
-    fields: BTreeMap<String, Vec<(String, String, bool)>>,
-}
-
-impl SymbolTable {
-    /// Registers one file's items (pass one).
-    pub fn add_file(&mut self, path: &str, idx: &FileIndex) {
-        for (kind, name) in &idx.items {
-            self.types.entry(name.clone()).or_default().push(SymbolDef {
-                path: path.to_owned(),
-                kind: *kind,
-            });
-        }
-        for s in &idx.structs {
-            for f in &s.fields {
-                self.fields.entry(f.name.clone()).or_default().push((
-                    s.name.clone(),
-                    path.to_owned(),
-                    f.is_pub,
-                ));
-            }
-        }
-    }
-
-    /// Files defining a type named `name`.
-    pub fn type_defs(&self, name: &str) -> &[SymbolDef] {
-        self.types.get(name).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// `(struct, path, is_pub)` triples declaring a field named
-    /// `name`.
-    pub fn field_owners(&self, name: &str) -> &[(String, String, bool)] {
-        self.fields.get(name).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// True when `name` is a type defined in a file whose path ends
-    /// with `suffix` — the cross-file query behind shard-state-escape.
-    pub fn type_defined_in(&self, name: &str, suffix: &str) -> bool {
-        self.type_defs(name)
-            .iter()
-            .any(|d| d.path.ends_with(suffix))
-    }
-
-    /// True when `name` is a struct field declared in a file whose
-    /// path ends with `suffix`.
-    pub fn field_defined_in(&self, name: &str, suffix: &str) -> bool {
-        self.field_owners(name)
-            .iter()
-            .any(|(_, p, _)| p.ends_with(suffix))
-    }
-}
-
 /// Canonical receiver of a method call: the identifier/field chain
 /// feeding `.method(` at token `dot`, walking backwards with index
-/// expressions collapsed to `[_]`. `sites[dst.index()].lock()` →
-/// `sites[_]`; `self.inner.lock()` → `self.inner`.
+/// expressions collapsed to `[_]`. `sites[dst.index()].clone()` →
+/// `sites[_]`; `self.inner.clone()` → `self.inner`.
 pub fn receiver_chain(toks: &[Token], dot: usize) -> String {
     let mut parts: Vec<String> = Vec::new();
     let mut j = dot; // toks[dot] is the `.`
@@ -873,104 +332,10 @@ fn helper<T: Clone>(x: T) -> T { x.clone() }
 ";
         let toks = tokenize(src);
         let idx = FileIndex::build(&toks);
-        assert_eq!(idx.structs.len(), 1);
-        assert_eq!(
-            idx.structs[0]
-                .fields
-                .iter()
-                .map(|f| (f.name.as_str(), f.ty.as_str()))
-                .collect::<Vec<_>>(),
-            vec![("map", "BTreeMap"), ("name", "String")]
-        );
         let names: Vec<_> = idx.fns.iter().map(|f| f.name.as_str()).collect();
         assert_eq!(names, vec!["get", "helper"]);
         assert_eq!(idx.declared_type("map"), Some("BTreeMap"));
         assert_eq!(idx.declared_type("name"), Some("String"));
-    }
-
-    #[test]
-    fn enclosing_fn_picks_the_innermost_body() {
-        let src = "fn outer() { fn inner() { let x = 1; } let y = 2; }";
-        let toks = tokenize(src);
-        let idx = FileIndex::build(&toks);
-        let x_tok = toks.iter().position(|t| t.is_ident("x")).unwrap();
-        let y_tok = toks.iter().position(|t| t.is_ident("y")).unwrap();
-        assert_eq!(idx.enclosing_fn(x_tok).unwrap().name, "inner");
-        assert_eq!(idx.enclosing_fn(y_tok).unwrap().name, "outer");
-    }
-
-    #[test]
-    fn use_def_resolves_params_lets_and_scopes() {
-        let src = "\
-fn f(a: u32, b: &mut Vec<u8>) {
-    let c = a + 1;
-    {
-        let c = c + 2;
-        use_it(c);
-    }
-    use_it(c);
-    b.push(1);
-}
-";
-        let toks = tokenize(src);
-        let idx = FileIndex::build(&toks);
-        let f = &idx.fns[0];
-        let ud = UseDef::build(&toks, f);
-        // `b` is a &mut param.
-        let b = ud.bindings.iter().find(|b| b.name == "b").unwrap();
-        assert!(b.mut_borrow, "{b:?}");
-        assert_eq!(b.kind, BindKind::Param);
-        // The inner use_it(c) resolves to the inner (shadowing) let;
-        // the outer one to the outer let.
-        let c_uses: Vec<usize> = ud
-            .resolved
-            .iter()
-            .filter(|(&u, _)| toks[u].is_ident("c"))
-            .map(|(_, &b)| b)
-            .collect();
-        let depths: Vec<usize> = c_uses.iter().map(|&b| ud.bindings[b].depth).collect();
-        assert!(depths.contains(&1) && depths.contains(&2), "{depths:?}");
-    }
-
-    #[test]
-    fn mut_borrow_lets_are_marked() {
-        let src = "fn f(v: &mut Vec<u8>) { let r = &mut v[0]; touch(r); }";
-        let toks = tokenize(src);
-        let idx = FileIndex::build(&toks);
-        let ud = UseDef::build(&toks, &idx.fns[0]);
-        let r = ud.bindings.iter().find(|b| b.name == "r").unwrap();
-        assert!(r.mut_borrow);
-    }
-
-    #[test]
-    fn closures_are_found_with_move_and_captures() {
-        let src = "\
-fn f(x: u32) {
-    run(move |a, b| a + b + x);
-    run(|y| y + x);
-    let z = 1 | 2;
-    let w = xel | mask;
-}
-";
-        let toks = tokenize(src);
-        let idx = FileIndex::build(&toks);
-        let cls = find_closures(&toks, idx.fns[0].body.clone());
-        assert_eq!(cls.len(), 2, "{cls:?}");
-        assert!(cls[0].is_move);
-        assert_eq!(cls[0].params, vec!["a", "b"]);
-        assert!(!cls[1].is_move);
-        assert_eq!(cls[1].params, vec!["y"]);
-    }
-
-    #[test]
-    fn empty_and_typed_closure_params() {
-        let src = "fn f() { run(|| 1); run(move |s: &mut State, en: &mut Engine| s.go(en)); }";
-        let toks = tokenize(src);
-        let idx = FileIndex::build(&toks);
-        let cls = find_closures(&toks, idx.fns[0].body.clone());
-        assert_eq!(cls.len(), 2);
-        assert!(cls[0].params.is_empty());
-        assert_eq!(cls[1].params, vec!["s", "en"]);
     }
 
     #[test]
@@ -984,25 +349,5 @@ fn f(x: u32) {
             .collect();
         assert_eq!(receiver_chain(&toks, lock_dots[0]), "sites[_]");
         assert_eq!(receiver_chain(&toks, lock_dots[1]), "self.inner");
-    }
-
-    #[test]
-    fn symbol_table_resolves_across_files() {
-        let shard =
-            "pub struct SiteState { outbox: Vec<Msg> } pub struct SiteRuntime { en: Engine }";
-        let other = "pub struct Other { outbox_count: u64 }";
-        let mut table = SymbolTable::default();
-        table.add_file(
-            "crates/simcore/src/shard.rs",
-            &FileIndex::build(&tokenize(shard)),
-        );
-        table.add_file(
-            "crates/core/src/other.rs",
-            &FileIndex::build(&tokenize(other)),
-        );
-        assert!(table.type_defined_in("SiteRuntime", "simcore/src/shard.rs"));
-        assert!(!table.type_defined_in("SiteRuntime", "core/src/other.rs"));
-        assert!(table.field_defined_in("outbox", "simcore/src/shard.rs"));
-        assert!(!table.field_defined_in("outbox_count", "simcore/src/shard.rs"));
     }
 }

@@ -631,7 +631,10 @@ reason = \"fixtures exist to trip the rules\"\n";
             None
         );
         assert_eq!(
-            list.matches("crates/audit/tests/fixtures/bad.rs", &finding("static-mut")),
+            list.matches(
+                "crates/audit/tests/fixtures/bad.rs",
+                &finding("unseeded-rand")
+            ),
             Some(1)
         );
     }
@@ -717,7 +720,7 @@ path = \"crates/sched/src\"\n";
             },
             BaselineEntry {
                 path: "crates/core/src/multisite.rs".into(),
-                rule: "iter-order-taint".into(),
+                rule: "unwrap-lib".into(),
                 count: 1,
             },
         ];

@@ -2,11 +2,19 @@
 //!
 //! A custom static-analysis pass over the gridvm workspace: a
 //! comment/string-aware tokenizer ([`lexer`]), a determinism rule
-//! catalogue ([`rules`]), and an allowlist of audited exceptions
+//! catalogue ([`rules`]), the per-file item index `alloc-in-hot`
+//! reads ([`analysis`]), and an allowlist of audited exceptions
 //! ([`config`]). The binary (`cargo run -p gridvm-audit`) walks the
 //! workspace, scans every Rust source file, and reports findings;
 //! `--deny` turns any non-allowlisted finding into a non-zero exit,
 //! which is how CI runs it.
+//!
+//! Each hazard is caught in one place. Where rustc already rejects one
+//! in every scanned crate (a capturing event closure, an unsynchronized
+//! shared borrow across threads, a private `simcore::shard` field read
+//! elsewhere, any use of a `static mut` under `forbid(unsafe_code)`),
+//! no rule here repeats it; DESIGN.md §13.2 lists each with the
+//! compiler error that rejects it.
 //!
 //! The companion *runtime* half of the determinism story lives in
 //! `gridvm-simcore::audit` (heap/arena/LRU invariant checks); this
@@ -16,16 +24,13 @@ pub mod analysis;
 pub mod config;
 pub mod lexer;
 pub mod rules;
-pub mod taint;
 
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use analysis::{FileIndex, SymbolTable};
 use config::{json_escape, Allowlist, Baseline, BaselineEntry};
-use lexer::tokenize;
-use rules::{scan_with, FileContext, Finding, RULES};
+use rules::{scan, FileContext, Finding, RULES};
 
 /// One `// audit:allow(rule): reason` comment.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -190,24 +195,11 @@ pub fn scan_source(
     treat_as: Option<&str>,
     allow: &Allowlist,
 ) -> FileReport {
-    scan_source_with(rel_path, src, treat_as, allow, None)
-}
-
-/// [`scan_source`] with the optional two-pass workspace symbol table
-/// (enables the cross-file half of `shard-state-escape`).
-pub fn scan_source_with(
-    rel_path: &str,
-    src: &str,
-    treat_as: Option<&str>,
-    allow: &Allowlist,
-    symbols: Option<&SymbolTable>,
-) -> FileReport {
     let mut ctx = match treat_as {
         Some(krate) => FileContext {
             crate_name: krate.to_owned(),
             kind: rules::SourceKind::Lib,
             hot: false,
-            shard_file: false,
         },
         None => FileContext::from_path(rel_path),
     };
@@ -225,7 +217,7 @@ pub fn scan_source_with(
     let mut findings = Vec::new();
     let mut suppressed = Vec::new();
     let mut inline_allowed = Vec::new();
-    let mut all = scan_with(src, &ctx, symbols);
+    let mut all = scan(src, &ctx);
     all.extend(malformed);
     all.sort_by_key(|f| (f.line, f.col, f.rule));
     for f in all {
@@ -309,12 +301,10 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
 }
 
 /// Scans the whole workspace rooted at `root` against `allow`.
-///
-/// Two passes: the first builds the workspace [`SymbolTable`] from
-/// every file's item index, the second scans each file with cross-file
-/// resolution enabled.
 pub fn scan_workspace(root: &Path, allow: &Allowlist) -> std::io::Result<Report> {
-    let mut files = Vec::new();
+    let mut report = Report::default();
+    let mut used = vec![false; allow.entries.len()];
+    let mut scanned = Vec::new();
     for path in workspace_sources(root)? {
         let rel = path
             .strip_prefix(root)
@@ -324,16 +314,7 @@ pub fn scan_workspace(root: &Path, allow: &Allowlist) -> std::io::Result<Report>
             .collect::<Vec<_>>()
             .join("/");
         let src = fs::read_to_string(&path)?;
-        files.push((rel, src));
-    }
-    let mut symbols = SymbolTable::default();
-    for (rel, src) in &files {
-        symbols.add_file(rel, &FileIndex::build(&tokenize(src)));
-    }
-    let mut report = Report::default();
-    let mut used = vec![false; allow.entries.len()];
-    for (rel, src) in &files {
-        let file = scan_source_with(rel, src, None, allow, Some(&symbols));
+        let file = scan_source(&rel, &src, None, allow);
         report.scanned += 1;
         for (idx, _) in &file.suppressed {
             used[*idx] = true;
@@ -345,13 +326,14 @@ pub fn scan_workspace(root: &Path, allow: &Allowlist) -> std::io::Result<Report>
         {
             report.files.push(file);
         }
+        scanned.push(rel);
     }
     report.unused_allows = used
         .iter()
         .enumerate()
         .filter_map(|(i, u)| (!u).then_some(i))
         .collect();
-    let scanned: Vec<&str> = files.iter().map(|(rel, _)| rel.as_str()).collect();
+    let scanned: Vec<&str> = scanned.iter().map(String::as_str).collect();
     report.unused_hot_paths = allow.unused_hot_paths(&scanned);
     Ok(report)
 }
@@ -566,11 +548,11 @@ mod tests {
             "[[allow]]\nrule = \"wall-clock\"\npath = \"crates/demo\"\nreason = \"timers\"\n",
         )
         .expect("parses");
-        let src = "use std::time::Instant;\nstatic mut X: u8 = 0;\n";
+        let src = "use std::time::Instant;\nuse rand::thread_rng;\n";
         let report = scan_source("crates/demo/src/lib.rs", src, None, &allow);
         assert_eq!(report.suppressed.len(), 1);
         assert_eq!(report.findings.len(), 1);
-        assert_eq!(report.findings[0].rule, "static-mut");
+        assert_eq!(report.findings[0].rule, "unseeded-rand");
     }
 
     #[test]
@@ -589,7 +571,7 @@ mod tests {
         let src = "\
 // audit:allow(hash-container): keys are never iterated, lookup-only cache
 use std::collections::HashMap;
-static mut X: u8 = 0; // audit:allow(static-mut): test-only knob, single thread
+use rand::thread_rng; // audit:allow(unseeded-rand): test-only jitter, never in results
 use std::time::Instant;
 ";
         let report = scan_source("crates/sched/src/x.rs", src, None, &Allowlist::default());

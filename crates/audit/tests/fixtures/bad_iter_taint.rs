@@ -1,5 +1,5 @@
-//! Fixture: values derived from hash-order iteration reaching
-//! order-sensitive sinks.
+//! Fixture: hash-order iteration reaching order-sensitive sinks;
+//! `hash-container` rejects each declaration that feeds one.
 
 fn schedules_in_hash_order(world: &mut World) {
     let peers: HashMap<u64, Peer> = build_peers();

@@ -1,8 +1,6 @@
-//! Known-bad fixture: wall-clock, static-mut, unseeded-rand and
-//! unwrap-lib hazards at positions the fixture tests pin down.
+//! Known-bad fixture: wall-clock, unseeded-rand and unwrap-lib
+//! hazards at positions the fixture tests pin down.
 use std::time::Instant;
-
-static mut EVENT_COUNT: u64 = 0;
 
 pub fn stamp() -> u64 {
     let started = Instant::now();

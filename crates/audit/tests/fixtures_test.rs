@@ -40,10 +40,9 @@ fn bad_misc_fixture_exact_diagnostics() {
         diagnostics("bad_misc.rs", "vnet"),
         vec![
             ("wall-clock", 3, 16),
-            ("static-mut", 5, 1),
-            ("wall-clock", 8, 19),
-            ("unseeded-rand", 9, 25),
-            ("unwrap-lib", 10, 45),
+            ("wall-clock", 6, 19),
+            ("unseeded-rand", 7, 25),
+            ("unwrap-lib", 8, 45),
         ]
     );
 }
@@ -124,7 +123,7 @@ fn hash_rules_require_sim_state_crate_context() {
         diagnostics("bad_hash.rs", "bench"),
         vec![("float-accum", 12, 40), ("float-accum", 18, 17)]
     );
-    assert_eq!(diagnostics("bad_misc.rs", "bench").len(), 5);
+    assert_eq!(diagnostics("bad_misc.rs", "bench").len(), 4);
 }
 
 #[test]
@@ -139,7 +138,7 @@ fn allowlist_suppresses_named_rule_only() {
     .expect("parses");
     let report = scan_source(&rel, &src, Some("vnet"), &allow);
     let active: Vec<_> = report.findings.iter().map(|f| f.rule).collect();
-    assert_eq!(active, vec!["static-mut", "unseeded-rand", "unwrap-lib"]);
+    assert_eq!(active, vec!["unseeded-rand", "unwrap-lib"]);
     assert_eq!(
         report.suppressed.len(),
         2,
@@ -164,96 +163,13 @@ fn wildcard_allowlist_suppresses_everything() {
 }
 
 #[test]
-fn bad_shard_escape_fixture_exact_diagnostics() {
-    assert_eq!(
-        diagnostics("bad_shard_escape.rs", "simcore"),
-        vec![
-            ("shard-state-escape", 5, 28),
-            ("shard-state-escape", 11, 17),
-        ]
-    );
-    // Outside the sim-state crate list the rule is silent.
-    assert_eq!(diagnostics("bad_shard_escape.rs", "bench"), vec![]);
-}
-
-#[test]
-fn shard_escape_cross_file_field_requires_symbol_table() {
-    use gridvm_audit::analysis::{FileIndex, SymbolTable};
-    use gridvm_audit::lexer::tokenize;
-
-    // A shard.rs stand-in declaring `inbox_seq` as a *private* field
-    // and `world` as a `pub` one.
-    let shard_src = "pub struct SiteRuntime { inbox_seq: u64, pub world: World }\n";
-    let mut table = SymbolTable::default();
-    table.add_file(
-        "crates/simcore/src/shard.rs",
-        &FileIndex::build(&tokenize(shard_src)),
-    );
-
-    let (rel, src) = fixture("bad_shard_escape.rs");
-    // Without the symbol table the field poke is invisible.
-    let report = scan_source(&rel, &src, Some("simcore"), &Allowlist::default());
-    assert_eq!(report.findings.len(), 2);
-    // With it, `site.inbox_seq += 1` is a protocol violation...
-    let report = gridvm_audit::scan_source_with(
-        &rel,
-        &src,
-        Some("simcore"),
-        &Allowlist::default(),
-        Some(&table),
-    );
-    let diags: Vec<_> = report
-        .findings
-        .iter()
-        .map(|f| (f.rule, f.line, f.col))
-        .collect();
-    assert_eq!(
-        diags,
-        vec![
-            ("shard-state-escape", 5, 28),
-            ("shard-state-escape", 11, 17),
-            ("shard-state-escape", 20, 10),
-        ]
-    );
-    // ...while a `pub` field with the same owner stays legal: only
-    // the private `inbox_seq` is reported as protocol state, never
-    // the `pub world` field (the multisite regression).
-    assert!(!report
-        .findings
-        .iter()
-        .any(|f| f.message.contains("`.world`")));
-    assert_eq!(
-        report
-            .findings
-            .iter()
-            .filter(|f| f.message.contains("`.inbox_seq`"))
-            .count(),
-        1
-    );
-}
-
-#[test]
-fn bad_lock_order_fixture_exact_diagnostics() {
-    assert_eq!(
-        diagnostics("bad_lock_order.rs", "simcore"),
-        vec![
-            ("lock-order", 5, 24),
-            ("lock-order", 12, 25),
-            ("lock-order", 19, 28),
-        ]
-    );
-}
-
-#[test]
 fn bad_iter_taint_fixture_exact_diagnostics() {
     assert_eq!(
         diagnostics("bad_iter_taint.rs", "simcore"),
         vec![
             ("hash-container", 5, 16),
-            ("iter-order-taint", 7, 15),
             ("hash-container", 12, 18),
             ("float-accum", 15, 15),
-            ("iter-order-taint", 17, 11),
         ]
     );
 }

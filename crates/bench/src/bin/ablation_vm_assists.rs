@@ -10,7 +10,7 @@ use gridvm_bench::harness::{
     m, run_main, Experiment, ExperimentReport, Measurement, Options, SampleCtx, Scenario,
 };
 use gridvm_host::{HostConfig, HostSim, TaskSpec};
-use gridvm_hostload::{LoadLevel, TraceGenerator, TracePlayback};
+use gridvm_hostload::{LoadLevel, TraceGenerator};
 use gridvm_sched::SchedulerKind;
 use gridvm_simcore::rng::SimRng;
 use gridvm_simcore::time::{SimDuration, SimTime};
@@ -59,11 +59,7 @@ fn heavy_load_slowdown(model: &VirtCostModel, seed: u64) -> f64 {
     let trace = TraceGenerator::preset(LoadLevel::Heavy)
         .with_interval(SimDuration::from_millis(250))
         .generate(600, &mut root.split("t"));
-    host.set_background(
-        TracePlayback::new(trace),
-        4,
-        TaskSpec::compute(CpuWork::ZERO),
-    );
+    host.set_background(trace, 4, TaskSpec::compute(CpuWork::ZERO));
     let id = host.spawn(model.guest_task(work, 0.0));
     let out = host
         .run_until_complete(id, SimDuration::from_secs(120))

@@ -14,7 +14,7 @@ use gridvm_bench::harness::{
     m, run_main, Experiment, ExperimentReport, Measurement, Options, SampleCtx, Scenario,
 };
 use gridvm_host::{HostConfig, HostSim, TaskSpec};
-use gridvm_hostload::{LoadLevel, TraceGenerator, TracePlayback};
+use gridvm_hostload::{LoadLevel, TraceGenerator};
 use gridvm_sched::SchedulerKind;
 use gridvm_simcore::time::SimDuration;
 use gridvm_simcore::units::CpuWork;
@@ -111,7 +111,7 @@ impl Experiment for Fig1 {
                 Placement::Vm => TaskSpec::compute(CpuWork::ZERO)
                     .with_switch_overhead(self.model.switch_overhead()),
             };
-            host.set_background(TracePlayback::new(trace), 4, per_task);
+            host.set_background(trace, 4, per_task);
         }
         let spec = match test_place {
             Placement::Physical => self.model.native_task(self.test_work),

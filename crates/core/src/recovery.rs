@@ -49,16 +49,8 @@ use gridvm_vnet::dhcp::DhcpServer;
 use gridvm_vnet::link::NetLink;
 
 use crate::server::{paper_data_server, paper_image_server, ComputeServer};
-use crate::session::{SessionError, SessionRequest};
+use crate::session::{SessionError, SessionRequest, INFO_QUERY_COST, MOUNT_SETUP_RPCS};
 use crate::startup::run_startup_at;
-
-/// One query round-trip to the information service (mirrors the
-/// session module's constant).
-const INFO_QUERY_COST: SimDuration = SimDuration::from_millis(120);
-
-/// Mount-handshake RPCs for a new VFS session (mirrors the session
-/// module's constant).
-const MOUNT_SETUP_RPCS: u64 = 3;
 
 /// The grid identity compute nodes authorize (see
 /// [`ComputeServer::paper_node`]).

@@ -115,10 +115,10 @@ pub struct SessionReport {
 
 /// One query round-trip to the information service (directory
 /// lookup + response).
-const INFO_QUERY_COST: SimDuration = SimDuration::from_millis(120);
+pub(crate) const INFO_QUERY_COST: SimDuration = SimDuration::from_millis(120);
 
 /// Mount-handshake RPCs for a new VFS session.
-const MOUNT_SETUP_RPCS: u64 = 3;
+pub(crate) const MOUNT_SETUP_RPCS: u64 = 3;
 
 /// A grid session driver over a [`GridWorld`].
 pub struct GridSession;

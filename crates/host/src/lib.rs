@@ -3,7 +3,7 @@
 //! A multicore physical-host simulator: tasks with finite CPU work
 //! execute under a pluggable [`gridvm_sched::Scheduler`] in fixed
 //! quanta, optionally against background load played back from a
-//! [`gridvm_hostload::TracePlayback`].
+//! [`gridvm_hostload::LoadTrace`].
 //!
 //! This is the measurement substrate for the paper's Figure 1
 //! microbenchmark: a compute-bound *test task* runs on a dual-CPU

@@ -2,7 +2,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use gridvm_hostload::TracePlayback;
+use gridvm_hostload::LoadTrace;
 use gridvm_sched::{Scheduler, TaskId};
 use gridvm_simcore::rng::SimRng;
 use gridvm_simcore::time::{SimDuration, SimTime};
@@ -205,12 +205,7 @@ impl HostSim {
     ///
     /// Panics if `pool_size` is zero or background load was already
     /// installed.
-    pub fn set_background(
-        &mut self,
-        playback: TracePlayback,
-        pool_size: usize,
-        per_task: TaskSpec,
-    ) {
+    pub fn set_background(&mut self, trace: LoadTrace, pool_size: usize, per_task: TaskSpec) {
         assert!(pool_size > 0, "background pool must not be empty");
         assert!(self.background.is_none(), "background already installed");
         let mut pool = Vec::with_capacity(pool_size);
@@ -231,7 +226,7 @@ impl HostSim {
             );
             pool.push(id);
         }
-        self.background = Some(BackgroundLoad::new(playback, pool));
+        self.background = Some(BackgroundLoad::new(trace, pool));
     }
 
     /// The outcome of a finished task, if it has finished.
@@ -385,7 +380,7 @@ impl HostSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gridvm_hostload::{LoadTrace, TracePlayback};
+    use gridvm_hostload::LoadTrace;
     use gridvm_sched::duty::DutyCycle;
     use gridvm_sched::{SchedulerKind, TaskParams};
     use gridvm_simcore::units::CpuWork;
@@ -482,11 +477,7 @@ mod tests {
         // cores -> test task gets 2/3 of a CPU.
         let trace = LoadTrace::from_samples(SimDuration::from_secs(1), vec![2.0]).unwrap();
         let mut h = host(SchedulerKind::TimeShare);
-        h.set_background(
-            TracePlayback::new(trace),
-            4,
-            TaskSpec::compute(CpuWork::ZERO),
-        );
+        h.set_background(trace, 4, TaskSpec::compute(CpuWork::ZERO));
         let id = h.spawn(TaskSpec::compute(one_sec_work()));
         let out = h
             .run_until_complete(id, SimDuration::from_secs(20))
@@ -499,11 +490,7 @@ mod tests {
     fn no_load_means_no_slowdown_on_spare_core() {
         let trace = LoadTrace::from_samples(SimDuration::from_secs(1), vec![1.0]).unwrap();
         let mut h = host(SchedulerKind::TimeShare);
-        h.set_background(
-            TracePlayback::new(trace),
-            4,
-            TaskSpec::compute(CpuWork::ZERO),
-        );
+        h.set_background(trace, 4, TaskSpec::compute(CpuWork::ZERO));
         let id = h.spawn(TaskSpec::compute(one_sec_work()));
         let out = h
             .run_until_complete(id, SimDuration::from_secs(20))
@@ -550,11 +537,7 @@ mod tests {
             let mut h = host(SchedulerKind::Lottery);
             let trace =
                 LoadTrace::from_samples(SimDuration::from_secs(1), vec![1.0, 0.5, 2.0]).unwrap();
-            h.set_background(
-                TracePlayback::new(trace),
-                4,
-                TaskSpec::compute(CpuWork::ZERO),
-            );
+            h.set_background(trace, 4, TaskSpec::compute(CpuWork::ZERO));
             let id = h.spawn(TaskSpec::compute(one_sec_work()));
             h.run_until_complete(id, SimDuration::from_secs(30))
                 .unwrap()
@@ -589,11 +572,7 @@ mod tests {
                 SimDuration::from_millis(50),
             ),
         ));
-        h1.set_background(
-            TracePlayback::new(trace),
-            4,
-            TaskSpec::compute(CpuWork::ZERO),
-        );
+        h1.set_background(trace, 4, TaskSpec::compute(CpuWork::ZERO));
         let o1 = h1
             .run_until_complete(owner1, SimDuration::from_secs(30))
             .unwrap();

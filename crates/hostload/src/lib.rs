@@ -10,14 +10,15 @@
 //! the statistical properties the host-load literature reports for
 //! them — strong short-range autocorrelation (AR-like behaviour),
 //! heavy-tailed burst durations, and long-range dependence (Hurst
-//! parameter well above 0.5) — and provides the playback machinery to
-//! drive a simulated host with them.
+//! parameter well above 0.5). A simulated host plays a trace back
+//! directly: `gridvm-host`'s background load reads
+//! [`LoadTrace::load_at`](trace::LoadTrace::load_at), the number of
+//! runnable background processes at an instant, wrapping at the end.
 //!
-//! * [`trace`] — the [`LoadTrace`](trace::LoadTrace) sample container.
+//! * [`trace`] — the [`LoadTrace`](trace::LoadTrace) sample container
+//!   and its playback.
 //! * [`generator`] — AR(1)-plus-Pareto-burst synthesis and the paper's
 //!   three [`LoadLevel`](generator::LoadLevel) presets.
-//! * [`playback`] — turning a trace into per-quantum background CPU
-//!   demand.
 //! * [`analysis`] — autocorrelation and R/S Hurst estimation used by
 //!   tests to verify the generator produces realistic load.
 
@@ -26,9 +27,7 @@
 
 pub mod analysis;
 pub mod generator;
-pub mod playback;
 pub mod trace;
 
 pub use generator::{LoadLevel, TraceGenerator};
-pub use playback::TracePlayback;
 pub use trace::LoadTrace;

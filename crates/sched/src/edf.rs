@@ -70,13 +70,6 @@ impl EdfScheduler {
             .sum()
     }
 
-    /// Checks whether a reservation set of this utilization fits on
-    /// `cores` CPUs (the EDF bound for independent periodic tasks on
-    /// partitioned cores; we use the simple additive test).
-    pub fn admits(&self, extra: Reservation, cores: usize) -> bool {
-        self.reserved_utilization() + extra.utilization() <= cores as f64 + 1e-9
-    }
-
     /// Remaining budget of a reserved task (for tests).
     pub fn budget(&self, id: TaskId) -> Option<SimDuration> {
         self.reserved.get(id.0).map(|e| e.budget)
@@ -96,15 +89,10 @@ impl Scheduler for EdfScheduler {
     /// Registers a task.
     ///
     /// Tasks with a reservation join the EDF set; tasks without join
-    /// the best-effort round-robin set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a reserved task is added that the (single-host,
-    /// caller-checked) admission test would reject at one core of
-    /// headroom — callers should use
-    /// [`admits`](EdfScheduler::admits) first; the panic is the
-    /// last-resort guard against an oversubscribed real-time set.
+    /// the best-effort round-robin set. No admission test runs here:
+    /// an oversubscribed reserved set is accepted, and
+    /// [`reserved_utilization`](EdfScheduler::reserved_utilization)
+    /// reports its load.
     fn add_task(&mut self, id: TaskId, params: TaskParams) {
         match params.reservation {
             Some(res) => {
@@ -273,23 +261,6 @@ mod tests {
         let mut rng = SimRng::seed_from(2);
         let picked = s.select(&[TaskId(1), TaskId(2)], 1, SimTime::ZERO, ms(10), &mut rng);
         assert_eq!(picked, vec![TaskId(2)], "shorter period = earlier deadline");
-    }
-
-    #[test]
-    fn admission_control_checks_utilization() {
-        let mut s = EdfScheduler::new();
-        s.add_task(TaskId(1), TaskParams::with_reservation(ms(100), ms(60)));
-        let ok = Reservation {
-            period: ms(100),
-            slice: ms(30),
-        };
-        let too_much = Reservation {
-            period: ms(100),
-            slice: ms(50),
-        };
-        assert!(s.admits(ok, 1));
-        assert!(!s.admits(too_much, 1));
-        assert!(s.admits(too_much, 2), "fits with a second core");
     }
 
     #[test]

@@ -103,11 +103,6 @@ impl<W> Engine<W> {
         self.executed
     }
 
-    /// Number of events still pending.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Schedules `f` to run at the absolute instant `at`, called with
     /// `words`. Events due at one instant run in the order they were
     /// scheduled.
@@ -341,24 +336,20 @@ mod tests {
     }
 
     #[test]
-    fn pending_and_next_event_time_are_exact_inside_handlers() {
+    fn next_event_time_is_exact_inside_handlers() {
         let mut en: Engine<W> = Engine::new();
         let mut w = W::default();
         en.schedule_at(secs(1), [0; 2], |_, w, en| {
             // The running event has left the queue: 4 s and 6 s wait.
-            assert_eq!(en.pending(), 2);
             assert_eq!(en.next_event_time(), Some(secs(4)));
             // A successor ahead of every pending event.
             en.schedule_at(secs(2), [0; 2], |_, w, en| {
-                assert_eq!(en.pending(), 2);
                 assert_eq!(en.next_event_time(), Some(secs(4)));
                 // A successor behind the earliest pending event.
                 en.schedule_at(secs(5), [0; 2], |_, w, _| w.log.push((5, "c")));
-                assert_eq!(en.pending(), 3);
                 assert_eq!(en.next_event_time(), Some(secs(4)));
                 w.log.push((2, "b"));
             });
-            assert_eq!(en.pending(), 3);
             assert_eq!(en.next_event_time(), Some(secs(2)));
             w.log.push((1, "a"));
         });

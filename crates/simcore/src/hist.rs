@@ -96,11 +96,6 @@ impl Histogram {
         }
     }
 
-    /// The layout as `(sub_bits, max_exp)`.
-    pub fn layout(&self) -> (u32, u32) {
-        (self.sub_bits, self.max_exp)
-    }
-
     /// Bucket index of a value. Values below `2^sub_bits` map
     /// exactly (one value per bucket); larger values map into the
     /// `2^sub_bits` equal-width sub-buckets of their power-of-two

@@ -176,7 +176,6 @@ impl ReplicationRunner {
             let mut batches = std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..workers)
                     .map(|_| {
-                        // audit:allow(shard-state-escape): work-stealing counter is borrowed only for the scope; results are reassembled by index after join
                         scope.spawn(|| {
                             let mut mine = Vec::new();
                             loop {

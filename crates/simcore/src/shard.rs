@@ -122,6 +122,21 @@
 //! to that as it does all sim-state code: ad-hoc cross-thread
 //! coordination is how scheduling order leaks into results.
 //!
+//! A site's outbox is private to this module: only [`SiteState::send`]
+//! fills it and only the two executors' drains empty it, so no code
+//! elsewhere can reach a site's messages around the mailbox protocol.
+//! Reading it from outside does not compile:
+//!
+//! ```compile_fail,E0616
+//! use gridvm_simcore::shard::{ShardWorld, SiteState};
+//!
+//! fn queued<W: ShardWorld>(site: &SiteState<W>) -> usize {
+//!     site.outbox.len()
+//! }
+//! ```
+//!
+//! A two-site world, end to end:
+//!
 //! ```
 //! use gridvm_simcore::shard::{ShardWorld, ShardedSim, SiteId, SiteState};
 //! use gridvm_simcore::engine::Engine;

@@ -16,7 +16,7 @@ use std::fmt;
 ///     s.record(x);
 /// }
 /// assert_eq!(s.mean(), 5.0);
-/// assert_eq!(s.population_std_dev(), 2.0);
+/// assert!((s.std_dev() - (32.0_f64 / 7.0).sqrt()).abs() < 1e-12);
 /// assert_eq!((s.min(), s.max()), (2.0, 9.0));
 /// ```
 #[derive(Clone, Debug, PartialEq)]
@@ -96,11 +96,6 @@ impl OnlineStats {
         } else {
             self.m2 / (self.count - 1) as f64
         }
-    }
-
-    /// Population standard deviation.
-    pub fn population_std_dev(&self) -> f64 {
-        self.population_variance().sqrt()
     }
 
     /// Sample standard deviation (what the paper's tables report).

@@ -86,8 +86,6 @@ impl fmt::Display for TraceEntry {
 /// log.record(SimTime::ZERO, "vmm", format_args!("vm-{} boot start", 1));
 /// assert_eq!(log.entries().next().unwrap().message, "vm-1 boot start");
 /// assert_eq!(log.entries().count(), 1);
-/// assert_eq!(log.by_category("vmm").count(), 1);
-/// assert_eq!(log.by_category("vfs").count(), 0);
 /// ```
 #[derive(Clone, Debug)]
 pub struct TraceLog {
@@ -206,14 +204,6 @@ impl TraceLog {
         self.entries.iter()
     }
 
-    /// Retained entries with the given category, oldest first.
-    pub fn by_category<'a>(
-        &'a self,
-        category: &'a str,
-    ) -> impl Iterator<Item = &'a TraceEntry> + 'a {
-        self.entries.iter().filter(move |e| e.category == category)
-    }
-
     /// How many entries have been discarded — ring evictions plus, on
     /// a sampling log, entries the keep decision rejected.
     pub fn dropped(&self) -> u64 {
@@ -271,7 +261,11 @@ mod tests {
         log.record(t(2), "vfs", "read");
         log.record(t(3), "vmm", "ready");
         assert_eq!(log.len(), 3);
-        let vmm: Vec<_> = log.by_category("vmm").map(|e| e.message.as_str()).collect();
+        let vmm: Vec<_> = log
+            .entries()
+            .filter(|e| e.category == "vmm")
+            .map(|e| e.message.as_str())
+            .collect();
         assert_eq!(vmm, vec!["boot", "ready"]);
     }
 
@@ -394,13 +388,16 @@ mod tests {
         assert!((900..1500).contains(&sampled), "sampled {sampled}");
         let (mixed, alone) = (log(42, true), log(42, false));
         for category in ["vo", "chatty"] {
-            let kept = mixed.by_category(category).count();
+            let kept = mixed.entries().filter(|e| e.category == category).count();
             assert!((450..750).contains(&kept), "{category} kept {kept}");
         }
         // A category's keep decisions follow its own sequence numbers,
         // so interleaving another category leaves its kept set alone.
         assert!(
-            mixed.by_category("vo").eq(alone.by_category("vo")),
+            mixed
+                .entries()
+                .filter(|e| e.category == "vo")
+                .eq(alone.entries().filter(|e| e.category == "vo")),
             "stratified per category"
         );
     }

@@ -295,7 +295,7 @@ impl fmt::Display for Bandwidth {
 /// ```
 /// use gridvm_simcore::units::Share;
 /// let half = Share::new(0.5);
-/// assert_eq!(half.complement(), Share::new(0.5));
+/// assert_eq!(half.saturating_add(Share::new(0.75)), Share::new(1.0));
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, PartialOrd)]
 pub struct Share(f64);
@@ -303,8 +303,6 @@ pub struct Share(f64);
 impl Share {
     /// The empty share.
     pub const ZERO: Share = Share(0.0);
-    /// The whole resource.
-    pub const FULL: Share = Share(1.0);
 
     /// Constructs a share.
     ///
@@ -324,12 +322,7 @@ impl Share {
         self.0
     }
 
-    /// `1 - self`.
-    pub fn complement(self) -> Share {
-        Share(1.0 - self.0)
-    }
-
-    /// Saturating addition, clamped to [`Share::FULL`].
+    /// Saturating addition, clamped to the whole resource (1.0).
     pub fn saturating_add(self, other: Share) -> Share {
         Share((self.0 + other.0).min(1.0))
     }
@@ -410,8 +403,10 @@ mod tests {
 
     #[test]
     fn share_bounds() {
-        assert_eq!(Share::new(0.3).complement().as_f64(), 0.7);
-        assert_eq!(Share::new(0.8).saturating_add(Share::new(0.8)), Share::FULL);
+        assert_eq!(
+            Share::new(0.8).saturating_add(Share::new(0.8)),
+            Share::new(1.0)
+        );
         assert!(Share::ZERO.is_zero());
     }
 

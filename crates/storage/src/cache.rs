@@ -33,7 +33,6 @@ use crate::block::BlockAddr;
 pub struct BufferCache {
     resident: LruSet<BlockAddr>,
     hits: u64,
-    misses: u64,
 }
 
 impl BufferCache {
@@ -47,7 +46,6 @@ impl BufferCache {
         BufferCache {
             resident: LruSet::new(capacity),
             hits: 0,
-            misses: 0,
         }
     }
 
@@ -66,14 +64,13 @@ impl BufferCache {
         self.resident.is_empty()
     }
 
-    /// Looks up `addr`; on a hit refreshes its recency and returns
-    /// `true`. Counts hit/miss statistics.
+    /// Looks up `addr`; on a hit refreshes its recency, counts the
+    /// hit and returns `true`.
     pub fn touch(&mut self, addr: BlockAddr) -> bool {
         if self.resident.touch(&addr) {
             self.hits += 1;
             true
         } else {
-            self.misses += 1;
             false
         }
     }
@@ -93,11 +90,6 @@ impl BufferCache {
     pub fn hits(&self) -> u64 {
         self.hits
     }
-
-    /// Lookup misses so far.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
 }
 
 #[cfg(test)]
@@ -115,7 +107,6 @@ mod tests {
         c.insert(a(1));
         assert!(c.touch(a(1)));
         assert_eq!(c.hits(), 1);
-        assert_eq!(c.misses(), 1);
     }
 
     #[test]

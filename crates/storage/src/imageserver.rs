@@ -66,7 +66,8 @@ pub type ImageHandle = Handle<ImageTag>;
 ///
 /// let mut server = ImageServer::new(DiskModel::new(DiskProfile::ide_2003()));
 /// server.publish(VmImage::redhat_guest("rh72"))?;
-/// let (grant, data) = server.read_block(SimTime::ZERO, "rh72", BlockAddr(0))?;
+/// let image = server.resolve("rh72")?;
+/// let (grant, data) = server.read_block_by(SimTime::ZERO, image, BlockAddr(0))?;
 /// assert_eq!(data.len(), 4096);
 /// assert!(grant.finish > SimTime::ZERO);
 /// # Ok::<(), gridvm_storage::imageserver::ImageServerError>(())
@@ -146,22 +147,6 @@ impl ImageServer {
         Ok(self.catalog.lookup(name)?)
     }
 
-    /// Reads one image block (on-demand path). Returns the disk
-    /// service grant and the data.
-    ///
-    /// # Errors
-    ///
-    /// Unknown image or out-of-range block.
-    pub fn read_block(
-        &mut self,
-        now: SimTime,
-        name: &str,
-        addr: BlockAddr,
-    ) -> Result<(ServiceGrant, Bytes), ImageServerError> {
-        let handle = self.resolve(name)?;
-        self.read_block_by(now, handle, addr)
-    }
-
     /// Reads one image block through a pre-resolved handle — the hot
     /// path for repeated on-demand fetches.
     ///
@@ -199,7 +184,10 @@ mod tests {
     #[test]
     fn serves_blocks_with_verifiable_content() {
         let mut s = server();
-        let (g, data) = s.read_block(SimTime::ZERO, "rh72", BlockAddr(42)).unwrap();
+        let image = s.resolve("rh72").unwrap();
+        let (g, data) = s
+            .read_block_by(SimTime::ZERO, image, BlockAddr(42))
+            .unwrap();
         let expected = VmImage::redhat_guest("rh72")
             .base_store()
             .expected_pristine(BlockAddr(42));
@@ -210,9 +198,9 @@ mod tests {
 
     #[test]
     fn unknown_image_is_an_error() {
-        let mut s = server();
+        let s = server();
         assert!(matches!(
-            s.read_block(SimTime::ZERO, "nope", BlockAddr(0)),
+            s.resolve("nope"),
             Err(ImageServerError::Catalog(CatalogError::NotFound(_)))
         ));
         assert!(s.lookup("nope").is_err());
@@ -232,8 +220,9 @@ mod tests {
     fn out_of_range_block_is_reported() {
         let mut s = server();
         let beyond = VmImage::redhat_guest("rh72").disk_blocks();
+        let image = s.resolve("rh72").unwrap();
         assert!(matches!(
-            s.read_block(SimTime::ZERO, "rh72", BlockAddr(beyond)),
+            s.read_block_by(SimTime::ZERO, image, BlockAddr(beyond)),
             Err(ImageServerError::Storage(StorageError::OutOfRange { .. }))
         ));
     }

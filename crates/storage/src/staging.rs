@@ -29,16 +29,6 @@ impl StagingReport {
     pub fn elapsed(&self) -> SimDuration {
         self.finished.duration_since(self.started)
     }
-
-    /// Achieved end-to-end throughput in bytes/sec.
-    pub fn throughput(&self) -> f64 {
-        let secs = self.elapsed().as_secs_f64();
-        if secs == 0.0 {
-            0.0
-        } else {
-            self.bytes.as_f64() / secs
-        }
-    }
 }
 
 /// Copies `size` bytes within a single disk (read then write through
@@ -112,7 +102,7 @@ mod tests {
         let mut d = ide();
         let size = ByteSize::from_mib(32);
         let r = copy_local(&mut d, size, BlockAddr(500_000), SimTime::ZERO);
-        let tput = r.throughput();
+        let tput = r.bytes.as_f64() / r.elapsed().as_secs_f64();
         // Same-disk copy ≈ half the sequential bandwidth.
         let half_bw = 8.0 * 1024.0 * 1024.0;
         assert!(

@@ -11,7 +11,7 @@
 //! | module | crate | role |
 //! |---|---|---|
 //! | [`simcore`] | `gridvm-simcore` | discrete-event kernel, RNG, stats |
-//! | [`hostload`] | `gridvm-hostload` | load-trace generation & playback |
+//! | [`hostload`] | `gridvm-hostload` | load-trace generation & analysis; `LoadTrace::load_at` plays a trace back |
 //! | [`sched`] | `gridvm-sched` | host schedulers + constraint language |
 //! | [`host`] | `gridvm-host` | multicore host simulator |
 //! | [`vmm`] | `gridvm-vmm` | classic VMM cost model & lifecycle |

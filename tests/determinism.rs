@@ -8,7 +8,7 @@ use gridvm::core::session::{GridSession, GridWorld, SessionRequest};
 use gridvm::core::startup::{run_startup, StartupConfig, StartupMode, StateAccess};
 use gridvm::gridmw::info::{InfoService, ResourceKind};
 use gridvm::host::{HostConfig, HostSim, TaskSpec};
-use gridvm::hostload::{LoadLevel, TraceGenerator, TracePlayback};
+use gridvm::hostload::{LoadLevel, TraceGenerator};
 use gridvm::sched::SchedulerKind;
 use gridvm::simcore::rng::SimRng;
 use gridvm::simcore::time::{SimDuration, SimTime};
@@ -41,11 +41,7 @@ fn host_simulation_reproduces_per_seed() {
             rng.split("sched"),
         );
         let trace = TraceGenerator::preset(LoadLevel::Heavy).generate(300, &mut rng.split("t"));
-        host.set_background(
-            TracePlayback::new(trace),
-            4,
-            TaskSpec::compute(CpuWork::ZERO),
-        );
+        host.set_background(trace, 4, TaskSpec::compute(CpuWork::ZERO));
         let id = host.spawn(TaskSpec::compute(CpuWork::from_cycles(2_400_000_000)));
         host.run_until_complete(id, SimDuration::from_secs(120))
             .expect("finishes")
@@ -135,11 +131,7 @@ fn replication_runner_is_thread_count_invariant_for_fig1_work() {
         let config = HostConfig::default();
         let mut host = HostSim::new(config, SchedulerKind::TimeShare.build(), rng.split("sched"));
         let trace = TraceGenerator::preset(LoadLevel::Heavy).generate(120, &mut rng.split("trace"));
-        host.set_background(
-            TracePlayback::new(trace),
-            4,
-            TaskSpec::compute(CpuWork::ZERO),
-        );
+        host.set_background(trace, 4, TaskSpec::compute(CpuWork::ZERO));
         let work = CpuWork::from_duration(SimDuration::from_secs(1), config.clock_hz);
         let id = host.spawn(TaskSpec::compute(work));
         let outcome = host
@@ -194,11 +186,7 @@ fn experiment_reports_are_thread_count_invariant() {
             if scenario.index == 1 {
                 let trace =
                     TraceGenerator::preset(LoadLevel::Heavy).generate(120, &mut rng.split("trace"));
-                host.set_background(
-                    TracePlayback::new(trace),
-                    4,
-                    TaskSpec::compute(CpuWork::ZERO),
-                );
+                host.set_background(trace, 4, TaskSpec::compute(CpuWork::ZERO));
             }
             let work = CpuWork::from_duration(SimDuration::from_secs(1), config.clock_hz);
             let id = host.spawn(TaskSpec::compute(work));

@@ -5,7 +5,7 @@
 use gridvm::core::server::ComputeServer;
 use gridvm::core::startup::{run_startup, StartupConfig, StartupMode, StateAccess};
 use gridvm::host::{HostConfig, HostSim, TaskSpec};
-use gridvm::hostload::{LoadLevel, TraceGenerator, TracePlayback};
+use gridvm::hostload::{LoadLevel, TraceGenerator};
 use gridvm::sched::SchedulerKind;
 use gridvm::simcore::rng::SimRng;
 use gridvm::simcore::stats::OnlineStats;
@@ -34,11 +34,7 @@ fn fig1_vm_slowdown_stays_near_physical() {
             let trace = TraceGenerator::preset(LoadLevel::Heavy)
                 .with_interval(SimDuration::from_millis(250))
                 .generate(600, &mut rng.split("t"));
-            host.set_background(
-                TracePlayback::new(trace),
-                4,
-                TaskSpec::compute(CpuWork::ZERO),
-            );
+            host.set_background(trace, 4, TaskSpec::compute(CpuWork::ZERO));
             let spec = if on_vm {
                 model.guest_task(work, 0.0)
             } else {
