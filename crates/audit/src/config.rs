@@ -7,9 +7,9 @@
 //!
 //! ```toml
 //! [[allow]]
-//! rule = "wall-clock"
-//! path = "crates/bench/src"
-//! reason = "benchmark harness measures real elapsed time by design"
+//! rule = "hot-btree-lookup"
+//! path = "crates/vfs/src/fs.rs"
+//! reason = "readdir must return name order; the per-inode path is a SlotMap"
 //! ```
 //!
 //! `rule` must name a rule from the catalogue (or `"*"` for any),
@@ -18,8 +18,8 @@
 //! point of having one.
 //!
 //! A `[hot_paths]` section lists the files whose per-entity lookups
-//! are measured hot paths; the `hot-btree-lookup` rule flags ordered
-//! containers only in these files:
+//! are measured hot paths; the token rules (`hot-btree-lookup`,
+//! `alloc-in-hot`) scan only these files:
 //!
 //! ```toml
 //! [hot_paths]
@@ -54,8 +54,8 @@ pub struct AllowEntry {
 pub struct Allowlist {
     /// All entries, in file order.
     pub entries: Vec<AllowEntry>,
-    /// Workspace-relative path prefixes from `[hot_paths]`: files
-    /// whose state the `hot-btree-lookup` rule polices.
+    /// Workspace-relative path prefixes from `[hot_paths]`: the files
+    /// the token rules scan.
     pub hot_paths: Vec<String>,
 }
 
@@ -161,7 +161,7 @@ impl Allowlist {
     }
 
     /// True when `path` is covered by a `[hot_paths]` prefix — i.e.
-    /// the `hot-btree-lookup` rule applies to it.
+    /// the token rules apply to it.
     pub fn is_hot(&self, path: &str) -> bool {
         self.hot_paths.iter().any(|p| path.starts_with(p.as_str()))
     }
@@ -612,9 +612,9 @@ mod tests {
         let text = "\
 # audited exceptions\n\
 [[allow]]\n\
-rule = \"wall-clock\"\n\
-path = \"crates/bench/src\"\n\
-reason = \"real timers are the point of a benchmark\"\n\
+rule = \"hot-btree-lookup\"\n\
+path = \"crates/vfs/src\"\n\
+reason = \"readdir order is semantic\"\n\
 \n\
 [[allow]]\n\
 rule = \"*\"\n\
@@ -623,17 +623,17 @@ reason = \"fixtures exist to trip the rules\"\n";
         let list = Allowlist::parse(text).expect("parses");
         assert_eq!(list.entries.len(), 2);
         assert_eq!(
-            list.matches("crates/bench/src/harness.rs", &finding("wall-clock")),
+            list.matches("crates/vfs/src/fs.rs", &finding("hot-btree-lookup")),
             Some(0)
         );
         assert_eq!(
-            list.matches("crates/bench/src/harness.rs", &finding("unwrap-lib")),
+            list.matches("crates/vfs/src/fs.rs", &finding("alloc-in-hot")),
             None
         );
         assert_eq!(
             list.matches(
                 "crates/audit/tests/fixtures/bad.rs",
-                &finding("unseeded-rand")
+                &finding("alloc-in-hot")
             ),
             Some(1)
         );
@@ -685,21 +685,24 @@ path = \"crates/sched/src\"\n";
 
     #[test]
     fn missing_reason_is_fatal() {
-        let text = "[[allow]]\nrule = \"wall-clock\"\npath = \"crates/bench\"\n";
+        let text = "[[allow]]\nrule = \"alloc-in-hot\"\npath = \"crates/vnet\"\n";
         let err = Allowlist::parse(text).unwrap_err();
         assert!(err.message.contains("reason"), "{err}");
     }
 
     #[test]
     fn unknown_rule_is_fatal() {
-        let text = "[[allow]]\nrule = \"wall-clocks\"\npath = \"x\"\nreason = \"typo\"\n";
-        let err = Allowlist::parse(text).unwrap_err();
-        assert!(err.message.contains("unknown rule"), "{err}");
+        // A typo, and a rule the compiler now enforces instead.
+        for rule in ["alloc-in-hots", "wall-clock"] {
+            let text = format!("[[allow]]\nrule = \"{rule}\"\npath = \"x\"\nreason = \"r\"\n");
+            let err = Allowlist::parse(&text).unwrap_err();
+            assert!(err.message.contains("unknown rule"), "{err}");
+        }
     }
 
     #[test]
     fn keys_outside_a_table_are_fatal() {
-        let err = Allowlist::parse("rule = \"wall-clock\"\n").unwrap_err();
+        let err = Allowlist::parse("rule = \"alloc-in-hot\"\n").unwrap_err();
         assert!(err.message.contains("outside"), "{err}");
     }
 
@@ -719,8 +722,8 @@ path = \"crates/sched/src\"\n";
                 count: 3,
             },
             BaselineEntry {
-                path: "crates/core/src/multisite.rs".into(),
-                rule: "unwrap-lib".into(),
+                path: "crates/vfs/src/fs.rs".into(),
+                rule: "alloc-in-hot".into(),
                 count: 1,
             },
         ];
@@ -728,7 +731,7 @@ path = \"crates/sched/src\"\n";
         let base = Baseline::parse(&text).expect("round-trips");
         assert_eq!(base.note, "triaged at rule introduction");
         // Render sorts by (path, rule).
-        assert_eq!(base.entries[0].path, "crates/core/src/multisite.rs");
+        assert_eq!(base.entries[0].path, "crates/vfs/src/fs.rs");
         assert_eq!(base.entries[1].count, 3);
     }
 

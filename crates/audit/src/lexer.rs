@@ -1,12 +1,14 @@
 //! A lightweight, comment- and string-aware Rust tokenizer.
 //!
-//! The determinism rules in [`crate::rules`] only need to see *code*:
-//! a `HashMap` mentioned in a doc comment or a format string is not a
-//! hazard. This scanner therefore discards comments (line, nested
-//! block) and the contents of every string/char/byte literal (plain,
-//! raw with any number of `#`s, byte, raw-byte) while preserving the
-//! line and column of every surviving token — exactly the information
-//! a diagnostic needs.
+//! The rules in [`crate::rules`] only need to see *code*: a `BTreeMap`
+//! mentioned in a doc comment or a format string is not state. This
+//! scanner therefore discards comments (line, nested block) and the
+//! contents of every string/char/byte literal (plain, raw with any
+//! number of `#`s, byte, raw-byte) while preserving the line and
+//! column of every surviving token — exactly the information a
+//! diagnostic needs. It also reports the plain `//` line comments
+//! (not `///` or `//!` doc comments, and never text inside a literal),
+//! which is where inline suppressions live.
 //!
 //! It is deliberately not a full Rust lexer: numeric literals are
 //! folded into a single token kind, punctuation is emitted one
@@ -17,7 +19,7 @@
 /// What a token is, with enough payload for rule matching.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TokenKind {
-    /// An identifier or keyword (`HashMap`, `for`, `unwrap`, ...).
+    /// An identifier or keyword (`BTreeMap`, `for`, `clone`, ...).
     Ident(String),
     /// One punctuation character (`.`, `:`, `{`, `+`, ...).
     Punct(char),
@@ -107,22 +109,67 @@ fn is_ident_continue(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_' || b >= 0x80
 }
 
+/// A plain `//` line comment: not a `///` or `//!` doc comment, and
+/// not text inside a literal.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct LineComment {
+    /// The text after the `//`.
+    pub text: String,
+    /// 1-based source line.
+    pub line: u32,
+    /// 1-based source column of the first `/`.
+    pub col: u32,
+    /// True when code precedes the comment on its line.
+    pub trailing: bool,
+}
+
+/// One source file, lexed: its code tokens and its plain line
+/// comments, both in source order.
+#[derive(Clone, Debug, Default)]
+pub struct Lexed {
+    /// The code tokens.
+    pub tokens: Vec<Token>,
+    /// The plain `//` comments.
+    pub comments: Vec<LineComment>,
+}
+
 /// Tokenizes `src`, discarding comments and literal contents.
 pub fn tokenize(src: &str) -> Vec<Token> {
+    lex(src).tokens
+}
+
+/// Lexes `src` into code tokens and plain line comments.
+pub fn lex(src: &str) -> Lexed {
     let mut cur = Cursor::new(src);
     let mut out = Vec::new();
+    let mut comments = Vec::new();
+    // The line the last token ended on: a comment there trails code.
+    let mut code_line = 0;
     while let Some(b) = cur.peek() {
         let (line, col) = (cur.line, cur.col);
+        let emitted = out.len();
         match b {
             b' ' | b'\t' | b'\r' | b'\n' => {
                 cur.bump();
             }
             b'/' if cur.peek_at(1) == Some(b'/') => {
+                // `///` (but not `////`) and `//!` are doc comments.
+                let doc = cur.peek_at(2) == Some(b'!')
+                    || (cur.peek_at(2) == Some(b'/') && cur.peek_at(3) != Some(b'/'));
+                let start = cur.pos;
                 while let Some(c) = cur.peek() {
                     if c == b'\n' {
                         break;
                     }
                     cur.bump();
+                }
+                if !doc {
+                    comments.push(LineComment {
+                        text: String::from_utf8_lossy(&cur.src[start + 2..cur.pos]).into_owned(),
+                        line,
+                        col,
+                        trailing: code_line == line,
+                    });
                 }
             }
             b'/' if cur.peek_at(1) == Some(b'*') => {
@@ -217,8 +264,14 @@ pub fn tokenize(src: &str) -> Vec<Token> {
                 });
             }
         }
+        if out.len() > emitted {
+            code_line = cur.line;
+        }
     }
-    out
+    Lexed {
+        tokens: out,
+        comments,
+    }
 }
 
 /// True when the cursor sits on `r"`, `r#`, `b"`, `b'`, `br"`, `br#`.
@@ -330,18 +383,43 @@ mod tests {
     #[test]
     fn comments_and_strings_are_invisible() {
         let src = r##"
-            // HashMap in a line comment
-            /* HashMap in /* a nested */ block */
-            let s = "HashMap in a string";
-            let r = r#"HashMap in a raw "quoted" string"#;
-            let b = b"HashMap bytes";
-            let real = HashMap::new();
+            // BTreeMap in a line comment
+            /* BTreeMap in /* a nested */ block */
+            let s = "BTreeMap in a string";
+            let r = r#"BTreeMap in a raw "quoted" string"#;
+            let b = b"BTreeMap bytes";
+            let real = BTreeMap::new();
         "##;
         let ids = idents(src);
         assert_eq!(
-            ids.iter().filter(|i| *i == "HashMap").count(),
+            ids.iter().filter(|i| *i == "BTreeMap").count(),
             1,
             "only the code mention survives: {ids:?}"
+        );
+    }
+
+    #[test]
+    fn only_plain_line_comments_are_reported() {
+        let src = "\
+//! inner doc
+/// outer doc
+//// four slashes: a plain comment
+let s = \"// inside a string\"; // trailing
+/* // inside a block comment */
+    // standalone
+";
+        let got: Vec<_> = lex(src)
+            .comments
+            .into_iter()
+            .map(|c| (c.text, c.line, c.col, c.trailing))
+            .collect();
+        assert_eq!(
+            got,
+            vec![
+                ("// four slashes: a plain comment".to_owned(), 3, 1, false),
+                (" trailing".to_owned(), 4, 31, true),
+                (" standalone".to_owned(), 6, 5, false),
+            ]
         );
     }
 

@@ -1,20 +1,22 @@
-//! `gridvm-audit` — the workspace determinism linter.
+//! `gridvm-audit` — the workspace's hot-path linter.
 //!
-//! A custom static-analysis pass over the gridvm workspace: a
-//! comment/string-aware tokenizer ([`lexer`]), a determinism rule
-//! catalogue ([`rules`]), the per-file item index `alloc-in-hot`
-//! reads ([`analysis`]), and an allowlist of audited exceptions
-//! ([`config`]). The binary (`cargo run -p gridvm-audit`) walks the
-//! workspace, scans every Rust source file, and reports findings;
-//! `--deny` turns any non-allowlisted finding into a non-zero exit,
-//! which is how CI runs it.
+//! A static-analysis pass for what the compiler cannot scope to a
+//! list of files: a comment/string-aware tokenizer ([`lexer`]), the
+//! rule catalogue ([`rules`]), the per-file item index `alloc-in-hot`
+//! reads ([`analysis`]), and an allowlist of audited exceptions plus
+//! the `[hot_paths]` file list ([`config`]). The binary
+//! (`cargo run -p gridvm-audit`) walks the workspace, scans every Rust
+//! source file, and reports findings; `--deny` turns any
+//! non-allowlisted finding into a non-zero exit, which is how CI runs
+//! it.
 //!
-//! Each hazard is caught in one place. Where rustc already rejects one
-//! in every scanned crate (a capturing event closure, an unsynchronized
-//! shared borrow across threads, a private `simcore::shard` field read
-//! elsewhere, any use of a `static mut` under `forbid(unsafe_code)`),
-//! no rule here repeats it; DESIGN.md §13.2 lists each with the
-//! compiler error that rejects it.
+//! Each hazard is caught in one place. The determinism rules (hash
+//! containers, the wall clock, OS randomness, locks and atomics,
+//! library unwraps, suppressions without a reason) are rustc and
+//! clippy's: the root `clippy.toml` and the workspace lints reject
+//! them by name resolution, and `#[expect(lint, reason = "…")]` is the
+//! one way to accept a site. DESIGN.md §13.2 lists each retired rule
+//! with the compiler diagnostic that replaced it.
 //!
 //! The companion *runtime* half of the determinism story lives in
 //! `gridvm-simcore::audit` (heap/arena/LRU invariant checks); this
@@ -30,7 +32,8 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use config::{json_escape, Allowlist, Baseline, BaselineEntry};
-use rules::{scan, FileContext, Finding, RULES};
+use lexer::{lex, LineComment};
+use rules::{Finding, RULES};
 
 /// One `// audit:allow(rule): reason` comment.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -124,34 +127,29 @@ impl Report {
     }
 }
 
-/// Extracts every `// audit:allow(rule): reason` comment from raw
-/// source. Malformed suppressions — no closing paren, unknown rule,
-/// missing reason — come back as `malformed-suppression` findings: a
-/// suppression that silently fails open (or never matches) is itself a
-/// defect.
-pub fn collect_inline_allows(src: &str) -> (Vec<InlineAllow>, Vec<Finding>) {
+/// Reads every inline suppression from a file's plain line comments
+/// (doc comments and literals that quote the syntax are not
+/// suppressions). Malformed suppressions — no closing paren, unknown
+/// rule, missing reason — come back as `malformed-suppression`
+/// findings: a suppression that silently fails open (or never matches)
+/// is itself a defect.
+pub fn collect_inline_allows(comments: &[LineComment]) -> (Vec<InlineAllow>, Vec<Finding>) {
     const MARKER: &str = "audit:allow(";
     let mut allows = Vec::new();
     let mut malformed = Vec::new();
-    for (idx, raw) in src.lines().enumerate() {
-        let lineno = idx as u32 + 1;
-        let Some(comment_at) = raw.find("//") else {
+    for c in comments {
+        let Some(m) = c.text.find(MARKER) else {
             continue;
         };
-        let comment = &raw[comment_at..];
-        let Some(m) = comment.find(MARKER) else {
-            continue;
-        };
-        let col = (comment_at + m) as u32 + 1;
         let mut bad = |message: String| {
             malformed.push(Finding {
                 rule: "malformed-suppression",
-                line: lineno,
-                col,
+                line: c.line,
+                col: c.col + 2 + m as u32,
                 message,
             });
         };
-        let after = &comment[m + MARKER.len()..];
+        let after = &c.text[m + MARKER.len()..];
         let Some(close) = after.find(')') else {
             bad("inline suppression is missing the closing `)`".to_owned());
             continue;
@@ -174,52 +172,32 @@ pub fn collect_inline_allows(src: &str) -> (Vec<InlineAllow>, Vec<Finding>) {
         }
         // A comment alone on its line covers the next line; a trailing
         // comment covers its own.
-        let standalone = raw[..comment_at].trim().is_empty();
         allows.push(InlineAllow {
             rule: rule.to_owned(),
             reason: reason.to_owned(),
-            target_line: if standalone { lineno + 1 } else { lineno },
-            line: lineno,
+            target_line: if c.trailing { c.line } else { c.line + 1 },
+            line: c.line,
         });
     }
     (allows, malformed)
 }
 
 /// Scans one file's text as if it lived at `rel_path` (used by both
-/// the workspace walk and the fixture tests). `treat_as` overrides the
-/// crate-name classification, letting fixtures be scanned as if they
-/// were sim-state library code.
-pub fn scan_source(
-    rel_path: &str,
-    src: &str,
-    treat_as: Option<&str>,
-    allow: &Allowlist,
-) -> FileReport {
-    let mut ctx = match treat_as {
-        Some(krate) => FileContext {
-            crate_name: krate.to_owned(),
-            kind: rules::SourceKind::Lib,
-            hot: false,
-        },
-        None => FileContext::from_path(rel_path),
-    };
-    ctx.hot = allow.is_hot(rel_path);
-    let (mut inline, mut malformed) = collect_inline_allows(src);
-    // Suppression comments quoted inside `#[cfg(test)]` items (this
-    // crate's own tests exercise the syntax in string fixtures) are
-    // examples, not live suppressions: drop both the allows and any
-    // malformed-syntax findings the comment scan raised there.
-    let test_spans = rules::test_line_spans(src);
-    let in_test_span = |line: u32| test_spans.iter().any(|&(lo, hi)| (lo..=hi).contains(&line));
-    inline.retain(|i| !in_test_span(i.line));
-    malformed.retain(|f| !in_test_span(f.line));
+/// the workspace walk and the fixture tests). The token rules run only
+/// when `allow` lists the path under `[hot_paths]`; inline
+/// suppressions are checked in every file.
+pub fn scan_source(rel_path: &str, src: &str, allow: &Allowlist) -> FileReport {
+    let lexed = lex(src);
+    let (inline, mut all) = collect_inline_allows(&lexed.comments);
+    if allow.is_hot(rel_path) {
+        let test_regions = rules::test_regions(&lexed.tokens);
+        all.extend(rules::scan_hot(&lexed.tokens, &test_regions));
+    }
+    all.sort_by_key(|f| (f.line, f.col, f.rule));
     let mut used_inline = vec![false; inline.len()];
     let mut findings = Vec::new();
     let mut suppressed = Vec::new();
     let mut inline_allowed = Vec::new();
-    let mut all = scan(src, &ctx);
-    all.extend(malformed);
-    all.sort_by_key(|f| (f.line, f.col, f.rule));
     for f in all {
         if let Some(idx) = allow.matches(rel_path, &f) {
             suppressed.push((idx, f));
@@ -314,7 +292,7 @@ pub fn scan_workspace(root: &Path, allow: &Allowlist) -> std::io::Result<Report>
             .collect::<Vec<_>>()
             .join("/");
         let src = fs::read_to_string(&path)?;
-        let file = scan_source(&rel, &src, None, allow);
+        let file = scan_source(&rel, &src, allow);
         report.scanned += 1;
         for (idx, _) in &file.suppressed {
             used[*idx] = true;
@@ -508,12 +486,14 @@ pub fn render_rules_md() -> String {
          hand: CI diffs this file against the generator's output. -->\n\n",
     );
     out.push_str(
-        "Static determinism rules enforced over the workspace (`--deny` in CI).\n\
-         Suppressions: an `audit.toml` `[[allow]]` entry (rule/path/reason) or an\n\
-         inline `// audit:allow(rule): <reason>` comment covering the next line\n\
-         (or its own, when trailing code). Both demand a written reason; stale\n\
-         suppressions, and `[hot_paths]` entries that match no file, fail deny\n\
-         mode unless `--allow-stale`. Known findings ride the\n\
+        "Static rules for what clippy cannot scope to a list of files (`--deny`\n\
+         in CI): the files listed under `[hot_paths]` in audit.toml. The\n\
+         determinism rules are clippy's and rustc's (`clippy.toml`, the workspace\n\
+         lints). Suppressions: an `audit.toml` `[[allow]]` entry\n\
+         (rule/path/reason) or an inline `// audit:allow(rule): <reason>` comment\n\
+         covering the next line (or its own, when trailing code). Both demand a\n\
+         written reason; stale suppressions, and `[hot_paths]` entries that match\n\
+         no file, fail deny mode unless `--allow-stale`. Known findings ride the\n\
          `audit_baseline.json` ratchet (`--baseline`), which only ever shrinks.\n\
          DESIGN.md \u{a7}13 documents the architecture.\n\n",
     );
@@ -542,41 +522,55 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn scan_source_splits_active_and_suppressed() {
-        let allow = Allowlist::parse(
-            "[[allow]]\nrule = \"wall-clock\"\npath = \"crates/demo\"\nreason = \"timers\"\n",
-        )
-        .expect("parses");
-        let src = "use std::time::Instant;\nuse rand::thread_rng;\n";
-        let report = scan_source("crates/demo/src/lib.rs", src, None, &allow);
-        assert_eq!(report.suppressed.len(), 1);
-        assert_eq!(report.findings.len(), 1);
-        assert_eq!(report.findings[0].rule, "unseeded-rand");
+    /// An allowlist marking `crates/vnet/src` hot, plus `extra` entries.
+    fn hot_vnet(extra: &str) -> Allowlist {
+        Allowlist::parse(&format!("[hot_paths]\npath = \"crates/vnet/src\"\n{extra}"))
+            .expect("parses")
     }
 
     #[test]
-    fn treat_as_reclassifies_as_sim_state_lib() {
-        let allow = Allowlist::default();
-        let src = "use std::collections::HashMap;\n";
-        // As a test file nothing fires; treated as sched lib code it does.
-        let as_test = scan_source("tests/fixture.rs", src, None, &allow);
-        assert!(as_test.findings.is_empty());
-        let as_sched = scan_source("tests/fixture.rs", src, Some("sched"), &allow);
-        assert_eq!(as_sched.findings.len(), 1);
+    fn scan_source_splits_active_and_suppressed() {
+        let allow = hot_vnet(
+            "[[allow]]\nrule = \"hot-btree-lookup\"\npath = \"crates/vnet\"\nreason = \"order\"\n",
+        );
+        let src = "use std::collections::BTreeMap;\nfn f() -> Vec<u8> { Vec::new() }\n";
+        let report = scan_source("crates/vnet/src/x.rs", src, &allow);
+        assert_eq!(report.suppressed.len(), 1);
+        assert_eq!(report.findings.len(), 1);
+        assert_eq!(report.findings[0].rule, "alloc-in-hot");
+    }
+
+    #[test]
+    fn token_rules_apply_only_to_hot_paths() {
+        let src = "use std::collections::BTreeMap;\n";
+        let allow = hot_vnet("");
+        assert!(scan_source("crates/sched/src/x.rs", src, &allow)
+            .findings
+            .is_empty());
+        assert_eq!(
+            scan_source("crates/vnet/src/x.rs", src, &allow)
+                .findings
+                .len(),
+            1
+        );
     }
 
     #[test]
     fn inline_allow_standalone_covers_next_line_trailing_covers_own() {
         let src = "\
-// audit:allow(hash-container): keys are never iterated, lookup-only cache
-use std::collections::HashMap;
-use rand::thread_rng; // audit:allow(unseeded-rand): test-only jitter, never in results
-use std::time::Instant;
+// audit:allow(hot-btree-lookup): name order is the readdir order
+use std::collections::BTreeMap;
+fn f() -> Vec<u8> { Vec::new() } // audit:allow(alloc-in-hot): a cold error path
+use std::collections::BTreeSet;
 ";
-        let report = scan_source("crates/sched/src/x.rs", src, None, &Allowlist::default());
-        let active: Vec<_> = report.findings.iter().map(|f| f.rule).collect();
-        assert_eq!(active, vec!["wall-clock"], "{:?}", report.findings);
+        let report = scan_source("crates/vnet/src/x.rs", src, &hot_vnet(""));
+        let active: Vec<_> = report.findings.iter().map(|f| (f.rule, f.line)).collect();
+        assert_eq!(
+            active,
+            vec![("hot-btree-lookup", 4)],
+            "{:?}",
+            report.findings
+        );
         assert_eq!(
             report.inline_allowed.len(),
             2,
@@ -589,38 +583,57 @@ use std::time::Instant;
     #[test]
     fn malformed_and_stale_inline_suppressions_are_reported() {
         let src = "\
-// audit:allow(hash-container)
+// audit:allow(hot-btree-lookup)
 fn nothing_here() {}
 // audit:allow(no-such-rule): reason text
-// audit:allow(wall-clock): nothing on the next line uses a clock
+// audit:allow(alloc-in-hot): nothing on the next line allocates
 fn still_nothing() {}
 ";
-        let (allows, malformed) = collect_inline_allows(src);
+        let (allows, malformed) = collect_inline_allows(&lex(src).comments);
         assert_eq!(allows.len(), 1, "{allows:?}");
         assert_eq!(malformed.len(), 2, "{malformed:?}");
         assert!(malformed.iter().all(|f| f.rule == "malformed-suppression"));
-        let report = scan_source("crates/sched/src/x.rs", src, None, &Allowlist::default());
+        assert_eq!((malformed[0].line, malformed[0].col), (1, 4));
+        let report = scan_source("crates/vnet/src/x.rs", src, &hot_vnet(""));
         // Both malformed comments become findings; the well-formed but
-        // unmatched wall-clock one is stale.
+        // unmatched alloc-in-hot one is stale.
         assert_eq!(report.findings.len(), 2, "{:?}", report.findings);
         assert_eq!(report.unused_inline.len(), 1);
-        assert_eq!(report.unused_inline[0].rule, "wall-clock");
+        assert_eq!(report.unused_inline[0].rule, "alloc-in-hot");
+    }
+
+    #[test]
+    fn doc_comments_and_literals_quoting_the_syntax_are_not_suppressions() {
+        let src = "\
+//! Write `// audit:allow(rule)` above the line to suppress.
+/// An `// audit:allow(no-such-rule)` example.
+const HELP: &str = \"// audit:allow(rule): <reason>\";
+fn f() {} // audit:allow(hot-btree-lookup
+";
+        let report = scan_source("crates/audit/src/x.rs", src, &Allowlist::default());
+        let found: Vec<_> = report
+            .findings
+            .iter()
+            .map(|f| (f.rule, f.line, f.col))
+            .collect();
+        assert_eq!(found, vec![("malformed-suppression", 4, 14)]);
+        assert!(report.unused_inline.is_empty());
     }
 
     #[test]
     fn baseline_absorbs_known_findings_and_reports_progress() {
         let mut report = Report {
             files: vec![FileReport {
-                path: "crates/sched/src/x.rs".into(),
+                path: "crates/vnet/src/x.rs".into(),
                 findings: vec![
                     Finding {
-                        rule: "hash-container",
+                        rule: "hot-btree-lookup",
                         line: 1,
                         col: 1,
                         message: String::new(),
                     },
                     Finding {
-                        rule: "hash-container",
+                        rule: "hot-btree-lookup",
                         line: 2,
                         col: 1,
                         message: String::new(),
@@ -638,8 +651,8 @@ fn still_nothing() {}
             note: "test".into(),
             entries: vec![
                 BaselineEntry {
-                    path: "crates/sched/src/x.rs".into(),
-                    rule: "hash-container".into(),
+                    path: "crates/vnet/src/x.rs".into(),
+                    rule: "hot-btree-lookup".into(),
                     count: 3,
                 },
                 BaselineEntry {
@@ -652,7 +665,7 @@ fn still_nothing() {}
         apply_baseline(&mut report, &base);
         assert_eq!(report.active_findings(), 0);
         assert_eq!(report.baselined_findings(), 2);
-        // Budget 3 with 2 matches and the untouched vnet entry are both
+        // Budget 3 with 2 matches and the untouched y.rs entry are both
         // stale.
         assert_eq!(
             report.stale_baseline.len(),
@@ -666,9 +679,9 @@ fn still_nothing() {}
 
     #[test]
     fn json_report_parses_back_and_counts_match() {
-        let allow = Allowlist::default();
-        let src = "use std::collections::HashMap;\nuse std::time::Instant;\n";
-        let file = scan_source("crates/sched/src/x.rs", src, None, &allow);
+        let allow = hot_vnet("");
+        let src = "use std::collections::BTreeMap;\nfn f() -> Vec<u8> { Vec::new() }\n";
+        let file = scan_source("crates/vnet/src/x.rs", src, &allow);
         let report = Report {
             files: vec![file],
             scanned: 1,

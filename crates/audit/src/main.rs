@@ -1,4 +1,4 @@
-//! CLI entry point for the workspace determinism linter.
+//! CLI entry point for the workspace's hot-path linter.
 //!
 //! ```text
 //! cargo run -p gridvm-audit                 # report findings
@@ -6,8 +6,8 @@
 //! cargo run -p gridvm-audit -- --list-rules # print the catalogue
 //! cargo run -p gridvm-audit -- --deny --baseline audit_baseline.json \
 //!       --json audit.json                   # CI ratchet + artifact
-//! cargo run -p gridvm-audit -- --file crates/audit/tests/fixtures/bad_hash.rs \
-//!       --treat-as sched                    # scan one file in a given crate context
+//! cargo run -p gridvm-audit -- --file crates/audit/tests/fixtures/bad_hot_btree.rs \
+//!       --hot                               # scan one file as a [hot_paths] file
 //! ```
 
 use std::path::{Path, PathBuf};
@@ -27,7 +27,6 @@ struct Options {
     allow_stale: bool,
     root: Option<PathBuf>,
     file: Option<PathBuf>,
-    treat_as: Option<String>,
     hot: bool,
     json: Option<PathBuf>,
     baseline: Option<PathBuf>,
@@ -42,7 +41,6 @@ fn parse_args() -> Result<Options, String> {
         allow_stale: false,
         root: None,
         file: None,
-        treat_as: None,
         hot: false,
         json: None,
         baseline: None,
@@ -63,10 +61,6 @@ fn parse_args() -> Result<Options, String> {
                 let v = args.next().ok_or("--file needs a path")?;
                 opts.file = Some(PathBuf::from(v));
             }
-            "--treat-as" => {
-                let v = args.next().ok_or("--treat-as needs a crate name")?;
-                opts.treat_as = Some(v);
-            }
             "--hot" => opts.hot = true,
             "--json" => {
                 let v = args
@@ -84,11 +78,11 @@ fn parse_args() -> Result<Options, String> {
             }
             "--help" | "-h" => {
                 println!(
-                    "gridvm-audit: workspace determinism linter\n\n\
+                    "gridvm-audit: workspace hot-path linter\n\n\
                      USAGE: gridvm-audit [--deny] [--allow-stale] [--root DIR]\n\
                             [--baseline FILE] [--write-baseline FILE] [--json FILE]\n\
                             [--list-rules] [--rules-md]\n\
-                            [--file PATH [--treat-as CRATE] [--hot]]\n\n\
+                            [--file PATH [--hot]]\n\n\
                      --deny            exit non-zero on any unsuppressed finding or (in a\n\
                                        workspace scan) any stale suppression or\n\
                                        [hot_paths] entry (CI mode)\n\
@@ -101,7 +95,6 @@ fn parse_args() -> Result<Options, String> {
                      --rules-md        print RULES.md content (CI diffs it) and exit\n\
                      --root DIR        workspace root (default: auto-detect from cwd)\n\
                      --file PATH       scan a single file instead of the workspace\n\
-                     --treat-as C      with --file: classify as library code of crate C\n\
                      --hot             with --file: scan as if listed under [hot_paths]"
                 );
                 std::process::exit(0);
@@ -124,7 +117,7 @@ fn main() -> ExitCode {
     if opts.list_rules {
         println!("gridvm-audit rule catalogue:\n");
         for rule in RULES {
-            println!("  {:<20} {}", rule.name, rule.summary);
+            println!("  {:<22} {}", rule.name, rule.summary);
         }
         println!(
             "\nSuppressions live in audit.toml ([[allow]] rule/path/reason) or inline\n\
@@ -162,7 +155,7 @@ fn main() -> ExitCode {
     };
 
     if let Some(file) = &opts.file {
-        return scan_single_file(file, opts.treat_as.as_deref(), opts.hot, &allow, opts.deny);
+        return scan_single_file(file, opts.hot, &allow, opts.deny);
     }
 
     let mut report = match scan_workspace(&root, &allow) {
@@ -307,13 +300,7 @@ fn stale_level(deny: bool, allow_stale: bool) -> &'static str {
     }
 }
 
-fn scan_single_file(
-    file: &Path,
-    treat_as: Option<&str>,
-    hot: bool,
-    allow: &Allowlist,
-    deny: bool,
-) -> ExitCode {
+fn scan_single_file(file: &Path, hot: bool, allow: &Allowlist, deny: bool) -> ExitCode {
     let src = match std::fs::read_to_string(file) {
         Ok(s) => s,
         Err(e) => {
@@ -328,7 +315,7 @@ fn scan_single_file(
         // audit.toml — how CI checks the rule still has teeth.
         allow.hot_paths.push(rel.clone());
     }
-    let report = scan_source(&rel, &src, treat_as, &allow);
+    let report = scan_source(&rel, &src, &allow);
     for f in &report.findings {
         println!(
             "{}:{}:{}: [{}] {}",

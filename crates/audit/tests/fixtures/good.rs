@@ -1,30 +1,38 @@
-//! Known-good fixture: deterministic containers, hazards mentioned
-//! only in comments/strings, and test-only unwraps — none of which
-//! may produce findings.
+//! Known-good fixture: a hot file with no finding. It allocates only
+//! in its constructor, keeps ordered containers only in tests, and
+//! mentions the hazards only in comments and strings.
 //!
-//! A HashMap in a doc comment is not a hazard, nor is Instant here.
-use std::collections::BTreeMap;
+//! A BTreeMap in a doc comment is not state, nor is `format!` here.
 
-pub struct Registry {
-    entries: BTreeMap<u64, f64>,
+pub struct Table {
+    slots: Vec<u64>,
 }
 
-impl Registry {
-    pub fn describe() -> &'static str {
-        "uses no HashMap, no Instant::now, no static mut, no thread_rng"
+impl Table {
+    pub fn with_capacity(n: usize) -> Self {
+        Table {
+            slots: Vec::with_capacity(n),
+        }
     }
 
-    pub fn total(&self) -> f64 {
-        // BTreeMap iteration is structural, so this sum is fine.
-        self.entries.values().copied().sum()
+    pub fn describe() -> &'static str {
+        "holds no BTreeMap and calls no format! or Vec::new per lookup"
+    }
+
+    pub fn get(&self, slot: usize) -> Option<u64> {
+        // A slot index is O(1); a BTreeMap here would be O(log n).
+        self.slots.get(slot).copied()
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     #[test]
-    fn unwrap_is_fine_in_tests() {
-        let x: Option<u32> = Some(1);
-        assert_eq!(x.unwrap(), 1);
+    fn tests_may_keep_ordered_state_and_allocate() {
+        let mut names = BTreeMap::new();
+        names.insert(1u32, format!("slot {}", 1));
+        assert_eq!(names.len(), 1);
     }
 }

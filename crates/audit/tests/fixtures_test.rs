@@ -1,7 +1,7 @@
 //! Fixture-based tests for the linter itself: known-bad snippets must
-//! produce exactly these diagnostics (rule, line, column), known-good
-//! snippets none, and allowlist entries must suppress precisely the
-//! findings they name.
+//! produce exactly these diagnostics (rule, line, column), the
+//! known-good snippet none, and allowlist entries must suppress
+//! precisely the findings they name.
 
 use gridvm_audit::config::Allowlist;
 use gridvm_audit::scan_source;
@@ -12,9 +12,18 @@ fn fixture(name: &str) -> (String, String) {
     (format!("crates/audit/tests/fixtures/{name}"), src)
 }
 
-fn diagnostics(name: &str, treat_as: &str) -> Vec<(&'static str, u32, u32)> {
+/// An allowlist that lists every fixture under `[hot_paths]`, followed
+/// by the `extra` audit.toml text.
+fn hot(extra: &str) -> Allowlist {
+    Allowlist::parse(&format!(
+        "[hot_paths]\npath = \"crates/audit/tests/fixtures\"\n{extra}"
+    ))
+    .expect("parses")
+}
+
+fn diagnostics(name: &str, allow: &Allowlist) -> Vec<(&'static str, u32, u32)> {
     let (rel, src) = fixture(name);
-    scan_source(&rel, &src, Some(treat_as), &Allowlist::default())
+    scan_source(&rel, &src, allow)
         .findings
         .into_iter()
         .map(|f| (f.rule, f.line, f.col))
@@ -22,74 +31,22 @@ fn diagnostics(name: &str, treat_as: &str) -> Vec<(&'static str, u32, u32)> {
 }
 
 #[test]
-fn bad_hash_fixture_exact_diagnostics() {
-    assert_eq!(
-        diagnostics("bad_hash.rs", "sched"),
-        vec![
-            ("hash-container", 4, 23),
-            ("hash-container", 7, 14),
-            ("float-accum", 12, 40),
-            ("float-accum", 18, 17),
-        ]
-    );
-}
-
-#[test]
-fn bad_misc_fixture_exact_diagnostics() {
-    assert_eq!(
-        diagnostics("bad_misc.rs", "vnet"),
-        vec![
-            ("wall-clock", 3, 16),
-            ("wall-clock", 6, 19),
-            ("unseeded-rand", 7, 25),
-            ("unwrap-lib", 8, 45),
-        ]
-    );
-}
-
-#[test]
-fn bad_sync_fixture_exact_diagnostics() {
-    assert_eq!(
-        diagnostics("bad_sync.rs", "simcore"),
-        vec![
-            ("sync-primitive", 4, 25),
-            ("sync-primitive", 5, 17),
-            ("sync-primitive", 5, 24),
-            ("sync-primitive", 8, 12),
-            ("sync-primitive", 9, 12),
-            ("sync-primitive", 10, 11),
-        ]
-    );
-    // Outside the sim-state crate list (harness code) the rule is
-    // silent.
-    assert_eq!(diagnostics("bad_sync.rs", "bench"), vec![]);
-}
-
-#[test]
 fn good_fixture_is_clean() {
-    assert_eq!(diagnostics("good.rs", "sched"), vec![]);
+    assert_eq!(diagnostics("good.rs", &hot("")), vec![]);
 }
 
 #[test]
 fn bad_hot_btree_fixture_fires_only_when_listed_hot() {
     // Without a [hot_paths] listing the fixture is silent: ordered
     // containers are fine on cold paths.
-    assert_eq!(diagnostics("bad_hot_btree.rs", "vnet"), vec![]);
-
+    assert_eq!(
+        diagnostics("bad_hot_btree.rs", &Allowlist::default()),
+        vec![]
+    );
     // Listed under [hot_paths], every declaration outside #[cfg(test)]
     // is flagged.
-    let (rel, src) = fixture("bad_hot_btree.rs");
-    let allow =
-        Allowlist::parse("[hot_paths]\npath = \"crates/audit/tests/fixtures/bad_hot_btree.rs\"\n")
-            .expect("parses");
-    let report = scan_source(&rel, &src, Some("vnet"), &allow);
-    let diags: Vec<_> = report
-        .findings
-        .iter()
-        .map(|f| (f.rule, f.line, f.col))
-        .collect();
     assert_eq!(
-        diags,
+        diagnostics("bad_hot_btree.rs", &hot("")),
         vec![
             ("hot-btree-lookup", 4, 24),
             ("hot-btree-lookup", 4, 34),
@@ -97,102 +54,19 @@ fn bad_hot_btree_fixture_fires_only_when_listed_hot() {
             ("hot-btree-lookup", 8, 12),
         ]
     );
-
-    // An allowlist entry with a written reason suppresses it, like
-    // any other rule.
-    let allow = Allowlist::parse(
-        "[hot_paths]\n\
-         path = \"crates/audit/tests/fixtures/bad_hot_btree.rs\"\n\
-         [[allow]]\n\
-         rule = \"hot-btree-lookup\"\n\
-         path = \"crates/audit/tests/fixtures\"\n\
-         reason = \"fixture exercises suppression\"\n",
-    )
-    .expect("parses");
-    let report = scan_source(&rel, &src, Some("vnet"), &allow);
-    assert!(report.findings.is_empty());
-    assert_eq!(report.suppressed.len(), 4);
-}
-
-#[test]
-fn hash_rules_require_sim_state_crate_context() {
-    // Outside the sim-state crate list the hash-container rule does
-    // not apply; float-accum still does (order-sensitive arithmetic is
-    // wrong in any crate), as does the wall-clock/rand/unwrap family.
-    assert_eq!(
-        diagnostics("bad_hash.rs", "bench"),
-        vec![("float-accum", 12, 40), ("float-accum", 18, 17)]
-    );
-    assert_eq!(diagnostics("bad_misc.rs", "bench").len(), 4);
-}
-
-#[test]
-fn allowlist_suppresses_named_rule_only() {
-    let (rel, src) = fixture("bad_misc.rs");
-    let allow = Allowlist::parse(
-        "[[allow]]\n\
-         rule = \"wall-clock\"\n\
-         path = \"crates/audit/tests/fixtures\"\n\
-         reason = \"fixture exercises suppression\"\n",
-    )
-    .expect("parses");
-    let report = scan_source(&rel, &src, Some("vnet"), &allow);
-    let active: Vec<_> = report.findings.iter().map(|f| f.rule).collect();
-    assert_eq!(active, vec!["unseeded-rand", "unwrap-lib"]);
-    assert_eq!(
-        report.suppressed.len(),
-        2,
-        "both Instant sightings suppressed"
-    );
-    assert!(report
-        .suppressed
-        .iter()
-        .all(|(idx, f)| *idx == 0 && f.rule == "wall-clock"));
-}
-
-#[test]
-fn wildcard_allowlist_suppresses_everything() {
-    let (rel, src) = fixture("bad_hash.rs");
-    let allow = Allowlist::parse(
-        "[[allow]]\nrule = \"*\"\npath = \"crates/audit\"\nreason = \"fixtures trip rules\"\n",
-    )
-    .expect("parses");
-    let report = scan_source(&rel, &src, Some("sched"), &allow);
-    assert!(report.findings.is_empty());
-    assert_eq!(report.suppressed.len(), 4);
-}
-
-#[test]
-fn bad_iter_taint_fixture_exact_diagnostics() {
-    assert_eq!(
-        diagnostics("bad_iter_taint.rs", "simcore"),
-        vec![
-            ("hash-container", 5, 16),
-            ("hash-container", 12, 18),
-            ("float-accum", 15, 15),
-        ]
-    );
 }
 
 #[test]
 fn bad_alloc_hot_fixture_fires_only_when_listed_hot() {
     // Cold files may allocate freely.
-    assert_eq!(diagnostics("bad_alloc_hot.rs", "vnet"), vec![]);
-
-    let (rel, src) = fixture("bad_alloc_hot.rs");
-    let allow =
-        Allowlist::parse("[hot_paths]\npath = \"crates/audit/tests/fixtures/bad_alloc_hot.rs\"\n")
-            .expect("parses");
-    let report = scan_source(&rel, &src, Some("vnet"), &allow);
-    let diags: Vec<_> = report
-        .findings
-        .iter()
-        .map(|f| (f.rule, f.line, f.col))
-        .collect();
+    assert_eq!(
+        diagnostics("bad_alloc_hot.rs", &Allowlist::default()),
+        vec![]
+    );
     // `new()` is constructor-shaped and exempt; every allocation in
     // `forward` is flagged.
     assert_eq!(
-        diags,
+        diagnostics("bad_alloc_hot.rs", &hot("")),
         vec![
             ("alloc-in-hot", 17, 25),
             ("alloc-in-hot", 18, 19),
@@ -203,17 +77,36 @@ fn bad_alloc_hot_fixture_fires_only_when_listed_hot() {
 }
 
 #[test]
-fn bad_trace_format_fixture_exact_diagnostics() {
-    assert_eq!(
-        diagnostics("bad_trace_format.rs", "core"),
-        vec![("trace-format", 6, 33), ("trace-format", 13, 9)]
-    );
-    // Library code in any crate, simcore included; the cfg(test)
-    // module and the format_args! call stay silent.
-    assert_eq!(
-        diagnostics("bad_trace_format.rs", "simcore"),
-        diagnostics("bad_trace_format.rs", "bench")
-    );
+fn allowlist_suppresses_named_rule_only() {
+    let allow = hot("[[allow]]\n\
+         rule = \"alloc-in-hot\"\n\
+         path = \"crates/audit/tests/fixtures\"\n\
+         reason = \"fixture exercises suppression\"\n");
+    let (rel, src) = fixture("bad_alloc_hot.rs");
+    let report = scan_source(&rel, &src, &allow);
+    assert!(report.findings.is_empty(), "{:?}", report.findings);
+    assert_eq!(report.suppressed.len(), 4, "every allocation suppressed");
+    assert!(report
+        .suppressed
+        .iter()
+        .all(|(idx, f)| *idx == 0 && f.rule == "alloc-in-hot"));
+    // The same entry leaves the other rule's findings active.
+    let (rel, src) = fixture("bad_hot_btree.rs");
+    let report = scan_source(&rel, &src, &allow);
+    assert!(report.suppressed.is_empty());
+    assert_eq!(report.findings.len(), 4);
+}
+
+#[test]
+fn wildcard_allowlist_suppresses_everything() {
+    let allow =
+        hot("[[allow]]\nrule = \"*\"\npath = \"crates/audit\"\nreason = \"fixtures trip rules\"\n");
+    for name in ["bad_hot_btree.rs", "bad_alloc_hot.rs"] {
+        let (rel, src) = fixture(name);
+        let report = scan_source(&rel, &src, &allow);
+        assert!(report.findings.is_empty(), "{name}");
+        assert_eq!(report.suppressed.len(), 4, "{name}");
+    }
 }
 
 #[test]

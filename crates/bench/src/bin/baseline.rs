@@ -19,8 +19,6 @@
 //! Use `--threads 1` for recorded baselines: replications run
 //! back-to-back instead of contending for cores mid-measurement.
 
-use std::time::Instant;
-
 use gridvm_bench::harness::{self, m, Experiment, Measurement, Options, SampleCtx, Scenario};
 use gridvm_bench::regional::{build_handoff, HandoffConfig};
 use gridvm_core::multisite::{build_vo, VoConfig};
@@ -96,7 +94,7 @@ impl Experiment for Baseline {
                 // the dominant shape of every reproduction binary.
                 // The target threads through the event's words, so the
                 // loop never touches the allocator.
-                let started = Instant::now();
+                let started = harness::wall_clock();
                 let mut en: Engine<u64> = Engine::new();
                 let mut world = 0u64;
                 en.schedule_in(SimDuration::ZERO, [n, 0], chain);
@@ -108,7 +106,7 @@ impl Experiment for Baseline {
                 let times: Vec<SimTime> = (0..n)
                     .map(|_| SimTime::from_nanos(rng.next_u64() % 1_000_000))
                     .collect();
-                let started = Instant::now();
+                let started = harness::wall_clock();
                 let mut q = EventQueue::new();
                 for (i, t) in times.iter().enumerate() {
                     q.push(*t, i);
@@ -118,7 +116,7 @@ impl Experiment for Baseline {
             }
             2 => {
                 let keys: Vec<u64> = (0..n).map(|_| rng.next_u64() % 8192).collect();
-                let started = Instant::now();
+                let started = harness::wall_clock();
                 let mut lru = LruSet::new(4096);
                 for k in &keys {
                     if !lru.touch(k) {
@@ -136,7 +134,7 @@ impl Experiment for Baseline {
                     prefetch_depth: 0,
                     ..ProxyConfig::default()
                 };
-                let started = Instant::now();
+                let started = harness::wall_clock();
                 let mut proxy = VfsProxy::new(cfg);
                 let fh = FileHandle(1);
                 let mut pf = Vec::new();
@@ -173,7 +171,7 @@ impl Experiment for Baseline {
                         (a, b, 200 + rng.next_u64() % 800)
                     })
                     .collect();
-                let started = Instant::now();
+                let started = harness::wall_clock();
                 let mut latency = SimDuration::ZERO;
                 for (i, (a, b)) in pairs.iter().enumerate() {
                     if i % 4096 == 0 {
@@ -194,7 +192,7 @@ impl Experiment for Baseline {
                 // capacity, the shape `ablation_buffer_cache` sweeps.
                 let addrs: Vec<BlockAddr> =
                     (0..n).map(|_| BlockAddr(rng.next_u64() % 8192)).collect();
-                let started = Instant::now();
+                let started = harness::wall_clock();
                 let mut cache = BufferCache::new(4096);
                 for a in &addrs {
                     if !cache.touch(*a) {
@@ -208,7 +206,7 @@ impl Experiment for Baseline {
                 // a live set of ~1k entries — the per-entity state
                 // shape under vnet/vfs/sched/storage hot paths.
                 let ops: Vec<u64> = (0..n).map(|_| rng.next_u64()).collect();
-                let started = Instant::now();
+                let started = harness::wall_clock();
                 let mut map: SlotMap<(), u64> = SlotMap::new();
                 let mut live: Vec<gridvm_simcore::slot::Handle<()>> = Vec::new();
                 let mut sum = 0u64;
@@ -243,7 +241,7 @@ impl Experiment for Baseline {
                     seed: rng.next_u64(),
                     ..VoConfig::paper_vo()
                 };
-                let started = Instant::now();
+                let started = harness::wall_clock();
                 let mut sim = build_vo(&cfg).shards(4).threads(1);
                 sim.run();
                 assert!(sim.messages() > 0, "hops must cross shard boundaries");
@@ -268,11 +266,11 @@ impl Experiment for Baseline {
                     seed: rng.next_u64(),
                     ..VoConfig::paper_vo()
                 };
-                let started1 = Instant::now();
+                let started1 = harness::wall_clock();
                 let mut one = build_vo(&cfg).shards(1).threads(1);
                 one.run();
                 let wall1 = started1.elapsed();
-                let started4 = Instant::now();
+                let started4 = harness::wall_clock();
                 let mut four = build_vo(&cfg).shards(4).threads(0);
                 four.run();
                 let wall4 = started4.elapsed();
@@ -298,7 +296,7 @@ impl Experiment for Baseline {
                 // the record path stays O(1) and the rollup stays an
                 // element-wise integer add.
                 let values: Vec<u64> = (0..n).map(|_| 1 + rng.next_u64() % 1_000_000).collect();
-                let started = Instant::now();
+                let started = harness::wall_clock();
                 let mut shards: Vec<Histogram> = (0..8).map(|_| Histogram::default()).collect();
                 for (i, v) in values.iter().enumerate() {
                     shards[i & 7].record(*v);
@@ -334,7 +332,7 @@ impl Experiment for Baseline {
                     .shards(4)
                     .threads(1);
                 global.run();
-                let started = Instant::now();
+                let started = harness::wall_clock();
                 let mut paired = build_handoff(&cfg).shards(4).threads(1);
                 paired.run();
                 let wall = started.elapsed();

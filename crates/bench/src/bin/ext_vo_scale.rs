@@ -15,7 +15,8 @@
 //! second.
 
 use gridvm_bench::harness::{
-    m, run_main, Experiment, ExperimentReport, Measurement, Options, SampleCtx, Scenario,
+    m, run_main, wall_clock, Experiment, ExperimentReport, Measurement, Options, SampleCtx,
+    Scenario,
 };
 use gridvm_core::multisite::{build_vo_scale, Placement, VoScaleConfig};
 use gridvm_simcore::metrics;
@@ -65,7 +66,7 @@ impl Experiment for VoScale {
         // workloads, so only the placement decision differs.
         let cfg = config(placement, opts.seed ^ ctx.sample as u64, opts.quick);
         let mut sim = build_vo_scale(&cfg).shards(8).threads(1);
-        let started = std::time::Instant::now();
+        let started = wall_clock();
         sim.run();
         let wall = started.elapsed();
         let merged = sim.merged_metrics();

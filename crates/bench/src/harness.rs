@@ -17,7 +17,6 @@
 //! therefore bit-identical for every `--threads` value, including 1.
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
 use gridvm_simcore::metrics::Metrics;
 use gridvm_simcore::replication::{derive_seed, ReplicationRunner};
@@ -286,6 +285,20 @@ impl ExperimentReport {
     }
 }
 
+/// Starts a wall-clock stopwatch: the bench's one reader of real
+/// time. Callers read it with `.elapsed()`. The readings feed
+/// wall-clock report fields (`elapsed_secs`, operation rates) and
+/// never a simulated result, a digest or a seed.
+#[expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the bench measures real elapsed time by design; the readings go to \
+              wall-clock report fields and never into simulated results"
+)]
+pub fn wall_clock() -> std::time::Instant {
+    std::time::Instant::now()
+}
+
 /// Runs every scenario of `exp`, fanning `(scenario, sample)` pairs
 /// across the replication runner's threads.
 pub fn run_experiment<E: Experiment + ?Sized>(exp: &E, opts: &Options) -> ExperimentReport {
@@ -302,7 +315,7 @@ pub fn run_experiment<E: Experiment + ?Sized>(exp: &E, opts: &Options) -> Experi
     }
     let seeds: Vec<u64> = items.iter().map(|(_, _, seed)| *seed).collect();
     let runner = ReplicationRunner::new(opts.threads);
-    let started = Instant::now();
+    let started = wall_clock();
     let out = runner.run_seeded(&seeds, |rctx| {
         let (scenario_idx, sample_idx, seed) = items[rctx.index];
         let ctx = SampleCtx {

@@ -76,10 +76,10 @@ impl ComputeServer {
     }
 }
 
-/// Builds the paper's image server `I`: an IDE-class archive with
-/// the Red Hat guest image published under `image_name`.
+/// Builds the paper's image server `I`: an archive with the Red Hat
+/// guest image published under `image_name`.
 pub fn paper_image_server(image_name: &str) -> ImageServer {
-    let mut s = ImageServer::new(DiskModel::new(DiskProfile::ide_2003()));
+    let mut s = ImageServer::new();
     s.publish(gridvm_storage::image::VmImage::redhat_guest(image_name))
         .expect("fresh catalog cannot have duplicates");
     s

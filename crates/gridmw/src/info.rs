@@ -139,7 +139,11 @@ impl Query {
     }
 
     /// `NOT self`.
-    #[allow(clippy::should_implement_trait)]
+    #[expect(
+        clippy::should_implement_trait,
+        reason = "a query combinator named after the query language's NOT, beside `and` and \
+                  `or`; `std::ops::Not` would read as `!query`"
+    )]
     pub fn not(self) -> Query {
         Query::Not(Box::new(self))
     }

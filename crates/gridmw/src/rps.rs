@@ -58,9 +58,11 @@ impl std::error::Error for FitError {}
 
 /// Solves `A x = b` by Gaussian elimination with partial pivoting.
 /// Returns `None` when the system is singular.
-// Index loops are clearer than iterator gymnastics for in-place
-// row elimination (two rows of `a` are borrowed at once).
-#[allow(clippy::needless_range_loop)]
+#[expect(
+    clippy::needless_range_loop,
+    reason = "index loops are clearer than iterator gymnastics for in-place row elimination \
+              (two rows of `a` are borrowed at once)"
+)]
 fn solve(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Option<Vec<f64>> {
     let n = b.len();
     for col in 0..n {

@@ -12,7 +12,6 @@
 //! is evicted), so replications stay bit-identical across thread
 //! counts.
 
-use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// Sentinel index meaning "no node".
@@ -42,6 +41,15 @@ impl Hasher for FastHasher {
     }
 }
 
+/// Key → node index. Lookups only: recency order lives in the
+/// intrusive list, so the map's iteration order is never observed.
+#[expect(
+    clippy::disallowed_types,
+    reason = "LruSet's index map uses the deterministic FastHasher and its iteration order is \
+              never observed; ordering comes from the intrusive list"
+)]
+type IndexMap<K> = std::collections::HashMap<K, u32, BuildHasherDefault<FastHasher>>;
+
 #[derive(Clone, Debug)]
 struct Node<K> {
     key: K,
@@ -66,7 +74,7 @@ struct Node<K> {
 #[derive(Clone, Debug)]
 pub struct LruSet<K> {
     capacity: usize,
-    map: HashMap<K, u32, BuildHasherDefault<FastHasher>>,
+    map: IndexMap<K>,
     nodes: Vec<Node<K>>,
     free: Vec<u32>,
     /// Most-recently-used node.
@@ -85,7 +93,7 @@ impl<K: Eq + Hash + Copy> LruSet<K> {
         assert!(capacity > 0, "zero-capacity LruSet");
         LruSet {
             capacity,
-            map: HashMap::default(),
+            map: IndexMap::default(),
             nodes: Vec::with_capacity(capacity.min(1024)),
             free: Vec::new(),
             head: NIL,
@@ -433,13 +441,13 @@ mod tests {
 mod proptests {
     use super::*;
     use proptest::prelude::*;
-    use std::collections::{BTreeMap, HashMap as StdHashMap};
+    use std::collections::BTreeMap;
 
     /// Reference model: the stamp-based `BTreeMap` LRU the block
     /// caches used before this type existed.
     struct StampLru {
         capacity: usize,
-        resident: StdHashMap<u64, u64>,
+        resident: BTreeMap<u64, u64>,
         by_stamp: BTreeMap<u64, u64>,
         clock: u64,
     }
@@ -448,7 +456,7 @@ mod proptests {
         fn new(capacity: usize) -> Self {
             StampLru {
                 capacity,
-                resident: StdHashMap::new(),
+                resident: BTreeMap::new(),
                 by_stamp: BTreeMap::new(),
                 clock: 0,
             }

@@ -33,7 +33,7 @@
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 use crate::hist::Histogram;
 use crate::stats::OnlineStats;
@@ -286,7 +286,12 @@ thread_local! {
 /// Global slot registry backing [`Counter`] handles: slot index →
 /// counter name. Locked on first use of each handle and when a
 /// context is created or folded, never on the increment path.
-static COUNTER_REGISTRY: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
+#[expect(
+    clippy::disallowed_types,
+    reason = "the counter-name registry interns &'static str names once per process; it never \
+              carries simulation state and contention cannot reorder results"
+)]
+static COUNTER_REGISTRY: std::sync::Mutex<Vec<&'static str>> = std::sync::Mutex::new(Vec::new());
 
 /// A pre-resolved counter handle for hot loops.
 ///

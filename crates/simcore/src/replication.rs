@@ -24,7 +24,7 @@
 //! assert_eq!(serial.results, parallel.results);
 //! ```
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 
 use crate::metrics::{self, Metrics};
 use crate::rng::SimRng;
@@ -172,7 +172,13 @@ impl ReplicationRunner {
             // Work-stealing over an atomic cursor: replication order
             // of *execution* varies with scheduling, but results are
             // keyed by index, so assembly below is deterministic.
-            let next = AtomicUsize::new(0);
+            #[expect(
+                clippy::disallowed_types,
+                reason = "the work-stealing cursor only assigns whole replications to threads; \
+                          each replication's results are computed single-threaded and merged \
+                          in index order"
+            )]
+            let next = std::sync::atomic::AtomicUsize::new(0);
             let mut batches = std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..workers)
                     .map(|_| {

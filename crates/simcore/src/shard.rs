@@ -914,7 +914,7 @@ mod tests {
             site.world.received += 1;
             metrics::counter_add("ping.received", 1);
             site.trace
-                .record(en.now(), "ping", format!("got token {token}"));
+                .record(en.now(), "ping", format_args!("got token {token}"));
         }
     }
 
@@ -933,7 +933,7 @@ mod tests {
             en.schedule_in(SimDuration::from_micros(800 + jitter), [left - 1, 0], tick);
         } else {
             site.trace
-                .record(en.now(), "ping", format!("{} drained", site.id()));
+                .record(en.now(), "ping", format_args!("{} drained", site.id()));
         }
     }
 
@@ -1436,7 +1436,7 @@ mod tests {
         ) {
             let [hops_left, burst_left] = args;
             site.trace
-                .record(en.now(), "burst", format!("{hops_left}/{burst_left}"));
+                .record(en.now(), "burst", format_args!("{hops_left}/{burst_left}"));
             metrics::gauge_set("burst.hops_left", hops_left as f64);
             metrics::timer_record("burst.step_s", 1e-3 * (burst_left + 1) as f64);
             metrics::histogram_record("burst.left", burst_left);

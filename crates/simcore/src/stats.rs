@@ -80,15 +80,6 @@ impl OnlineStats {
         self.mean
     }
 
-    /// Population variance (divides by n; 0 when empty).
-    pub fn population_variance(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
     /// Sample variance (divides by n−1; 0 when fewer than 2 samples).
     pub fn sample_variance(&self) -> f64 {
         if self.count < 2 {
@@ -262,14 +253,13 @@ mod proptests {
             prop_assert_eq!(merged.count(), joint.count());
             if !joint.is_empty() {
                 prop_assert!((merged.mean() - joint.mean()).abs() < 1e-6);
-                prop_assert!((merged.population_variance() - joint.population_variance()).abs() < 1e-3);
+                prop_assert!((merged.sample_variance() - joint.sample_variance()).abs() < 1e-3);
             }
         }
 
         #[test]
         fn variance_is_never_negative(xs in proptest::collection::vec(-1e9f64..1e9, 1..100)) {
             let s: OnlineStats = xs.iter().copied().collect();
-            prop_assert!(s.population_variance() >= 0.0);
             prop_assert!(s.sample_variance() >= 0.0);
             prop_assert!(s.min() <= s.mean() + 1e-9);
             prop_assert!(s.max() >= s.mean() - 1e-9);

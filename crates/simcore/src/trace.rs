@@ -167,12 +167,11 @@ impl TraceLog {
     /// sampled-out entries count as dropped (surfaced by experiment
     /// summaries, like ring evictions).
     ///
-    /// The message is formatted into the entry's `String` only once
-    /// the entry is kept, so a sampled-out entry formats nothing. Pass
-    /// `format_args!` rather than `format!`, which would allocate the
-    /// message up front for nothing (the `trace-format` audit rule
-    /// flags it in library code).
-    pub fn record(&mut self, time: SimTime, category: &'static str, message: impl fmt::Display) {
+    /// The message is a `format_args!`, formatted into the entry's
+    /// `String` only once the entry is kept, so a sampled-out entry
+    /// formats nothing. A `format!` String is rejected at compile time
+    /// (E0308): it would allocate the message up front for nothing.
+    pub fn record(&mut self, time: SimTime, category: &'static str, message: fmt::Arguments<'_>) {
         if let Some(s) = &mut self.sampler {
             let seq = s.seq.entry(category).or_insert(0);
             let keep = keep_per_mille(s.seed, category, *seq, s.rate_per_mille);
@@ -257,9 +256,9 @@ mod tests {
     #[test]
     fn records_and_filters() {
         let mut log = TraceLog::with_capacity(10);
-        log.record(t(1), "vmm", "boot");
-        log.record(t(2), "vfs", "read");
-        log.record(t(3), "vmm", "ready");
+        log.record(t(1), "vmm", format_args!("boot"));
+        log.record(t(2), "vfs", format_args!("read"));
+        log.record(t(3), "vmm", format_args!("ready"));
         assert_eq!(log.len(), 3);
         let vmm: Vec<_> = log
             .entries()
@@ -289,7 +288,7 @@ mod tests {
     fn evicts_oldest_when_full() {
         let mut log = TraceLog::with_capacity(3);
         for i in 0..5 {
-            log.record(t(i), "x", format!("m{i}"));
+            log.record(t(i), "x", format_args!("m{i}"));
         }
         assert_eq!(log.len(), 3);
         assert_eq!(log.dropped(), 2);
@@ -303,7 +302,7 @@ mod tests {
         assert!(log.entries.capacity() >= 4096, "no regrow mid-run");
         let mut log = log;
         for i in 0..5000 {
-            log.record(t(i), "x", format!("m{i}"));
+            log.record(t(i), "x", format_args!("m{i}"));
         }
         assert_eq!(log.len(), 4096);
         assert_eq!(log.dropped(), 904);
@@ -321,11 +320,11 @@ mod tests {
         let formatted = std::cell::Cell::new(0);
         let mut sampled_out = TraceLog::with_sampling(8, 0, 1);
         for i in 0..10 {
-            sampled_out.record(t(i), "x", Counted(&formatted));
+            sampled_out.record(t(i), "x", format_args!("{}", Counted(&formatted)));
         }
         assert_eq!(formatted.get(), 0, "dropped entries format nothing");
         let mut kept = TraceLog::with_capacity(8);
-        kept.record(t(0), "x", Counted(&formatted));
+        kept.record(t(0), "x", format_args!("{}", Counted(&formatted)));
         assert_eq!(formatted.get(), 1);
         assert_eq!(kept.entries().next().map(|e| e.message.as_str()), Some("m"));
     }
@@ -347,13 +346,13 @@ mod tests {
         let mut a = TraceLog::with_capacity(8);
         let mut b = TraceLog::with_capacity(8);
         for log in [&mut a, &mut b] {
-            log.record(t(1), "vmm", "boot");
-            log.record(t(2), "vfs", "read");
+            log.record(t(1), "vmm", format_args!("boot"));
+            log.record(t(2), "vfs", format_args!("read"));
         }
         assert_eq!(a.digest(), b.digest());
         let mut c = TraceLog::with_capacity(8);
-        c.record(t(2), "vfs", "read");
-        c.record(t(1), "vmm", "boot");
+        c.record(t(2), "vfs", format_args!("read"));
+        c.record(t(1), "vmm", format_args!("boot"));
         assert_ne!(a.digest(), c.digest(), "order matters");
         assert_eq!(
             TraceLog::default().digest(),
@@ -367,9 +366,9 @@ mod tests {
         let log = |seed, chatty: bool| {
             let mut log = TraceLog::with_sampling(4096, 300, seed);
             for i in 0..2000u64 {
-                log.record(t(i), "vo", format!("s{i}"));
+                log.record(t(i), "vo", format_args!("s{i}"));
                 if chatty {
-                    log.record(t(i), "chatty", format!("c{i}"));
+                    log.record(t(i), "chatty", format_args!("c{i}"));
                 }
             }
             log
@@ -407,8 +406,8 @@ mod tests {
         let mut none = TraceLog::with_sampling(64, 0, 1);
         let mut all = TraceLog::with_sampling(64, 1000, 1);
         for i in 0..50u64 {
-            none.record(t(i), "x", "m");
-            all.record(t(i), "x", "m");
+            none.record(t(i), "x", format_args!("m"));
+            all.record(t(i), "x", format_args!("m"));
         }
         assert!(none.is_empty());
         assert_eq!(none.dropped(), 50);
@@ -422,7 +421,7 @@ mod tests {
     fn sampled_log_still_bounds_the_ring() {
         let mut log = TraceLog::with_sampling(8, 1000, 1);
         for i in 0..20u64 {
-            log.record(t(i), "x", format!("m{i}"));
+            log.record(t(i), "x", format_args!("m{i}"));
         }
         assert_eq!(log.len(), 8, "ring bound still applies");
         assert_eq!(log.sampled(), 20);
@@ -432,8 +431,8 @@ mod tests {
     #[test]
     fn clear_preserves_drop_count() {
         let mut log = TraceLog::with_capacity(1);
-        log.record(t(0), "x", "a");
-        log.record(t(1), "x", "b");
+        log.record(t(0), "x", format_args!("a"));
+        log.record(t(1), "x", format_args!("b"));
         assert_eq!(log.dropped(), 1);
         log.clear();
         assert!(log.is_empty());

@@ -16,8 +16,8 @@
 //!   Both go through the [`disk`] timing model, whose
 //!   [`cache`] (host buffer cache) reproduces the paper's
 //!   warm-after-copy effects.
-//! * [`image`] catalogs the images; [`imageserver`] serves their
-//!   blocks on demand (Section 3.1 "image management").
+//! * [`image`] catalogs the images; [`imageserver`] archives them
+//!   for staging (Section 3.1 "image management").
 //!
 //! Data is held sparsely: unwritten blocks have deterministic
 //! synthetic content, so a 2 GB disk costs memory proportional to the

@@ -310,17 +310,17 @@ mod session_replication_proptest {
         log.record(
             SimTime::ZERO,
             "session",
-            format!("lease {}", report.address),
+            format_args!("lease {}", report.address),
         );
         log.record(
             SimTime::ZERO + report.startup.total,
             "session",
-            "vm ready".to_owned(),
+            format_args!("vm ready"),
         );
         log.record(
             SimTime::ZERO + report.total,
             "session",
-            format!("app done after {:?}", report.app),
+            format_args!("app done after {:?}", report.app),
         );
         (report.total.as_nanos(), trace_digest(&log))
     }
