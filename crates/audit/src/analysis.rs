@@ -194,7 +194,7 @@ fn parse_struct(
 /// The last path-segment identifier of the type starting at
 /// `toks[at]`, before any generic arguments: `Vec` for
 /// `std::vec::Vec<u8>`, `Mutex` for `&'a mut sync::Mutex<T>`.
-pub fn type_name(toks: &[Token], at: usize) -> Option<String> {
+fn type_name(toks: &[Token], at: usize) -> Option<String> {
     let mut last: Option<String> = None;
     let mut j = at;
     while j < toks.len() {
@@ -215,7 +215,7 @@ pub fn type_name(toks: &[Token], at: usize) -> Option<String> {
 
 /// The token range of a balanced delimiter pair opening at
 /// `toks[open]`, inclusive of both delimiters.
-pub fn balanced(toks: &[Token], open: usize, l: char, r: char) -> Option<Range<usize>> {
+fn balanced(toks: &[Token], open: usize, l: char, r: char) -> Option<Range<usize>> {
     if !toks.get(open).is_some_and(|t| t.is_punct(l)) {
         return None;
     }

@@ -19,7 +19,7 @@
 /// What a token is, with enough payload for rule matching.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TokenKind {
-    /// An identifier or keyword (`BTreeMap`, `for`, `clone`, ...).
+    /// An identifier or keyword (`HashMap`, `for`, `unwrap`, ...).
     Ident(String),
     /// One punctuation character (`.`, `:`, `{`, `+`, ...).
     Punct(char),
@@ -125,7 +125,7 @@ pub struct LineComment {
 
 /// One source file, lexed: its code tokens and its plain line
 /// comments, both in source order.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct Lexed {
     /// The code tokens.
     pub tokens: Vec<Token>,
@@ -383,16 +383,16 @@ mod tests {
     #[test]
     fn comments_and_strings_are_invisible() {
         let src = r##"
-            // BTreeMap in a line comment
-            /* BTreeMap in /* a nested */ block */
-            let s = "BTreeMap in a string";
-            let r = r#"BTreeMap in a raw "quoted" string"#;
-            let b = b"BTreeMap bytes";
-            let real = BTreeMap::new();
+            // HashMap in a line comment
+            /* HashMap in /* a nested */ block */
+            let s = "HashMap in a string";
+            let r = r#"HashMap in a raw "quoted" string"#;
+            let b = b"HashMap bytes";
+            let real = HashMap::new();
         "##;
         let ids = idents(src);
         assert_eq!(
-            ids.iter().filter(|i| *i == "BTreeMap").count(),
+            ids.iter().filter(|i| *i == "HashMap").count(),
             1,
             "only the code mention survives: {ids:?}"
         );

@@ -190,8 +190,7 @@ pub fn scan_source(rel_path: &str, src: &str, allow: &Allowlist) -> FileReport {
     let lexed = lex(src);
     let (inline, mut all) = collect_inline_allows(&lexed.comments);
     if allow.is_hot(rel_path) {
-        let test_regions = rules::test_regions(&lexed.tokens);
-        all.extend(rules::scan_hot(&lexed.tokens, &test_regions));
+        all.extend(rules::scan_hot(&lexed.tokens));
     }
     all.sort_by_key(|f| (f.line, f.col, f.rule));
     let mut used_inline = vec![false; inline.len()];

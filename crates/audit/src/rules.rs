@@ -23,7 +23,7 @@ use crate::lexer::{Token, TokenKind};
 /// One diagnostic produced by the scanner.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Finding {
-    /// The rule that fired (e.g. `"hash-container"`).
+    /// The rule that fired (e.g. `"alloc-in-hot"`).
     pub rule: &'static str,
     /// 1-based source line.
     pub line: u32,
@@ -64,10 +64,11 @@ pub const RULES: &[RuleInfo] = &[
     },
 ];
 
-/// Scans the tokens of one `[hot_paths]` file, skipping the
-/// `test_regions` (token ranges of `#[cfg(test)]` items), and returns
-/// every `hot-btree-lookup` and `alloc-in-hot` finding.
-pub fn scan_hot(toks: &[Token], test_regions: &[Range<usize>]) -> Vec<Finding> {
+/// Scans the tokens of one `[hot_paths]` file, skipping
+/// `#[cfg(test)]` items, and returns every `hot-btree-lookup` and
+/// `alloc-in-hot` finding (rule by rule, each in source order).
+pub fn scan_hot(toks: &[Token]) -> Vec<Finding> {
+    let test_regions = test_regions(toks);
     let in_test = |i: usize| test_regions.iter().any(|r| r.contains(&i));
     let mut out = Vec::new();
     for (i, t) in toks.iter().enumerate() {
@@ -88,7 +89,6 @@ pub fn scan_hot(toks: &[Token], test_regions: &[Range<usize>]) -> Vec<Finding> {
         }
     }
     scan_alloc_in_hot(toks, &in_test, &mut out);
-    out.sort_by_key(|f| (f.line, f.col, f.rule));
     out
 }
 
@@ -194,7 +194,7 @@ fn scan_alloc_in_hot(toks: &[Token], in_test: &dyn Fn(usize) -> bool, out: &mut 
 }
 
 /// Token index ranges covered by `#[cfg(test)]` items.
-pub fn test_regions(toks: &[Token]) -> Vec<Range<usize>> {
+fn test_regions(toks: &[Token]) -> Vec<Range<usize>> {
     let mut regions = Vec::new();
     let mut i = 0;
     while i < toks.len() {
@@ -247,10 +247,7 @@ mod tests {
 
     fn rules_fired(src: &str) -> Vec<&'static str> {
         let toks = tokenize(src);
-        scan_hot(&toks, &test_regions(&toks))
-            .into_iter()
-            .map(|f| f.rule)
-            .collect()
+        scan_hot(&toks).into_iter().map(|f| f.rule).collect()
     }
 
     #[test]

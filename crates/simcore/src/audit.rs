@@ -1,7 +1,8 @@
 //! Runtime invariant audit layer.
 //!
-//! The static half of the determinism story is `gridvm-audit` (the
-//! workspace linter); this module is the runtime half. It gives the
+//! The static half of the determinism story is the compiler's (the
+//! root `clippy.toml` and the workspace lints) plus `gridvm-audit`
+//! (the hot-path linter); this module is the runtime half. It gives the
 //! kernel's data structures `audit()` methods that re-verify their
 //! structural invariants from first principles:
 //!

@@ -118,9 +118,10 @@
 //! No lock, atomic or barrier coordinates the threads. Each window
 //! lends every site by `&mut` to exactly one thread, and the scope's
 //! join returns them, so the borrow checker proves that a site has one
-//! owner per window. The `sync-primitive` audit rule holds this module
-//! to that as it does all sim-state code: ad-hoc cross-thread
-//! coordination is how scheduling order leaks into results.
+//! owner per window. `clippy.toml` holds this module to that as it
+//! does every workspace crate, by disallowing locks and atomics:
+//! ad-hoc cross-thread coordination is how scheduling order leaks into
+//! results.
 //!
 //! A site's outbox is private to this module: only [`SiteState::send`]
 //! fills it and only the two executors' drains empty it, so no code
