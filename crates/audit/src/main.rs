@@ -117,7 +117,7 @@ fn main() -> ExitCode {
     if opts.list_rules {
         println!("gridvm-audit rule catalogue:\n");
         for rule in RULES {
-            println!("  {:<22} {}", rule.name, rule.summary);
+            println!("  {:<20} {}", rule.name, rule.summary);
         }
         println!(
             "\nSuppressions live in audit.toml ([[allow]] rule/path/reason) or inline\n\

@@ -54,6 +54,17 @@ fn bad_hot_btree_fixture_fires_only_when_listed_hot() {
             ("hot-btree-lookup", 8, 12),
         ]
     );
+
+    // An allowlist entry with a written reason suppresses it, like
+    // any other rule.
+    let allow = hot("[[allow]]\n\
+         rule = \"hot-btree-lookup\"\n\
+         path = \"crates/audit/tests/fixtures\"\n\
+         reason = \"fixture exercises suppression\"\n");
+    let (rel, src) = fixture("bad_hot_btree.rs");
+    let report = scan_source(&rel, &src, &allow);
+    assert!(report.findings.is_empty());
+    assert_eq!(report.suppressed.len(), 4);
 }
 
 #[test]
