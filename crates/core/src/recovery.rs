@@ -777,6 +777,26 @@ mod tests {
     }
 
     #[test]
+    fn image_the_cluster_does_not_hold_fails_establishment() {
+        let mut cluster = Cluster::paper_lan(3, "rh72", "userX");
+        let mut req = request();
+        req.image = "winxp".into();
+        let err = run_resilient_session(
+            &mut cluster,
+            &req,
+            &RecoveryConfig::default(),
+            &FaultPlan::new(),
+            &mut SimRng::seed_from(1),
+            &mut TraceLog::default(),
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            ChaosError::Establish(SessionError::NoImageServer("winxp".into()))
+        );
+    }
+
+    #[test]
     fn every_host_dead_is_a_typed_failure() {
         let mut plan = FaultPlan::new();
         for node in ["node0", "node1", "node2"] {

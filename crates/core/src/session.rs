@@ -287,6 +287,14 @@ mod tests {
     use gridvm_vnet::addr::Subnet;
 
     fn world() -> GridWorld {
+        world_advertising(&["rh72"], &["rh72"])
+    }
+
+    /// The Figure 3 world with a VM future that can instantiate
+    /// `future_images` and an image-server record advertising
+    /// `server_images`; the image server itself holds only `rh72`.
+    fn world_advertising(future_images: &[&str], server_images: &[&str]) -> GridWorld {
+        let images = |names: &[&str]| names.iter().map(|&n| n.to_owned()).collect();
         let mut info = InfoService::new().with_propagation(SimDuration::ZERO);
         let host = info.register(
             SimTime::ZERO,
@@ -302,7 +310,7 @@ mod tests {
             "compute-site",
             ResourceKind::VmFuture {
                 host,
-                images: vec!["rh72".into()],
+                images: images(future_images),
                 available_slots: 4,
             },
         );
@@ -310,7 +318,7 @@ mod tests {
             SimTime::ZERO,
             "image-site",
             ResourceKind::ImageServer {
-                images: vec!["rh72".into()],
+                images: images(server_images),
             },
         );
         GridWorld {
@@ -369,6 +377,32 @@ mod tests {
         let before = w.info.len();
         let err = GridSession::establish(&mut w, &req, &mut rng).unwrap_err();
         assert_eq!(err, SessionError::NoMatchingFuture);
+        assert_eq!(w.info.len(), before, "no VM registered on failure");
+    }
+
+    #[test]
+    fn image_no_server_advertises_fails_cleanly() {
+        // A VM future can instantiate winxp, but no image server
+        // advertises it.
+        let mut w = world_advertising(&["rh72", "winxp"], &["rh72"]);
+        let mut req = request();
+        req.image = "winxp".into();
+        let before = w.info.len();
+        let err = GridSession::establish(&mut w, &req, &mut SimRng::seed_from(6)).unwrap_err();
+        assert_eq!(err, SessionError::NoImageServer("winxp".into()));
+        assert_eq!(w.info.len(), before, "no VM registered on failure");
+    }
+
+    #[test]
+    fn advertised_image_the_server_does_not_hold_fails_cleanly() {
+        // The directory advertises winxp, but the image server archives
+        // only rh72.
+        let mut w = world_advertising(&["rh72", "winxp"], &["rh72", "winxp"]);
+        let mut req = request();
+        req.image = "winxp".into();
+        let before = w.info.len();
+        let err = GridSession::establish(&mut w, &req, &mut SimRng::seed_from(7)).unwrap_err();
+        assert_eq!(err, SessionError::NoImageServer("winxp".into()));
         assert_eq!(w.info.len(), before, "no VM registered on failure");
     }
 
