@@ -40,7 +40,7 @@ use gridvm_simcore::trace::TraceLog;
 use gridvm_simcore::units::ByteSize;
 use gridvm_storage::block::BlockAddr;
 use gridvm_storage::disk::AccessKind;
-use gridvm_storage::imageserver::ImageServer;
+use gridvm_storage::image::ImageCatalog;
 use gridvm_vfs::mount::Transport;
 use gridvm_vmm::exec::{run_app, ExecMode, LocalDiskStorage};
 use gridvm_vmm::snapshot::SuspendImage;
@@ -67,8 +67,8 @@ pub struct Cluster {
     pub hosts: Vec<ComputeServer>,
     /// The VM-future record of each host (parallel to `hosts`).
     pub futures: Vec<ResourceId>,
-    /// The image server `I`.
-    pub image_server: ImageServer,
+    /// The image server `I`: the catalog of images it archives.
+    pub image_server: ImageCatalog,
     /// The user's data server, when deployed.
     pub data_server: Option<gridvm_vfs::server::NfsServer>,
     /// Address allocation on the compute site's network.

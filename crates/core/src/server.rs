@@ -6,7 +6,7 @@ use gridvm_gridmw::gram::GramServer;
 use gridvm_host::HostConfig;
 use gridvm_simcore::units::ByteSize;
 use gridvm_storage::disk::{DiskModel, DiskProfile};
-use gridvm_storage::imageserver::ImageServer;
+use gridvm_storage::image::{ImageCatalog, VmImage};
 use gridvm_vfs::server::NfsServer;
 use gridvm_vmm::VirtCostModel;
 
@@ -76,11 +76,11 @@ impl ComputeServer {
     }
 }
 
-/// Builds the paper's image server `I`: an archive with the Red Hat
-/// guest image published under `image_name`.
-pub fn paper_image_server(image_name: &str) -> ImageServer {
-    let mut s = ImageServer::new();
-    s.publish(gridvm_storage::image::VmImage::redhat_guest(image_name))
+/// Builds the paper's image server `I`: a catalog holding the Red Hat
+/// guest image under `image_name`.
+pub fn paper_image_server(image_name: &str) -> ImageCatalog {
+    let mut s = ImageCatalog::new();
+    s.register(VmImage::redhat_guest(image_name))
         .expect("fresh catalog cannot have duplicates");
     s
 }

@@ -14,7 +14,7 @@
 use gridvm_gridmw::info::{InfoService, Query, ResourceId, ResourceKind};
 use gridvm_simcore::rng::SimRng;
 use gridvm_simcore::time::{SimDuration, SimTime};
-use gridvm_storage::imageserver::ImageServer;
+use gridvm_storage::image::ImageCatalog;
 use gridvm_vfs::mount::{Mount, Transport};
 use gridvm_vfs::proxy::{ProxyConfig, VfsProxy};
 use gridvm_vfs::server::NfsServer;
@@ -49,8 +49,8 @@ pub struct GridWorld {
     pub info: InfoService,
     /// The virtualized compute server `V`.
     pub compute: ComputeServer,
-    /// The image server `I`.
-    pub image_server: ImageServer,
+    /// The image server `I`: the catalog of images it archives.
+    pub image_server: ImageCatalog,
     /// The user's data server `D`.
     pub data_server: Option<NfsServer>,
     /// Address allocation on the compute site's network.

@@ -163,21 +163,6 @@ impl ImageCatalog {
             .cloned()
             .ok_or_else(|| CatalogError::NotFound(name.to_owned()))
     }
-
-    /// Iterates images in name order.
-    pub fn iter(&self) -> impl Iterator<Item = &Arc<VmImage>> {
-        self.images.values()
-    }
-
-    /// Number of images.
-    pub fn len(&self) -> usize {
-        self.images.len()
-    }
-
-    /// True when no images are registered.
-    pub fn is_empty(&self) -> bool {
-        self.images.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -208,18 +193,14 @@ mod tests {
     #[test]
     fn catalog_round_trip() {
         let mut cat = ImageCatalog::new();
-        assert!(cat.is_empty());
         cat.register(VmImage::redhat_guest("a")).unwrap();
         cat.register(VmImage::redhat_guest("b")).unwrap();
-        assert_eq!(cat.len(), 2);
         assert_eq!(cat.lookup("a").unwrap().name, "a");
         assert!(matches!(cat.lookup("zzz"), Err(CatalogError::NotFound(_))));
         assert!(matches!(
             cat.register(VmImage::redhat_guest("a")),
             Err(CatalogError::Duplicate(_))
         ));
-        let names: Vec<&str> = cat.iter().map(|i| i.name.as_str()).collect();
-        assert_eq!(names, vec!["a", "b"], "iteration is name-ordered");
     }
 
     #[test]

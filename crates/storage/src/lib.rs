@@ -2,7 +2,8 @@
 //!
 //! Storage substrate for the gridvm suite: sparse block stores,
 //! copy-on-write overlays, disk timing with a host buffer cache, VM
-//! images, image servers and whole-image staging.
+//! images with the catalog an image server keeps, and whole-image
+//! staging.
 //!
 //! The paper's Table 2 hinges on exactly these mechanisms:
 //!
@@ -16,8 +17,8 @@
 //!   Both go through the [`disk`] timing model, whose
 //!   [`cache`] (host buffer cache) reproduces the paper's
 //!   warm-after-copy effects.
-//! * [`image`] catalogs the images; [`imageserver`] archives them
-//!   for staging (Section 3.1 "image management").
+//! * [`image`] catalogs the images an image server archives for
+//!   staging (Section 3.1 "image management").
 //!
 //! Data is held sparsely: unwritten blocks have deterministic
 //! synthetic content, so a 2 GB disk costs memory proportional to the
@@ -31,7 +32,6 @@ pub mod cache;
 pub mod cow;
 pub mod disk;
 pub mod image;
-pub mod imageserver;
 pub mod staging;
 
 pub use block::{BlockAddr, BlockStore, MemBlockStore, StorageError};
@@ -39,4 +39,3 @@ pub use cache::BufferCache;
 pub use cow::CowOverlay;
 pub use disk::{DiskModel, DiskProfile};
 pub use image::{ImageCatalog, VmImage};
-pub use imageserver::ImageServer;
