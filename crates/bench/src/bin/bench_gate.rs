@@ -7,16 +7,15 @@
 //! ```text
 //! cargo run --release -p gridvm-bench --bin bench_gate -- \
 //!     --committed BENCH_simcore.json --fresh /tmp/fresh.json \
-//!     --gate "engine: chained events" \
-//!     --gate "overlay: routed packet churn=0.40" \
-//!     [--max-drop 0.30]
+//!     --gate "engine: chained events=0.45" \
+//!     --gate "overlay: routed packet churn=0.55"
 //! ```
 //!
-//! Each `--gate` names one scenario, optionally with its own tolerated
-//! drop after `=` (labels contain `:`, so `=` is the separator);
-//! scenarios without one use `--max-drop` (default 30%). With no
-//! `--gate` flags the engine chained-event loop is gated alone, as
-//! before. The gate fails (exit 1) when any fresh `ops_per_sec` mean
+//! Each `--gate` names one scenario and its tolerated drop after `=`
+//! (labels contain `:`, so `=` is the separator). A gate without a
+//! drop, or no `--gate` at all, is a usage error (exit 2): each
+//! scenario's noise differs, so no default threshold fits them all.
+//! The gate fails (exit 1) when any fresh `ops_per_sec` mean
 //! drops more than its threshold below the committed mean — every
 //! gated scenario is checked and reported before the verdict, so one
 //! run shows all regressions. Only drops fail: wall-clock throughput
@@ -30,15 +29,8 @@
 
 use std::process::ExitCode;
 
-/// Scenario gated by default: the engine chained-event loop is the
-/// substrate headline number every reproduction binary rides on.
-const DEFAULT_SCENARIO: &str = "engine: chained events";
-
-/// Default tolerated drop below the committed mean. Generous because
-/// CI machines are noisy and slower than the machine that recorded
-/// the committed point; the gate exists to catch order-of-magnitude
-/// regressions (an accidental O(n) in the hot loop), not 10% drifts.
-const DEFAULT_MAX_DROP: f64 = 0.30;
+const USAGE: &str = "usage: bench_gate --committed FILE --fresh FILE \
+                     --gate \"label=drop\" [--gate \"label=drop\" ...]";
 
 /// Extracts the `ops_per_sec` mean for `scenario` from a
 /// `gridvm-bench/v1` report: finds the scenario's label, then the
@@ -99,82 +91,62 @@ fn same_mode(committed: &str, fresh: &str) -> Result<(), String> {
     }
 }
 
-/// One gated scenario: its label and, when given, a per-scenario
-/// tolerated drop overriding `--max-drop`.
+/// One gated scenario: its label and its tolerated drop below the
+/// committed mean.
 struct Gate {
     scenario: String,
-    max_drop: Option<f64>,
+    max_drop: f64,
 }
 
-/// Parses a `--gate` operand: `"label"` or `"label=drop"`. Labels
-/// contain `:`, so `=` is the threshold separator.
+/// Parses a `--gate` operand, `"label=drop"`. Labels contain `:`, so
+/// `=` is the threshold separator.
 fn parse_gate(spec: &str) -> Result<Gate, String> {
-    match spec.rsplit_once('=') {
-        None => Ok(Gate {
-            scenario: spec.to_owned(),
-            max_drop: None,
-        }),
-        Some((label, drop)) => {
-            let drop = drop
-                .parse::<f64>()
-                .map_err(|e| format!("--gate {spec:?}: bad drop: {e}"))?;
-            if !(0.0..1.0).contains(&drop) {
-                return Err(format!("--gate {spec:?}: drop must be in [0, 1)"));
-            }
-            Ok(Gate {
-                scenario: label.to_owned(),
-                max_drop: Some(drop),
-            })
-        }
+    let (label, drop) = spec
+        .rsplit_once('=')
+        .ok_or_else(|| format!("--gate {spec:?}: give the tolerated drop as `label=drop`"))?;
+    let drop = drop
+        .parse::<f64>()
+        .map_err(|e| format!("--gate {spec:?}: bad drop: {e}"))?;
+    if !(0.0..1.0).contains(&drop) {
+        return Err(format!("--gate {spec:?}: drop must be in [0, 1)"));
     }
+    Ok(Gate {
+        scenario: label.to_owned(),
+        max_drop: drop,
+    })
 }
 
 struct Args {
     committed: String,
     fresh: String,
     gates: Vec<Gate>,
-    max_drop: f64,
 }
 
-fn parse_args() -> Result<Args, String> {
+/// Parses the command line (without the program name).
+fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut committed = None;
     let mut fresh = None;
     let mut gates = Vec::new();
-    let mut max_drop = DEFAULT_MAX_DROP;
-    let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let mut value = |flag: &str| it.next().ok_or_else(|| format!("{flag} requires a value"));
         match flag.as_str() {
             "--committed" => committed = Some(value("--committed")?),
             "--fresh" => fresh = Some(value("--fresh")?),
             "--gate" => gates.push(parse_gate(&value("--gate")?)?),
-            "--max-drop" => {
-                max_drop = value("--max-drop")?
-                    .parse::<f64>()
-                    .map_err(|e| format!("--max-drop: {e}"))?;
-                if !(0.0..1.0).contains(&max_drop) {
-                    return Err("--max-drop must be in [0, 1)".to_owned());
-                }
-            }
             other => return Err(format!("unknown flag {other}")),
         }
     }
     if gates.is_empty() {
-        gates.push(Gate {
-            scenario: DEFAULT_SCENARIO.to_owned(),
-            max_drop: None,
-        });
+        return Err("at least one --gate \"label=drop\" is required".to_owned());
     }
     Ok(Args {
         committed: committed.ok_or("--committed <file> is required")?,
         fresh: fresh.ok_or("--fresh <file> is required")?,
         gates,
-        max_drop,
     })
 }
 
-fn run() -> Result<(), String> {
-    let args = parse_args()?;
+fn run(args: &Args) -> Result<(), String> {
     let committed = std::fs::read_to_string(&args.committed)
         .map_err(|e| format!("reading {}: {e}", args.committed))?;
     let fresh =
@@ -182,15 +154,14 @@ fn run() -> Result<(), String> {
     same_mode(&committed, &fresh)?;
     let mut regressions = Vec::new();
     for gate in &args.gates {
-        let drop = gate.max_drop.unwrap_or(args.max_drop);
         let want = ops_per_sec_mean(&committed, &gate.scenario)?;
         let got = ops_per_sec_mean(&fresh, &gate.scenario)?;
-        let floor = want * (1.0 - drop);
+        let floor = want * (1.0 - gate.max_drop);
         println!(
             "bench_gate: {:?} committed {want:.0} ops/sec, fresh {got:.0} ops/sec, floor \
              {floor:.0} (max drop {:.0}%)",
             gate.scenario,
-            drop * 100.0
+            gate.max_drop * 100.0
         );
         if got < floor {
             regressions.push(format!(
@@ -208,7 +179,14 @@ fn run() -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    match run() {
+    let args = match parse_args(std::env::args().skip(1)) {
+        Ok(args) => args,
+        Err(e) => {
+            eprintln!("bench_gate: {e}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
+    match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("bench_gate: FAIL: {e}");
@@ -253,10 +231,25 @@ mod tests {
     }
 
     #[test]
-    fn gate_spec_without_threshold_uses_global_drop() {
-        let g = parse_gate("overlay: routed packet churn").unwrap();
-        assert_eq!(g.scenario, "overlay: routed packet churn");
-        assert_eq!(g.max_drop, None);
+    fn gate_without_threshold_or_no_gate_is_rejected() {
+        let err = parse_gate("overlay: routed packet churn")
+            .err()
+            .expect("a gate needs its drop");
+        assert!(err.contains("label=drop"), "{err}");
+        let args = |list: &[&str]| parse_args(list.iter().map(|&a| a.to_owned()));
+        let err = args(&["--committed", "c.json", "--fresh", "f.json"])
+            .err()
+            .expect("at least one gate is required");
+        assert!(err.contains("--gate"), "{err}");
+        assert!(args(&[
+            "--committed",
+            "c.json",
+            "--fresh",
+            "f.json",
+            "--gate",
+            "x=0.5"
+        ])
+        .is_ok());
     }
 
     #[test]
@@ -264,7 +257,7 @@ mod tests {
         // Labels contain ':', so '=' separates the per-scenario drop.
         let g = parse_gate("slot: insert/remove/get churn=0.45").unwrap();
         assert_eq!(g.scenario, "slot: insert/remove/get churn");
-        assert_eq!(g.max_drop, Some(0.45));
+        assert_eq!(g.max_drop, 0.45);
     }
 
     #[test]
