@@ -30,6 +30,15 @@ impl fmt::Debug for SimRng {
     }
 }
 
+/// Multiplier of [`SimRng::split`]'s label fold. The fold has FNV-1a's
+/// shape (offset basis, xor, multiply) but not its prime: FNV's 64-bit
+/// prime is `0x100_0000_01b3` (the one `fault::Fnv` uses), and this
+/// value has one zero more. It is odd, so each step stays a bijection
+/// of the hash state, and SplitMix64 mixes the result afterwards. It
+/// stays as it is because every label-derived seed, and with them
+/// every pinned digest and golden, depends on it.
+const SPLIT_LABEL_MULTIPLIER: u64 = 0x1000_0000_01b3;
+
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
@@ -60,10 +69,11 @@ impl SimRng {
     /// generator's *seed lineage* and `label`, and drawing from the
     /// child does not advance the parent.
     pub fn split(&self, label: &str) -> SimRng {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325; // FNV-1a offset basis
+        // FNV-1a's offset basis, folded with `SPLIT_LABEL_MULTIPLIER`.
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for b in label.as_bytes() {
             h ^= u64::from(*b);
-            h = h.wrapping_mul(0x1000_0000_01b3);
+            h = h.wrapping_mul(SPLIT_LABEL_MULTIPLIER);
         }
         // Mix the label hash with the current state without advancing it.
         let mut sm = h ^ self.s[0].rotate_left(17) ^ self.s[2];
