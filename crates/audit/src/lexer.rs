@@ -8,7 +8,7 @@
 //! column of every surviving token — exactly the information a
 //! diagnostic needs. It also reports the plain `//` line comments
 //! (not `///` or `//!` doc comments, and never text inside a literal),
-//! which is where inline suppressions live.
+//! which is where hot-path markers and receipts live.
 //!
 //! It is deliberately not a full Rust lexer: numeric literals are
 //! folded into a single token kind, punctuation is emitted one

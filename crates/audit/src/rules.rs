@@ -2,8 +2,9 @@
 //!
 //! Each rule is a short token-sequence pattern over the output of
 //! [`crate::lexer`], evaluated outside `#[cfg(test)]` items. The
-//! token rules apply only to files listed under `[hot_paths]` in
-//! `audit.toml`, a file-list scope that clippy cannot express;
+//! token rules apply only to files that carry a
+//! `// audit:hot-path: <what runs per event here>` marker, a file-list
+//! scope that clippy cannot express;
 //! `alloc-in-hot` also reads the [`crate::analysis`] item index to tell
 //! constructors from steady-state code. Every determinism hazard that
 //! rustc or clippy can reject is rejected there instead (the root
@@ -11,9 +12,9 @@
 //!
 //! | rule | hazard |
 //! |------|--------|
-//! | `hot-btree-lookup`| `BTreeMap`/`BTreeSet` in a `[hot_paths]` file: O(log n) lookups on a measured hot path |
-//! | `alloc-in-hot`    | heap allocation in a non-constructor function of a `[hot_paths]` file: measured hot paths are allocation-free in steady state |
-//! | `malformed-suppression` | an inline allow comment with no reason or an unknown rule name: a suppression that cannot match fails open |
+//! | `hot-btree-lookup`| `BTreeMap`/`BTreeSet` in a hot-path file: O(log n) lookups on a measured hot path |
+//! | `alloc-in-hot`    | heap allocation in a non-constructor function of a hot-path file: measured hot paths are allocation-free in steady state |
+//! | `malformed-suppression` | a receipt with no reason or an unknown rule name, or a hot-path marker with no reason: a comment that cannot say why fails open |
 
 use std::ops::Range;
 
@@ -33,9 +34,9 @@ pub struct Finding {
     pub message: String,
 }
 
-/// A rule's catalogue entry, for `--list-rules` and DESIGN.md.
+/// A rule's catalogue entry, for RULES.md.
 pub struct RuleInfo {
-    /// Rule identifier as it appears in diagnostics and `audit.toml`.
+    /// Rule identifier as it appears in diagnostics and receipts.
     pub name: &'static str,
     /// One-line description of the hazard the rule detects.
     pub summary: &'static str,
@@ -46,25 +47,26 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         name: "alloc-in-hot",
         summary: "heap allocation (Box::new/Vec::new/vec!/format!/to_string/to_owned/heap \
-                  clone) inside a non-constructor function of a [hot_paths] file: steady \
-                  state on measured hot paths is allocation-free (DESIGN.md \u{a7}10/\u{a7}11); \
-                  hoist the allocation to setup or record an audited exception",
+                  clone) inside a non-constructor function of a file marked \
+                  `// audit:hot-path`: steady state on measured hot paths is allocation-free \
+                  (DESIGN.md \u{a7}10/\u{a7}11); hoist the allocation to setup or give the line \
+                  a receipt",
     },
     RuleInfo {
         name: "hot-btree-lookup",
-        summary: "BTreeMap/BTreeSet in a file listed under [hot_paths] in audit.toml: \
-                  O(log n) lookups on a measured hot path; use slot::SlotMap/DenseMap, or \
-                  allowlist with the reason order is semantic there",
+        summary: "BTreeMap/BTreeSet in a file marked `// audit:hot-path`: O(log n) lookups \
+                  on a measured hot path; use slot::SlotMap/DenseMap, or give the line a \
+                  receipt saying why order is semantic there",
     },
     RuleInfo {
         name: "malformed-suppression",
-        summary: "an inline `// audit:allow(rule)` comment with no reason text or an \
-                  unknown rule name: every suppression needs a written justification, \
-                  exactly like audit.toml entries",
+        summary: "a `// audit:allow(rule)` receipt with no reason text or an unknown \
+                  rule name, or a `// audit:hot-path` marker with no reason: every receipt \
+                  and marker needs a written justification",
     },
 ];
 
-/// Scans the tokens of one `[hot_paths]` file, skipping
+/// Scans the tokens of one hot-path file, skipping
 /// `#[cfg(test)]` items, and returns every `hot-btree-lookup` and
 /// `alloc-in-hot` finding (rule by rule, each in source order).
 pub fn scan_hot(toks: &[Token]) -> Vec<Finding> {
@@ -79,10 +81,10 @@ pub fn scan_hot(toks: &[Token]) -> Vec<Finding> {
                     line: t.line,
                     col: t.col,
                     message: format!(
-                        "{name} in [hot_paths] file: per-entity lookups here are \
+                        "{name} in a hot-path file: per-entity lookups here are \
                          measured hot paths and must be O(1); migrate to \
-                         slot::SlotMap/DenseMap or record an audited exception \
-                         where order is semantic"
+                         slot::SlotMap/DenseMap or give the line a receipt where \
+                         order is semantic"
                     ),
                 });
             }
@@ -111,7 +113,7 @@ const HEAP_TYPES: &[&str] = &[
 ];
 
 /// `alloc-in-hot`: allocation calls inside non-constructor functions
-/// of `[hot_paths]` files. Constructor-shaped functions (`new`,
+/// of hot-path files. Constructor-shaped functions (`new`,
 /// `default`, `from_*`, `with_*`) are setup, not steady state, and
 /// stay exempt — that distinction is what the item index buys.
 fn scan_alloc_in_hot(toks: &[Token], in_test: &dyn Fn(usize) -> bool, out: &mut Vec<Finding>) {
@@ -138,10 +140,10 @@ fn scan_alloc_in_hot(toks: &[Token], in_test: &dyn Fn(usize) -> bool, out: &mut 
                     line: t.line,
                     col: t.col,
                     message: format!(
-                        "{what} in `{}`, a non-constructor function of a [hot_paths] \
+                        "{what} in `{}`, a non-constructor function of a hot-path \
                          file: measured hot paths are allocation-free in steady state \
                          (DESIGN.md \u{a7}10/\u{a7}11); hoist the allocation to setup, reuse a \
-                         buffer, or record an audited exception",
+                         buffer, or give the line a receipt",
                         f.name
                     ),
                 });

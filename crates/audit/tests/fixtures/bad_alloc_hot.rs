@@ -1,3 +1,4 @@
+// audit:hot-path: a forwarding decision per packet (fixture)
 //! Fixture: allocation in the steady-state path of a hot file.
 
 struct Router {

@@ -1,5 +1,6 @@
+// audit:hot-path: a route lookup per packet (fixture)
 //! Trips `hot-btree-lookup`: ordered-container state declared in a
-//! file listed under `[hot_paths]` in audit.toml.
+//! file that carries a hot-path marker (line 1).
 
 use std::collections::{BTreeMap, BTreeSet};
 

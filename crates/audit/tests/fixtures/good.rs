@@ -1,3 +1,4 @@
+// audit:hot-path: a slot lookup per packet (fixture)
 //! Known-good fixture: a hot file with no finding. It allocates only
 //! in its constructor, keeps ordered containers only in tests, and
 //! mentions the hazards only in comments and strings.

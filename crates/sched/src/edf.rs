@@ -1,3 +1,4 @@
+// audit:hot-path: the host simulator picks each quantum's tasks here
 //! Periodic real-time reservations with earliest-deadline-first
 //! dispatch — the paper's "compiled into a real-time schedule, mapping
 //! each virtual machine into one or more periodic real-time tasks"

@@ -1,3 +1,4 @@
+// audit:hot-path: the host simulator picks each quantum's tasks here
 //! Lottery scheduling (Waldspurger & Weihl, OSDI '94) — the
 //! probabilistic proportional-share policy the paper cites \[34\] for
 //! compiling owner constraints into scheduler proportions.

@@ -1,3 +1,4 @@
+// audit:hot-path: the host simulator picks each quantum's tasks here
 //! Stride scheduling: the deterministic proportional-share
 //! counterpart of lottery scheduling.
 //!

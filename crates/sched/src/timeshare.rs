@@ -1,3 +1,4 @@
+// audit:hot-path: the host simulator picks each quantum's tasks here
 //! Weighted round-robin time sharing — the stand-in for the stock
 //! Linux scheduler the paper's hosts ran.
 //!

@@ -1,3 +1,4 @@
+// audit:hot-path: the host simulator picks each quantum's tasks here
 //! Weighted fair queueing (Demers, Keshav, Shenker) adapted to CPU
 //! quanta — the paper's second proportional-share option \[8\].
 //!

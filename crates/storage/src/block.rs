@@ -1,3 +1,4 @@
+// audit:hot-path: every simulated disk block read or write lands in a block store here
 //! Sparse block stores: the data plane under disks, images and COW
 //! overlays.
 //!
@@ -103,6 +104,7 @@ pub(crate) fn synthetic_block(seed: u64, addr: BlockAddr, size: ByteSize) -> Byt
         .wrapping_add(addr.0.wrapping_mul(0xD1B5_4A32_D192_ED03));
     pattern |= 1; // never all-zero
     let n = size.as_u64() as usize;
+    // audit:allow(alloc-in-hot): synthetic_block is a content generator that returns an owned buffer by contract: it fabricates an unwritten block's payload, and each caller consumes the buffer once
     let mut buf = Vec::with_capacity(n);
     while buf.len() + 8 <= n {
         buf.extend_from_slice(&pattern.to_le_bytes());
@@ -117,6 +119,7 @@ pub(crate) fn synthetic_block(seed: u64, addr: BlockAddr, size: ByteSize) -> Byt
 /// so any chunking of reads yields consistent data. Used by the VFS
 /// layer to export huge VM state files without materializing them.
 pub fn synthetic_file_chunk(seed: u64, offset: u64, len: usize) -> Bytes {
+    // audit:allow(alloc-in-hot): synthetic_file_chunk is a content generator that returns an owned buffer by contract: it fabricates a synthetic file's bytes, and each caller consumes the buffer once
     let mut buf = Vec::with_capacity(len);
     let mut i = offset;
     let end = offset + len as u64;

@@ -1,3 +1,4 @@
+// audit:hot-path: every simulated disk access touches or inserts a cached block here
 //! An LRU buffer cache of block addresses.
 //!
 //! Models the host OS page/buffer cache: after an explicit image copy

@@ -1,3 +1,4 @@
+// audit:hot-path: every non-persistent VM disk access reads the diff, then the base, here
 //! Copy-on-write overlays: the paper's *non-persistent* VM disks.
 //!
 //! "the disk is not explicitly copied upon startup, and modifications

@@ -1,3 +1,4 @@
+// audit:hot-path: every NFS lookup, read and write resolves its inode and blocks here
 //! The in-memory hierarchical file system served over the NFS-like
 //! protocol: inodes, directories, and file data that is either stored
 //! in blocks (user files) or synthetic (huge read-only VM state files
@@ -10,6 +11,7 @@
 //! presizing a file costs O(1), and a whole-block read hands out a
 //! reference-counted clone of the stored block rather than a copy.
 
+// audit:allow(hot-btree-lookup): directory entries are keyed by file name and readdir must return name order, the NFS-visible semantic; the per-inode hot path is the SlotMap node table
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -122,6 +124,7 @@ enum Node {
         mtime: SimTime,
     },
     Dir {
+        // audit:allow(hot-btree-lookup): directory entries are keyed by file name and readdir must return name order, the NFS-visible semantic; the per-inode hot path is the SlotMap node table
         entries: BTreeMap<String, FileHandle>,
         mtime: SimTime,
     },
@@ -162,6 +165,7 @@ impl InMemoryFs {
         let root = FileHandle(
             nodes
                 .insert(Node::Dir {
+                    // audit:allow(hot-btree-lookup): directory entries are keyed by file name and readdir must return name order, the NFS-visible semantic; the per-inode hot path is the SlotMap node table
                     entries: BTreeMap::new(),
                     mtime: SimTime::ZERO,
                 })
@@ -205,6 +209,7 @@ impl InMemoryFs {
             Node::Dir { entries, .. } => entries
                 .get(name)
                 .copied()
+                // audit:allow(alloc-in-hot): error construction on the not-found path; the error owns the missing name by API contract, and a hit allocates nothing
                 .ok_or_else(|| FsError::NotFound(name.to_owned())),
             Node::File { .. } => Err(FsError::NotDir),
         }
@@ -292,6 +297,7 @@ impl InMemoryFs {
             dir,
             name,
             Node::Dir {
+                // audit:allow(hot-btree-lookup): directory entries are keyed by file name and readdir must return name order, the NFS-visible semantic; the per-inode hot path is the SlotMap node table
                 entries: BTreeMap::new(),
                 mtime: now,
             },

@@ -1,3 +1,4 @@
+// audit:hot-path: every guest NFS block read and write goes through the proxy cache here
 //! The PVFS proxy (Figure 2): client-side caching, prefetching and
 //! write buffering interposed between the kernel NFS client and a
 //! remote server.

@@ -1,8 +1,10 @@
+// audit:hot-path: every VM boot and shutdown acquires or releases a lease here
 //! DHCP lease allocation — scenario 1 of Section 3.3: "the VM may
 //! obtain an IP address dynamically from the host's network (e.g. via
 //! DHCP), which can then be used by the middleware to reference the
 //! VM for the duration of a session."
 
+// audit:allow(hot-btree-lookup): leases are keyed by MAC, a sparse 48-bit key from outside the simulator; acquire and release look it up once per VM boot or shutdown, and the free-address scan uses the dense in_use map
 use std::collections::BTreeMap;
 
 use gridvm_simcore::slot::DenseMap;
@@ -62,6 +64,7 @@ pub struct DhcpServer {
     /// MAC-keyed lease table. The MAC is an external boundary key
     /// (clients identify themselves by it), so this stays an ordered
     /// map; the per-address hot path below resolves to host indices.
+    // audit:allow(hot-btree-lookup): leases are keyed by MAC, a sparse 48-bit key from outside the simulator; acquire and release look it up once per VM boot or shutdown, and the free-address scan uses the dense in_use map
     leases: BTreeMap<MacAddr, Lease>,
     /// Per-host-index occupancy keyed by the address's host number:
     /// the current holder and its expiry. Makes `find_free` O(1) per
@@ -81,6 +84,7 @@ impl DhcpServer {
         DhcpServer {
             subnet,
             lease_time,
+            // audit:allow(hot-btree-lookup): leases are keyed by MAC, a sparse 48-bit key from outside the simulator; acquire and release look it up once per VM boot or shutdown, and the free-address scan uses the dense in_use map
             leases: BTreeMap::new(),
             in_use: DenseMap::new(),
             next_host: 1,

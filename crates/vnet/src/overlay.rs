@@ -1,3 +1,4 @@
+// audit:hot-path: every routed overlay packet asks the route cache for its path here
 //! The self-optimizing overlay among remote VMs — the "natural
 //! extension" of Section 3.3, in the style of Resilient Overlay
 //! Networks \[2\].
@@ -252,6 +253,7 @@ impl Overlay {
         ROUTE_CACHE_MISSES.add(1);
         let route = if from == to {
             Route {
+                // audit:allow(alloc-in-hot): a route-cache miss builds the one-hop route once per (source, destination, topology version); hits return above without allocating
                 hops: vec![from],
                 latency: SimDuration::ZERO,
             }
@@ -265,6 +267,7 @@ impl Overlay {
                 .dist
                 .get(u64::from(to.0))
                 .ok_or(OverlayError::Unreachable { from, to })?;
+            // audit:allow(alloc-in-hot): a route-cache miss walks the shortest-path tree into a fresh hop list once per (source, destination, topology version); hits return above without allocating
             let mut hops = vec![to];
             let mut cur = to;
             while cur != from {
@@ -349,6 +352,7 @@ impl Overlay {
     where
         F: FnMut(NodeId, NodeId) -> Option<SimDuration>,
     {
+        // audit:allow(alloc-in-hot): one copy of the node list per probe round, so the pair loop can update measurements through &mut self; a probe round is a measurement event, not packet forwarding
         let nodes = self.nodes.clone();
         for (i, a) in nodes.iter().enumerate() {
             for b in &nodes[i + 1..] {

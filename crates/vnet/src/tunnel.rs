@@ -1,3 +1,4 @@
+// audit:hot-path: every tunneled Ethernet frame and bulk transfer is charged here
 //! Ethernet-over-SSH tunneling and the VM VPN — scenario 2 of
 //! Section 3.3.
 //!
@@ -11,6 +12,7 @@
 //! grafts remote VMs onto the user's home subnet by carrying their
 //! DHCP traffic through the tunnel.
 
+// audit:allow(hot-btree-lookup): VPN membership is keyed by MAC, an external boundary key; joins are control-plane events, and send_home checks membership once per bulk transfer, never per frame
 use std::collections::BTreeMap;
 
 use gridvm_simcore::server::ServiceGrant;
@@ -126,6 +128,7 @@ pub struct Vpn {
     /// MAC-keyed membership. MACs are external boundary keys (sparse
     /// 48-bit identifiers), so this stays an ordered map; joins and
     /// leaves are cold control-plane operations.
+    // audit:allow(hot-btree-lookup): VPN membership is keyed by MAC, an external boundary key; joins are control-plane events, and send_home checks membership once per bulk transfer, never per frame
     members: BTreeMap<MacAddr, Ipv4Addr>,
 }
 
@@ -168,6 +171,7 @@ impl Vpn {
         Vpn {
             tunnel,
             home_dhcp,
+            // audit:allow(hot-btree-lookup): VPN membership is keyed by MAC, an external boundary key; joins are control-plane events, and send_home checks membership once per bulk transfer, never per frame
             members: BTreeMap::new(),
         }
     }
