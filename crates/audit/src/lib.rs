@@ -49,16 +49,16 @@ pub struct Receipt {
 }
 
 /// What a file's plain line comments tell the linter.
-#[derive(Clone, Debug, Default)]
-pub struct Directives {
+#[derive(Debug, Default)]
+struct Directives {
     /// True when an `audit:hot-path` marker holds the file to the
     /// token rules.
-    pub hot: bool,
+    hot: bool,
     /// The well-formed receipts.
-    pub receipts: Vec<Receipt>,
+    receipts: Vec<Receipt>,
     /// Markers and receipts without a reason, and receipts naming an
     /// unknown rule, as `malformed-suppression` findings.
-    pub malformed: Vec<Finding>,
+    malformed: Vec<Finding>,
 }
 
 /// Reads the hot-path marker and the receipts from a file's plain line
@@ -67,7 +67,7 @@ pub struct Directives {
 /// unknown rule, no closing paren — comes back as a
 /// `malformed-suppression` finding: a comment that silently fails open
 /// (or never matches) is itself a defect.
-pub fn read_directives(comments: &[LineComment]) -> Directives {
+fn read_directives(comments: &[LineComment]) -> Directives {
     const HOT: &str = "audit:hot-path";
     const ALLOW: &str = "audit:allow(";
     let mut out = Directives::default();
