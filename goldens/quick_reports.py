@@ -9,10 +9,17 @@ function of the seed alone, so any difference is a change in simulated
 output; a deliberate one is re-pinned with `--write` and explained in
 CHANGES.md.
 
+With `--full`, runs `table1_macro` and `table2_startup` at full size
+instead and compares them with `goldens/full/<binary>.json`. Quick
+mode scales Table 1 to 1%, where the host buffer cache never evicts;
+the full-size reports pin the eviction path and Table 2's whole-image
+copies (about 3 s for both).
+
     cargo build --release -p gridvm-bench
     python3 goldens/quick_reports.py --threads 1
     python3 goldens/quick_reports.py --threads 2
     python3 goldens/quick_reports.py --threads 1 --write   # re-pin
+    python3 goldens/quick_reports.py --full --threads 1
 
 Exits 1 when any report differs from its golden, and prints the diff.
 """
@@ -42,6 +49,9 @@ BINARIES = [
     "table2_startup",
 ]
 
+# The binaries pinned at full size by `--full`.
+FULL_BINARIES = ["table1_macro", "table2_startup"]
+
 # Fields that read the wall clock or echo `--threads`.
 UNPINNED = {"elapsed_secs", "events_per_sec", "threads"}
 
@@ -56,11 +66,12 @@ def strip(value):
     return value
 
 
-def report(binary, bin_dir, threads, tmp):
+def report(binary, bin_dir, threads, full, tmp):
     path = os.path.join(tmp, binary + ".json")
     exe = os.path.join(bin_dir, binary)
+    size = [] if full else ["--quick"]
     subprocess.run(
-        [exe, "--quick", "--threads", str(threads), "--json", path],
+        [exe] + size + ["--threads", str(threads), "--json", path],
         check=True,
         stdout=subprocess.DEVNULL,
     )
@@ -73,13 +84,17 @@ def main():
     ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--bin-dir", default=os.path.join(HERE, "..", "target", "release"))
     ap.add_argument("--write", action="store_true", help="re-pin the goldens")
+    ap.add_argument("--full", action="store_true",
+                    help="pin %s at full size instead" % " and ".join(FULL_BINARIES))
     args = ap.parse_args()
+    kind, binaries = ("full", FULL_BINARIES) if args.full else ("quick", BINARIES)
+    run = "" if args.full else " --quick"
 
     failed = []
     with tempfile.TemporaryDirectory() as tmp:
-        for binary in BINARIES:
-            fresh = report(binary, args.bin_dir, args.threads, tmp)
-            golden_path = os.path.join(HERE, "quick", binary + ".json")
+        for binary in binaries:
+            fresh = report(binary, args.bin_dir, args.threads, args.full, tmp)
+            golden_path = os.path.join(HERE, kind, binary + ".json")
             if args.write:
                 with open(golden_path, "w") as f:
                     f.write(fresh)
@@ -92,16 +107,16 @@ def main():
                     difflib.unified_diff(
                         golden.splitlines(True),
                         fresh.splitlines(True),
-                        "goldens/quick/%s.json" % binary,
-                        "%s --quick --threads %d" % (binary, args.threads),
+                        "goldens/%s/%s.json" % (kind, binary),
+                        "%s%s --threads %d" % (binary, run, args.threads),
                     )
                 )
     if failed:
-        print("quick reports differ at --threads %d: %s" % (args.threads, ", ".join(failed)),
+        print("%s reports differ at --threads %d: %s" % (kind, args.threads, ", ".join(failed)),
               file=sys.stderr)
         return 1
     verb = "wrote" if args.write else "matched"
-    print("%s %d quick reports at --threads %d" % (verb, len(BINARIES), args.threads))
+    print("%s %d %s reports at --threads %d" % (verb, len(binaries), kind, args.threads))
     return 0
 
 
