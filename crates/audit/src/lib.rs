@@ -66,14 +66,17 @@ struct Directives {
 /// neither). A marker or receipt that cannot say why — no reason, an
 /// unknown rule, no closing paren — comes back as a
 /// `malformed-suppression` finding: a comment that silently fails open
-/// (or never matches) is itself a defect.
+/// (or never matches) is itself a defect. So does a receipt naming
+/// `malformed-suppression`, which would let one comment excuse
+/// another's missing reason.
 fn read_directives(comments: &[LineComment]) -> Directives {
+    const MALFORMED: &str = "malformed-suppression";
     const HOT: &str = "audit:hot-path";
     const ALLOW: &str = "audit:allow(";
     let mut out = Directives::default();
     for c in comments {
         let malformed = |at: usize, message: String| Finding {
-            rule: "malformed-suppression",
+            rule: MALFORMED,
             line: c.line,
             col: c.col + 2 + at as u32,
             message,
@@ -106,6 +109,16 @@ fn read_directives(comments: &[LineComment]) -> Directives {
             out.malformed.push(malformed(
                 m,
                 format!("receipt names unknown rule `{rule}` (see RULES.md)"),
+            ));
+            continue;
+        }
+        if rule == MALFORMED {
+            out.malformed.push(malformed(
+                m,
+                format!(
+                    "a receipt cannot accept `{MALFORMED}`; give the marker or \
+                     receipt it covers a reason instead"
+                ),
             ));
             continue;
         }
@@ -417,6 +430,31 @@ fn still_nothing() {}
         assert_eq!(report.findings.len(), 2, "{:?}", report.findings);
         assert_eq!(report.stale.len(), 1);
         assert_eq!(report.stale[0].rule, "alloc-in-hot");
+    }
+
+    #[test]
+    fn a_receipt_cannot_accept_a_malformed_comment() {
+        let src = "\
+// audit:hot-path: every event allocates here
+// audit:allow(malformed-suppression): the next receipt is fine
+// audit:allow(alloc-in-hot)
+fn nothing_here() {}
+";
+        let report = scan_source("crates/vnet/src/x.rs", src);
+        let found: Vec<_> = report
+            .findings
+            .iter()
+            .map(|f| (f.rule, f.line, f.col))
+            .collect();
+        assert_eq!(
+            found,
+            vec![
+                ("malformed-suppression", 2, 4),
+                ("malformed-suppression", 3, 4)
+            ]
+        );
+        assert!(report.accepted.is_empty(), "{:?}", report.accepted);
+        assert!(report.stale.is_empty(), "{:?}", report.stale);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! |------|--------|
 //! | `hot-btree-lookup`| `BTreeMap`/`BTreeSet` in a hot-path file: O(log n) lookups on a measured hot path |
 //! | `alloc-in-hot`    | heap allocation in a non-constructor function of a hot-path file: measured hot paths are allocation-free in steady state |
-//! | `malformed-suppression` | a receipt with no reason or an unknown rule name, or a hot-path marker with no reason: a comment that cannot say why fails open |
+//! | `malformed-suppression` | a receipt with no reason, an unknown rule name or this rule's name, or a hot-path marker with no reason: a comment that cannot say why fails open |
 
 use std::ops::Range;
 
@@ -60,9 +60,9 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         name: "malformed-suppression",
-        summary: "a `// audit:allow(rule)` receipt with no reason text or an unknown \
-                  rule name, or a `// audit:hot-path` marker with no reason: every receipt \
-                  and marker needs a written justification",
+        summary: "a `// audit:allow(rule)` receipt with no reason text, an unknown \
+                  rule name or this rule's name, or a `// audit:hot-path` marker with no \
+                  reason: every receipt and marker needs a written justification",
     },
 ];
 
