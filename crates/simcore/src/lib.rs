@@ -42,9 +42,9 @@
 //! * [`lookahead`] — the all-pairs minimum-latency closure
 //!   ([`LookaheadMatrix`](lookahead::LookaheadMatrix)) behind the
 //!   sharded synchronizer's per-(src,dst) window protocol.
-//! * [`lru`] — the shared O(1) intrusive LRU set
-//!   ([`LruSet`](lru::LruSet)) under the proxy and buffer-cache block
-//!   caches.
+//! * [`lru`] — the O(1) intrusive LRU set ([`LruSet`](lru::LruSet))
+//!   under the proxy block cache, and the fast-hash
+//!   [`FastMap`](lru::FastMap) that indexes it and the buffer cache.
 //! * [`slot`] — the dense-index hot-state layer: a generation-stamped
 //!   slot arena ([`SlotMap`](slot::SlotMap)) with typed
 //!   [`Handle<Tag>`](slot::Handle) keys, and a paged

@@ -1,11 +1,17 @@
-//! A fixed-capacity LRU set with O(1) touch, insert, remove and evict.
+//! A fixed-capacity LRU set with O(1) touch, insert, remove and evict,
+//! and the fast-hash map that indexes it.
 //!
-//! This is the shared recency structure under the block caches in
-//! `gridvm-vfs` (proxy block cache) and `gridvm-storage` (host buffer
-//! cache). Both previously kept a `BTreeMap` from recency stamp to
-//! key, paying O(log n) per access; [`LruSet`] replaces that with an
-//! intrusive doubly-linked list threaded through an index arena, so
-//! every operation is a hash lookup plus pointer surgery.
+//! [`LruSet`] is the recency structure under `gridvm-vfs`'s proxy
+//! block cache, and the per-block reference that `gridvm-storage`'s
+//! run-granular buffer cache is tested against. It replaced a
+//! `BTreeMap` from recency stamp to key, which paid O(log n) per
+//! access, with an intrusive doubly-linked list threaded through an
+//! index arena, so every operation is a hash lookup plus pointer
+//! surgery.
+//!
+//! [`FastMap`] is that lookup: a `HashMap` under [`FastHasher`], a
+//! multiplicative mixer for program-generated integer keys. The
+//! buffer cache uses the same map to find a block's index page.
 //!
 //! Determinism: recency order is a pure function of the operation
 //! sequence (no hashing or iteration order ever influences which key
@@ -18,10 +24,11 @@ use std::hash::{BuildHasherDefault, Hash, Hasher};
 const NIL: u32 = u32::MAX;
 
 /// Multiplicative mixer for small fixed-width keys (block addresses,
-/// `(file, block)` pairs). The keys are program-generated, so SipHash's
-/// DoS resistance is wasted on the per-access hot path.
+/// `(file, block)` pairs, page numbers). The keys are
+/// program-generated, so SipHash's DoS resistance is wasted on the
+/// per-access hot path.
 #[derive(Default)]
-pub(crate) struct FastHasher(u64);
+pub struct FastHasher(u64);
 
 impl Hasher for FastHasher {
     fn finish(&self) -> u64 {
@@ -41,14 +48,15 @@ impl Hasher for FastHasher {
     }
 }
 
-/// Key → node index. Lookups only: recency order lives in the
-/// intrusive list, so the map's iteration order is never observed.
+/// A lookup-only hash map under [`FastHasher`]: the index of
+/// [`LruSet`] (key → node) and of `gridvm-storage`'s buffer cache
+/// (page number → page slot). Neither iterates it.
 #[expect(
     clippy::disallowed_types,
-    reason = "LruSet's index map uses the deterministic FastHasher and its iteration order is \
-              never observed; ordering comes from the intrusive list"
+    reason = "FastMap uses the deterministic FastHasher and its users (LruSet, storage's \
+              BufferCache) only look keys up, never iterate; order comes from their recency lists"
 )]
-type IndexMap<K> = std::collections::HashMap<K, u32, BuildHasherDefault<FastHasher>>;
+pub type FastMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FastHasher>>;
 
 #[derive(Clone, Debug)]
 struct Node<K> {
@@ -74,7 +82,7 @@ struct Node<K> {
 #[derive(Clone, Debug)]
 pub struct LruSet<K> {
     capacity: usize,
-    map: IndexMap<K>,
+    map: FastMap<K, u32>,
     nodes: Vec<Node<K>>,
     free: Vec<u32>,
     /// Most-recently-used node.
@@ -93,7 +101,7 @@ impl<K: Eq + Hash + Copy> LruSet<K> {
         assert!(capacity > 0, "zero-capacity LruSet");
         LruSet {
             capacity,
-            map: IndexMap::default(),
+            map: FastMap::default(),
             nodes: Vec::with_capacity(capacity.min(1024)),
             free: Vec::new(),
             head: NIL,
@@ -301,10 +309,6 @@ impl<K: Eq + Hash + Copy> LruSet<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    // The eviction-order unit tests previously lived on
-    // `gridvm_storage::cache::BufferCache` and `gridvm_vfs::proxy`;
-    // they now exercise the shared type directly.
 
     #[test]
     fn lru_eviction_order() {

@@ -158,20 +158,11 @@ impl DiskModel {
     /// unless sequential to the previous arm access, then transfer
     /// one block; the block becomes cache-resident.
     pub fn access(&mut self, now: SimTime, addr: BlockAddr, kind: AccessKind) -> ServiceGrant {
-        match kind {
-            AccessKind::Read => {
-                self.blocks_read += 1;
-                if self.cache.touch(addr) {
-                    return ServiceGrant {
-                        start: now,
-                        finish: now + self.degraded(self.profile.cache_hit_time),
-                    };
-                }
-            }
-            AccessKind::Write => {
-                self.blocks_written += 1;
-                // write-through: always goes to the arm
-            }
+        if self.cache_run(addr, 1, kind) == 0 {
+            return ServiceGrant {
+                start: now,
+                finish: now + self.degraded(self.profile.cache_hit_time),
+            };
         }
         let sequential = self.last_block.is_some_and(|last| addr.0 == last.0 + 1);
         let service = if sequential {
@@ -180,14 +171,16 @@ impl DiskModel {
             self.profile.seek + self.profile.transfer_per_block()
         };
         self.last_block = Some(addr);
-        self.cache.insert(addr);
         let service = self.degraded(service);
         self.arm.admit(now, service)
     }
 
     /// Times a sequential run of `count` blocks starting at `start`:
     /// one seek plus streaming transfer for the uncached span. All
-    /// touched blocks become resident.
+    /// touched blocks become resident, in ascending order, exactly as
+    /// `count` single-block accesses would leave the cache; the cost of
+    /// that bookkeeping follows the cached extents the run touches,
+    /// not its length.
     ///
     /// # Panics
     ///
@@ -200,24 +193,7 @@ impl DiskModel {
         kind: AccessKind,
     ) -> ServiceGrant {
         assert!(count > 0, "empty run");
-        let mut uncached = 0;
-        for i in 0..count {
-            let addr = BlockAddr(start.0 + i);
-            let hit = match kind {
-                AccessKind::Read => {
-                    self.blocks_read += 1;
-                    self.cache.touch(addr)
-                }
-                AccessKind::Write => {
-                    self.blocks_written += 1;
-                    false
-                }
-            };
-            if !hit {
-                uncached += 1;
-            }
-            self.cache.insert(addr);
-        }
+        let uncached = self.cache_run(start, count, kind);
         if uncached == 0 {
             return ServiceGrant {
                 start: now,
@@ -228,6 +204,25 @@ impl DiskModel {
             self.degraded(self.profile.seek + self.profile.transfer_per_block() * uncached);
         self.last_block = Some(BlockAddr(start.0 + count - 1));
         self.arm.admit(now, service)
+    }
+
+    /// The buffer-cache half of every access: passes the `count`
+    /// blocks from `start` through the cache in ascending order, each
+    /// resident block refreshed and every other one inserted, and
+    /// counts them. Returns how many must go to the arm: a read's
+    /// misses, or all of a write's blocks (write-through).
+    fn cache_run(&mut self, start: BlockAddr, count: u64, kind: AccessKind) -> u64 {
+        match kind {
+            AccessKind::Read => {
+                self.blocks_read += count;
+                count - self.cache.touch_run(start, count)
+            }
+            AccessKind::Write => {
+                self.blocks_written += count;
+                self.cache.insert_run(start, count);
+                count
+            }
+        }
     }
 }
 
