@@ -210,10 +210,11 @@ impl BufferCache {
     /// Each step covers a segment of one page: the resident blocks of
     /// one extent, which move together without evicting anything, or
     /// the misses up to the page's next resident block. Misses go in
-    /// at most a cache-full at a time, so the blocks they evict are
-    /// all older than they are: older extents, or this run's earlier
-    /// blocks, or later resident blocks of this run, which then miss
-    /// when the run reaches them.
+    /// as the newest blocks, and then the oldest blocks past capacity
+    /// leave: older extents, this run's earlier blocks, the segment's
+    /// own first blocks when it outgrows the cache, or later resident
+    /// blocks of this run, which then miss when the run reaches them.
+    /// The segment's last block is never evicted, so its page stays.
     fn run(&mut self, start: u64, len: u64) -> u64 {
         let end = start + len;
         let mut resident = 0;
@@ -233,7 +234,7 @@ impl BufferCache {
                     None => {
                         let above = self.pages[page as usize].resident >> (b % PAGE_BLOCKS);
                         let gap = u64::from(above.trailing_zeros());
-                        let to = page_end.min(b + gap.min(self.capacity));
+                        let to = page_end.min(b + gap);
                         self.push_newest(page, b, to);
                         self.len += to - b;
                         if self.len > self.capacity {
@@ -709,8 +710,8 @@ mod proptests {
         }
 
         /// The same with capacities below one page and short runs: a
-        /// run's misses go in a cache-full at a time, and most extents
-        /// are a block or two.
+        /// miss segment often outgrows the cache and evicts its own
+        /// first blocks, and most extents are a block or two.
         #[test]
         fn matches_the_per_block_loop_in_small_caches(
             cap in 1usize..12,
