@@ -173,27 +173,20 @@ impl BufferCache {
     pub fn insert(&mut self, addr: BlockAddr) -> Option<BlockAddr> {
         let victim = (self.len == self.capacity)
             .then(|| BlockAddr(self.extents[self.oldest as usize].start));
-        if self.run(addr.0, 1) == 1 {
+        if self.run(addr, 1) == 1 {
             None
         } else {
             victim
         }
     }
 
-    /// Passes the `len` blocks from `start` through the cache as reads
-    /// ([`run`](Self::run)) and counts the resident ones as hits.
+    /// Passes the `len` blocks from `start` through the cache as a
+    /// read ([`run`](Self::run)) and counts the resident ones as hits.
     /// Returns the hits.
     pub(crate) fn touch_run(&mut self, start: BlockAddr, len: u64) -> u64 {
-        let hits = self.run(start.0, len);
+        let hits = self.run(start, len);
         self.hits += hits;
         hits
-    }
-
-    /// Passes the `len` blocks from `start` through the cache as
-    /// writes ([`run`](Self::run)): residency and recency as a read,
-    /// but no hits counted.
-    pub(crate) fn insert_run(&mut self, start: BlockAddr, len: u64) {
-        self.run(start.0, len);
     }
 
     /// Lookup hits so far.
@@ -206,6 +199,8 @@ impl BufferCache {
     /// resident block becomes the most recent, and each other block is
     /// inserted as the most recent, first evicting the least recent
     /// block when full. Returns how many were resident when reached.
+    /// A write passes its blocks through here directly; a read goes
+    /// through [`touch_run`](Self::touch_run), which counts hits.
     ///
     /// Each step covers a segment of one page: the resident blocks of
     /// one extent, which move together without evicting anything, or
@@ -215,10 +210,10 @@ impl BufferCache {
     /// own first blocks when it outgrows the cache, or later resident
     /// blocks of this run, which then miss when the run reaches them.
     /// The segment's last block is never evicted, so its page stays.
-    fn run(&mut self, start: u64, len: u64) -> u64 {
-        let end = start + len;
+    pub(crate) fn run(&mut self, start: BlockAddr, len: u64) -> u64 {
+        let end = start.0 + len;
         let mut resident = 0;
-        let mut b = start;
+        let mut b = start.0;
         while b < end {
             let number = b / PAGE_BLOCKS;
             let page_end = end.min((number + 1) * PAGE_BLOCKS);
@@ -586,8 +581,8 @@ mod tests {
         // and 9, whose inserts evict 10 and 11 before the run reaches
         // them: no hits, though both were resident when it began.
         let mut c = BufferCache::new(4);
-        c.insert_run(a(10), 2);
-        c.insert_run(a(20), 2);
+        c.run(a(10), 2);
+        c.run(a(20), 2);
         assert_eq!(c.touch_run(a(8), 4), 0);
         c.check_invariants();
         assert_eq!(c.blocks_oldest_first(), vec![8, 9, 10, 11]);
@@ -596,7 +591,7 @@ mod tests {
     #[test]
     fn a_run_longer_than_the_cache_keeps_its_tail() {
         let mut c = BufferCache::new(100);
-        c.insert_run(a(0), 50);
+        c.run(a(0), 50);
         // 0..50 hit before the run's own misses evict them again.
         assert_eq!(c.touch_run(a(0), 1000), 50);
         c.check_invariants();
@@ -652,10 +647,13 @@ mod proptests {
             hits
         }
 
-        fn insert_run(&mut self, start: u64, len: u64) {
+        fn run(&mut self, start: u64, len: u64) -> u64 {
+            let mut resident = 0;
             for b in start..start + len {
+                resident += u64::from(self.lru.contains(&b));
                 self.lru.insert(b);
             }
+            resident
         }
 
         /// The resident blocks, least recent first.
@@ -677,10 +675,7 @@ mod proptests {
             0 => assert_eq!(cache.touch(BlockAddr(b)), model.touch(b)),
             1 => assert_eq!(cache.insert(BlockAddr(b)).map(|v| v.0), model.lru.insert(b)),
             2 => assert_eq!(cache.touch_run(BlockAddr(b), len), model.touch_run(b, len)),
-            _ => {
-                cache.insert_run(BlockAddr(b), len);
-                model.insert_run(b, len);
-            }
+            _ => assert_eq!(cache.run(BlockAddr(b), len), model.run(b, len)),
         }
         cache.check_invariants();
         assert_eq!(cache.hits(), model.hits);

@@ -219,7 +219,7 @@ impl DiskModel {
             }
             AccessKind::Write => {
                 self.blocks_written += count;
-                self.cache.insert_run(start, count);
+                self.cache.run(start, count);
                 count
             }
         }
