@@ -210,13 +210,20 @@ impl BufferCache {
     /// own first blocks when it outgrows the cache, or later resident
     /// blocks of this run, which then miss when the run reaches them.
     /// The segment's last block is never evicted, so its page stays.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run reaches past block `u64::MAX - 1`.
     pub(crate) fn run(&mut self, start: BlockAddr, len: u64) -> u64 {
-        let end = start.0 + len;
+        let end = start
+            .0
+            .checked_add(len)
+            .expect("block run ends past the last block address");
         let mut resident = 0;
         let mut b = start.0;
         while b < end {
             let number = b / PAGE_BLOCKS;
-            let page_end = end.min((number + 1) * PAGE_BLOCKS);
+            let page_end = end.min((number + 1).saturating_mul(PAGE_BLOCKS));
             let page = self.page_slot(number);
             while b < page_end {
                 let to = match self.extent_at(page, b) {
@@ -229,7 +236,7 @@ impl BufferCache {
                     None => {
                         let above = self.pages[page as usize].resident >> (b % PAGE_BLOCKS);
                         let gap = u64::from(above.trailing_zeros());
-                        let to = page_end.min(b + gap);
+                        let to = page_end.min(b.saturating_add(gap));
                         self.push_newest(page, b, to);
                         self.len += to - b;
                         if self.len > self.capacity {
@@ -596,6 +603,17 @@ mod tests {
         assert_eq!(c.touch_run(a(0), 1000), 50);
         c.check_invariants();
         assert_eq!(c.blocks_oldest_first(), (900..1000).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn runs_reach_the_top_of_the_address_space() {
+        let mut c = BufferCache::new(100);
+        let top = u64::MAX - 1;
+        assert_eq!(c.touch_run(a(top - 69), 70), 0);
+        assert_eq!(c.touch_run(a(top - 9), 10), 10);
+        c.check_invariants();
+        assert_eq!(c.len(), 70);
+        assert!(c.contains(a(top - 1)));
     }
 
     #[test]
