@@ -157,6 +157,10 @@ impl DiskModel {
     /// occupy the arm. Misses and writes queue on the arm, pay a seek
     /// unless sequential to the previous arm access, then transfer
     /// one block; the block becomes cache-resident.
+    ///
+    /// # Panics
+    ///
+    /// Panics on `BlockAddr(u64::MAX)`, past the cache's address space.
     pub fn access(&mut self, now: SimTime, addr: BlockAddr, kind: AccessKind) -> ServiceGrant {
         if self.cache_run(addr, 1, kind) == 0 {
             return ServiceGrant {
@@ -184,7 +188,7 @@ impl DiskModel {
     ///
     /// # Panics
     ///
-    /// Panics if `count` is zero.
+    /// Panics if `count` is zero or the run reaches `BlockAddr(u64::MAX)`.
     pub fn access_run(
         &mut self,
         now: SimTime,
