@@ -63,10 +63,7 @@ impl Extent {
 /// extent.
 #[derive(Clone, Debug)]
 struct Page {
-    /// Page number (block / `PAGE_BLOCKS`), to leave the index by.
-    number: u64,
-    /// Bit `i` is set when block `number * PAGE_BLOCKS + i` is
-    /// resident.
+    /// Bit `i` is set when the page's block `i` is resident.
     resident: u64,
     /// Each resident block's extent; stale where the bit is clear.
     extent: [u32; PAGE_BLOCKS as usize],
@@ -256,23 +253,15 @@ impl BufferCache {
     fn page_slot(&mut self, number: u64) -> u32 {
         let pages = &mut self.pages;
         let free = &mut self.free_pages;
-        *self
-            .index
-            .entry(number)
-            .or_insert_with(|| match free.pop() {
-                Some(slot) => {
-                    pages[slot as usize].number = number;
-                    slot
-                }
-                None => {
-                    pages.push(Page {
-                        number,
-                        resident: 0,
-                        extent: [NIL; PAGE_BLOCKS as usize],
-                    });
-                    (pages.len() - 1) as u32
-                }
+        *self.index.entry(number).or_insert_with(|| {
+            free.pop().unwrap_or_else(|| {
+                pages.push(Page {
+                    resident: 0,
+                    extent: [NIL; PAGE_BLOCKS as usize],
+                });
+                (pages.len() - 1) as u32
             })
+        })
     }
 
     /// The extent holding `block` of page slot `page`, if resident.
@@ -395,7 +384,7 @@ impl BufferCache {
             let p = &mut self.pages[page as usize];
             p.resident &= !bits(lo, lo + n);
             if p.resident == 0 {
-                self.index.remove(&p.number);
+                self.index.remove(&(start / PAGE_BLOCKS));
                 self.free_pages.push(page);
             }
             if n == u64::from(len) {
@@ -486,18 +475,13 @@ impl BufferCache {
         assert_eq!(prev, self.newest, "newest");
         assert_eq!(total, self.len, "len");
         assert!(self.len <= self.capacity, "over capacity");
+        // Every extent's page number maps to its slot (above), so when
+        // the live slots and the index entries are as many, the index
+        // holds exactly the live pages.
         let mut live = 0;
         for (slot, p) in self.pages.iter().enumerate() {
             assert_eq!(p.resident, bits_seen[slot], "page slot {slot} bits");
-            if p.resident != 0 {
-                live += 1;
-                assert_eq!(
-                    self.index.get(&p.number),
-                    Some(&(slot as u32)),
-                    "page {}",
-                    p.number
-                );
-            }
+            live += usize::from(p.resident != 0);
         }
         assert_eq!(live, self.index.len(), "indexed pages");
         assert_eq!(
