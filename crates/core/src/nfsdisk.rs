@@ -6,7 +6,7 @@ use gridvm_simcore::time::{SimDuration, SimTime};
 use gridvm_storage::block::BlockAddr;
 use gridvm_vfs::fs::FileHandle;
 use gridvm_vfs::mount::Mount;
-use gridvm_vfs::protocol::{Bytes, NfsRequest, NFS_BLOCK};
+use gridvm_vfs::protocol::{zero_block, NfsRequest, NFS_BLOCK};
 use gridvm_vmm::exec::{GuestStorage, IO_BLOCK};
 
 // Each guest I/O block is exactly one NFS transfer.
@@ -18,10 +18,6 @@ pub struct NfsGuestStorage {
     file: FileHandle,
     client_cpu_per_block: SimDuration,
     label: String,
-    /// The payload of every guest WRITE: one zero-filled block, shared
-    /// by reference. Guest data content is immaterial to timing; only
-    /// its length reaches the model.
-    zero_block: Bytes,
 }
 
 impl std::fmt::Debug for NfsGuestStorage {
@@ -49,7 +45,6 @@ impl NfsGuestStorage {
             file,
             client_cpu_per_block,
             label: label.into(),
-            zero_block: Bytes::from(vec![0; IO_BLOCK.as_u64() as usize]),
         }
     }
 
@@ -63,11 +58,12 @@ impl GuestStorage for NfsGuestStorage {
     fn io_run(&mut self, now: SimTime, start: BlockAddr, count: u64, write: bool) -> SimTime {
         let bs = IO_BLOCK.as_u64();
         if write {
-            // One WRITE RPC per block, each carrying the shared zero
-            // block. Like `Mount::write_range`, the run ends at the
-            // first failed RPC: Figure 3's data sessions mount a
-            // read-only synthetic file, so their guest writes stop
-            // there.
+            // One WRITE RPC per block, each carrying the protocol's
+            // static zero block: guest data content is immaterial to
+            // timing, only its length reaches the model. Like
+            // `Mount::write_range`, the run ends at the first failed
+            // RPC: Figure 3's data sessions mount a read-only
+            // synthetic file, so their guest writes stop there.
             let mut t = now;
             for block in start.0..start.0 + count {
                 let (done, r) = self.mount.request(
@@ -75,7 +71,7 @@ impl GuestStorage for NfsGuestStorage {
                     NfsRequest::Write {
                         fh: self.file,
                         offset: block * bs,
-                        data: self.zero_block.clone(),
+                        data: zero_block(),
                     },
                 );
                 t = done;
@@ -115,15 +111,24 @@ mod tests {
     use gridvm_vmm::VirtCostModel;
     use gridvm_workloads::{AppProfile, IoPattern};
 
+    /// Where `app()`'s guest writes begin: right after its 16 MiB of
+    /// sequential reads.
+    const FIRST_WRITE: u64 = 16 * 1024 * 1024;
+
     fn pvfs_storage(proxied: bool) -> NfsGuestStorage {
         let mut server = NfsServer::new(DiskModel::new(DiskProfile::ide_2003()));
         let root = server.fs().root();
         let t0 = SimTime::ZERO;
         let data = server.fs_mut().create(root, "data", t0).unwrap();
-        // Preload a writable 32 MiB working file.
+        // Preload a writable 32 MiB working file whose first block the
+        // guest writes holds data.
         server
             .fs_mut()
             .write(data, 32 * 1024 * 1024 - 1, &[0], t0)
+            .unwrap();
+        server
+            .fs_mut()
+            .write(data, FIRST_WRITE, &[7; 8192], t0)
             .unwrap();
         let proxy = proxied.then(|| VfsProxy::new(ProxyConfig::default()));
         let mount = Mount::new(Transport::wan(), server, proxy);
@@ -145,6 +150,11 @@ mod tests {
     #[test]
     fn guest_io_flows_through_the_mount() {
         let mut storage = pvfs_storage(true);
+        let written = |s: &NfsGuestStorage| {
+            let fs = s.mount().server().fs();
+            fs.read(s.file, FIRST_WRITE, NFS_BLOCK.as_u64()).unwrap()
+        };
+        assert_eq!(&written(&storage)[..], &[7; 8192][..]);
         let mut rng = SimRng::seed_from(1);
         let report = run_app(
             &app(),
@@ -160,6 +170,12 @@ mod tests {
             report.sys > SimDuration::from_millis(200),
             "proxy tax in sys"
         );
+        // The guest's zero WRITE punched the block back to a hole, which
+        // reads as the protocol's one static zero block.
+        assert!(std::ptr::eq(
+            written(&storage).as_ptr(),
+            zero_block().as_ptr()
+        ));
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //!
 //! A user file is a logical size plus its [`NFS_BLOCK`]-sized blocks.
 //! A block never written, or written all zeros, is a *hole*: it has no
-//! entry and reads as the file system's one shared zero block. So
+//! entry and reads as the protocol's static [`zero_block`]. So
 //! presizing a file costs O(1), and a whole-block read hands out a
-//! reference-counted clone of the stored block rather than a copy.
+//! clone of the stored block (or of the zero block) rather than a copy.
 
 // audit:allow(hot-btree-lookup): directory entries are keyed by file name and readdir must return name order, the NFS-visible semantic; the per-inode hot path is the SlotMap node table
 use std::collections::BTreeMap;
@@ -21,17 +21,17 @@ use gridvm_simcore::time::SimTime;
 use gridvm_simcore::units::ByteSize;
 use gridvm_storage::block::synthetic_file_chunk;
 
-use crate::protocol::NFS_BLOCK;
+use crate::protocol::{zero_block, NFS_BLOCK, ZERO_BLOCK};
 
 /// The block size user file data is stored in.
 const BLOCK: usize = NFS_BLOCK.as_u64() as usize;
 
-/// All zeros: what a hole reads as, and what writes are compared
-/// against (a memcmp) to find the blocks that are holes.
-static ZERO_BLOCK: [u8; BLOCK] = [0; BLOCK];
-
+/// Whether `bytes` (at most a block) are all zeros. A slice that starts
+/// at the zero block's address lies inside it, which is how every guest
+/// WRITE payload arrives, so it needs no look at its bytes; any other
+/// is compared against the zero block with a memcmp.
 fn is_zero(bytes: &[u8]) -> bool {
-    bytes == &ZERO_BLOCK[..bytes.len()]
+    std::ptr::eq(bytes.as_ptr(), ZERO_BLOCK.as_ptr()) || bytes == &ZERO_BLOCK[..bytes.len()]
 }
 
 /// Tag type for inode-table handles.
@@ -148,8 +148,6 @@ enum Node {
 pub struct InMemoryFs {
     nodes: SlotMap<FsTag, Node>,
     root: FileHandle,
-    /// The one zero block every whole-block read of a hole shares.
-    zero: Bytes,
 }
 
 impl Default for InMemoryFs {
@@ -171,11 +169,7 @@ impl InMemoryFs {
                 })
                 .pack(),
         );
-        InMemoryFs {
-            nodes,
-            root,
-            zero: Bytes::from_static(&ZERO_BLOCK),
-        }
+        InMemoryFs { nodes, root }
     }
 
     /// The root directory handle.
@@ -348,7 +342,7 @@ impl InMemoryFs {
                 FileData::Blocks { size, blocks } => {
                     let start = offset.min(*size);
                     let end = offset.saturating_add(len).min(*size);
-                    Ok(self.read_blocks(blocks, start, end))
+                    Ok(Self::read_blocks(blocks, start, end))
                 }
                 FileData::Synthetic { seed, size } => {
                     let start = offset.min(*size);
@@ -361,10 +355,10 @@ impl InMemoryFs {
     }
 
     /// The bytes `[start, end)` of a user file's blocks.
-    fn read_blocks(&self, blocks: &DenseMap<Bytes>, start: u64, end: u64) -> Bytes {
+    fn read_blocks(blocks: &DenseMap<Bytes>, start: u64, end: u64) -> Bytes {
         let bs = BLOCK as u64;
         if start.is_multiple_of(bs) && end - start == bs {
-            return blocks.get(start / bs).unwrap_or(&self.zero).clone();
+            return blocks.get(start / bs).map_or_else(zero_block, Bytes::clone);
         }
         // audit:allow(alloc-in-hot): a partial or multi-block read gathers its bytes into a fresh buffer; NFS READs of whole aligned blocks share a block above
         let mut buf = Vec::with_capacity((end - start) as usize);
@@ -382,7 +376,9 @@ impl InMemoryFs {
     /// Writes `data` at `offset`, extending the file as needed; any
     /// gap reads as zeros. Each block the write covers whole is stored
     /// or, when all zeros, dropped to a hole. Zeros written into a
-    /// hole leave it a hole, so presizing a file costs O(1).
+    /// hole leave it a hole, so presizing a file costs O(1). A payload
+    /// taken from the protocol's [`zero_block`] is known for zeros by
+    /// its address; any other is compared against zeros.
     ///
     /// # Errors
     ///
@@ -640,15 +636,15 @@ mod tests {
             &hole,
             &fs.read(f, 2 * BLOCK as u64, BLOCK as u64).unwrap()
         ));
-        assert!(same(&hole, &fs.zero));
+        assert!(same(&hole, &zero_block()));
         // Zeros over a block's last non-zero bytes, whole or partial,
         // punch it back to a hole.
         fs.write(f, 0, &[0; BLOCK], t0()).unwrap();
-        assert!(same(&fs.read(f, 0, BLOCK as u64).unwrap(), &fs.zero));
+        assert!(same(&fs.read(f, 0, BLOCK as u64).unwrap(), &zero_block()));
         fs.write(f, 100, b"xy", t0()).unwrap();
-        assert!(!same(&fs.read(f, 0, BLOCK as u64).unwrap(), &fs.zero));
+        assert!(!same(&fs.read(f, 0, BLOCK as u64).unwrap(), &zero_block()));
         fs.write(f, 100, &[0, 0], t0()).unwrap();
-        assert!(same(&fs.read(f, 0, BLOCK as u64).unwrap(), &fs.zero));
+        assert!(same(&fs.read(f, 0, BLOCK as u64).unwrap(), &zero_block()));
     }
 
     #[test]
@@ -665,9 +661,11 @@ mod proptests {
 
     /// One write from a drawn `(kind, offset, len, seed)`: a short
     /// write straddling a block boundary, a long write at any offset, a
-    /// whole aligned block of one byte value (zero included), or an
-    /// all-zero payload that punches holes over earlier data.
-    fn write_op((kind, offset, len, seed): (u8, u64, usize, u8)) -> (u64, Vec<u8>) {
+    /// whole aligned block of one byte value (zero included), an
+    /// all-zero payload that punches holes over earlier data, or the
+    /// protocol's [`zero_block`] itself (known for zeros by address),
+    /// block-aligned or at any offset, over holes and stored data alike.
+    fn write_op((kind, offset, len, seed): (u8, u64, usize, u8)) -> (u64, Bytes) {
         let bs = BLOCK as u64;
         let pattern = |n: usize| (0..n).map(|i| (i as u8).wrapping_mul(31) ^ seed).collect();
         match kind {
@@ -677,8 +675,10 @@ mod proptests {
                 (boundary - (n as u64 / 2).max(1), pattern(n))
             }
             1 => (offset, pattern(len)),
-            2 => (offset / bs * bs, vec![seed % 3; BLOCK]),
-            _ => (offset, vec![0; len]),
+            2 => (offset / bs * bs, Bytes::from(vec![seed % 3; BLOCK])),
+            3 => (offset, Bytes::from(vec![0; len])),
+            4 => (offset / bs * bs, zero_block()),
+            _ => (offset, zero_block()),
         }
     }
 
@@ -687,7 +687,7 @@ mod proptests {
         /// behave like a flat byte array.
         #[test]
         fn file_matches_vec_model(
-            ops in proptest::collection::vec((0u8..4, 0u64..6 * BLOCK as u64, 1usize..3 * BLOCK, 0u8..=255), 1..24),
+            ops in proptest::collection::vec((0u8..6, 0u64..6 * BLOCK as u64, 1usize..3 * BLOCK, 0u8..=255), 1..24),
             reads in proptest::collection::vec((0u64..7 * BLOCK as u64, 0u64..3 * BLOCK as u64), 1..16),
         ) {
             let mut fs = InMemoryFs::new();

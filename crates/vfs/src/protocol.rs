@@ -19,6 +19,19 @@ pub const NFS_BLOCK: ByteSize = ByteSize::from_kib(8);
 /// Approximate on-the-wire size of RPC headers (RPC + XDR + NFS).
 pub const RPC_HEADER: ByteSize = ByteSize::from_bytes(128);
 
+/// One [`NFS_BLOCK`] of zeros, the block [`zero_block`] points at.
+pub(crate) static ZERO_BLOCK: [u8; NFS_BLOCK.as_u64() as usize] = [0; NFS_BLOCK.as_u64() as usize];
+
+/// The protocol's one zero block, [`NFS_BLOCK`] bytes long: what a
+/// hole in a file reads as, and the payload of every guest WRITE
+/// (`core::nfsdisk`). Every call returns `Bytes` that point at the
+/// same static block, so it costs no allocation, no copy and no
+/// reference count, and [`InMemoryFs::write`](crate::fs::InMemoryFs::write)
+/// knows it for zeros by its address alone.
+pub fn zero_block() -> Bytes {
+    Bytes::from_static(&ZERO_BLOCK)
+}
+
 /// An NFS request.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum NfsRequest {
