@@ -92,7 +92,6 @@ fn bits(lo: u64, hi: u64) -> u64 {
 pub struct BufferCache {
     capacity: u64,
     len: u64,
-    hits: u64,
     /// Page number → slot in `pages`, for every page with a resident
     /// block.
     index: FastMap<u64, u32>,
@@ -118,7 +117,6 @@ impl BufferCache {
         BufferCache {
             capacity: capacity as u64,
             len: 0,
-            hits: 0,
             index: FastMap::default(),
             pages: Vec::new(),
             free_pages: Vec::new(),
@@ -144,8 +142,8 @@ impl BufferCache {
         self.len == 0
     }
 
-    /// Looks up `addr`; on a hit refreshes its recency, counts the
-    /// hit and returns `true`.
+    /// Looks up `addr`; on a hit refreshes its recency and returns
+    /// `true`.
     pub fn touch(&mut self, addr: BlockAddr) -> bool {
         let Some(&page) = self.index.get(&(addr.0 / PAGE_BLOCKS)) else {
             return false;
@@ -154,11 +152,10 @@ impl BufferCache {
             return false;
         };
         self.refresh(e, addr.0, addr.0 + 1);
-        self.hits += 1;
         true
     }
 
-    /// Checks residency without affecting recency or statistics.
+    /// Checks residency without affecting recency.
     pub fn contains(&self, addr: BlockAddr) -> bool {
         self.index
             .get(&(addr.0 / PAGE_BLOCKS))
@@ -177,27 +174,12 @@ impl BufferCache {
         }
     }
 
-    /// Passes the `len` blocks from `start` through the cache as a
-    /// read ([`run`](Self::run)) and counts the resident ones as hits.
-    /// Returns the hits.
-    pub(crate) fn touch_run(&mut self, start: BlockAddr, len: u64) -> u64 {
-        let hits = self.run(start, len);
-        self.hits += hits;
-        hits
-    }
-
-    /// Lookup hits so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
     /// Passes blocks `start..start + len` through the cache in
     /// ascending order, exactly as a per-block loop would: each
     /// resident block becomes the most recent, and each other block is
     /// inserted as the most recent, first evicting the least recent
-    /// block when full. Returns how many were resident when reached.
-    /// A write passes its blocks through here directly; a read goes
-    /// through [`touch_run`](Self::touch_run), which counts hits.
+    /// block when full. Returns how many were resident when reached:
+    /// a read's hits.
     ///
     /// Each step covers a segment of one page: the resident blocks of
     /// one extent, which move together without evicting anything, or
@@ -506,7 +488,6 @@ mod tests {
         assert!(!c.touch(a(1)));
         c.insert(a(1));
         assert!(c.touch(a(1)));
-        assert_eq!(c.hits(), 1);
     }
 
     #[test]
@@ -555,15 +536,15 @@ mod tests {
     #[test]
     fn a_run_is_one_extent_per_page() {
         let mut c = BufferCache::new(1024);
-        assert_eq!(c.touch_run(a(10), 200), 0);
+        assert_eq!(c.run(a(10), 200), 0);
         c.check_invariants();
         // 10..64, 64..128, 128..192, 192..210.
         assert_eq!(c.index.len(), 4);
         assert_eq!(c.extents.len(), 4);
-        assert_eq!(c.touch_run(a(0), 300), 200);
+        // The 200 resident blocks hit; the other 100 go in.
+        assert_eq!(c.run(a(0), 300), 200);
         c.check_invariants();
         assert_eq!(c.blocks_oldest_first(), (0..300).collect::<Vec<_>>());
-        assert_eq!(c.hits(), 200);
     }
 
     #[test]
@@ -574,7 +555,7 @@ mod tests {
         let mut c = BufferCache::new(4);
         c.run(a(10), 2);
         c.run(a(20), 2);
-        assert_eq!(c.touch_run(a(8), 4), 0);
+        assert_eq!(c.run(a(8), 4), 0);
         c.check_invariants();
         assert_eq!(c.blocks_oldest_first(), vec![8, 9, 10, 11]);
     }
@@ -584,7 +565,7 @@ mod tests {
         let mut c = BufferCache::new(100);
         c.run(a(0), 50);
         // 0..50 hit before the run's own misses evict them again.
-        assert_eq!(c.touch_run(a(0), 1000), 50);
+        assert_eq!(c.run(a(0), 1000), 50);
         c.check_invariants();
         assert_eq!(c.blocks_oldest_first(), (900..1000).collect::<Vec<_>>());
     }
@@ -593,8 +574,8 @@ mod tests {
     fn runs_reach_the_top_of_the_address_space() {
         let mut c = BufferCache::new(100);
         let top = u64::MAX - 1;
-        assert_eq!(c.touch_run(a(top - 69), 70), 0);
-        assert_eq!(c.touch_run(a(top - 9), 10), 10);
+        assert_eq!(c.run(a(top - 69), 70), 0);
+        assert_eq!(c.run(a(top - 9), 10), 10);
         c.check_invariants();
         assert_eq!(c.len(), 70);
         assert!(c.contains(a(top - 1)));
@@ -604,7 +585,7 @@ mod tests {
     fn emptied_pages_and_extents_are_reused() {
         let mut c = BufferCache::new(128);
         for round in 0..50 {
-            c.touch_run(a(round * 1024), 128);
+            c.run(a(round * 1024), 128);
             c.check_invariants();
         }
         assert_eq!(c.index.len(), 2);
@@ -623,30 +604,13 @@ mod proptests {
     /// reference [`BufferCache`] must match operation for operation.
     struct BlockLoop {
         lru: LruSet<u64>,
-        hits: u64,
     }
 
     impl BlockLoop {
         fn new(capacity: usize) -> Self {
             BlockLoop {
                 lru: LruSet::new(capacity),
-                hits: 0,
             }
-        }
-
-        fn touch(&mut self, b: u64) -> bool {
-            let hit = self.lru.touch(&b);
-            self.hits += u64::from(hit);
-            hit
-        }
-
-        fn touch_run(&mut self, start: u64, len: u64) -> u64 {
-            let mut hits = 0;
-            for b in start..start + len {
-                hits += u64::from(self.touch(b));
-                self.lru.insert(b);
-            }
-            hits
         }
 
         fn run(&mut self, start: u64, len: u64) -> u64 {
@@ -671,16 +635,15 @@ mod proptests {
     }
 
     /// Replays one operation, drawn as `(kind, block, run length)`,
-    /// on both caches and checks that they agree after it.
+    /// on both caches and checks that they agree after it: a `touch`'s
+    /// hit, an `insert`'s victim, or a run's hits (half the kinds).
     fn step(cache: &mut BufferCache, model: &mut BlockLoop, (kind, b, len): (u8, u64, u64)) {
         match kind {
-            0 => assert_eq!(cache.touch(BlockAddr(b)), model.touch(b)),
+            0 => assert_eq!(cache.touch(BlockAddr(b)), model.lru.touch(&b)),
             1 => assert_eq!(cache.insert(BlockAddr(b)).map(|v| v.0), model.lru.insert(b)),
-            2 => assert_eq!(cache.touch_run(BlockAddr(b), len), model.touch_run(b, len)),
             _ => assert_eq!(cache.run(BlockAddr(b), len), model.run(b, len)),
         }
         cache.check_invariants();
-        assert_eq!(cache.hits(), model.hits);
         assert_eq!(cache.len(), model.lru.len());
         assert_eq!(cache.blocks_oldest_first(), model.blocks_oldest_first());
     }
@@ -739,14 +702,17 @@ mod proptests {
         fn sequential_scan_thrashes(cap in 1usize..8, rounds in 2usize..5) {
             let n = cap as u64 + 1; // scan one more than fits
             let mut c = BufferCache::new(cap);
+            let mut hits = 0;
             for _ in 0..rounds {
                 for i in 0..n {
-                    if !c.touch(BlockAddr(i)) {
+                    if c.touch(BlockAddr(i)) {
+                        hits += 1;
+                    } else {
                         c.insert(BlockAddr(i));
                     }
                 }
             }
-            prop_assert_eq!(c.hits(), 0, "strict LRU must thrash on scan of cap+1");
+            prop_assert_eq!(hits, 0, "strict LRU must thrash on scan of cap+1");
         }
     }
 }

@@ -216,14 +216,14 @@ impl DiskModel {
     /// counts them. Returns how many must go to the arm: a read's
     /// misses, or all of a write's blocks (write-through).
     fn cache_run(&mut self, start: BlockAddr, count: u64, kind: AccessKind) -> u64 {
+        let resident = self.cache.run(start, count);
         match kind {
             AccessKind::Read => {
                 self.blocks_read += count;
-                count - self.cache.touch_run(start, count)
+                count - resident
             }
             AccessKind::Write => {
                 self.blocks_written += count;
-                self.cache.run(start, count);
                 count
             }
         }
@@ -252,7 +252,12 @@ mod tests {
         let g1 = d.access(SimTime::ZERO, BlockAddr(10), AccessKind::Read);
         let g2 = d.access(g1.finish, BlockAddr(10), AccessKind::Read);
         assert_eq!(g2.latency_from(g1.finish), d.profile.cache_hit_time);
-        assert_eq!(d.cache().hits(), 1);
+        // A hit does not queue behind a miss that holds the arm.
+        let miss = d.access(g2.finish, BlockAddr(500), AccessKind::Read);
+        let hit = d.access(g2.finish, BlockAddr(10), AccessKind::Read);
+        assert_eq!(hit.start, g2.finish);
+        assert_eq!(hit.latency_from(g2.finish), d.profile.cache_hit_time);
+        assert!(miss.finish > hit.finish);
     }
 
     #[test]
