@@ -1,6 +1,6 @@
 //! Criterion bench: the storage/VFS hot paths — buffer-cache
-//! operations, proxy hit/miss handling, end-to-end mount reads, and
-//! guest traffic through the PVFS adapter.
+//! operations, proxy hit/miss/evict churn and prefetching misses,
+//! end-to-end mount reads, and guest traffic through the PVFS adapter.
 //!
 //! The mount shape reads a synthetic file, so most of its time goes to
 //! generating the bytes. The two guest shapes are Table 1's `VM, PVFS`
@@ -70,6 +70,35 @@ fn bench_vfs(c: &mut Criterion) {
                     }
                 }
                 cache.len()
+            },
+            BatchSize::SmallInput,
+        )
+    });
+
+    c.bench_function("proxy: 10k-block churn, hits+misses+evictions", |b| {
+        // Working set (2048 blocks) larger than the cache (1024), so
+        // the loop continuously hits, misses, installs and evicts.
+        let cfg = ProxyConfig {
+            cache_blocks: 1024,
+            prefetch_depth: 0,
+            ..ProxyConfig::default()
+        };
+        let bs = NFS_BLOCK.as_u64();
+        b.iter_batched(
+            || VfsProxy::new(cfg),
+            |mut proxy| {
+                let fh = FileHandle(1);
+                let mut hits = 0usize;
+                let mut pf = Vec::new();
+                for i in 0..10_000u64 {
+                    let offset = (i * 769 % 2048) * bs;
+                    if proxy.try_read_hit(fh, offset, bs, SimTime::ZERO).is_some() {
+                        hits += 1;
+                    } else {
+                        proxy.note_read_miss(fh, offset, bs, &mut pf);
+                    }
+                }
+                hits
             },
             BatchSize::SmallInput,
         )

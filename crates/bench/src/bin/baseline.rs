@@ -20,7 +20,7 @@
 //! back-to-back instead of contending for cores mid-measurement.
 
 use gridvm_bench::harness::{self, m, Experiment, Measurement, Options, SampleCtx, Scenario};
-use gridvm_bench::regional::{build_handoff, HandoffConfig};
+use gridvm_bench::regional::{build_handoff, REGIONS};
 use gridvm_core::multisite::{build_vo, VoConfig};
 use gridvm_simcore::engine::Engine;
 use gridvm_simcore::event::EventQueue;
@@ -264,7 +264,6 @@ impl Experiment for Baseline {
                     crash_per_mille: 10,
                     work_draws: 16,
                     seed: rng.next_u64(),
-                    ..VoConfig::paper_vo()
                 };
                 let started1 = harness::wall_clock();
                 let mut one = build_vo(&cfg).shards(1).threads(1);
@@ -318,22 +317,21 @@ impl Experiment for Baseline {
                 // the sample records the per-pair throughput plus the
                 // barrier-window reduction, which the bench gate holds
                 // at >= 3x.
-                let cfg = HandoffConfig {
-                    legs: (n / (6 * 24)).max(8) as u32,
-                    ..HandoffConfig::reference()
-                };
-                let topo = SiteTopology::regional_vo(cfg.regions, 2);
+                // About n events: one token per region, 24-step
+                // bursts per leg.
+                let legs = (n / (u64::from(REGIONS) * 24)).max(8) as u32;
+                let topo = SiteTopology::regional_vo(REGIONS, 2);
                 let uniform = LookaheadMatrix::uniform(
                     topo.sites(),
                     topo.lookahead().expect("regional_vo meshes"),
                 );
-                let mut global = build_handoff(&cfg)
+                let mut global = build_handoff(legs)
                     .with_lookahead(uniform)
                     .shards(4)
                     .threads(1);
                 global.run();
                 let started = harness::wall_clock();
-                let mut paired = build_handoff(&cfg).shards(4).threads(1);
+                let mut paired = build_handoff(legs).shards(4).threads(1);
                 paired.run();
                 let wall = started.elapsed();
                 assert_eq!(

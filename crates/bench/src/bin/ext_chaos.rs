@@ -110,10 +110,7 @@ impl Experiment for ChaosSweep {
             let plan = plan_for(seed, mtbf);
             let mut cluster = Cluster::paper_lan(HOSTS, "rh72", "userX");
             let mut rng = SimRng::seed_from(seed);
-            // Same 16k-entry bound as `TraceLog::default()`, but the
-            // ring is reserved up front: sessions under measurement
-            // never regrow the buffer mid-run.
-            let mut trace = TraceLog::preallocated(16_384);
+            let mut trace = TraceLog::default();
             match run_resilient_session(
                 &mut cluster,
                 &request(),

@@ -29,45 +29,25 @@ static HANDOFF_STEPS: Counter = Counter::new("handoff.steps");
 /// Completed handoff legs (burst + transfer to the metro partner).
 static HANDOFF_LEGS: Counter = Counter::new("handoff.legs");
 
-/// Shape of one regional handoff run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct HandoffConfig {
-    /// Regions in the [`SiteTopology::regional_vo`] mesh; each region
-    /// holds two metro sites and one token.
-    pub regions: u32,
-    /// Local work steps a token bursts through per leg.
-    pub burst_steps: u32,
-    /// Spacing between a token's burst steps.
-    pub step_gap: SimDuration,
-    /// Handoffs each token performs before retiring.
-    pub legs: u32,
-}
+/// Regions in the [`SiteTopology::regional_vo`] mesh; each region
+/// holds two metro sites and one token.
+pub const REGIONS: u32 = 6;
 
-impl HandoffConfig {
-    /// The reference shape: 6 regions, 24-step bursts at 1 ms, 64
-    /// legs — bursts span ~24 ms against a 5 ms global lookahead, so
-    /// the per-pair protocol has several windows per burst to merge.
-    pub fn reference() -> Self {
-        HandoffConfig {
-            regions: 6,
-            burst_steps: 24,
-            step_gap: SimDuration::from_millis(1),
-            legs: 64,
-        }
-    }
-}
+/// Local work steps a token bursts through per leg. 24-step bursts
+/// at [`STEP_GAP`] span ~24 ms against a 5 ms global lookahead, so
+/// the per-pair protocol has several windows per burst to merge.
+const BURST_STEPS: u64 = 24;
+
+/// Spacing between a token's burst steps.
+const STEP_GAP: SimDuration = SimDuration::from_millis(1);
 
 /// One metro site of the handoff world.
 #[derive(Debug)]
 pub struct HandoffSite {
     partner: SiteId,
     partner_latency: SimDuration,
-    step_gap: SimDuration,
-    burst_steps: u32,
     /// Fold of every step's work product (digest-comparable).
     pub checksum: u64,
-    /// Legs completed at this site.
-    pub legs_done: u64,
 }
 
 impl ShardWorld for HandoffSite {
@@ -76,8 +56,7 @@ impl ShardWorld for HandoffSite {
     /// this one. Its next burst starts at once.
     fn deliver(words: [u64; 2], site: &mut SiteState<Self>, en: &mut Engine<SiteState<Self>>) {
         let [token, legs_left] = words;
-        let steps = u64::from(site.world.burst_steps);
-        burst([(token << 32) | steps, legs_left], site, en);
+        burst([(token << 32) | BURST_STEPS, legs_left], site, en);
     }
 }
 
@@ -95,11 +74,13 @@ fn burst(
     w.checksum ^= (token.rotate_left((steps_left % 63) as u32)).wrapping_mul(0x9e37_79b9_7f4a_7c15)
         ^ en.now().as_nanos();
     if steps_left > 0 {
-        let gap = w.step_gap;
-        en.schedule_in(gap, [(token << 32) | (steps_left - 1), legs_left], burst);
+        en.schedule_in(
+            STEP_GAP,
+            [(token << 32) | (steps_left - 1), legs_left],
+            burst,
+        );
         return;
     }
-    w.legs_done += 1;
     HANDOFF_LEGS.add(1);
     if legs_left > 0 {
         let (partner, at) = (w.partner, en.now() + w.partner_latency);
@@ -110,21 +91,16 @@ fn burst(
     }
 }
 
-/// Builds the handoff world over `regional_vo(cfg.regions, 2)`: one
+/// Builds the handoff world over `regional_vo(REGIONS, 2)`: one
 /// token per region starting its first burst at a per-region stagger,
-/// handing off between the region's two metro sites until its legs
-/// run out, synchronized by the topology's lookahead matrix.
+/// handing off between the region's two metro sites until its `legs`
+/// handoffs run out, synchronized by the topology's lookahead matrix.
 /// Configure shards/threads on the returned sim and run it; compare
 /// `windows()` against the same world under
 /// [`LookaheadMatrix::uniform`](gridvm_simcore::lookahead::LookaheadMatrix::uniform)
 /// at equal trace digests and checksums.
-///
-/// # Panics
-///
-/// Panics when `cfg.regions` is zero.
-pub fn build_handoff(cfg: &HandoffConfig) -> ShardedSim<HandoffSite> {
-    assert!(cfg.regions > 0, "a handoff world needs at least one region");
-    let topo = SiteTopology::regional_vo(cfg.regions, 2);
+pub fn build_handoff(legs: u32) -> ShardedSim<HandoffSite> {
+    let topo = SiteTopology::regional_vo(REGIONS, 2);
     let n = topo.sites() as u32;
     let mut sim = ShardedSim::new(
         topo.lookahead_matrix(),
@@ -133,22 +109,18 @@ pub fn build_handoff(cfg: &HandoffConfig) -> ShardedSim<HandoffSite> {
             HandoffSite {
                 partner,
                 partner_latency: topo.latency(SiteId(i), partner).expect("metro pair"),
-                step_gap: cfg.step_gap,
-                burst_steps: cfg.burst_steps,
                 checksum: 0,
-                legs_done: 0,
             }
         }),
     );
-    for r in 0..cfg.regions {
-        sim.with_site((2 * r) as usize, |site, en| {
-            let steps = u64::from(site.world.burst_steps);
+    for r in 0..REGIONS {
+        sim.with_site((2 * r) as usize, |_, en| {
             // Stagger region starts so same-instant pileups don't mask
             // ordering differences between the protocols.
             let start = SimTime::ZERO + SimDuration::from_micros(137 * u64::from(r));
             en.schedule_at(
                 start,
-                [(u64::from(r) << 32) | steps, u64::from(cfg.legs)],
+                [(u64::from(r) << 32) | BURST_STEPS, u64::from(legs)],
                 burst,
             );
         });
@@ -179,20 +151,17 @@ mod tests {
 
     #[test]
     fn tokens_complete_their_legs_and_histories_match_across_protocols() {
-        let cfg = HandoffConfig {
-            legs: 12,
-            ..HandoffConfig::reference()
-        };
-        let topo = SiteTopology::regional_vo(cfg.regions, 2);
+        let legs = 12;
+        let topo = SiteTopology::regional_vo(REGIONS, 2);
         let global =
             LookaheadMatrix::uniform(topo.sites(), topo.lookahead().expect("regional_vo meshes"));
-        let (digest, checksums, messages, paired_windows) = run(build_handoff(&cfg), 4, 2);
+        let (digest, checksums, messages, paired_windows) = run(build_handoff(legs), 4, 2);
         let (gdigest, gchecksums, gmessages, global_windows) =
-            run(build_handoff(&cfg).with_lookahead(global), 4, 2);
+            run(build_handoff(legs).with_lookahead(global), 4, 2);
         assert_eq!(digest, gdigest, "protocols diverged");
         assert_eq!(checksums, gchecksums);
         assert_eq!(messages, gmessages);
-        let mut oracle = build_handoff(&cfg);
+        let mut oracle = build_handoff(legs);
         metrics::reset();
         oracle.run_sequential();
         metrics::reset();
@@ -202,7 +171,7 @@ mod tests {
             "diverged from the sequential reference"
         );
         assert_eq!(oracle.messages(), messages);
-        assert_eq!(messages, u64::from(cfg.regions) * u64::from(cfg.legs));
+        assert_eq!(messages, u64::from(REGIONS) * u64::from(legs));
         assert!(
             paired_windows * 3 <= global_windows,
             "expected >= 3x fewer windows, got {paired_windows} vs {global_windows}"
@@ -211,14 +180,10 @@ mod tests {
 
     #[test]
     fn handoff_world_is_packing_invariant() {
-        let cfg = HandoffConfig {
-            legs: 8,
-            ..HandoffConfig::reference()
-        };
-        let want = run(build_handoff(&cfg), 1, 1);
+        let want = run(build_handoff(8), 1, 1);
         for (shards, threads) in [(2, 1), (4, 4), (12, 3)] {
             assert_eq!(
-                run(build_handoff(&cfg), shards, threads),
+                run(build_handoff(8), shards, threads),
                 want,
                 "shards={shards}"
             );

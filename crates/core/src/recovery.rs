@@ -88,7 +88,7 @@ impl Cluster {
     /// Panics when `n` is zero.
     pub fn paper_lan(n: usize, image: &str, user: &str) -> Self {
         assert!(n > 0, "a cluster needs at least one host");
-        let mut info = InfoService::new().with_propagation(SimDuration::ZERO);
+        let mut info = InfoService::new();
         let mut hosts = Vec::with_capacity(n);
         let mut futures = Vec::with_capacity(n);
         let mut links = Vec::with_capacity(n);

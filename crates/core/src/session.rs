@@ -295,7 +295,7 @@ mod tests {
     /// `server_images`; the image server itself holds only `rh72`.
     fn world_advertising(future_images: &[&str], server_images: &[&str]) -> GridWorld {
         let images = |names: &[&str]| names.iter().map(|&n| n.to_owned()).collect();
-        let mut info = InfoService::new().with_propagation(SimDuration::ZERO);
+        let mut info = InfoService::new();
         let host = info.register(
             SimTime::ZERO,
             "compute-site",

@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use gridvm_simcore::rng::SimRng;
-use gridvm_simcore::time::{SimDuration, SimTime};
+use gridvm_simcore::time::SimTime;
 
 /// Unique id of a registered resource.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -189,31 +189,17 @@ impl Query {
 pub struct InfoService {
     records: BTreeMap<ResourceId, ResourceRecord>,
     next_id: u64,
-    /// Registration lag: directory entries become visible after this
-    /// propagation delay.
-    propagation: SimDuration,
     registered_at: BTreeMap<ResourceId, SimTime>,
 }
 
 impl InfoService {
-    /// Creates an empty directory with a 2-second propagation delay.
+    /// Creates an empty directory (the same as `default()`).
     pub fn new() -> Self {
-        InfoService {
-            records: BTreeMap::new(),
-            next_id: 0,
-            propagation: SimDuration::from_secs(2),
-            registered_at: BTreeMap::new(),
-        }
+        Self::default()
     }
 
-    /// Overrides the propagation delay.
-    pub fn with_propagation(mut self, d: SimDuration) -> Self {
-        self.propagation = d;
-        self
-    }
-
-    /// Registers a resource at `now`; it becomes queryable after the
-    /// propagation delay.
+    /// Registers a resource at `now`; queries as of `now` or later
+    /// see it.
     pub fn register(&mut self, now: SimTime, site: &str, kind: ResourceKind) -> ResourceId {
         let id = ResourceId(self.next_id);
         self.next_id += 1;
@@ -250,8 +236,8 @@ impl InfoService {
         self.records.is_empty()
     }
 
-    /// Runs a bounded query **as of `now`**: only records whose
-    /// registration has propagated are candidates; at most `limit`
+    /// Runs a bounded query **as of `now`**: only records registered
+    /// at or before `now` are candidates; at most `limit`
     /// matches are returned, and when more exist a random subset is
     /// chosen (the paper's nondeterministic partial results).
     pub fn query_at(
@@ -264,11 +250,7 @@ impl InfoService {
         let mut hits: Vec<&ResourceRecord> = self
             .records
             .values()
-            .filter(|r| {
-                self.registered_at
-                    .get(&r.id)
-                    .is_some_and(|t| *t + self.propagation <= now)
-            })
+            .filter(|r| self.registered_at.get(&r.id).is_some_and(|t| *t <= now))
             .filter(|r| q.matches(r))
             .collect();
         if hits.len() > limit {
@@ -289,9 +271,10 @@ impl InfoService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gridvm_simcore::time::SimDuration;
 
     fn directory() -> (InfoService, ResourceId, ResourceId) {
-        let mut mds = InfoService::new().with_propagation(SimDuration::ZERO);
+        let mut mds = InfoService::new();
         let h1 = mds.register(
             SimTime::ZERO,
             "uf",
@@ -369,7 +352,7 @@ mod tests {
 
     #[test]
     fn results_are_bounded_and_partial() {
-        let mut mds = InfoService::new().with_propagation(SimDuration::ZERO);
+        let mut mds = InfoService::new();
         for i in 0..50 {
             mds.register(
                 SimTime::ZERO,
@@ -387,22 +370,41 @@ mod tests {
     }
 
     #[test]
-    fn propagation_delay_hides_fresh_registrations() {
-        let mut mds = InfoService::new(); // 2 s propagation
+    fn registrations_are_hidden_from_earlier_queries() {
+        let mut mds = InfoService::new();
         mds.register(
             SimTime::from_secs(10),
             "uf",
             ResourceKind::DataServer { site: "uf".into() },
         );
         let mut rng = SimRng::seed_from(5);
+        let just_before = SimTime::from_secs(10) - SimDuration::from_nanos(1);
         assert!(mds
-            .query_at(SimTime::from_secs(11), &Query::All, 10, &mut rng)
+            .query_at(just_before, &Query::All, 10, &mut rng)
             .is_empty());
         assert_eq!(
-            mds.query_at(SimTime::from_secs(12), &Query::All, 10, &mut rng)
+            mds.query_at(SimTime::from_secs(10), &Query::All, 10, &mut rng)
                 .len(),
             1
         );
+    }
+
+    #[test]
+    fn new_and_default_answer_alike() {
+        let mut rng = SimRng::seed_from(6);
+        let answers: Vec<usize> = [InfoService::new(), InfoService::default()]
+            .into_iter()
+            .map(|mut mds| {
+                mds.register(
+                    SimTime::from_secs(10),
+                    "uf",
+                    ResourceKind::DataServer { site: "uf".into() },
+                );
+                mds.query_at(SimTime::from_secs(11), &Query::All, 10, &mut rng)
+                    .len()
+            })
+            .collect();
+        assert_eq!(answers, [1, 1]);
     }
 
     #[test]

@@ -20,9 +20,8 @@
 //!   agreement in [`crate::slot::DenseMap::audit`].
 //!
 //! The module is compiled under `debug_assertions` (so every dev-
-//! profile test run exercises it), under `test` (so the crate's own
-//! unit tests build and run it in release too) or with the `audit`
-//! cargo feature (to opt a release build in); other release builds
+//! profile test run exercises it) or under `test` (so the crate's own
+//! unit tests build and run it in release too); other release builds
 //! carry zero audit code. The [`Engine`](crate::engine::Engine)'s
 //! dispatch loop additionally self-audits every
 //! [`AUTO_AUDIT_INTERVAL`] events, so long-running tests sweep the

@@ -154,7 +154,7 @@ impl<W> Engine<W> {
         self.executed += 1;
         // Periodic self-audit: every dev-profile run continuously
         // sweeps the queue invariants without O(n) work per event.
-        #[cfg(any(debug_assertions, test, feature = "audit"))]
+        #[cfg(any(debug_assertions, test))]
         if self
             .executed
             .is_multiple_of(crate::audit::AUTO_AUDIT_INTERVAL)
@@ -174,7 +174,7 @@ impl<W> Engine<W> {
     /// [`crate::audit`]): the event queue's sequence-counter check plus
     /// causality — no pending event may be earlier than the clock,
     /// since the past is immutable in a discrete-event simulation.
-    #[cfg(any(debug_assertions, test, feature = "audit"))]
+    #[cfg(any(debug_assertions, test))]
     pub fn audit(&self) -> crate::audit::AuditResult {
         self.queue.audit()?;
         if let Some(next) = self.queue.earliest_time() {

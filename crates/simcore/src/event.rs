@@ -198,7 +198,7 @@ impl<E> EventQueue<E> {
     ///
     /// O(n) in pending events — called periodically by the dispatch
     /// loop of [`crate::engine::Engine`], directly by tests.
-    #[cfg(any(debug_assertions, test, feature = "audit"))]
+    #[cfg(any(debug_assertions, test))]
     pub fn audit(&self) -> crate::audit::AuditResult {
         match self
             .held

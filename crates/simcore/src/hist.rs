@@ -9,7 +9,7 @@
 //! HDR-style logarithmic buckets with a fixed sub-bucket resolution,
 //! so memory is a constant ~11 KiB per named series regardless of how
 //! many values are recorded, relative quantile error is bounded by
-//! the sub-bucket width (~3% at the default 5 sub-bucket bits), and —
+//! the sub-bucket width (~3% at 5 sub-bucket bits), and —
 //! because every field is an integer — merging two histograms is an
 //! element-wise `u64` add: exactly associative and commutative, hence
 //! bit-identical however the sharded simulator packs sites into
@@ -31,27 +31,28 @@
 
 use std::fmt;
 
-/// Default sub-bucket resolution bits: 32 sub-buckets per power of
-/// two, ≈3.1% worst-case relative quantile error.
-pub const DEFAULT_SUB_BITS: u32 = 5;
+/// Sub-bucket resolution bits: 32 sub-buckets per power of two,
+/// ≈3.1% worst-case relative quantile error.
+const SUB_BITS: u32 = 5;
 
-/// Default top exponent: values up to `2^48 - 1` (≈3.2 simulated days
-/// in nanoseconds) are representable.
-pub const DEFAULT_MAX_EXP: u32 = 48;
+/// Top exponent: values up to `2^48 - 1` (≈3.2 simulated days in
+/// nanoseconds) are representable.
+pub const MAX_EXP: u32 = 48;
+
+/// Bucket count: `2^SUB_BITS` exact buckets below `2^SUB_BITS`, then
+/// `2^SUB_BITS` sub-buckets for each power of two up to `2^MAX_EXP`.
+const BUCKETS: usize = ((MAX_EXP - SUB_BITS + 1) << SUB_BITS) as usize;
 
 /// A streaming log-scale histogram over `u64` values.
 ///
-/// The layout is fixed at construction: `sub_bits` resolution bits
-/// (each power-of-two decade splits into `2^sub_bits` equal-width
-/// sub-buckets) and a top exponent `max_exp` (values must be below
-/// `2^max_exp`). Two histograms merge only when their layouts match;
-/// all state is integral, so merge is exactly associative and
-/// commutative and merged results are bit-identical for any grouping
-/// order — the property the sharded metrics roll-up relies on.
+/// Every histogram has the one layout: each power-of-two decade
+/// splits into `2^5` equal-width sub-buckets, and values must be
+/// below `2^`[`MAX_EXP`]. All state is integral, so merge is exactly
+/// associative and commutative and merged results are bit-identical
+/// for any grouping order — the property the sharded metrics roll-up
+/// relies on.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Histogram {
-    sub_bits: u32,
-    max_exp: u32,
     buckets: Vec<u64>,
     count: u64,
     total: u128,
@@ -60,60 +61,35 @@ pub struct Histogram {
 }
 
 impl Default for Histogram {
-    /// The registry layout: [`DEFAULT_SUB_BITS`] / [`DEFAULT_MAX_EXP`].
     fn default() -> Self {
-        Histogram::new(DEFAULT_SUB_BITS, DEFAULT_MAX_EXP)
-    }
-}
-
-impl Histogram {
-    /// Creates an empty histogram with the given layout: `2^sub_bits`
-    /// sub-buckets per power-of-two decade, values below `2^max_exp`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `sub_bits` is zero or above 8, or when `max_exp`
-    /// is not in `(sub_bits, 63]` — layouts outside that range are
-    /// either useless (no resolution) or overflow bucket indexing.
-    pub fn new(sub_bits: u32, max_exp: u32) -> Self {
-        assert!(
-            (1..=8).contains(&sub_bits),
-            "Histogram sub_bits must be in 1..=8, got {sub_bits}"
-        );
-        assert!(
-            sub_bits < max_exp && max_exp <= 63,
-            "Histogram max_exp must be in ({sub_bits}, 63], got {max_exp}"
-        );
-        let buckets = ((max_exp - sub_bits + 1) << sub_bits) as usize;
         Histogram {
-            sub_bits,
-            max_exp,
-            buckets: vec![0; buckets],
+            buckets: vec![0; BUCKETS],
             count: 0,
             total: 0,
             min: u64::MAX,
             max: 0,
         }
     }
+}
 
-    /// Bucket index of a value. Values below `2^sub_bits` map
-    /// exactly (one value per bucket); larger values map into the
-    /// `2^sub_bits` equal-width sub-buckets of their power-of-two
+impl Histogram {
+    /// Bucket index of a value. Values below `2^SUB_BITS` map exactly
+    /// (one value per bucket); larger values map into the
+    /// `2^SUB_BITS` equal-width sub-buckets of their power-of-two
     /// decade.
-    fn index(&self, v: u64) -> usize {
-        let b = self.sub_bits;
+    fn index(v: u64) -> usize {
+        let b = SUB_BITS;
         if v < (1 << b) {
             return v as usize;
         }
         let msb = 63 - v.leading_zeros();
-        ((((msb - b + 1) << b) | ((v >> (msb - b)) as u32 - (1 << b))) as usize)
-            .min(self.buckets.len() - 1)
+        ((((msb - b + 1) << b) | ((v >> (msb - b)) as u32 - (1 << b))) as usize).min(BUCKETS - 1)
     }
 
     /// The largest value a bucket covers — the representative
     /// returned by quantile queries, so quantiles never understate.
-    fn representative(&self, index: usize) -> u64 {
-        let b = self.sub_bits;
+    fn representative(index: usize) -> u64 {
+        let b = SUB_BITS;
         let decade = (index as u32) >> b;
         if decade == 0 {
             return index as u64;
@@ -127,34 +103,19 @@ impl Histogram {
     ///
     /// # Panics
     ///
-    /// Panics when `v >= 2^max_exp` — a value above the top bucket
-    /// means the layout was mis-sized for the quantity and silently
+    /// Panics when `v >= 2^MAX_EXP` — a value above the top bucket
+    /// means the quantity was mis-scaled for the layout, and silently
     /// clamping it would corrupt the tail quantiles the histogram
     /// exists to report.
     pub fn record(&mut self, v: u64) {
-        self.record_n(v, 1);
-    }
-
-    /// Records a value `n` times (one bucket touch — how the bench
-    /// loop and pre-aggregated rollups feed bulk counts).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `v >= 2^max_exp`; see [`record`](Self::record).
-    pub fn record_n(&mut self, v: u64, n: u64) {
         assert!(
-            v < (1u64 << self.max_exp),
-            "histogram value {v} above top bucket (max_exp={}); \
-             size the layout for the quantity instead of clamping the tail",
-            self.max_exp
+            v < (1u64 << MAX_EXP),
+            "histogram value {v} above top bucket (max_exp={MAX_EXP}); \
+             scale the quantity instead of clamping the tail"
         );
-        if n == 0 {
-            return;
-        }
-        let idx = self.index(v);
-        self.buckets[idx] += n;
-        self.count += n;
-        self.total += u128::from(v) * u128::from(n);
+        self.buckets[Self::index(v)] += 1;
+        self.count += 1;
+        self.total += u128::from(v);
         self.min = self.min.min(v);
         self.max = self.max.max(v);
     }
@@ -215,7 +176,7 @@ impl Histogram {
         for (i, &n) in self.buckets.iter().enumerate() {
             seen += n;
             if seen >= target {
-                return self.representative(i).clamp(self.min, self.max);
+                return Self::representative(i).clamp(self.min, self.max);
             }
         }
         self.max
@@ -241,21 +202,7 @@ impl Histogram {
     /// so the result is bit-identical for any merge grouping or order
     /// — the property the per-site → VO-level metrics rollup and the
     /// shard/thread invariance tests pin.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the layouts differ: merging buckets that cover
-    /// different value ranges would silently misfile counts.
     pub fn merge(&mut self, other: &Histogram) {
-        assert!(
-            self.sub_bits == other.sub_bits && self.max_exp == other.max_exp,
-            "merge of mismatched Histogram bucket layouts: \
-             ({}, {}) vs ({}, {})",
-            self.sub_bits,
-            self.max_exp,
-            other.sub_bits,
-            other.max_exp
-        );
         for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
             *a += b;
         }
@@ -352,18 +299,6 @@ mod tests {
     }
 
     #[test]
-    fn record_n_matches_repeated_record() {
-        let mut a = Histogram::default();
-        let mut b = Histogram::default();
-        a.record_n(12345, 7);
-        a.record_n(99, 0);
-        for _ in 0..7 {
-            b.record(12345);
-        }
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn display_summarizes() {
         let mut h = Histogram::default();
         assert_eq!(h.to_string(), "n=0");
@@ -376,16 +311,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "above top bucket")]
     fn value_above_top_bucket_panics() {
-        let mut h = Histogram::new(5, 16);
-        h.record(1 << 16);
-    }
-
-    #[test]
-    #[should_panic(expected = "mismatched Histogram bucket layouts")]
-    fn mismatched_layout_merge_panics() {
-        let mut a = Histogram::new(5, 48);
-        let b = Histogram::new(6, 48);
-        a.merge(&b);
+        // Values past the top bucket would alias into the clamped
+        // last bucket and quietly corrupt the tail quantiles;
+        // recording one is a caller bug and must panic loudly.
+        let mut h = Histogram::default();
+        h.record(1 << MAX_EXP);
     }
 
     #[test]

@@ -92,7 +92,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-#[cfg(any(debug_assertions, test, feature = "audit"))]
+#[cfg(any(debug_assertions, test))]
 pub mod audit;
 pub mod engine;
 pub mod event;

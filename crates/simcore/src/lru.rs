@@ -232,7 +232,7 @@ impl<K: Eq + Hash + Copy> LruSet<K> {
     /// intrusive-list link integrity (`prev`/`next` agree, the walk
     /// from `head` reaches `tail` in exactly `len` steps, so no cycles
     /// or orphans), map↔node agreement, and capacity/arena accounting.
-    #[cfg(any(debug_assertions, test, feature = "audit"))]
+    #[cfg(any(debug_assertions, test))]
     pub fn audit(&self) -> crate::audit::AuditResult {
         use crate::audit::violated;
         if self.map.len() > self.capacity {

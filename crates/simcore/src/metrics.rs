@@ -122,13 +122,12 @@ impl Metrics {
     }
 
     /// Records one value into the named log-scale histogram (created
-    /// with the default [`Histogram`] layout on first touch).
-    /// Constant memory per name — the streaming replacement for
-    /// unbounded per-sample growth at macro scale.
+    /// on first touch). Constant memory per name — the streaming
+    /// replacement for unbounded per-sample growth at macro scale.
     ///
     /// # Panics
     ///
-    /// Panics when `v` is above the default layout's top bucket; see
+    /// Panics when `v` is above the [`Histogram`] top bucket; see
     /// [`Histogram::record`].
     pub fn histogram_record(&mut self, name: &'static str, v: u64) {
         self.histograms.entry(name).or_default().record(v);

@@ -220,13 +220,6 @@ pub trait ShardWorld: Send + Sized + 'static {
     /// handler of an ordinary event on the destination site's engine,
     /// so it may schedule follow-ups and send further messages.
     fn deliver(words: [u64; 2], site: &mut SiteState<Self>, en: &mut Engine<SiteState<Self>>);
-
-    /// Called once per site when the run completes, before the site's
-    /// metrics are folded into the caller's context: worlds that
-    /// tally per-event statistics in plain fields publish them here
-    /// through [`Counter`] handles instead of
-    /// a thread-local add per event. The default publishes nothing.
-    fn flush_metrics(&mut self) {}
 }
 
 /// The world type each site's [`Engine`] executes over: the caller's
@@ -569,11 +562,6 @@ impl<W: ShardWorld> ShardedSim<W> {
         metrics::merge_current(&ambient);
         metrics::merge_current(&self.coord);
         for rt in &mut self.sites {
-            // The world publishes its plain-field tallies into the
-            // site's own context.
-            metrics::swap(&mut rt.metrics);
-            rt.state.world.flush_metrics();
-            metrics::swap(&mut rt.metrics);
             metrics::merge_current(rt.metrics.fold());
         }
     }

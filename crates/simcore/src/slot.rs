@@ -364,7 +364,7 @@ impl<Tag, T> SlotMap<Tag, T> {
     ///
     /// An [`AuditViolation`](crate::audit::AuditViolation) naming the
     /// broken invariant.
-    #[cfg(any(debug_assertions, test, feature = "audit"))]
+    #[cfg(any(debug_assertions, test))]
     pub fn audit(&self) -> crate::audit::AuditResult {
         use crate::audit::violated;
         // Walk the free list: bounded, in range, and only free slots.
@@ -436,19 +436,6 @@ impl<Tag, T> SlotMap<Tag, T> {
             );
         }
         Ok(())
-    }
-
-    /// Test-only corruption hook: severs the free list at its head so
-    /// the audit's partition check must notice. Compiled only with the
-    /// audit layer.
-    #[cfg(any(debug_assertions, test, feature = "audit"))]
-    #[doc(hidden)]
-    pub fn corrupt_free_list_for_test(&mut self) {
-        let beyond = self.slots.len() as u32;
-        if let Some(slot) = self.slots.get_mut(self.free_head as usize) {
-            // Point the head's next past the end of the arena.
-            slot.entry = Entry::Free(beyond);
-        }
     }
 }
 
@@ -619,7 +606,7 @@ impl<T> DenseMap<T> {
     ///
     /// An [`AuditViolation`](crate::audit::AuditViolation) naming the
     /// broken invariant.
-    #[cfg(any(debug_assertions, test, feature = "audit"))]
+    #[cfg(any(debug_assertions, test))]
     pub fn audit(&self) -> crate::audit::AuditResult {
         use crate::audit::violated;
         let mut pointed = 0usize;
@@ -761,6 +748,15 @@ mod tests {
         assert_eq!(m.iter().next().unwrap().0, d);
     }
 
+    /// Severs the free list at its head so the audit's partition
+    /// check must notice: the head's next points past the arena.
+    fn corrupt_free_list<T, V>(m: &mut SlotMap<T, V>) {
+        let beyond = m.slots.len() as u32;
+        if let Some(slot) = m.slots.get_mut(m.free_head as usize) {
+            slot.entry = Entry::Free(beyond);
+        }
+    }
+
     #[test]
     fn audit_detects_a_broken_free_list() {
         let mut m: SlotMap<TestTag, u32> = SlotMap::new();
@@ -768,7 +764,7 @@ mod tests {
         let _b = m.insert(2);
         m.remove(a).unwrap();
         m.audit().unwrap();
-        m.corrupt_free_list_for_test();
+        corrupt_free_list(&mut m);
         let err = m.audit().unwrap_err();
         assert_eq!(err.invariant, "slot-free-range");
         assert!(err.to_string().contains("free list"));

@@ -141,27 +141,6 @@ impl TraceLog {
         log
     }
 
-    /// Like [`with_capacity`](TraceLog::with_capacity), but reserves
-    /// the full ring up front so no `record` call regrows the buffer
-    /// mid-run. Use when the expected entry volume is known from a
-    /// replication hint (event horizon × record rate); plain
-    /// `with_capacity` starts small and is the right default for logs
-    /// that usually stay far below their bound.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn preallocated(capacity: usize) -> Self {
-        assert!(capacity > 0, "TraceLog capacity must be positive");
-        TraceLog {
-            entries: VecDeque::with_capacity(capacity),
-            capacity,
-            dropped: 0,
-            sampled: 0,
-            sampler: None,
-        }
-    }
-
     /// Appends an entry, evicting the oldest when full. On a sampling
     /// log the entry first passes its category's keep decision;
     /// sampled-out entries count as dropped (surfaced by experiment
@@ -294,18 +273,6 @@ mod tests {
         assert_eq!(log.dropped(), 2);
         let msgs: Vec<_> = log.entries().map(|e| e.message.as_str()).collect();
         assert_eq!(msgs, vec!["m2", "m3", "m4"]);
-    }
-
-    #[test]
-    fn preallocated_log_reserves_full_ring() {
-        let log = TraceLog::preallocated(4096);
-        assert!(log.entries.capacity() >= 4096, "no regrow mid-run");
-        let mut log = log;
-        for i in 0..5000 {
-            log.record(t(i), "x", format_args!("m{i}"));
-        }
-        assert_eq!(log.len(), 4096);
-        assert_eq!(log.dropped(), 904);
     }
 
     #[test]

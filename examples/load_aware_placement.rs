@@ -10,11 +10,11 @@ use gridvm::gridmw::info::{InfoService, Query, ResourceKind};
 use gridvm::gridmw::rps::ArPredictor;
 use gridvm::hostload::{LoadLevel, TraceGenerator};
 use gridvm::simcore::rng::SimRng;
-use gridvm::simcore::time::{SimDuration, SimTime};
+use gridvm::simcore::time::SimTime;
 
 fn main() {
     let mut rng = SimRng::seed_from(2003);
-    let mut info = InfoService::new().with_propagation(SimDuration::ZERO);
+    let mut info = InfoService::new();
 
     // Three candidate hosts with different load climates.
     let profiles = [

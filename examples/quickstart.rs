@@ -19,7 +19,7 @@ use gridvm::workloads::{AppProfile, IoPattern};
 
 fn main() {
     // --- deploy the grid (Figure 3's entities) --------------------------
-    let mut info = InfoService::new().with_propagation(SimDuration::ZERO);
+    let mut info = InfoService::new();
     let host = info.register(
         SimTime::ZERO,
         "uf",

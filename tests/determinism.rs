@@ -53,7 +53,7 @@ fn host_simulation_reproduces_per_seed() {
 #[test]
 fn full_sessions_reproduce_per_seed() {
     let build_world = || {
-        let mut info = InfoService::new().with_propagation(SimDuration::ZERO);
+        let mut info = InfoService::new();
         let host = info.register(
             SimTime::ZERO,
             "s",
@@ -243,7 +243,7 @@ mod session_replication_proptest {
     }
 
     fn grid_world() -> GridWorld {
-        let mut info = InfoService::new().with_propagation(SimDuration::ZERO);
+        let mut info = InfoService::new();
         let host = info.register(
             SimTime::ZERO,
             "s",

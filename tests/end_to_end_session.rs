@@ -20,7 +20,7 @@ use gridvm::vnet::overlay::Overlay;
 use gridvm::workloads::{AppProfile, IoPattern};
 
 fn demo_world() -> GridWorld {
-    let mut info = InfoService::new().with_propagation(SimDuration::ZERO);
+    let mut info = InfoService::new();
     let host = info.register(
         SimTime::ZERO,
         "uf",

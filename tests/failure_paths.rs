@@ -334,24 +334,3 @@ fn zero_capacity_trace_log_is_rejected_loudly() {
     // instead.
     let _ = gridvm::simcore::trace::TraceLog::with_sampling(0, 20, 1);
 }
-
-#[test]
-#[should_panic(expected = "histogram value")]
-fn histogram_value_above_top_bucket_is_rejected_loudly() {
-    // Values past the layout's top bucket would alias into the
-    // clamped last bucket and quietly corrupt the tail quantiles;
-    // recording one is a caller bug and must panic with the layout.
-    let mut h = gridvm::simcore::hist::Histogram::new(5, 16);
-    h.record(1 << 16);
-}
-
-#[test]
-#[should_panic(expected = "merge of mismatched Histogram bucket layouts")]
-fn mismatched_histogram_layouts_refuse_to_merge() {
-    // Bucket indices only line up between identical layouts; merging
-    // across layouts would scramble counts into the wrong value
-    // ranges without any arithmetic error to catch it later.
-    let mut a = gridvm::simcore::hist::Histogram::new(5, 48);
-    let b = gridvm::simcore::hist::Histogram::new(6, 48);
-    a.merge(&b);
-}

@@ -22,7 +22,7 @@ use gridvm::simcore::lookahead::LookaheadMatrix;
 use gridvm::simcore::metrics::{self, Metrics};
 use gridvm::simcore::ShardedSim;
 use gridvm::vnet::sites::SiteTopology;
-use gridvm_bench::regional::{build_handoff, HandoffConfig, HandoffSite};
+use gridvm_bench::regional::{build_handoff, HandoffSite, REGIONS};
 use proptest::prelude::*;
 
 /// The global-lookahead protocol as a matrix: every pair of the
@@ -136,12 +136,12 @@ fn per_pair_windows_cut_barriers_threefold_on_the_regional_handoff_world() {
     // though the nearest *link* is metro. Same history, >= 3x fewer
     // barrier windows — the bench gate's regional scenario asserts
     // the same bound from the recorded baseline.
-    let cfg = HandoffConfig::reference();
+    let legs = 64;
     let run = |mut sim: ShardedSim<HandoffSite>, exec: fn(&mut ShardedSim<HandoffSite>)| {
         metrics::reset();
         exec(&mut sim);
         metrics::reset();
-        let checksums: Vec<u64> = (0..cfg.regions as usize * 2)
+        let checksums: Vec<u64> = (0..REGIONS as usize * 2)
             .map(|i| sim.with_site(i, |s, _| s.world.checksum))
             .collect();
         let m = sim.merged_metrics();
@@ -156,12 +156,12 @@ fn per_pair_windows_cut_barriers_threefold_on_the_regional_handoff_world() {
             sim.windows(),
         )
     };
-    let topo = SiteTopology::regional_vo(cfg.regions, 2);
+    let topo = SiteTopology::regional_vo(REGIONS, 2);
     let windowed = |sim: ShardedSim<HandoffSite>| run(sim.shards(4).threads(2), ShardedSim::run);
     let (global_history, global_windows) =
-        windowed(build_handoff(&cfg).with_lookahead(global(&topo)));
-    let (paired_history, paired_windows) = windowed(build_handoff(&cfg));
-    let (oracle_history, _) = run(build_handoff(&cfg), ShardedSim::run_sequential);
+        windowed(build_handoff(legs).with_lookahead(global(&topo)));
+    let (paired_history, paired_windows) = windowed(build_handoff(legs));
+    let (oracle_history, _) = run(build_handoff(legs), ShardedSim::run_sequential);
     assert_eq!(
         global_history, oracle_history,
         "the global protocol diverged from the sequential reference"
