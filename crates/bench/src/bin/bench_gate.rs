@@ -34,13 +34,15 @@ const USAGE: &str = "usage: bench_gate --committed FILE --fresh FILE \
 
 /// Extracts the `ops_per_sec` mean for `scenario` from a
 /// `gridvm-bench/v1` report: finds the scenario's label, then the
-/// first `"ops_per_sec"` measurement after it, then its `"mean"`.
+/// first `"ops_per_sec"` measurement after it and before the next
+/// scenario's label, then its `"mean"`.
 fn ops_per_sec_mean(json: &str, scenario: &str) -> Result<f64, String> {
     let label_token = format!("\"label\":\"{scenario}\"");
     let at = json
         .find(&label_token)
         .ok_or_else(|| format!("scenario {scenario:?} not found in report"))?;
-    let rest = &json[at..];
+    let rest = &json[at + label_token.len()..];
+    let rest = &rest[..rest.find("\"label\":").unwrap_or(rest.len())];
     let ops = rest
         .find("\"ops_per_sec\":{")
         .ok_or_else(|| format!("scenario {scenario:?} has no ops_per_sec measurement"))?;
@@ -280,6 +282,20 @@ mod tests {
         );
         let unflagged = SAMPLE.replacen("\"quick\":false,", "", 1);
         assert!(same_mode(&unflagged, SAMPLE).is_err());
+    }
+
+    #[test]
+    fn a_scenario_without_ops_never_reads_the_next_scenarios_mean() {
+        let report = r#"{"schema":"gridvm-bench/v1","quick":false,"scenarios":[
+            {"label":"a","samples":1,"paper":null,
+             "measurements":{"wall_us":{"count":1,"mean":5.0,"std":0.0,"min":5.0,"max":5.0}},
+             "metrics":{"counters":{},"gauges":{},"timers":{},"histograms":{}}},
+            {"label":"b","samples":1,"paper":null,
+             "measurements":{"ops_per_sec":{"count":1,"mean":777.0,"std":0.0,"min":777.0,"max":777.0}},
+             "metrics":{"counters":{},"gauges":{},"timers":{},"histograms":{}}}]}"#;
+        let err = ops_per_sec_mean(report, "a").unwrap_err();
+        assert!(err.contains("no ops_per_sec"), "{err}");
+        assert_eq!(ops_per_sec_mean(report, "b"), Ok(777.0));
     }
 
     #[test]

@@ -69,7 +69,7 @@ impl<E> Eq for Entry<E> {}
 ///
 /// This is the storage layer under [`crate::engine::Engine`], its one
 /// user in library code; it is public so the benchmarks (the
-/// `baseline` queue scenario and the criterion benches) can measure
+/// `baseline` queue scenarios) can measure
 /// it on its own.
 ///
 /// ```
