@@ -19,7 +19,6 @@ use gridvm_bench::harness::{
     Scenario,
 };
 use gridvm_core::multisite::{build_vo_scale, Placement, VoScaleConfig};
-use gridvm_simcore::metrics;
 
 /// Full-size run: 24 regions × 8 sites, well past the 10⁵-session
 /// acceptance floor. Quick mode shrinks to a CI-speed smoke that
@@ -69,6 +68,8 @@ impl Experiment for VoScale {
         let started = wall_clock();
         sim.run();
         let wall = started.elapsed();
+        // `run` has already folded these into the sample's context,
+        // so the report's metrics block shows them without a merge here.
         let merged = sim.merged_metrics();
 
         let completed = merged.counter("vo.sessions_completed");
@@ -95,9 +96,6 @@ impl Experiment for VoScale {
         let complete = merged
             .histogram("vo.complete_us")
             .expect("completion-time histogram");
-        // Surface the histograms in the per-scenario metrics block of
-        // the JSON report alongside the counters.
-        metrics::merge_current(&merged);
         vec![
             m("p50_slowdown", slowdown.p50() as f64 / 1000.0),
             m("p99_slowdown", slowdown.p99() as f64 / 1000.0),
@@ -140,4 +138,32 @@ impl Experiment for VoScale {
 
 fn main() {
     run_main(&VoScale);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gridvm_bench::harness::run_experiment;
+
+    #[test]
+    fn report_metrics_count_each_run_once() {
+        let opts = Options {
+            quick: true,
+            samples: 2,
+            threads: 1,
+            ..Options::default()
+        };
+        let report = run_experiment(&VoScale, &opts);
+        for s in &report.scenarios {
+            let completed = s
+                .stats("completed")
+                .expect("every sample reports completions");
+            assert_eq!(
+                s.metrics.counter("vo.sessions_completed") as f64,
+                completed.mean() * completed.count() as f64,
+                "{}: the report counts each run's sessions once",
+                s.scenario.label
+            );
+        }
+    }
 }
