@@ -7,9 +7,9 @@
 //! wall-clock rates (operations per second), so values vary by
 //! machine; the workloads themselves are still seeded and
 //! deterministic. Run with `--json BENCH_simcore.json` to record a
-//! perf trajectory point in the `gridvm-bench/v1` schema — the
-//! committed `BENCH_simcore.json` at the repo root is the first such
-//! point, and future substrate PRs are expected to re-run this binary
+//! perf trajectory point in the `gridvm-bench/v2` schema — the
+//! committed `BENCH_simcore.json` at the repo root, recorded in v1, is
+//! the first such point, and future substrate PRs are expected to re-run this binary
 //! and compare.
 //!
 //! ```text

@@ -22,10 +22,12 @@
 //! is machine-dependent, so the committed number is a *floor* with
 //! slack, not a target. The two reports must share their top-level
 //! `"quick"` flag: a quick run's rates differ from a full-size run's
-//! by a scenario-dependent factor, so no margin compares them. Both
-//! files use the `gridvm-bench/v1` schema emitted by the harness; the
-//! values are extracted with a purpose-built string scan (the
-//! workspace deliberately has no JSON dependency).
+//! by a scenario-dependent factor, so no margin compares them. The
+//! scan reads only the `"quick"` flag, the scenario labels and their
+//! `ops_per_sec` means, which the harness's `gridvm-bench/v1` and
+//! `gridvm-bench/v2` schemas share, so a committed v1 report gates a
+//! fresh v2 one. The values are extracted with a purpose-built string
+//! scan (the workspace deliberately has no JSON dependency).
 
 use std::process::ExitCode;
 
@@ -33,7 +35,7 @@ const USAGE: &str = "usage: bench_gate --committed FILE --fresh FILE \
                      --gate \"label=drop\" [--gate \"label=drop\" ...]";
 
 /// Extracts the `ops_per_sec` mean for `scenario` from a
-/// `gridvm-bench/v1` report: finds the scenario's label, then the
+/// `gridvm-bench` report: finds the scenario's label, then the
 /// first `"ops_per_sec"` measurement after it and before the next
 /// scenario's label, then its `"mean"`.
 fn ops_per_sec_mean(json: &str, scenario: &str) -> Result<f64, String> {
@@ -201,15 +203,15 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    /// Minimal but faithful excerpt of the `gridvm-bench/v1` shape.
-    const SAMPLE: &str = r#"{"schema":"gridvm-bench/v1","quick":false,"scenarios":[
+    /// Minimal but faithful excerpt of the `gridvm-bench/v2` shape.
+    const SAMPLE: &str = r#"{"schema":"gridvm-bench/v2","quick":false,"scenarios":[
         {"label":"engine: chained events","samples":5,"paper":null,
          "measurements":{"ops_per_sec":{"count":5,"mean":42132855.097271875,"std":770302.34,"min":41457238.5,"max":43048820.8},
                          "wall_us":{"count":5,"mean":2374.07,"std":43.13,"min":2322.9,"max":2412.1}},
-         "metrics":{"counters":{"sim.events_executed":500000},"gauges":{},"timers":{}}},
+         "metrics":{"counters":{"sim.events_executed":500000},"histograms":{}}},
         {"label":"queue: push+pop random times","samples":5,"paper":null,
          "measurements":{"ops_per_sec":{"count":5,"mean":7578472.375,"std":806744.57,"min":6307862.2,"max":8293575.3}},
-         "metrics":{"counters":{},"gauges":{},"timers":{}}}]}"#;
+         "metrics":{"counters":{},"histograms":{}}}]}"#;
 
     #[test]
     fn extracts_the_right_scenario_mean() {
@@ -285,14 +287,30 @@ mod tests {
     }
 
     #[test]
+    fn a_v1_report_reads_like_a_v2_one() {
+        // v1 carried empty gauge and timer blocks in every metrics
+        // block; the gate reads neither.
+        let v1 = SAMPLE
+            .replacen("gridvm-bench/v2", "gridvm-bench/v1", 1)
+            .replace(r#","histograms":{}"#, r#","gauges":{},"timers":{}"#);
+        assert!(same_mode(&v1, SAMPLE).is_ok());
+        for label in ["engine: chained events", "queue: push+pop random times"] {
+            assert_eq!(
+                ops_per_sec_mean(&v1, label),
+                ops_per_sec_mean(SAMPLE, label)
+            );
+        }
+    }
+
+    #[test]
     fn a_scenario_without_ops_never_reads_the_next_scenarios_mean() {
-        let report = r#"{"schema":"gridvm-bench/v1","quick":false,"scenarios":[
+        let report = r#"{"schema":"gridvm-bench/v2","quick":false,"scenarios":[
             {"label":"a","samples":1,"paper":null,
              "measurements":{"wall_us":{"count":1,"mean":5.0,"std":0.0,"min":5.0,"max":5.0}},
-             "metrics":{"counters":{},"gauges":{},"timers":{},"histograms":{}}},
+             "metrics":{"counters":{},"histograms":{}}},
             {"label":"b","samples":1,"paper":null,
              "measurements":{"ops_per_sec":{"count":1,"mean":777.0,"std":0.0,"min":777.0,"max":777.0}},
-             "metrics":{"counters":{},"gauges":{},"timers":{},"histograms":{}}}]}"#;
+             "metrics":{"counters":{},"histograms":{}}}]}"#;
         let err = ops_per_sec_mean(report, "a").unwrap_err();
         assert!(err.contains("no ops_per_sec"), "{err}");
         assert_eq!(ops_per_sec_mean(report, "b"), Ok(777.0));

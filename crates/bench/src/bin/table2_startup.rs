@@ -99,14 +99,19 @@ impl Experiment for Table2 {
         let (cfg, _) = &self.scenarios[scenario.index];
         let mut server = ComputeServer::paper_node("V");
         let b = run_startup(&mut server, cfg, &mut ctx.rng());
-        // Phase breakdown lands in the metrics registry, so the
-        // epilogue (and the JSON report) can show per-phase means.
-        metrics::timer_record("startup.middleware_in_s", b.middleware_in.as_secs_f64());
-        metrics::timer_record("startup.image_copy_s", b.image_copy.as_secs_f64());
-        metrics::timer_record("startup.monitor_setup_s", b.monitor_setup.as_secs_f64());
-        metrics::timer_record("startup.state_load_s", b.state_load.as_secs_f64());
-        metrics::timer_record("startup.guest_cpu_s", b.guest_cpu.as_secs_f64());
-        metrics::timer_record("startup.middleware_out_s", b.middleware_out.as_secs_f64());
+        // Phase breakdown lands in the metrics registry as nanosecond
+        // totals, so the epilogue (and the JSON report) can show
+        // per-phase means.
+        for (name, phase) in [
+            ("startup.middleware_in_ns", b.middleware_in),
+            ("startup.image_copy_ns", b.image_copy),
+            ("startup.monitor_setup_ns", b.monitor_setup),
+            ("startup.state_load_ns", b.state_load),
+            ("startup.guest_cpu_ns", b.guest_cpu),
+            ("startup.middleware_out_ns", b.middleware_out),
+        ] {
+            metrics::counter_add(name, phase.as_nanos());
+        }
         vec![m("total_s", b.total_secs())]
     }
 
@@ -117,22 +122,18 @@ impl Experiment for Table2 {
     fn epilogue(&self, report: &ExperimentReport, _opts: &Options) -> Option<String> {
         let mut out = String::new();
         for s in &report.scenarios {
-            let phase = |name: &str| {
-                s.metrics
-                    .timer(name)
-                    .map(|t| t.stats().mean())
-                    .unwrap_or(0.0)
-            };
+            let phase =
+                |name: &str| s.metrics.counter(name) as f64 / 1e9 / s.scenario.samples as f64;
             out.push_str(&format!(
                 "{:<44} phase means: mw-in {:.1} copy {:.1} setup {:.1} load {:.1} \
                  cpu {:.1} mw-out {:.1}\n",
                 s.scenario.label,
-                phase("startup.middleware_in_s"),
-                phase("startup.image_copy_s"),
-                phase("startup.monitor_setup_s"),
-                phase("startup.state_load_s"),
-                phase("startup.guest_cpu_s"),
-                phase("startup.middleware_out_s"),
+                phase("startup.middleware_in_ns"),
+                phase("startup.image_copy_ns"),
+                phase("startup.monitor_setup_ns"),
+                phase("startup.state_load_ns"),
+                phase("startup.guest_cpu_ns"),
+                phase("startup.middleware_out_ns"),
             ));
         }
         out.push_str(

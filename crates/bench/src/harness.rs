@@ -615,22 +615,6 @@ fn jmetrics(m: &Metrics) -> String {
         .counters()
         .map(|(k, v)| format!(r#""{}":{v}"#, json_escape(k)))
         .collect();
-    let gauges: Vec<String> = m
-        .gauges()
-        .map(|(k, s)| format!(r#""{}":{}"#, json_escape(k), jstats(s)))
-        .collect();
-    let timers: Vec<String> = m
-        .timers()
-        .map(|(k, t)| {
-            format!(
-                r#""{}":{{"count":{},"total_secs":{},"stats":{}}}"#,
-                json_escape(k),
-                t.count(),
-                jnum(t.total_secs()),
-                jstats(t.stats())
-            )
-        })
-        .collect();
     let histograms: Vec<String> = m
         .histograms()
         .map(|(k, h)| {
@@ -651,15 +635,13 @@ fn jmetrics(m: &Metrics) -> String {
         })
         .collect();
     format!(
-        r#"{{"counters":{{{}}},"gauges":{{{}}},"timers":{{{}}},"histograms":{{{}}}}}"#,
+        r#"{{"counters":{{{}}},"histograms":{{{}}}}}"#,
         counters.join(","),
-        gauges.join(","),
-        timers.join(","),
         histograms.join(",")
     )
 }
 
-/// Serializes a report to the schema-stable `gridvm-bench/v1` JSON
+/// Serializes a report to the schema-stable `gridvm-bench/v2` JSON
 /// document (see DESIGN.md §5 for the schema).
 pub fn to_json(report: &ExperimentReport) -> String {
     let scenarios: Vec<String> = report
@@ -682,7 +664,7 @@ pub fn to_json(report: &ExperimentReport) -> String {
         })
         .collect();
     format!(
-        "{{\"schema\":\"gridvm-bench/v1\",\"experiment\":\"{}\",\"seed\":{},\"threads\":{},\
+        "{{\"schema\":\"gridvm-bench/v2\",\"experiment\":\"{}\",\"seed\":{},\"threads\":{},\
          \"quick\":{},\"elapsed_secs\":{},\"scenarios\":[{}],\"metrics\":{}}}\n",
         json_escape(&report.title),
         report.seed,
@@ -864,7 +846,7 @@ mod tests {
         let report = run_experiment(&Toy, &opts);
         let json = to_json(&report);
         for needle in [
-            r#""schema":"gridvm-bench/v1""#,
+            r#""schema":"gridvm-bench/v2""#,
             r#""experiment":"toy""#,
             r#""seed":20030517"#,
             r#""scenarios":["#,

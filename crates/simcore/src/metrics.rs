@@ -1,6 +1,6 @@
-//! Per-replication metrics: counters, gauges and timers keyed by
-//! static names, recorded into an implicit thread-local context and
-//! merged across replications.
+//! Per-replication metrics: counters and histograms keyed by static
+//! names, recorded into an implicit thread-local context and merged
+//! across replications.
 //!
 //! The simulation kernel and the middleware crates record their
 //! headline quantities (events executed, world switches, trap counts,
@@ -12,20 +12,18 @@
 //! activity of that replication regardless of how replications are
 //! packed onto OS threads.
 //!
-//! Merging is deterministic: registries are ordered maps keyed by
-//! `&'static str`, counters add, gauges and timers fold their
-//! per-replication distributions with the same parallel-Welford merge
-//! [`OnlineStats`] uses, and the runner merges contexts in
-//! replication-index order — so merged results are bit-identical for
-//! any `--threads` value.
+//! Merging is exact: registries are ordered maps keyed by
+//! `&'static str`, counters add and histograms add bucket by bucket,
+//! all in integers. So any order and grouping of merges gives the same
+//! registry, bit for bit, and merged results are identical for any
+//! `--threads` value.
 //!
 //! ```
 //! use gridvm_simcore::metrics;
 //!
 //! metrics::reset();
 //! metrics::counter_add("vfs.rpc_round_trips", 3);
-//! metrics::gauge_set("host.utilization", 0.75);
-//! metrics::timer_record("vmm.world_switch_secs", 1.2e-5);
+//! metrics::histogram_record("vmm.world_switch_ns", 12_000);
 //! let m = metrics::take();
 //! assert_eq!(m.counter("vfs.rpc_round_trips"), 3);
 //! ```
@@ -36,42 +34,15 @@ use std::fmt;
 use std::sync::OnceLock;
 
 use crate::hist::Histogram;
-use crate::stats::OnlineStats;
 
-/// Aggregate of one timer: invocation count plus the distribution of
-/// recorded durations (in seconds).
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct TimerStat {
-    stats: OnlineStats,
-}
-
-impl TimerStat {
-    /// Number of recorded durations.
-    pub fn count(&self) -> u64 {
-        self.stats.count()
-    }
-
-    /// Sum of recorded durations, seconds.
-    pub fn total_secs(&self) -> f64 {
-        self.stats.mean() * self.stats.count() as f64
-    }
-
-    /// Distribution of recorded durations.
-    pub fn stats(&self) -> &OnlineStats {
-        &self.stats
-    }
-}
-
-/// A registry of named counters, gauges and timers.
+/// A registry of named counters and histograms.
 ///
 /// Component code does not usually construct one directly; it records
 /// through the module-level free functions and lets the replication
 /// runner harvest and merge contexts.
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Metrics {
     counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, OnlineStats>,
-    timers: BTreeMap<&'static str, TimerStat>,
     histograms: BTreeMap<&'static str, Histogram>,
 }
 
@@ -80,45 +51,26 @@ impl Metrics {
     pub const fn new() -> Self {
         Metrics {
             counters: BTreeMap::new(),
-            gauges: BTreeMap::new(),
-            timers: BTreeMap::new(),
             histograms: BTreeMap::new(),
         }
     }
 
     /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-            && self.gauges.is_empty()
-            && self.timers.is_empty()
-            && self.histograms.is_empty()
+        self.counters.is_empty() && self.histograms.is_empty()
     }
 
-    /// Total named series tracked (counters + gauges + timers +
-    /// histograms). The memory-bound the macro-scale soak tests
+    /// Total named series tracked (counters + histograms). The
+    /// memory-bound the macro-scale soak tests
     /// assert: a million-session run must keep this proportional to
     /// the *kinds* of quantities measured, never the session count.
     pub fn tracked_entries(&self) -> usize {
-        self.counters.len() + self.gauges.len() + self.timers.len() + self.histograms.len()
+        self.counters.len() + self.histograms.len()
     }
 
     /// Adds `delta` to the named counter.
     pub fn counter_add(&mut self, name: &'static str, delta: u64) {
         *self.counters.entry(name).or_insert(0) += delta;
-    }
-
-    /// Sets the named gauge for this replication. Within one
-    /// replication the last write wins; across merged replications the
-    /// gauge reports the distribution of per-replication values.
-    pub fn gauge_set(&mut self, name: &'static str, value: f64) {
-        let mut s = OnlineStats::new();
-        s.record(value);
-        self.gauges.insert(name, s);
-    }
-
-    /// Records one duration (seconds) against the named timer.
-    pub fn timer_record(&mut self, name: &'static str, secs: f64) {
-        self.timers.entry(name).or_default().stats.record(secs);
     }
 
     /// Records one value into the named log-scale histogram (created
@@ -138,16 +90,6 @@ impl Metrics {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// The named gauge's value distribution, when set.
-    pub fn gauge(&self, name: &str) -> Option<&OnlineStats> {
-        self.gauges.get(name)
-    }
-
-    /// The named timer's aggregate, when recorded.
-    pub fn timer(&self, name: &str) -> Option<&TimerStat> {
-        self.timers.get(name)
-    }
-
     /// The named histogram, when recorded.
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
         self.histograms.get(name)
@@ -158,33 +100,17 @@ impl Metrics {
         self.counters.iter().map(|(k, v)| (*k, *v))
     }
 
-    /// All gauges, name-ordered.
-    pub fn gauges(&self) -> impl Iterator<Item = (&'static str, &OnlineStats)> + '_ {
-        self.gauges.iter().map(|(k, v)| (*k, v))
-    }
-
-    /// All timers, name-ordered.
-    pub fn timers(&self) -> impl Iterator<Item = (&'static str, &TimerStat)> + '_ {
-        self.timers.iter().map(|(k, v)| (*k, v))
-    }
-
     /// All histograms, name-ordered.
     pub fn histograms(&self) -> impl Iterator<Item = (&'static str, &Histogram)> + '_ {
         self.histograms.iter().map(|(k, v)| (*k, v))
     }
 
-    /// Folds another registry into this one: counters add, gauge and
-    /// timer distributions merge. Deterministic given the merge order,
-    /// which the replication runner fixes to replication-index order.
+    /// Folds another registry into this one: counters add and
+    /// histograms merge, in integers, so the result does not depend on
+    /// the order or grouping of merges.
     pub fn merge(&mut self, other: &Metrics) {
         for (name, v) in &other.counters {
             *self.counters.entry(name).or_insert(0) += v;
-        }
-        for (name, s) in &other.gauges {
-            self.gauges.entry(name).or_default().merge(s);
-        }
-        for (name, t) in &other.timers {
-            self.timers.entry(name).or_default().stats.merge(&t.stats);
         }
         for (name, h) in &other.histograms {
             self.histograms.entry(name).or_default().merge(h);
@@ -196,17 +122,6 @@ impl fmt::Display for Metrics {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for (name, v) in &self.counters {
             writeln!(f, "counter {name} = {v}")?;
-        }
-        for (name, s) in &self.gauges {
-            writeln!(f, "gauge   {name} = {s}")?;
-        }
-        for (name, t) in &self.timers {
-            writeln!(
-                f,
-                "timer   {name} = n={} total={:.6}s",
-                t.count(),
-                t.total_secs()
-            )?;
         }
         for (name, h) in &self.histograms {
             writeln!(f, "hist    {name} = {h}")?;
@@ -382,8 +297,7 @@ pub fn take() -> Metrics {
 /// window and swaps it back out after — two swaps per window, with no
 /// registry built, merged or freed and no cells drained. Recording
 /// into the installed context is exactly recording into an owner-held
-/// one, so a gauge keeps its last write and timers accumulate in one
-/// distribution, however the owner's work is cut into windows.
+/// one, however the owner's work is cut into windows.
 pub fn swap(ctx: &mut Context) {
     CONTEXT.with(|c| std::mem::swap(&mut *c.borrow_mut(), ctx));
 }
@@ -402,17 +316,6 @@ pub fn counter_add(name: &'static str, delta: u64) {
     CONTEXT.with(|c| c.borrow_mut().registry.counter_add(name, delta));
 }
 
-/// Sets a gauge in this thread's context.
-pub fn gauge_set(name: &'static str, value: f64) {
-    CONTEXT.with(|c| c.borrow_mut().registry.gauge_set(name, value));
-}
-
-/// Records a duration (seconds) against a timer in this thread's
-/// context.
-pub fn timer_record(name: &'static str, secs: f64) {
-    CONTEXT.with(|c| c.borrow_mut().registry.timer_record(name, secs));
-}
-
 /// Records a value into a log-scale histogram in this thread's
 /// context. See [`Metrics::histogram_record`].
 pub fn histogram_record(name: &'static str, v: u64) {
@@ -422,6 +325,8 @@ pub fn histogram_record(name: &'static str, v: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SimRng;
+    use proptest::prelude::*;
 
     #[test]
     fn counters_add_and_merge() {
@@ -437,60 +342,68 @@ mod tests {
         assert_eq!(a.counter("absent"), 0);
     }
 
-    #[test]
-    fn gauges_keep_last_write_then_merge_distributions() {
-        let mut a = Metrics::new();
-        a.gauge_set("u", 0.25);
-        a.gauge_set("u", 0.75); // last write wins within a replication
-        let mut b = Metrics::new();
-        b.gauge_set("u", 0.25);
-        a.merge(&b);
-        let g = a.gauge("u").expect("set");
-        assert_eq!(g.count(), 2);
-        assert!((g.mean() - 0.5).abs() < 1e-12);
-    }
+    /// The names the merge property draws from: few enough that
+    /// registries share some series, and each registry is short
+    /// enough to miss some.
+    const NAMES: [&str; 5] = ["p.a", "p.b", "p.c", "p.d", "p.e"];
 
-    #[test]
-    fn timers_accumulate() {
+    /// A registry from `(kind, name, value)` draws: kind 0 adds to a
+    /// counter, kind 1 records into a histogram.
+    fn registry(draws: &[(u8, usize, u64)]) -> Metrics {
         let mut m = Metrics::new();
-        m.timer_record("t", 1.0);
-        m.timer_record("t", 3.0);
-        let t = m.timer("t").expect("recorded");
-        assert_eq!(t.count(), 2);
-        assert!((t.total_secs() - 4.0).abs() < 1e-12);
+        for &(kind, name, v) in draws {
+            if kind == 0 {
+                m.counter_add(NAMES[name], v);
+            } else {
+                m.histogram_record(NAMES[name], v);
+            }
+        }
+        m
     }
 
-    #[test]
-    fn merge_is_order_sensitive_only_in_float_rounding() {
-        // Same multiset of inputs merged in the same order must be
-        // bit-identical — the property the runner relies on.
-        let build = || {
-            let mut parts = Vec::new();
-            for i in 0..4 {
-                let mut m = Metrics::new();
-                m.counter_add("c", i);
-                m.gauge_set("g", i as f64 * 0.1);
-                m.timer_record("t", i as f64);
-                parts.push(m);
+    proptest! {
+        #[test]
+        fn merge_is_exact_in_any_order_and_grouping(
+            parts in collection::vec(
+                collection::vec((0u8..2, 0usize..NAMES.len(), 0u64..1 << 40), 0..12),
+                1..8,
+            ),
+            seed in 0u64..u64::MAX,
+        ) {
+            let regs: Vec<Metrics> = parts.iter().map(|draws| registry(draws)).collect();
+            let mut in_order = Metrics::new();
+            for r in &regs {
+                in_order.merge(r);
             }
-            let mut merged = Metrics::new();
-            for p in &parts {
-                merged.merge(p);
+            // A seeded shuffle, cut into runs that merge on their own,
+            // then the runs merged in a second shuffled order.
+            let mut rng = SimRng::seed_from(seed);
+            let mut order: Vec<usize> = (0..regs.len()).collect();
+            rng.shuffle(&mut order);
+            let mut groups = vec![Metrics::new()];
+            for i in order {
+                if rng.chance(0.4) {
+                    groups.push(Metrics::new());
+                }
+                groups.last_mut().expect("never empty").merge(&regs[i]);
             }
-            merged
-        };
-        assert_eq!(build(), build());
+            rng.shuffle(&mut groups);
+            let mut regrouped = Metrics::new();
+            for g in &groups {
+                regrouped.merge(g);
+            }
+            prop_assert_eq!(regrouped, in_order);
+        }
     }
 
     #[test]
     fn thread_local_context_roundtrip() {
         reset();
         counter_add("ctx.count", 7);
-        gauge_set("ctx.gauge", 2.5);
-        timer_record("ctx.timer", 0.5);
+        histogram_record("ctx.hist", 5);
         let m = take();
         assert_eq!(m.counter("ctx.count"), 7);
-        assert_eq!(m.gauge("ctx.gauge").map(|g| g.count()), Some(1));
+        assert_eq!(m.histogram("ctx.hist").map(|h| h.count()), Some(1));
         // The context is now empty again.
         assert!(take().is_empty());
     }
@@ -547,35 +460,27 @@ mod tests {
         HANDLE.add(1);
         let mut owned = Context::new();
         swap(&mut owned);
-        gauge_set("swap.gauge", 1.0);
-        gauge_set("swap.gauge", 2.0);
-        timer_record("swap.timer", 0.25);
+        histogram_record("swap.hist", 2);
         HANDLE.add(3);
         swap(&mut owned);
         // Everything recorded while the owner's context was installed
-        // landed in it, the gauge keeping its last write as in any one
-        // registry, and the counter in the owner's own cells.
+        // landed in it, the counter in the owner's own cells.
         let m = owned.fold();
-        let g = m.gauge("swap.gauge").expect("set");
-        assert_eq!((g.count(), g.mean()), (1, 2.0));
-        assert_eq!(m.timer("swap.timer").map(TimerStat::count), Some(1));
+        assert_eq!(m.histogram("swap.hist").map(|h| h.count()), Some(1));
         assert_eq!(m.counter("swap.fast"), 3);
         // The thread's own context saw none of it.
         let rest = take();
         assert_eq!(rest.counter("swap.fast"), 1);
-        assert!(rest.gauge("swap.gauge").is_none());
-        assert!(rest.timer("swap.timer").is_none());
+        assert!(rest.histogram("swap.hist").is_none());
     }
 
     #[test]
     fn display_lists_everything() {
         let mut m = Metrics::new();
         m.counter_add("a.count", 1);
-        m.gauge_set("b.gauge", 1.0);
-        m.timer_record("c.timer", 0.1);
         m.histogram_record("d.hist", 42);
         let s = m.to_string();
-        assert!(s.contains("a.count") && s.contains("b.gauge") && s.contains("c.timer"));
+        assert!(s.contains("a.count"), "{s}");
         assert!(s.contains("d.hist") && s.contains("p99="), "{s}");
     }
 
@@ -618,10 +523,8 @@ mod tests {
         assert_eq!(m.tracked_entries(), 0);
         for _ in 0..100 {
             m.counter_add("k.count", 1);
-            m.gauge_set("k.gauge", 0.5);
-            m.timer_record("k.timer", 0.1);
             m.histogram_record("k.hist", 3);
         }
-        assert_eq!(m.tracked_entries(), 4);
+        assert_eq!(m.tracked_entries(), 2);
     }
 }

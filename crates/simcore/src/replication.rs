@@ -269,7 +269,7 @@ mod tests {
         let work = |ctx: &ReplicationCtx| {
             let mut rng = ctx.rng();
             metrics::counter_add("test.draws", 3);
-            metrics::timer_record("test.t", rng.next_f64());
+            metrics::histogram_record("test.h", rng.next_below(1 << 40));
             (0..3).fold(0u64, |acc, _| acc ^ rng.next_u64())
         };
         let serial = ReplicationRunner::new(1).run(99, 40, work);

@@ -881,7 +881,6 @@ fn run_site_window<W: ShardWorld>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::TimerStat;
     use crate::replication::derive_seed_sharded;
     use crate::rng::SimRng;
     use crate::time::SimDuration;
@@ -1415,8 +1414,8 @@ mod tests {
         // (t + 40ms) and its own send's echo — so a whole burst fits
         // in one window and the barrier count drops by the
         // burst-to-lookahead ratio. Every burst event also records a
-        // gauge, a timer and a histogram, which must not notice where
-        // the windows fall.
+        // histogram value, which must not notice where the windows
+        // fall.
         struct Burster;
         fn burst(
             args: [u64; 2],
@@ -1426,8 +1425,6 @@ mod tests {
             let [hops_left, burst_left] = args;
             site.trace
                 .record(en.now(), "burst", format_args!("{hops_left}/{burst_left}"));
-            metrics::gauge_set("burst.hops_left", hops_left as f64);
-            metrics::timer_record("burst.step_s", 1e-3 * (burst_left + 1) as f64);
             metrics::histogram_record("burst.left", burst_left);
             if burst_left > 0 {
                 en.schedule_in(
@@ -1492,8 +1489,8 @@ mod tests {
             global.windows()
         );
         // World metrics do not depend on window boundaries: every
-        // counter but the window count, and every gauge, timer and
-        // histogram, agree across the two matrices and the reference.
+        // counter but the window count, and every histogram, agree
+        // across the two matrices and the reference.
         let (g, p) = (global.merged_metrics(), paired.merged_metrics());
         let counters = |m: &Metrics| {
             m.counters()
@@ -1503,26 +1500,14 @@ mod tests {
         for m in [&p, &oracle.merged_metrics()] {
             assert_eq!(counters(m), counters(&g));
             assert_eq!(
-                m.gauges().collect::<Vec<_>>(),
-                g.gauges().collect::<Vec<_>>()
-            );
-            assert_eq!(
-                m.timers().collect::<Vec<_>>(),
-                g.timers().collect::<Vec<_>>()
-            );
-            assert_eq!(
                 m.histograms().collect::<Vec<_>>(),
                 g.histograms().collect::<Vec<_>>()
             );
         }
         assert_eq!(
-            g.gauge("burst.hops_left").map(|s| s.count()),
-            Some(4),
-            "a gauge keeps one last write per site"
-        );
-        assert_eq!(
             g.histogram("burst.left").map(|h| h.count()),
-            g.timer("burst.step_s").map(TimerStat::count)
+            Some(global.total_events()),
+            "every event recorded one value"
         );
     }
 }
