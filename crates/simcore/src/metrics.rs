@@ -130,62 +130,16 @@ impl fmt::Display for Metrics {
     }
 }
 
-/// A metrics context: a named registry plus the cells of the
-/// pre-resolved [`Counter`] handles recorded into it.
-///
-/// Each thread has one installed, which the free functions and
-/// [`Counter::add`] record into. Code that runs work on behalf of
-/// several owners on one thread gives each owner a context of its own
-/// and [`swap`]s it in while the owner's work runs.
-#[derive(Debug)]
-pub struct Context {
+/// A thread's metrics context: its registry plus the cells of the
+/// pre-resolved [`Counter`] handles recorded into it. The free
+/// functions and [`Counter::add`] record into the one installed on
+/// the calling thread.
+struct Context {
     registry: Metrics,
     /// Counter values indexed by registry slot, folded into
-    /// `registry` by name on harvest: an increment is one array add,
+    /// `registry` by name on [`take`]: an increment is one array add,
     /// with no string hash and no map walk.
     cells: Vec<u64>,
-}
-
-impl Default for Context {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Context {
-    /// An empty context with a cell for every counter registered so
-    /// far, so no [`Counter::add`] into it regrows the cells once the
-    /// process has warmed up.
-    pub fn new() -> Self {
-        let registered = COUNTER_REGISTRY
-            .lock()
-            .expect("counter registry poisoned")
-            .len();
-        Context {
-            registry: Metrics::new(),
-            cells: vec![0; registered],
-        }
-    }
-
-    /// Folds the counter cells into the registry by name, zeroing
-    /// them, and returns the registry: everything recorded into this
-    /// context.
-    pub fn fold(&mut self) -> &Metrics {
-        if self.cells.iter().any(|&v| v != 0) {
-            let names = COUNTER_REGISTRY.lock().expect("counter registry poisoned");
-            for (slot, v) in self.cells.iter_mut().enumerate() {
-                if *v != 0 {
-                    self.registry.counter_add(names[slot], std::mem::take(v));
-                }
-            }
-        }
-        &self.registry
-    }
-
-    /// True when nothing has been recorded.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.registry.is_empty() && self.cells.iter().all(|&v| v == 0)
-    }
 }
 
 thread_local! {
@@ -198,8 +152,8 @@ thread_local! {
 }
 
 /// Global slot registry backing [`Counter`] handles: slot index →
-/// counter name. Locked on first use of each handle and when a
-/// context is created or folded, never on the increment path.
+/// counter name. Locked on first use of each handle and on [`reset`]
+/// and [`take`], never on the increment path.
 #[expect(
     clippy::disallowed_types,
     reason = "the counter-name registry interns &'static str names once per process; it never \
@@ -274,39 +228,42 @@ impl Counter {
 /// sharing an OS thread, and no `Counter::add` mid-replication regrows
 /// the cells.
 pub fn reset() {
-    CONTEXT.with(|c| *c.borrow_mut() = Context::new());
+    let registered = COUNTER_REGISTRY
+        .lock()
+        .expect("counter registry poisoned")
+        .len();
+    CONTEXT.with(|c| {
+        *c.borrow_mut() = Context {
+            registry: Metrics::new(),
+            cells: vec![0; registered],
+        }
+    });
 }
 
 /// Takes everything recorded into this thread's context as one
-/// registry, leaving the context empty.
+/// registry, leaving the context empty: the counter cells fold into
+/// the registry by name, and are zeroed.
 pub fn take() -> Metrics {
     CONTEXT.with(|c| {
-        let mut ctx = c.borrow_mut();
-        ctx.fold();
-        std::mem::take(&mut ctx.registry)
+        let Context { registry, cells } = &mut *c.borrow_mut();
+        if cells.iter().any(|&v| v != 0) {
+            let names = COUNTER_REGISTRY.lock().expect("counter registry poisoned");
+            for (slot, v) in cells.iter_mut().enumerate() {
+                if *v != 0 {
+                    registry.counter_add(names[slot], std::mem::take(v));
+                }
+            }
+        }
+        std::mem::take(registry)
     })
 }
 
-/// Swaps this thread's context with `ctx`, registry and counter cells
-/// together: installs `ctx` as the context that every recording call
-/// on this thread lands in and hands back the one it replaces.
-///
-/// This is how code that runs work on behalf of different owners on
-/// one thread keeps each owner's activity in the owner's own context:
-/// the sharded synchronizer installs a site's context for the site's
-/// window and swaps it back out after — two swaps per window, with no
-/// registry built, merged or freed and no cells drained. Recording
-/// into the installed context is exactly recording into an owner-held
-/// one, however the owner's work is cut into windows.
-pub fn swap(ctx: &mut Context) {
-    CONTEXT.with(|c| std::mem::swap(&mut *c.borrow_mut(), ctx));
-}
-
 /// Folds a harvested registry back into this thread's context — the
-/// inverse of [`take`]. The sharded simulator uses this to restore a
-/// caller's ambient context and then fold per-site registries in site
-/// order, so a run's merged metrics land in whatever context invoked
-/// it (a replication, a test, a bench sample).
+/// inverse of [`take`]. The sharded simulator uses this to fold each
+/// helper thread's registry into the caller's context, and to restore
+/// the caller's ambient context with the run's registry folded in, so
+/// a run's metrics land in whatever context invoked it (a
+/// replication, a test, a bench sample).
 pub fn merge_current(m: &Metrics) {
     CONTEXT.with(|c| c.borrow_mut().registry.merge(m));
 }
@@ -451,27 +408,6 @@ mod tests {
         merge_current(&snapshot);
         counter_add("mc.count", 1);
         assert_eq!(take().counter("mc.count"), 3);
-    }
-
-    #[test]
-    fn swap_moves_counter_cells_with_the_context() {
-        static HANDLE: Counter = Counter::new("swap.fast");
-        reset();
-        HANDLE.add(1);
-        let mut owned = Context::new();
-        swap(&mut owned);
-        histogram_record("swap.hist", 2);
-        HANDLE.add(3);
-        swap(&mut owned);
-        // Everything recorded while the owner's context was installed
-        // landed in it, the counter in the owner's own cells.
-        let m = owned.fold();
-        assert_eq!(m.histogram("swap.hist").map(|h| h.count()), Some(1));
-        assert_eq!(m.counter("swap.fast"), 3);
-        // The thread's own context saw none of it.
-        let rest = take();
-        assert_eq!(rest.counter("swap.fast"), 1);
-        assert!(rest.histogram("swap.hist").is_none());
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! ## The window protocol
 //!
 //! A [`ShardedSim`] owns one `SiteRuntime` per site — its own
-//! [`Engine`], world state, [`TraceLog`] segment, metrics context
-//! and (by caller convention) seeded RNG stream — and a
+//! [`Engine`], world state, [`TraceLog`] segment and (by caller
+//! convention) seeded RNG stream — and a
 //! [`LookaheadMatrix`], whose entry `la(s, d)` bounds how soon anything
 //! sent at site `s` can reach site `d`. `run` repeats:
 //!
@@ -44,8 +44,9 @@
 //!    scope for this window alone. With one thread the caller runs
 //!    every site in place and spawns nothing.
 //! 4. **Join**: the scope ends once every thread has run its sites,
-//!    which hands every site back to the caller; repeat until no
-//!    events remain anywhere.
+//!    which hands every site back to the caller, and each helper
+//!    hands back the metrics it recorded, which the caller merges
+//!    into its own context; repeat until no events remain anywhere.
 //!
 //! ## Why results are bit-identical at any shard/thread count
 //!
@@ -55,12 +56,11 @@
 //! `(time, seq)` order over local state) do not depend on how sites
 //! are packed into shards or shards onto threads, which only decide
 //! *which OS thread* runs a site's window. Traces live per site and
-//! digest in site order. A site's own metrics context, registry and
-//! counter cells together, is the executing thread's context for the
-//! whole of each of its windows ([`metrics::swap`]); the sites'
-//! registries merge in site order into the caller's context, which is
-//! saved before the run. So a gauge keeps its last write per site and
-//! a timer one distribution per site wherever the windows fall.
+//! digest in site order. A site records its metrics into the context
+//! of whichever thread runs its window. Metrics hold only counters
+//! and histograms, which merge by integer addition, so the run's
+//! registry is the same whichever thread recorded what and in
+//! whatever order the helpers' contexts merge.
 //!
 //! Two lookahead matrices over one world cut different windows. They
 //! report the same history and the same metrics apart from
@@ -276,14 +276,19 @@ impl<W: ShardWorld> SiteState<W> {
     }
 }
 
-/// One site's execution state: its engine, world, metrics context
-/// and the bounds of its windows.
+/// One site's execution state: its engine, world and the bounds of
+/// its windows.
+///
+/// Aligned to 128 bytes, a pair of cache lines, because a window lends
+/// neighbouring sites to different threads and a site's engine and
+/// world are written on every event: without it, two threads' hot
+/// fields share a line. The 4-site `baseline` world at two threads
+/// ran 10–22% slower that way (EXPERIMENTS.md, "Metrics that merge
+/// exactly").
+#[repr(align(128))]
 struct SiteRuntime<W: ShardWorld> {
     en: Engine<SiteState<W>>,
     state: SiteState<W>,
-    /// The site's metrics context, installed as the thread's while the
-    /// site's window runs ([`run_site_window`]).
-    metrics: metrics::Context,
     /// The running maximum of the bounds the site actually guaranteed:
     /// it has executed everything strictly before `safe`, so the drain
     /// rejects a message arriving earlier as a lookahead violation.
@@ -306,7 +311,9 @@ pub struct ShardedSim<W: ShardWorld> {
     messages: u64,
     total_events: u64,
     critical_events: u64,
-    coord: Metrics,
+    /// The run's registry: everything its sites recorded, plus the
+    /// coordinator's counters.
+    metrics: Metrics,
     ran: bool,
     /// Set when a run fails: some site stopped mid-event, so no site's
     /// state may be read.
@@ -335,7 +342,6 @@ impl<W: ShardWorld> ShardedSim<W> {
                     trace: TraceLog::default(),
                     outbox: Vec::with_capacity(OUTBOX_RESERVE),
                 },
-                metrics: metrics::Context::new(),
                 safe: 0,
             })
             .collect();
@@ -349,7 +355,7 @@ impl<W: ShardWorld> ShardedSim<W> {
             messages: 0,
             total_events: 0,
             critical_events: 0,
-            coord: Metrics::new(),
+            metrics: Metrics::new(),
             ran: false,
             failed: false,
         }
@@ -471,15 +477,12 @@ impl<W: ShardWorld> ShardedSim<W> {
         h.finish()
     }
 
-    /// Coordinator metrics (`shard.windows`, `shard.messages`,
-    /// `shard.outbox_regrown`) merged with every site's registry in
-    /// site-id order.
+    /// The run's metrics: everything its sites recorded, plus the
+    /// coordinator's counters (`shard.windows`, `shard.messages`,
+    /// `shard.outbox_regrown`).
     pub fn merged_metrics(&mut self) -> Metrics {
-        let mut m = self.coord.clone();
-        for rt in self.inspect() {
-            m.merge(rt.metrics.fold());
-        }
-        m
+        self.inspect();
+        self.metrics.clone()
     }
 
     /// Every site, for reading or seeding its state; refused after a
@@ -495,9 +498,10 @@ impl<W: ShardWorld> ShardedSim<W> {
     /// Runs the windowed protocol to completion: until no site has a
     /// pending event and every mailbox is empty. The caller's
     /// thread-local [`metrics`] context is saved before the run and
-    /// restored afterwards with the coordinator's and the sites'
-    /// registries folded in (site-id order), so a sharded run
-    /// composes with [`crate::replication::ReplicationRunner`].
+    /// restored afterwards with the run's registry
+    /// ([`merged_metrics`](Self::merged_metrics)) folded in, so a
+    /// sharded run composes with
+    /// [`crate::replication::ReplicationRunner`].
     ///
     /// # Panics
     ///
@@ -534,10 +538,11 @@ impl<W: ShardWorld> ShardedSim<W> {
         self.execute(|sim| panic::catch_unwind(AssertUnwindSafe(|| sim.run_queue())).err());
     }
 
-    /// Runs `body` between saving the caller's metrics context and
-    /// folding the run's registries into it, re-raising the panic
-    /// `body` reports with the caller's context restored and the sim
-    /// marked failed.
+    /// Runs `body` in an emptied metrics context, keeps what it
+    /// recorded there as the run's registry and folds that into the
+    /// caller's restored context. On the panic `body` reports, it
+    /// drops the partial registry, restores the caller's context,
+    /// marks the sim failed and re-raises.
     fn execute(&mut self, body: impl FnOnce(&mut Self) -> Option<Payload>) {
         assert!(!self.ran, "ShardedSim::run is single-shot");
         self.ran = true;
@@ -545,25 +550,21 @@ impl<W: ShardWorld> ShardedSim<W> {
             return;
         }
         let ambient = metrics::take();
-        if let Some(payload) = body(self) {
+        let failure = body(self);
+        let recorded = metrics::take();
+        metrics::merge_current(&ambient);
+        if let Some(payload) = failure {
             self.failed = true;
-            // Leave the caller's thread as the run found it: drop the
-            // failed run's partial activity, reinstall the ambient.
-            metrics::take();
-            metrics::merge_current(&ambient);
             panic::resume_unwind(payload);
         }
-        self.coord.counter_add("shard.windows", self.windows);
-        self.coord.counter_add("shard.messages", self.messages);
+        self.metrics = recorded;
+        self.metrics.counter_add("shard.windows", self.windows);
+        self.metrics.counter_add("shard.messages", self.messages);
         // Materialize the zero-allocation counter even when nothing
         // incremented it: a steady-state run *proves* its fast path
         // by showing it at 0 rather than omitting it.
-        self.coord.counter_add("shard.outbox_regrown", 0);
-        metrics::merge_current(&ambient);
-        metrics::merge_current(&self.coord);
-        for rt in &mut self.sites {
-            metrics::merge_current(rt.metrics.fold());
-        }
+        self.metrics.counter_add("shard.outbox_regrown", 0);
+        metrics::merge_current(&self.metrics);
     }
 
     /// [`run_sequential`](Self::run_sequential)'s loop: one site's
@@ -579,10 +580,8 @@ impl<W: ShardWorld> ShardedSim<W> {
             .min()
         {
             let rt = &mut self.sites[src];
-            metrics::swap(&mut rt.metrics);
             let end = now + SimDuration::from_nanos(1);
             self.total_events += rt.en.run_before(&mut rt.state, end);
-            metrics::swap(&mut rt.metrics);
             std::mem::swap(&mut rt.state.outbox, &mut sent);
             for (dst, at, words) in sent.drain(..) {
                 let la = self.matrix.lookahead_nanos(src, dst.index());
@@ -682,7 +681,8 @@ struct Share {
 /// the rest on helpers spawned for this window, each handed its own
 /// partition and tally. The shares combine by sum and maximum, which
 /// commute, and the lowest failing site wins, so the result does not
-/// depend on the packing.
+/// depend on the packing. Each helper hands back the metrics its
+/// sites recorded, and the caller merges them into its own context.
 fn run_window<W: ShardWorld>(
     sites: &mut [SiteRuntime<W>],
     tallies: &mut [Vec<u64>],
@@ -702,13 +702,19 @@ fn run_window<W: ShardWorld>(
         let mut work = parts.into_iter().zip(tallies);
         let (mine, my_tally) = work.next().expect("a window has a first thread");
         let helpers: Vec<_> = work
-            .map(|(part, tally)| scope.spawn(move || run_share(part, tally, horizons, matrix)))
+            .map(|(part, tally)| {
+                scope.spawn(move || {
+                    let share = run_share(part, tally, horizons, matrix);
+                    (share, metrics::take())
+                })
+            })
             .collect();
         let mut share = run_share(mine, my_tally, horizons, matrix);
         for helper in helpers {
-            let other = helper
+            let (other, recorded) = helper
                 .join()
                 .expect("a window thread catches its sites' panics");
+            metrics::merge_current(&recorded);
             share.events += other.events;
             share.busiest = share.busiest.max(other.busiest);
             share.failure = [share.failure, other.failure]
@@ -812,8 +818,7 @@ fn horizon(matrix: &LookaheadMatrix, times: &[u64], i: usize) -> u64 {
 }
 
 /// Executes one site's share of a window, up to its cross-source
-/// horizon `h_cross`, with the site's own metrics context installed
-/// as the thread's. Returns how many events ran.
+/// horizon `h_cross`. Returns how many events ran.
 ///
 /// The site self-limits against its own sends: it runs in chunks of
 /// at most its minimum round trip past its next event, and after each
@@ -833,12 +838,6 @@ fn run_site_window<W: ShardWorld>(
             return 0;
         }
     }
-    metrics::swap(&mut rt.metrics);
-    debug_assert!(
-        rt.metrics.is_empty(),
-        "{}: a site's metrics context must replace an empty one",
-        rt.state.id
-    );
     let me = rt.state.id.index();
     let rt_self = matrix.round_trip_nanos(me);
     let mut ran = 0u64;
@@ -874,7 +873,6 @@ fn run_site_window<W: ShardWorld>(
     // Max keeps the threshold monotone if a later horizon computes
     // lower.
     rt.safe = rt.safe.max(achieved);
-    metrics::swap(&mut rt.metrics);
     ran
 }
 
@@ -1044,6 +1042,12 @@ mod tests {
             0,
             "no outbox outgrew its reservation"
         );
+    }
+
+    #[test]
+    fn sites_never_share_a_cache_line_pair() {
+        assert_eq!(std::mem::align_of::<SiteRuntime<Idle>>(), 128);
+        assert_eq!(std::mem::size_of::<SiteRuntime<Idle>>() % 128, 0);
     }
 
     #[test]
