@@ -287,18 +287,15 @@ mod tests {
     }
 
     #[test]
-    fn a_v1_report_reads_like_a_v2_one() {
-        // v1 carried empty gauge and timer blocks in every metrics
-        // block; the gate reads neither.
-        let v1 = SAMPLE
-            .replacen("gridvm-bench/v2", "gridvm-bench/v1", 1)
-            .replace(r#","histograms":{}"#, r#","gauges":{},"timers":{}"#);
-        assert!(same_mode(&v1, SAMPLE).is_ok());
+    fn the_committed_point_reads_like_a_fresh_report() {
+        // BENCH_simcore.json was recorded in gridvm-bench/v1, whose
+        // metrics blocks carried two kinds v2 dropped; the gate reads
+        // only what the two schemas share.
+        let committed = include_str!("../../../../BENCH_simcore.json");
+        assert!(same_mode(committed, SAMPLE).is_ok());
         for label in ["engine: chained events", "queue: push+pop random times"] {
-            assert_eq!(
-                ops_per_sec_mean(&v1, label),
-                ops_per_sec_mean(SAMPLE, label)
-            );
+            let mean = ops_per_sec_mean(committed, label);
+            assert!(matches!(mean, Ok(v) if v > 0.0), "{label}: {mean:?}");
         }
     }
 

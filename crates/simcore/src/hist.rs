@@ -1,9 +1,9 @@
 //! Fixed-bucket log-scale histograms for streaming, mergeable
 //! distribution summaries.
 //!
-//! The name-keyed [`Metrics`](crate::metrics::Metrics) registry and
-//! its Welford timers summarize *moments*; macro-scale experiments
-//! (the `ext_vo_scale` virtual-organization run) need *tails* — p99
+//! The name-keyed [`Metrics`](crate::metrics::Metrics) registry's
+//! counters give *totals*; macro-scale experiments (the
+//! `ext_vo_scale` virtual-organization run) need *tails* — p99
 //! and p999 session slowdown over 10⁵–10⁶ sessions — without keeping
 //! a sample per session. A [`Histogram`] is the standard answer:
 //! HDR-style logarithmic buckets with a fixed sub-bucket resolution,
@@ -200,8 +200,9 @@ impl Histogram {
     /// Folds another histogram into this one: element-wise bucket
     /// add, count/total add, min/max fold. Pure integer arithmetic,
     /// so the result is bit-identical for any merge grouping or order
-    /// — the property the per-site → VO-level metrics rollup and the
-    /// shard/thread invariance tests pin.
+    /// — the property that lets a sharded run record each site into
+    /// whichever thread runs it and merge the threads in any order,
+    /// and that the shard/thread invariance tests pin.
     pub fn merge(&mut self, other: &Histogram) {
         for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
             *a += b;

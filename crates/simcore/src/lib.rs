@@ -35,10 +35,11 @@
 //!   the workspace's one histogram type, with integer-exact merge:
 //!   constant memory per named series, p50/p99/p999 extraction,
 //!   bit-identical rollups at any shard/thread count.
-//! * [`metrics`] — counter/gauge/timer registries recorded into a
-//!   thread-local per-replication context and merged across
-//!   replications; pre-resolved [`metrics::Counter`] handles keep
-//!   hot-loop increments off the string-keyed path.
+//! * [`metrics`] — counter and histogram registries recorded into a
+//!   thread-local per-replication context and merged exactly, in any
+//!   order, across replications and threads; pre-resolved
+//!   [`metrics::Counter`] handles keep hot-loop increments off the
+//!   string-keyed path.
 //! * [`lookahead`] — the all-pairs minimum-latency closure
 //!   ([`LookaheadMatrix`](lookahead::LookaheadMatrix)) behind the
 //!   sharded synchronizer's per-(src,dst) window protocol.

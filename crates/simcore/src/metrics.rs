@@ -55,15 +55,10 @@ impl Metrics {
         }
     }
 
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.histograms.is_empty()
-    }
-
     /// Total named series tracked (counters + histograms). The
-    /// memory-bound the macro-scale soak tests
-    /// assert: a million-session run must keep this proportional to
-    /// the *kinds* of quantities measured, never the session count.
+    /// memory-bound the macro-scale soak tests assert: a
+    /// million-session run must keep this proportional to the *kinds*
+    /// of quantities measured, never the session count.
     pub fn tracked_entries(&self) -> usize {
         self.counters.len() + self.histograms.len()
     }
@@ -362,7 +357,7 @@ mod tests {
         assert_eq!(m.counter("ctx.count"), 7);
         assert_eq!(m.histogram("ctx.hist").map(|h| h.count()), Some(1));
         // The context is now empty again.
-        assert!(take().is_empty());
+        assert_eq!(take(), Metrics::new());
     }
 
     #[test]
@@ -376,7 +371,7 @@ mod tests {
         counter_add("handle.count", 2);
         let m = take();
         assert_eq!(m.counter("handle.count"), 7);
-        assert!(take().is_empty(), "take drained the fast cells");
+        assert_eq!(take(), Metrics::new(), "take drained the fast cells");
         assert_eq!(HANDLE.name(), "handle.count");
     }
 
@@ -404,7 +399,7 @@ mod tests {
         reset();
         counter_add("mc.count", 2);
         let snapshot = take();
-        assert!(take().is_empty());
+        assert_eq!(take(), Metrics::new());
         merge_current(&snapshot);
         counter_add("mc.count", 1);
         assert_eq!(take().counter("mc.count"), 3);
