@@ -103,7 +103,9 @@ impl Default for TraceLog {
 }
 
 impl TraceLog {
-    /// Creates a log that keeps at most `capacity` recent entries.
+    /// Creates a log that keeps at most `capacity` recent entries. The
+    /// ring grows as entries are kept, so a log that keeps few, or is
+    /// replaced before it records, reserves no buffer for the rest.
     ///
     /// # Panics
     ///
@@ -111,7 +113,7 @@ impl TraceLog {
     pub fn with_capacity(capacity: usize) -> Self {
         assert!(capacity > 0, "TraceLog capacity must be positive");
         TraceLog {
-            entries: VecDeque::with_capacity(capacity.min(1024)),
+            entries: VecDeque::new(),
             capacity,
             dropped: 0,
             sampled: 0,
