@@ -1,3 +1,4 @@
+// audit:hot-path: every simulated event is scheduled and dispatched to its handler here
 //! The discrete-event executor.
 //!
 //! An [`Engine<W>`] advances a virtual clock by repeatedly popping the
@@ -14,6 +15,10 @@
 //! argument. The event lives inline in its queue entry beside the
 //! `(time, sequence)` key, 40 bytes in all, so scheduling never calls
 //! the allocator once the queue has grown to its peak length.
+//! [`schedule_at`](Engine::schedule_at) and
+//! [`schedule_in`](Engine::schedule_in) inline into the handler that
+//! calls them, down to the queue's held-slot store, so the handler's
+//! successor goes from registers into the slot without a call.
 //! Captureless closures coerce to the pointer. A closure that captures
 //! does not compile; its state belongs in the two words or in the
 //! world:
@@ -112,6 +117,7 @@ impl<W> Engine<W> {
     /// Panics if `at` is before the current clock: the past is
     /// immutable in a discrete-event simulation, so this is always a
     /// caller bug.
+    #[inline]
     pub fn schedule_at(
         &mut self,
         at: SimTime,
@@ -129,6 +135,7 @@ impl<W> Engine<W> {
     /// Schedules `f` to run `delay` after the current instant, called
     /// with `words`. A zero delay runs it at the current instant, after
     /// every event already scheduled for it.
+    #[inline]
     pub fn schedule_in(
         &mut self,
         delay: SimDuration,
@@ -181,6 +188,7 @@ impl<W> Engine<W> {
             if next < self.clock {
                 return Err(crate::audit::AuditViolation {
                     invariant: "causality",
+                    // audit:allow(alloc-in-hot): debug and test builds only, once per detected violation, never per event
                     detail: format!("pending event at {next} is before the clock {}", self.clock),
                 });
             }

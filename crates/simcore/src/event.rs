@@ -1,10 +1,17 @@
+// audit:hot-path: every simulated event is pushed into and popped from a site's queue here
 //! The pending-event set: `std`'s binary heap of inline
 //! `(time, sequence, payload)` entries, with a one-event held slot in
 //! front of it.
 //!
 //! Sequence numbers make same-time ordering deterministic: two events
 //! scheduled for the same instant fire in the order they were
-//! scheduled. The ordering key is `(time, u64 sequence)`.
+//! scheduled. The ordering key is `(time, u64 sequence)`, compared as
+//! one `u128`, `(time << 64) | seq`, which orders exactly as the pair.
+//! The key is computed from the entry's two fields, not stored, so an
+//! entry stays five words. The held entry settles at a random depth of
+//! the heap, so the sift's choice between two children is a coin flip
+//! that a branch predicts badly; on one integer the compiler makes it
+//! flag arithmetic instead (DESIGN.md §10.2).
 //!
 //! ## The held slot
 //!
@@ -14,7 +21,9 @@
 //! the root's place through [`PeekMut`], one sift. Nearly every
 //! simulation handler schedules one successor, and every pop leaves
 //! the slot empty, so that successor waits in the slot: one sift per
-//! event instead of a pop's sift plus a push's.
+//! event instead of a pop's sift plus a push's. The slot store inlines
+//! into the caller and the heap push stays out of line, so a handler
+//! writes its successor straight into the slot.
 //!
 //! Events cannot be cancelled: no simulation code needs to, and
 //! in-place cancellation needs per-entry handles and heap-index
@@ -35,14 +44,24 @@ pub(crate) struct Entry<E> {
 }
 
 impl<E> Entry<E> {
+    /// The ordering key as one integer, `(time << 64) | seq`, which
+    /// orders exactly as the `(time, seq)` pair. It is computed, not
+    /// stored, so an entry keeps its five words; a `u128` compare is
+    /// flag arithmetic where the pair's compare is a branch.
     #[inline]
-    fn key(&self) -> (SimTime, u64) {
-        (self.time, self.seq)
+    fn key(&self) -> u128 {
+        (u128::from(self.time.as_nanos()) << 64) | u128::from(self.seq)
+    }
+
+    /// The entry's time and payload: all a pop returns.
+    #[inline]
+    fn into_parts(self) -> (SimTime, E) {
+        (self.time, self.payload)
     }
 }
 
 // `BinaryHeap` is a max-heap, so entries order by reversed key: the
-// earliest `(time, seq)` sits at the root. The payload takes no part.
+// earliest key sits at the root. The payload takes no part.
 impl<E> Ord for Entry<E> {
     #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
@@ -127,8 +146,15 @@ impl<E> EventQueue<E> {
         if self.held.is_none() {
             self.held = Some(entry);
         } else {
-            self.heap.push(entry);
+            self.push_heap(entry);
         }
+    }
+
+    /// The heap half of [`push`](Self::push), kept out of line so that
+    /// the held-slot store inlines into the caller without the sift.
+    #[inline(never)]
+    fn push_heap(&mut self, entry: Entry<E>) {
+        self.heap.push(entry);
     }
 
     /// Removes and returns the earliest event as `(time, payload)`.
@@ -143,32 +169,37 @@ impl<E> EventQueue<E> {
     #[inline]
     pub fn pop_due(&mut self, deadline: Option<SimTime>) -> Option<(SimTime, E)> {
         let due = |e: &Entry<E>| deadline.is_none_or(|h| e.time <= h);
-        let entry = match (self.held.take(), self.heap.peek_mut()) {
+        // The held entry is compared where it lies and moved out only
+        // once it is popped (the arm has just matched it, so `take`
+        // finds it), and each arm hands back just the time and the
+        // payload. Moved whole through one temporary, it was
+        // reloaded in 16-byte pieces that straddle the fields its
+        // handler had just stored, a store-forwarding stall per event
+        // (DESIGN.md §10.2).
+        let (time, payload) = match (self.held.as_ref(), self.heap.peek_mut()) {
             (Some(held), Some(mut root)) if root.key() < held.key() => {
                 if !due(&root) {
-                    self.held = Some(held);
                     return None;
                 }
                 // Dropping `root` sifts the held entry down from the
                 // root: the pop and the push in one sift.
-                std::mem::replace(&mut *root, held)
+                std::mem::replace(&mut *root, self.held.take()?).into_parts()
             }
             (Some(held), _) => {
-                if !due(&held) {
-                    self.held = Some(held);
+                if !due(held) {
                     return None;
                 }
-                held
+                self.held.take()?.into_parts()
             }
             (None, root) => {
                 let root = root?;
                 if !due(&root) {
                     return None;
                 }
-                PeekMut::pop(root)
+                PeekMut::pop(root).into_parts()
             }
         };
-        Some((entry.time, entry.payload))
+        Some((time, payload))
     }
 
     /// The timestamp of the earliest event, if any, without removing
@@ -208,6 +239,7 @@ impl<E> EventQueue<E> {
         {
             Some(e) => crate::audit::violated(
                 "seq-counter",
+                // audit:allow(alloc-in-hot): debug and test builds only, once per detected violation, never per event
                 format!(
                     "the event at {} carries seq {} but next_seq is {}",
                     e.time, e.seq, self.next_seq
@@ -335,7 +367,72 @@ mod proptests {
         model.push(time);
     }
 
+    fn entry(time: u64, seq: u64) -> Entry<()> {
+        Entry {
+            time: SimTime::from_nanos(time),
+            seq,
+            payload: (),
+        }
+    }
+
+    /// One half of a key: 0, `u64::MAX`, a value in `0..4` (so
+    /// that halves often tie), or the raw draw.
+    fn half(shape: u8, raw: u64) -> u64 {
+        match shape {
+            0 => 0,
+            1 => u64::MAX,
+            2 => raw % 4,
+            _ => raw,
+        }
+    }
+
+    /// The extremes every ordering of keys must get right: equal
+    /// times, `u64::MAX` in either half, and seq 0.
+    #[test]
+    fn key_orders_as_time_then_seq_at_the_extremes() {
+        const M: u64 = u64::MAX;
+        let pairs = [
+            ((5, 0), (5, 1)),
+            ((5, 0), (5, M)),
+            ((5, M), (6, 0)),
+            ((M, 0), (M, M)),
+            ((M, M - 1), (M, M)),
+            ((M - 1, M), (M, 0)),
+            ((0, M), (1, 0)),
+            ((0, 0), (0, 0)),
+            ((M, M), (M, M)),
+        ];
+        for ((at, aseq), (bt, bseq)) in pairs {
+            let (a, b) = (entry(at, aseq), entry(bt, bseq));
+            let want = (at, aseq).cmp(&(bt, bseq));
+            assert_eq!(a.key().cmp(&b.key()), want, "{at}/{aseq} vs {bt}/{bseq}");
+            assert_eq!(b.key().cmp(&a.key()), want.reverse());
+            assert_eq!(a.cmp(&b), want.reverse(), "the heap orders by reversed key");
+        }
+    }
+
     proptest! {
+        /// `Entry::key` orders exactly as the `(time, seq)` pair, on
+        /// random pairs whose halves are often 0, `u64::MAX` or tied.
+        #[test]
+        fn key_orders_as_time_then_seq(
+            draws in proptest::collection::vec(
+                (0u8..4, 0u64..u64::MAX, 0u8..4, 0u64..u64::MAX), 2..40
+            )
+        ) {
+            let keys: Vec<(u64, u64)> = draws
+                .iter()
+                .map(|&(ts, t, ss, s)| (half(ts, t), half(ss, s)))
+                .collect();
+            for &(at, aseq) in &keys {
+                for &(bt, bseq) in &keys {
+                    let want = (at, aseq).cmp(&(bt, bseq));
+                    prop_assert_eq!(entry(at, aseq).key().cmp(&entry(bt, bseq).key()), want);
+                    prop_assert_eq!(entry(at, aseq).cmp(&entry(bt, bseq)), want.reverse());
+                }
+            }
+        }
+
         /// The queue agrees with the naive model under random
         /// interleavings of push and pop. Times mix four scales:
         /// within 500 ns (dense same-time FIFO ties), around
