@@ -12,6 +12,12 @@
 //! activity of that replication regardless of how replications are
 //! packed onto OS threads.
 //!
+//! A context is two thread-locals: a registry of named series, and a
+//! fixed array of counter cells that [`Counter`] handles add into. A
+//! handle's increment is one add into its cell, with no borrow flag,
+//! no length check and no call; [`take`] folds the cells into the
+//! registry by name.
+//!
 //! Merging is exact: registries are ordered maps keyed by
 //! `&'static str`, counters add and histograms add bucket by bucket,
 //! all in integers. So any order and grouping of merges gives the same
@@ -28,7 +34,7 @@
 //! assert_eq!(m.counter("vfs.rpc_round_trips"), 3);
 //! ```
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::OnceLock;
@@ -125,30 +131,24 @@ impl fmt::Display for Metrics {
     }
 }
 
-/// A thread's metrics context: its registry plus the cells of the
-/// pre-resolved [`Counter`] handles recorded into it. The free
-/// functions and [`Counter::add`] record into the one installed on
-/// the calling thread.
-struct Context {
-    registry: Metrics,
-    /// Counter values indexed by registry slot, folded into
-    /// `registry` by name on [`take`]: an increment is one array add,
-    /// with no string hash and no map walk.
-    cells: Vec<u64>,
-}
+/// How many distinct [`Counter`] handles a process may register: the
+/// length of every thread's cell array. Registering one more panics.
+const CELL_CAPACITY: usize = 64;
 
 thread_local! {
-    static CONTEXT: RefCell<Context> = const {
-        RefCell::new(Context {
-            registry: Metrics::new(),
-            cells: Vec::new(),
-        })
-    };
+    /// This thread's registry: what the free functions record, and
+    /// what [`take`] folds the counter cells into.
+    static REGISTRY: RefCell<Metrics> = const { RefCell::new(Metrics::new()) };
+    /// This thread's [`Counter`] values, indexed by registry slot.
+    /// `const`-initialized and without a destructor, so reaching them
+    /// costs no lazy-init or teardown check, and no call.
+    static CELLS: [Cell<u64>; CELL_CAPACITY] =
+        const { [const { Cell::new(0) }; CELL_CAPACITY] };
 }
 
 /// Global slot registry backing [`Counter`] handles: slot index →
-/// counter name. Locked on first use of each handle and on [`reset`]
-/// and [`take`], never on the increment path.
+/// counter name. Locked on first use of each handle and by [`take`]
+/// when a cell holds a value, never on the increment path.
 #[expect(
     clippy::disallowed_types,
     reason = "the counter-name registry interns &'static str names once per process; it never \
@@ -156,14 +156,29 @@ thread_local! {
 )]
 static COUNTER_REGISTRY: std::sync::Mutex<Vec<&'static str>> = std::sync::Mutex::new(Vec::new());
 
+/// Appends `name` to the slot registry and returns its slot.
+///
+/// # Panics
+///
+/// Panics when every one of the [`CELL_CAPACITY`] cells is taken.
+fn register(names: &mut Vec<&'static str>, name: &'static str) -> usize {
+    assert!(
+        names.len() < CELL_CAPACITY,
+        "metrics: cannot register counter {name:?}: all {CELL_CAPACITY} counter cells are \
+         taken; raise CELL_CAPACITY"
+    );
+    names.push(name);
+    names.len() - 1
+}
+
 /// A pre-resolved counter handle for hot loops.
 ///
 /// A `Counter` is declared once as a `static` and resolves its
-/// registry slot on first use; after that, [`add`](Counter::add) is an
-/// index into the thread's context cells — no string hashing per
-/// increment, unlike [`counter_add`]. Values land under the same name
-/// in the harvested [`Metrics`], so reports and their merge order are
-/// unchanged.
+/// registry slot on first use; after that, [`add`](Counter::add) is
+/// one add into the thread's cell for that slot — no string hashing
+/// per increment, unlike [`counter_add`]. Values land under the same
+/// name in the harvested [`Metrics`], so reports and their merge order
+/// are unchanged.
 ///
 /// ```
 /// use gridvm_simcore::metrics::{self, Counter};
@@ -178,7 +193,7 @@ static COUNTER_REGISTRY: std::sync::Mutex<Vec<&'static str>> = std::sync::Mutex:
 /// ```
 pub struct Counter {
     name: &'static str,
-    slot: OnceLock<u32>,
+    slot: OnceLock<usize>,
 }
 
 impl Counter {
@@ -196,61 +211,63 @@ impl Counter {
         self.name
     }
 
-    fn slot(&self) -> usize {
-        *self.slot.get_or_init(|| {
-            let mut reg = COUNTER_REGISTRY.lock().expect("counter registry poisoned");
-            reg.push(self.name);
-            (reg.len() - 1) as u32
-        }) as usize
+    /// Adds `delta` to this counter in the current thread's context.
+    ///
+    /// # Panics
+    ///
+    /// The handle's first use panics when the cell array is full: 64
+    /// other handles are already registered.
+    #[inline]
+    pub fn add(&self, delta: u64) {
+        let slot = match self.slot.get() {
+            Some(&slot) => slot,
+            None => self.register(),
+        };
+        // `register` hands out slots below the capacity, so the mask
+        // changes nothing; it only lets the index go unchecked.
+        CELLS.with(|cells| {
+            let cell = &cells[slot % CELL_CAPACITY];
+            cell.set(cell.get() + delta);
+        });
     }
 
-    /// Adds `delta` to this counter in the current thread's context.
-    pub fn add(&self, delta: u64) {
-        let slot = self.slot();
-        CONTEXT.with(|c| {
-            let cells = &mut c.borrow_mut().cells;
-            if cells.len() <= slot {
-                cells.resize(slot + 1, 0);
-            }
-            cells[slot] += delta;
-        });
+    #[cold]
+    #[inline(never)]
+    fn register(&self) -> usize {
+        *self.slot.get_or_init(|| {
+            let mut names = COUNTER_REGISTRY.lock().expect("counter registry poisoned");
+            register(&mut names, self.name)
+        })
     }
 }
 
-/// Installs an empty context on this thread, with a cell for every
-/// counter registered so far. The replication runner calls this before
-/// each replication so contexts never bleed across replications
-/// sharing an OS thread, and no `Counter::add` mid-replication regrows
-/// the cells.
+/// Empties this thread's context: the registry and every counter cell.
+/// The replication runner calls this before each replication so
+/// contexts never bleed across replications sharing an OS thread. The
+/// cells are a fixed array, so no `Counter::add` mid-replication
+/// regrows them, and resetting allocates nothing.
 pub fn reset() {
-    let registered = COUNTER_REGISTRY
-        .lock()
-        .expect("counter registry poisoned")
-        .len();
-    CONTEXT.with(|c| {
-        *c.borrow_mut() = Context {
-            registry: Metrics::new(),
-            cells: vec![0; registered],
-        }
-    });
+    REGISTRY.with(|r| *r.borrow_mut() = Metrics::new());
+    CELLS.with(|cells| cells.iter().for_each(|c| c.set(0)));
 }
 
 /// Takes everything recorded into this thread's context as one
-/// registry, leaving the context empty: the counter cells fold into
-/// the registry by name, and are zeroed.
+/// registry, leaving the context empty: each non-zero counter cell
+/// folds into the registry by name, and is zeroed.
 pub fn take() -> Metrics {
-    CONTEXT.with(|c| {
-        let Context { registry, cells } = &mut *c.borrow_mut();
-        if cells.iter().any(|&v| v != 0) {
+    let mut registry = REGISTRY.with(|r| std::mem::take(&mut *r.borrow_mut()));
+    CELLS.with(|cells| {
+        if cells.iter().any(|c| c.get() != 0) {
             let names = COUNTER_REGISTRY.lock().expect("counter registry poisoned");
-            for (slot, v) in cells.iter_mut().enumerate() {
-                if *v != 0 {
-                    registry.counter_add(names[slot], std::mem::take(v));
+            for (cell, name) in cells.iter().zip(names.iter()) {
+                match cell.take() {
+                    0 => {}
+                    v => registry.counter_add(name, v),
                 }
             }
         }
-        std::mem::take(registry)
-    })
+    });
+    registry
 }
 
 /// Folds a harvested registry back into this thread's context — the
@@ -260,18 +277,18 @@ pub fn take() -> Metrics {
 /// a run's metrics land in whatever context invoked it (a
 /// replication, a test, a bench sample).
 pub fn merge_current(m: &Metrics) {
-    CONTEXT.with(|c| c.borrow_mut().registry.merge(m));
+    REGISTRY.with(|r| r.borrow_mut().merge(m));
 }
 
 /// Adds `delta` to a counter in this thread's context.
 pub fn counter_add(name: &'static str, delta: u64) {
-    CONTEXT.with(|c| c.borrow_mut().registry.counter_add(name, delta));
+    REGISTRY.with(|r| r.borrow_mut().counter_add(name, delta));
 }
 
 /// Records a value into a log-scale histogram in this thread's
 /// context. See [`Metrics::histogram_record`].
 pub fn histogram_record(name: &'static str, v: u64) {
-    CONTEXT.with(|c| c.borrow_mut().registry.histogram_record(name, v));
+    REGISTRY.with(|r| r.borrow_mut().histogram_record(name, v));
 }
 
 #[cfg(test)]
@@ -373,6 +390,14 @@ mod tests {
         assert_eq!(m.counter("handle.count"), 7);
         assert_eq!(take(), Metrics::new(), "take drained the fast cells");
         assert_eq!(HANDLE.name(), "handle.count");
+    }
+
+    #[test]
+    #[should_panic(expected = "all 64 counter cells are taken")]
+    fn registering_past_the_cell_capacity_panics() {
+        let mut names = vec!["cap.filler"; CELL_CAPACITY - 1];
+        assert_eq!(register(&mut names, "cap.last"), CELL_CAPACITY - 1);
+        register(&mut names, "cap.one_too_many");
     }
 
     #[test]
