@@ -514,12 +514,14 @@ const SCENARIOS: &[(&str, Body)] = &[
         })
     }),
     ("guest PVFS: 64 zero-write runs of 64 blocks", |n, _| {
-        // The proxy's write-behind path: one WRITE per block, each
-        // carrying the protocol's zero block.
+        // The proxy's write-behind path: each run goes into the
+        // buffer in as few steps as its room allows, with a WRITE RPC
+        // for each block that flushes it.
         runs(n / 10_000, pvfs_guest, |mut s| guest_runs(&mut s, true))
     }),
     ("guest PVFS: 64 read runs of 64 hole blocks", |n, _| {
-        // Sequential reads of holes: the proxy's prefetch path.
+        // Sequential reads of holes: the proxy's prefetch path, and
+        // a hit run over the blocks each miss prefetched.
         runs(n / 10_000, pvfs_guest, |mut s| guest_runs(&mut s, false))
     }),
     ("cache: sequential inserts at capacity", |n, _| {

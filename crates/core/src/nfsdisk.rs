@@ -1,12 +1,19 @@
+// audit:hot-path: every PVFS guest I/O run enters the mount here
 //! Guest storage over a grid virtual file system: the adapter that
 //! carries a VM's file I/O through a PVFS [`Mount`] (Table 1's
 //! `VM, PVFS` configuration, and Figure 2's proxy sessions).
+//!
+//! A guest run reaches the mount whole: a read run as one
+//! [`Mount::read_range`] and a write run as one
+//! [`Mount::write_zero_blocks`], which work in runs of proxy blocks and
+//! match one NFS request per 8 KiB block exactly (a proptest below
+//! holds them to that loop).
 
 use gridvm_simcore::time::{SimDuration, SimTime};
 use gridvm_storage::block::BlockAddr;
 use gridvm_vfs::fs::FileHandle;
 use gridvm_vfs::mount::Mount;
-use gridvm_vfs::protocol::{zero_block, NfsRequest, NFS_BLOCK};
+use gridvm_vfs::protocol::NFS_BLOCK;
 use gridvm_vmm::exec::{GuestStorage, IO_BLOCK};
 
 // Each guest I/O block is exactly one NFS transfer.
@@ -56,31 +63,17 @@ impl NfsGuestStorage {
 
 impl GuestStorage for NfsGuestStorage {
     fn io_run(&mut self, now: SimTime, start: BlockAddr, count: u64, write: bool) -> SimTime {
-        let bs = IO_BLOCK.as_u64();
         if write {
-            // One WRITE RPC per block, each carrying the protocol's
-            // static zero block: guest data content is immaterial to
-            // timing, only its length reaches the model. Like
-            // `Mount::write_range`, the run ends at the first failed
-            // RPC: Figure 3's data sessions mount a read-only
-            // synthetic file, so their guest writes stop there.
-            let mut t = now;
-            for block in start.0..start.0 + count {
-                let (done, r) = self.mount.request(
-                    t,
-                    NfsRequest::Write {
-                        fh: self.file,
-                        offset: block * bs,
-                        data: zero_block(),
-                    },
-                );
-                t = done;
-                if r.is_err() {
-                    break;
-                }
-            }
-            t
+            // Zeros over the run's blocks: guest data content is
+            // immaterial to timing, only its length reaches the model.
+            // The run ends at the first failed write, as
+            // `Mount::write_range` does: Figure 3's data sessions mount
+            // a read-only synthetic file, so their guest writes stop
+            // there.
+            let (done, _) = self.mount.write_zero_blocks(now, self.file, start.0, count);
+            done
         } else {
+            let bs = IO_BLOCK.as_u64();
             let (done, r) = self
                 .mount
                 .read_range(now, self.file, start.0 * bs, count * bs);
@@ -105,6 +98,7 @@ mod tests {
     use gridvm_simcore::units::{ByteSize, CpuWork};
     use gridvm_storage::disk::{DiskModel, DiskProfile};
     use gridvm_vfs::mount::Transport;
+    use gridvm_vfs::protocol::zero_block;
     use gridvm_vfs::proxy::{ProxyConfig, VfsProxy};
     use gridvm_vfs::server::NfsServer;
     use gridvm_vmm::exec::{run_app, ExecMode};
@@ -206,5 +200,209 @@ mod tests {
     fn label_reflects_configuration() {
         assert_eq!(pvfs_storage(true).label(), "PVFS");
         assert_eq!(pvfs_storage(false).label(), "NFS/WAN");
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use bytes::Bytes;
+    use gridvm_simcore::units::ByteSize;
+    use gridvm_storage::disk::{DiskModel, DiskProfile};
+    use gridvm_vfs::fs::FileAttr;
+    use gridvm_vfs::mount::Transport;
+    use gridvm_vfs::protocol::{zero_block, NfsError, NfsRequest, NfsResponse};
+    use gridvm_vfs::proxy::{ProxyConfig, VfsProxy};
+    use gridvm_vfs::server::NfsServer;
+    use proptest::prelude::*;
+
+    const BS: u64 = NFS_BLOCK.as_u64();
+
+    /// Blocks a drawn run or its prefetch can reach.
+    const REACH: u64 = 520;
+
+    /// A WAN mount through a proxy shaped by `config`, and its one
+    /// file of `size` bytes: read-only synthetic, or a user file whose
+    /// blocks `data` hold bytes.
+    fn mount(config: ProxyConfig, size: u64, read_only: bool, data: &[u64]) -> (Mount, FileHandle) {
+        let mut server = NfsServer::new(DiskModel::new(DiskProfile::ide_2003()));
+        let root = server.fs().root();
+        let fs = server.fs_mut();
+        let t0 = SimTime::ZERO;
+        let file = if read_only {
+            fs.create_synthetic(root, "ro", ByteSize::from_bytes(size), 5, t0)
+                .unwrap()
+        } else {
+            let f = fs.create(root, "rw", t0).unwrap();
+            fs.write(f, size - 1, &[0], t0).unwrap();
+            for &b in data {
+                fs.write(f, b * BS, &[9; BS as usize], t0).unwrap();
+            }
+            f
+        };
+        let proxy = VfsProxy::new(config);
+        (Mount::new(Transport::wan(), server, Some(proxy)), file)
+    }
+
+    /// `Mount::read_range` as one READ per block through
+    /// `Mount::request`, stopping at end of file or the first error.
+    fn read_per_block(
+        m: &mut Mount,
+        now: SimTime,
+        fh: FileHandle,
+        offset: u64,
+        len: u64,
+    ) -> (SimTime, Result<u64, NfsError>) {
+        let (mut t, mut read, mut cursor) = (now, 0, offset);
+        while cursor < offset + len {
+            let chunk = (offset + len - cursor).min(BS);
+            let req = NfsRequest::Read {
+                fh,
+                offset: cursor,
+                len: chunk,
+            };
+            let (done, r) = m.request(t, req);
+            t = done;
+            match r {
+                Ok(NfsResponse::Data(d)) => {
+                    read += d.len() as u64;
+                    if (d.len() as u64) < chunk {
+                        break;
+                    }
+                }
+                Ok(other) => panic!("read returned {other:?}"),
+                Err(e) => return (t, Err(e)),
+            }
+            cursor += chunk;
+        }
+        (t, Ok(read))
+    }
+
+    /// A guest write run as one WRITE of the zero block per block
+    /// through `Mount::request`, stopping at the first that fails.
+    fn write_per_block(
+        m: &mut Mount,
+        now: SimTime,
+        fh: FileHandle,
+        first: u64,
+        count: u64,
+    ) -> SimTime {
+        let mut t = now;
+        for block in first..first + count {
+            let req = NfsRequest::Write {
+                fh,
+                offset: block * BS,
+                data: zero_block(),
+            };
+            let (done, r) = m.request(t, req);
+            t = done;
+            if r.is_err() {
+                break;
+            }
+        }
+        t
+    }
+
+    /// What the two mounts must agree on after every run.
+    #[derive(Debug, PartialEq)]
+    struct Seen {
+        hits: u64,
+        misses: u64,
+        prefetched: u64,
+        flushes: u64,
+        rpcs_sent: u64,
+        requests: u64,
+        attr: Result<FileAttr, NfsError>,
+        data: Vec<Bytes>,
+        /// The `(first, count)` spans of blocks the proxy holds.
+        cached: Vec<(u64, u64)>,
+    }
+
+    fn seen(m: &Mount, fh: FileHandle, data: &[u64]) -> Seen {
+        let p = m.proxy().expect("a proxied mount");
+        let fs = m.server().fs();
+        let mut cached = Vec::new();
+        let mut b = 0;
+        while b < REACH {
+            let n = p.resident_run(fh, b, REACH - b);
+            if n > 0 {
+                cached.push((b, n));
+            }
+            b += n + 1;
+        }
+        Seen {
+            hits: p.hits(),
+            misses: p.misses(),
+            prefetched: p.prefetched(),
+            flushes: p.flushes(),
+            rpcs_sent: m.rpcs_sent(),
+            requests: m.server().requests(),
+            attr: fs.getattr(fh),
+            data: data
+                .iter()
+                .map(|&b| fs.read(fh, b * BS, BS).unwrap())
+                .collect(),
+            cached,
+        }
+    }
+
+    proptest! {
+        /// Guest runs through `NfsGuestStorage::io_run`, and byte
+        /// ranges through `Mount::read_range`, match one request per
+        /// block on an identically built mount: every completion time
+        /// and result, the proxy's hits, misses, prefetched blocks and
+        /// flushes, the RPCs and server requests, the file's attributes
+        /// and data, and which blocks the proxy holds. Runs are
+        /// sequential or scattered reads and zero writes of 1–200
+        /// blocks, some crossing the end of the file, against caches
+        /// smaller than the blocks the runs reach (so extents evict),
+        /// write buffers of 0–39 blocks (so runs flush), and read-only
+        /// synthetic files (so writes stop at the first error).
+        #[test]
+        fn guest_runs_match_one_request_per_block(
+            (cache_blocks, prefetch_depth, write_buffer_blocks) in (1usize..160, 0u64..10, 0usize..40),
+            (size_blocks, tail, read_only) in (1u64..400, 0u64..BS, 0u8..4),
+            data in proptest::collection::vec(0u64..400, 0..6),
+            runs in proptest::collection::vec((0u8..4, 0u64..320, 1u64..=200, 0u64..BS), 1..24),
+        ) {
+            let config = ProxyConfig {
+                cache_blocks,
+                prefetch_depth,
+                write_buffer_blocks,
+                ..ProxyConfig::default()
+            };
+            let size = size_blocks * BS - tail;
+            let read_only = read_only == 0;
+            let (m, fh) = mount(config, size, read_only, &data);
+            let mut storage = NfsGuestStorage::new(m, fh, SimDuration::ZERO, "PVFS");
+            let (mut reference, _) = mount(config, size, read_only, &data);
+            let mut t = SimTime::ZERO;
+            for (kind, start, count, skew) in runs {
+                let done = match kind {
+                    0 | 1 => {
+                        let write = kind == 1;
+                        let done = storage.io_run(t, BlockAddr(start), count, write);
+                        let expected = if write {
+                            write_per_block(&mut reference, t, fh, start, count)
+                        } else {
+                            read_per_block(&mut reference, t, fh, start * BS, count * BS).0
+                        };
+                        prop_assert_eq!(done, expected);
+                        done
+                    }
+                    _ => {
+                        // An unaligned range in half of these.
+                        let offset = start * BS + if kind == 2 { skew } else { 0 };
+                        let len = count * BS - skew;
+                        let (done, r) = storage.mount.read_range(t, fh, offset, len);
+                        let expected = read_per_block(&mut reference, t, fh, offset, len);
+                        prop_assert_eq!((done, r), expected);
+                        done
+                    }
+                };
+                prop_assert_eq!(seen(&storage.mount, fh, &data), seen(&reference, fh, &data));
+                t = done;
+            }
+        }
     }
 }

@@ -1,17 +1,17 @@
 //! A fixed-capacity LRU set with O(1) touch, insert, remove and evict,
 //! and the fast-hash map that indexes it.
 //!
-//! [`LruSet`] is the recency structure under `gridvm-vfs`'s proxy
-//! block cache, and the per-block reference that `gridvm-storage`'s
-//! run-granular buffer cache is tested against. It replaced a
-//! `BTreeMap` from recency stamp to key, which paid O(log n) per
-//! access, with an intrusive doubly-linked list threaded through an
-//! index arena, so every operation is a hash lookup plus pointer
-//! surgery.
+//! [`LruSet`] is the per-block reference that `gridvm-storage`'s
+//! run-granular buffer cache, under both the host disks and
+//! `gridvm-vfs`'s proxy, is tested against. It replaced a `BTreeMap`
+//! from recency stamp to key, which paid O(log n) per access, with an
+//! intrusive doubly-linked list threaded through an index arena, so
+//! every operation is a hash lookup plus pointer surgery.
 //!
 //! [`FastMap`] is that lookup: a `HashMap` under [`FastHasher`], a
 //! multiplicative mixer for program-generated integer keys. The
-//! buffer cache uses the same map to find a block's index page.
+//! buffer cache uses the same map to find a block's index page, and
+//! the proxy to number the files it caches.
 //!
 //! Determinism: recency order is a pure function of the operation
 //! sequence (no hashing or iteration order ever influences which key
@@ -49,12 +49,14 @@ impl Hasher for FastHasher {
 }
 
 /// A lookup-only hash map under [`FastHasher`]: the index of
-/// [`LruSet`] (key → node) and of `gridvm-storage`'s buffer cache
-/// (page number → page slot). Neither iterates it.
+/// [`LruSet`] (key → node), of `gridvm-storage`'s buffer cache (page
+/// number → page slot) and of `gridvm-vfs`'s proxy files (handle →
+/// file number). None iterates it.
 #[expect(
     clippy::disallowed_types,
     reason = "FastMap uses the deterministic FastHasher and its users (LruSet, storage's \
-              BufferCache) only look keys up, never iterate; order comes from their recency lists"
+              BufferCache, the vfs proxy's file numbers) only look keys up, never iterate; \
+              order comes from recency lists and first-insert numbering"
 )]
 pub type FastMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FastHasher>>;
 

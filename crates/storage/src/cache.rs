@@ -132,16 +132,6 @@ impl BufferCache {
         self.capacity as usize
     }
 
-    /// Number of resident blocks.
-    pub fn len(&self) -> usize {
-        self.len as usize
-    }
-
-    /// True when nothing is resident.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Looks up `addr`; on a hit refreshes its recency and returns
     /// `true`.
     pub fn touch(&mut self, addr: BlockAddr) -> bool {
@@ -155,11 +145,24 @@ impl BufferCache {
         true
     }
 
-    /// Checks residency without affecting recency.
-    pub fn contains(&self, addr: BlockAddr) -> bool {
-        self.index
-            .get(&(addr.0 / PAGE_BLOCKS))
-            .is_some_and(|&page| self.extent_at(page, addr.0).is_some())
+    /// How many of blocks `start..start + max` are resident in a row
+    /// from `start`, without affecting recency: one lookup per page
+    /// the resident blocks reach, whatever extents hold them.
+    pub fn resident_run(&self, start: BlockAddr, max: u64) -> u64 {
+        let mut n = 0;
+        while n < max {
+            let b = start.0 + n;
+            let Some(&page) = self.index.get(&(b / PAGE_BLOCKS)) else {
+                break;
+            };
+            let offset = b % PAGE_BLOCKS;
+            let ones = u64::from((self.pages[page as usize].resident >> offset).trailing_ones());
+            n += ones;
+            if offset + ones < PAGE_BLOCKS {
+                break;
+            }
+        }
+        n.min(max)
     }
 
     /// Inserts `addr` as most-recently-used, evicting the LRU block
@@ -193,7 +196,7 @@ impl BufferCache {
     /// # Panics
     ///
     /// Panics if the run reaches past block `u64::MAX - 1`.
-    pub(crate) fn run(&mut self, start: BlockAddr, len: u64) -> u64 {
+    pub fn run(&mut self, start: BlockAddr, len: u64) -> u64 {
         let end = start
             .0
             .checked_add(len)
@@ -412,6 +415,11 @@ impl BufferCache {
 
 #[cfg(test)]
 impl BufferCache {
+    /// Whether `addr` is resident, without affecting recency.
+    fn contains(&self, addr: BlockAddr) -> bool {
+        self.resident_run(addr, 1) == 1
+    }
+
     /// The resident blocks, least recent first.
     fn blocks_oldest_first(&self) -> Vec<u64> {
         let mut out = Vec::new();
@@ -510,7 +518,7 @@ mod tests {
         c.insert(a(1));
         c.insert(a(2));
         assert_eq!(c.insert(a(1)), None, "already resident");
-        assert_eq!(c.len(), 2);
+        assert_eq!(c.len, 2);
         assert_eq!(c.insert(a(3)), Some(a(2)), "1 was refreshed, 2 evicts");
     }
 
@@ -520,7 +528,7 @@ mod tests {
         for i in 0..100 {
             c.insert(a(i));
         }
-        assert_eq!(c.len(), 5);
+        assert_eq!(c.len, 5);
         // most recent five remain
         for i in 95..100 {
             assert!(c.contains(a(i)));
@@ -577,7 +585,7 @@ mod tests {
         assert_eq!(c.run(a(top - 69), 70), 0);
         assert_eq!(c.run(a(top - 9), 10), 10);
         c.check_invariants();
-        assert_eq!(c.len(), 70);
+        assert_eq!(c.len, 70);
         assert!(c.contains(a(top - 1)));
     }
 
@@ -636,7 +644,9 @@ mod proptests {
 
     /// Replays one operation, drawn as `(kind, block, run length)`,
     /// on both caches and checks that they agree after it: a `touch`'s
-    /// hit, an `insert`'s victim, or a run's hits (half the kinds).
+    /// hit, an `insert`'s victim, or a run's hits (half the kinds),
+    /// and then how many blocks from the operation's block on are
+    /// resident in a row.
     fn step(cache: &mut BufferCache, model: &mut BlockLoop, (kind, b, len): (u8, u64, u64)) {
         match kind {
             0 => assert_eq!(cache.touch(BlockAddr(b)), model.lru.touch(&b)),
@@ -644,8 +654,10 @@ mod proptests {
             _ => assert_eq!(cache.run(BlockAddr(b), len), model.run(b, len)),
         }
         cache.check_invariants();
-        assert_eq!(cache.len(), model.lru.len());
+        assert_eq!(cache.len, model.lru.len() as u64);
         assert_eq!(cache.blocks_oldest_first(), model.blocks_oldest_first());
+        let in_a_row = (b..b + len).take_while(|x| model.lru.contains(x)).count();
+        assert_eq!(cache.resident_run(BlockAddr(b), len), in_a_row as u64);
     }
 
     proptest! {
@@ -691,7 +703,7 @@ mod proptests {
             let mut c = BufferCache::new(cap);
             for addr in ops {
                 c.insert(BlockAddr(addr));
-                prop_assert!(c.len() <= cap);
+                prop_assert!(c.len <= cap as u64);
                 prop_assert!(c.contains(BlockAddr(addr)));
             }
         }

@@ -390,17 +390,7 @@ impl InMemoryFs {
         data: &[u8],
         now: SimTime,
     ) -> Result<(), FsError> {
-        let (size, blocks) = match self.node_mut(h)? {
-            Node::File {
-                data: FileData::Blocks { size, blocks },
-                mtime,
-            } => {
-                *mtime = now;
-                (size, blocks)
-            }
-            Node::File { .. } => return Err(FsError::ReadOnly),
-            Node::Dir { .. } => return Err(FsError::IsDir),
-        };
+        let (size, blocks) = self.written_blocks(h, now)?;
         let mut done = 0;
         while done < data.len() {
             let at = offset + done as u64;
@@ -429,6 +419,49 @@ impl InMemoryFs {
         }
         *size = (*size).max(offset + data.len() as u64);
         Ok(())
+    }
+
+    /// Writes zeros over whole blocks `first..first + count` in one
+    /// step, which leave them holes: for a `count` of at least one, the
+    /// same file as `count` writes of [`zero_block`] at those blocks in
+    /// order, the last at `now`.
+    ///
+    /// # Errors
+    ///
+    /// As [`write`](InMemoryFs::write), before any block is written.
+    pub fn write_zero_blocks(
+        &mut self,
+        h: FileHandle,
+        first: u64,
+        count: u64,
+        now: SimTime,
+    ) -> Result<(), FsError> {
+        let (size, blocks) = self.written_blocks(h, now)?;
+        for index in first..first + count {
+            blocks.remove(index);
+        }
+        *size = (*size).max((first + count) * BLOCK as u64);
+        Ok(())
+    }
+
+    /// The size and blocks of user file `h`, which a write at `now`
+    /// modifies.
+    fn written_blocks(
+        &mut self,
+        h: FileHandle,
+        now: SimTime,
+    ) -> Result<(&mut u64, &mut DenseMap<Bytes>), FsError> {
+        match self.node_mut(h)? {
+            Node::File {
+                data: FileData::Blocks { size, blocks },
+                mtime,
+            } => {
+                *mtime = now;
+                Ok((size, blocks))
+            }
+            Node::File { .. } => Err(FsError::ReadOnly),
+            Node::Dir { .. } => Err(FsError::IsDir),
+        }
     }
 
     /// File or directory attributes.
@@ -708,6 +741,38 @@ mod proptests {
                 let end = ((offset + len) as usize).min(model.len());
                 let got = fs.read(f, offset, len).unwrap();
                 prop_assert_eq!(&got[..], &model[start..end]);
+            }
+        }
+
+        /// A run of zero blocks leaves the file that one zero-block
+        /// write per block leaves: the same bytes, size and mtime, over
+        /// stored blocks, holes and the end of the file alike.
+        #[test]
+        fn zero_block_runs_match_per_block_writes(
+            ops in proptest::collection::vec((0u8..6, 0u64..6 * BLOCK as u64, 1usize..3 * BLOCK, 0u8..=255), 0..12),
+            first in 0u64..8,
+            count in 1u64..8,
+        ) {
+            let mut run = InMemoryFs::new();
+            let f = run.create(run.root(), "m", SimTime::ZERO).unwrap();
+            for op in ops {
+                let (offset, data) = write_op(op);
+                run.write(f, offset, &data, SimTime::ZERO).unwrap();
+            }
+            let mut per_block = run.clone();
+            let bs = BLOCK as u64;
+            for (i, index) in (first..first + count).enumerate() {
+                let at = SimTime::from_nanos(i as u64 + 1);
+                per_block.write(f, index * bs, &zero_block(), at).unwrap();
+            }
+            run.write_zero_blocks(f, first, count, SimTime::from_nanos(count)).unwrap();
+            let attr = run.getattr(f).unwrap();
+            prop_assert_eq!(attr, per_block.getattr(f).unwrap());
+            let all = |fs: &InMemoryFs| fs.read(f, 0, attr.size).unwrap();
+            prop_assert_eq!(all(&run), all(&per_block));
+            for index in first..first + count {
+                let hole = run.read(f, index * bs, bs).unwrap();
+                prop_assert!(std::ptr::eq(hole.as_ptr(), zero_block().as_ptr()));
             }
         }
     }

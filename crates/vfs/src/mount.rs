@@ -1,3 +1,4 @@
+// audit:hot-path: every PVFS guest block crosses the mount here, as a proxy run or an RPC
 //! Mounts: a client-side view of a remote (or loopback) NFS server,
 //! optionally through a PVFS proxy.
 //!
@@ -10,12 +11,19 @@
 //!   mounted NFS partition, i.e. full RPC stack but no wire.
 //! * [`Transport::lan`] / [`Transport::wan`] — campus and
 //!   Florida↔Northwestern paths (Table 1's PVFS experiment).
+//!
+//! A guest run crosses the mount as a run. [`Mount::read_range`] serves
+//! the whole blocks the proxy holds in a row as one hit step, and
+//! [`Mount::write_zero_blocks`] puts as many blocks into write-behind
+//! per step as the buffer has room for. Each returns exactly what one
+//! [`Mount::request`] per block would: the same completion times,
+//! results, RPCs, proxy counts and cache state.
 
 use gridvm_simcore::server::Pipe;
 use gridvm_simcore::time::{SimDuration, SimTime};
 use gridvm_simcore::units::Bandwidth;
 
-use crate::protocol::{NfsError, NfsRequest, NfsResponse, NFS_BLOCK};
+use crate::protocol::{zero_block, NfsError, NfsRequest, NfsResponse, NFS_BLOCK};
 use crate::proxy::VfsProxy;
 
 use gridvm_simcore::metrics::Counter;
@@ -198,7 +206,9 @@ impl Mount {
         now: SimTime,
         req: NfsRequest,
     ) -> (SimTime, Result<NfsResponse, NfsError>) {
-        // Proxy fast paths.
+        // Proxy fast paths: the request's blocks are a run, served by
+        // the proxy's one hit path and one write-behind path, which
+        // `read_range` and `write_zero_blocks` take with longer runs.
         if let Some(proxy) = &mut self.proxy {
             match &req {
                 NfsRequest::Read { fh, offset, len } => {
@@ -268,6 +278,14 @@ impl Mount {
     /// Reads an arbitrary byte range by issuing as many block RPCs as
     /// needed; returns the final completion time and total bytes
     /// actually read.
+    ///
+    /// The blocks the proxy holds go as runs: at an aligned cursor,
+    /// every whole block below the end of the file and of the range
+    /// that the proxy holds in a row is served as one
+    /// [`VfsProxy::hit_run`], exactly as that many one-block READs
+    /// that each hit. The block after such a run goes as one READ
+    /// through [`request`](Mount::request), and so does every block
+    /// without a proxy.
     pub fn read_range(
         &mut self,
         now: SimTime,
@@ -275,12 +293,24 @@ impl Mount {
         offset: u64,
         len: u64,
     ) -> (SimTime, Result<u64, NfsError>) {
+        let bs = NFS_BLOCK.as_u64();
         let mut t = now;
         let mut read = 0u64;
         let mut cursor = offset;
         let end = offset + len;
         while cursor < end {
-            let chunk = (end - cursor).min(NFS_BLOCK.as_u64());
+            let hits = self.cached_whole_blocks(fh, cursor, end);
+            if hits > 0 {
+                let proxy = self.proxy.as_mut().expect("only a proxy holds blocks");
+                let run_end = cursor + hits * bs;
+                t = proxy.hit_run(fh, cursor / bs, hits, run_end, t);
+                read += hits * bs;
+                cursor = run_end;
+                if cursor == end {
+                    break;
+                }
+            }
+            let chunk = (end - cursor).min(bs);
             let (done, r) = self.request(
                 t,
                 NfsRequest::Read {
@@ -303,6 +333,83 @@ impl Mount {
             cursor += chunk;
         }
         (t, Ok(read))
+    }
+
+    /// How many whole blocks from `cursor` on, below both `end` and
+    /// the end of `fh`, the proxy holds in a row: none at an unaligned
+    /// cursor, without a proxy, or when `fh` is not a readable file
+    /// (its READ then reports the error).
+    fn cached_whole_blocks(&self, fh: crate::fs::FileHandle, cursor: u64, end: u64) -> u64 {
+        let bs = NFS_BLOCK.as_u64();
+        let Some(proxy) = &self.proxy else {
+            return 0;
+        };
+        if !cursor.is_multiple_of(bs) {
+            return 0;
+        }
+        let Ok(attr) = self.server.fs().getattr(fh) else {
+            return 0;
+        };
+        let below = end.min(attr.size).saturating_sub(cursor) / bs;
+        proxy.resident_run(fh, cursor / bs, below)
+    }
+
+    /// Writes zeros over whole blocks `first..first + count` of `fh`,
+    /// the shape of a guest write run, whose content no model reads;
+    /// returns the completion time. The outcome is that of one WRITE of
+    /// [`zero_block`] per block through [`request`](Mount::request),
+    /// stopping at the first that fails, but each step absorbs as many
+    /// blocks as the proxy's write-behind buffer has room for
+    /// ([`VfsProxy::write_behind`]). A block that finds the buffer full
+    /// goes as its own WRITE, which stands for the flush; so does every
+    /// block without a proxy.
+    pub fn write_zero_blocks(
+        &mut self,
+        now: SimTime,
+        fh: crate::fs::FileHandle,
+        first: u64,
+        count: u64,
+    ) -> (SimTime, Result<(), NfsError>) {
+        let mut t = now;
+        let mut block = first;
+        let end = first + count;
+        while block < end {
+            let room = self.proxy.as_ref().map_or(0, VfsProxy::write_room);
+            let n = room.min(end - block);
+            if n == 0 {
+                let (done, r) = self.request(
+                    t,
+                    NfsRequest::Write {
+                        fh,
+                        offset: block * NFS_BLOCK.as_u64(),
+                        data: zero_block(),
+                    },
+                );
+                t = done;
+                if let Err(e) = r {
+                    return (t, Err(e));
+                }
+                block += 1;
+                continue;
+            }
+            let proxy = self.proxy.as_mut().expect("room is a proxy's");
+            // One WRITE per block would write block `i` of the run at
+            // `t + hit_cost × i`, so the file keeps the last one's time.
+            let last = t + proxy.config().hit_cost * (n - 1);
+            match self.server.fs_mut().write_zero_blocks(fh, block, n, last) {
+                Ok(()) => {
+                    t = proxy.write_behind(fh, block, n, t);
+                    block += n;
+                }
+                Err(e) => {
+                    // The first block's WRITE enters the buffer, then
+                    // fails at the file system.
+                    t = proxy.write_behind(fh, block, 1, t);
+                    return (t, Err(e));
+                }
+            }
+        }
+        (t, Ok(()))
     }
 
     /// Writes an arbitrary byte range in block-sized RPCs; returns
@@ -347,6 +454,7 @@ impl Mount {
             now,
             NfsRequest::Create {
                 dir,
+                // audit:allow(alloc-in-hot): a CREATE is a control RPC, once per file; the request owns its name by protocol contract
                 name: name.to_owned(),
             },
         );
@@ -368,6 +476,7 @@ impl Mount {
             now,
             NfsRequest::Lookup {
                 dir,
+                // audit:allow(alloc-in-hot): a LOOKUP is a control RPC, once per file; the request owns its name by protocol contract
                 name: name.to_owned(),
             },
         );

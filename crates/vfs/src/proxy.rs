@@ -8,13 +8,24 @@
 //! from a data server D." The proxy is what lets Table 1's PVFS rows
 //! stay within a couple of percent of local execution, and what the
 //! ablation bench `ablation_proxy_cache` switches off.
+//!
+//! The proxy works in runs of blocks. Its `(file, block)` residency is
+//! a [`BufferCache`], the extent LRU under the host disks, exactly a
+//! per-block LRU set, at addresses the proxy gives each file handle.
+//! A read hit and a write-behind are each one step for a whole run:
+//! [`VfsProxy::hit_run`] and [`VfsProxy::write_behind`] count, time and
+//! refresh `n` blocks exactly as `n` one-block requests would, and a
+//! one-block request goes through the same two functions. Only a miss
+//! and its prefetches are still block by block.
 
-use gridvm_simcore::lru::LruSet;
+use gridvm_simcore::lru::FastMap;
 use gridvm_simcore::metrics::Counter;
 use gridvm_simcore::slot::DenseMap;
 use gridvm_simcore::time::{SimDuration, SimTime};
+use gridvm_storage::block::BlockAddr;
+use gridvm_storage::cache::BufferCache;
 
-/// Blocks served from the proxy cache (hot: one add per read hit).
+/// Blocks served from the proxy cache (hot: one add per hit run).
 static PROXY_HITS: Counter = Counter::new("vfs.proxy_hits");
 /// Read misses forwarded to the server.
 static PROXY_MISSES: Counter = Counter::new("vfs.proxy_misses");
@@ -23,6 +34,23 @@ static PROXY_PREFETCHED: Counter = Counter::new("vfs.proxy_prefetched");
 
 use crate::fs::{FileHandle, InMemoryFs};
 use crate::protocol::NFS_BLOCK;
+
+/// Blocks of one file in the proxy's block address space: block `b` of
+/// the file the proxy numbered `f` is cache address
+/// `f × FILE_BLOCKS + b`: 2^40 blocks of 8 KiB, 8 PiB per file.
+const FILE_BLOCKS: u64 = 1 << 40;
+
+/// Files one proxy can number, so every address stays below 2^63.
+const MAX_FILES: u64 = 1 << 23;
+
+/// The first block and the number of blocks an NFS transfer of
+/// `len` bytes at `offset` touches (none for an empty transfer).
+fn span(offset: u64, len: u64) -> (u64, u64) {
+    match InMemoryFs::block_span(offset, len, NFS_BLOCK) {
+        Some((first, last)) => (first, last - first + 1),
+        None => (offset / NFS_BLOCK.as_u64(), 0),
+    }
+}
 
 /// Proxy tuning parameters.
 #[derive(Clone, Copy, Debug)]
@@ -72,14 +100,25 @@ impl ProxyConfig {
 /// let mut p = VfsProxy::new(ProxyConfig::default());
 /// let fh = FileHandle(5);
 /// assert!(p.try_read_hit(fh, 0, 8192, SimTime::ZERO).is_none()); // cold
-/// p.install(fh, 0, 8192);
+/// p.install(fh, 0, 3 * 8192);
 /// assert!(p.try_read_hit(fh, 0, 8192, SimTime::ZERO).is_some()); // warm
+/// assert_eq!(p.resident_run(fh, 1, 10), 2); // blocks 1 and 2
 /// ```
 #[derive(Clone, Debug)]
 pub struct VfsProxy {
     config: ProxyConfig,
-    /// `(file, block)` residency with O(1) recency bookkeeping.
-    cache: LruSet<(u64, u64)>,
+    /// `(file, block)` residency and recency, one extent per run of
+    /// blocks a file's reads or writes left adjacent, at addresses
+    /// from `files`.
+    cache: BufferCache,
+    /// The proxy's number for every handle it has cached a block of,
+    /// in first-cached order. Keyed by the whole handle, generation
+    /// included, so a file created in a removed file's slot never
+    /// shares its blocks.
+    files: FastMap<u64, u64>,
+    /// The last `(handle, number)` pair found in `files`: the next
+    /// run is nearly always on the same file.
+    last_file: Option<(u64, u64)>,
     /// Per-file last read end offset, for sequentiality detection.
     /// Keyed by the handle's slot index (dense); the stored full
     /// handle value disambiguates slot reuse across removals.
@@ -92,12 +131,15 @@ pub struct VfsProxy {
 }
 
 impl VfsProxy {
-    /// Creates a cold proxy.
+    /// Creates a cold proxy. Nothing is allocated until a block is
+    /// cached.
     pub fn new(config: ProxyConfig) -> Self {
         let config = config.validated();
         VfsProxy {
-            cache: LruSet::new(config.cache_blocks),
+            cache: BufferCache::new(config.cache_blocks),
             config,
+            files: FastMap::default(),
+            last_file: None,
             last_read_end: DenseMap::new(),
             buffered_blocks: 0,
             hits: 0,
@@ -132,8 +174,40 @@ impl VfsProxy {
         self.flushes
     }
 
-    fn touch(&mut self, key: (u64, u64)) -> bool {
-        self.cache.touch(&key)
+    /// The cache address of block `first` of the file the proxy
+    /// numbered `number`, checking that a run of `n` blocks from it
+    /// stays inside the file's address space.
+    fn address(fh: FileHandle, number: u64, first: u64, n: u64) -> BlockAddr {
+        assert!(
+            first.saturating_add(n) <= FILE_BLOCKS,
+            "blocks {first}..{} of {fh} pass the proxy's limit of {FILE_BLOCKS} blocks per file",
+            first.saturating_add(n)
+        );
+        BlockAddr(number * FILE_BLOCKS + first)
+    }
+
+    /// The proxy's number for `fh`, if it has cached a block of it.
+    fn number(&self, fh: FileHandle) -> Option<u64> {
+        match self.last_file {
+            Some((handle, number)) if handle == fh.0 => Some(number),
+            _ => self.files.get(&fh.0).copied(),
+        }
+    }
+
+    /// The address of block `first` of `fh`, numbering the file if
+    /// the proxy has not cached a block of it before.
+    fn address_mut(&mut self, fh: FileHandle, first: u64, n: u64) -> BlockAddr {
+        let number = self.number(fh).unwrap_or_else(|| {
+            let number = self.files.len() as u64;
+            assert!(
+                number < MAX_FILES,
+                "{fh} passes the proxy's limit of {MAX_FILES} files"
+            );
+            self.files.insert(fh.0, number);
+            number
+        });
+        self.last_file = Some((fh.0, number));
+        Self::address(fh, number, first, n)
     }
 
     /// Dense per-file key: the handle's slot index.
@@ -145,12 +219,47 @@ impl VfsProxy {
         self.last_read_end.insert(Self::file_key(fh), (fh.0, end));
     }
 
-    fn insert(&mut self, key: (u64, u64)) {
-        self.cache.insert(key);
+    /// How many of blocks `first..first + max` of `fh` are cached in a
+    /// row from `first`, without touching recency.
+    pub fn resident_run(&self, fh: FileHandle, first: u64, max: u64) -> u64 {
+        self.number(fh).map_or(0, |number| {
+            self.cache
+                .resident_run(Self::address(fh, number, first, max), max)
+        })
+    }
+
+    /// Serves blocks `first..first + n` of `fh`, which
+    /// [`resident_run`](VfsProxy::resident_run) found cached, as `n`
+    /// hits in one step: they become the most recent blocks in
+    /// ascending order, the file's last read ends at `read_end`, and
+    /// the hits complete at `now + hit_cost × n`. This is the one hit
+    /// path: a read request's blocks go through it too.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a block of the run is not cached.
+    pub fn hit_run(
+        &mut self,
+        fh: FileHandle,
+        first: u64,
+        n: u64,
+        read_end: u64,
+        now: SimTime,
+    ) -> SimTime {
+        if n > 0 {
+            let at = self.address_mut(fh, first, n);
+            let refreshed = self.cache.run(at, n);
+            assert_eq!(refreshed, n, "a hit run of {fh} reached uncached blocks");
+        }
+        self.hits += n;
+        PROXY_HITS.add(n);
+        self.set_last_read_end(fh, read_end);
+        now + self.config.hit_cost * n
     }
 
     /// If every block of `[offset, offset+len)` in `fh` is cached,
-    /// refreshes them and returns the hit completion time.
+    /// serves them as one [`hit_run`](VfsProxy::hit_run) and returns
+    /// the hit completion time.
     pub fn try_read_hit(
         &mut self,
         fh: FileHandle,
@@ -158,36 +267,9 @@ impl VfsProxy {
         len: u64,
         now: SimTime,
     ) -> Option<SimTime> {
-        let Some((first, last)) =
-            InMemoryFs::block_span(offset, len.min(NFS_BLOCK.as_u64()), NFS_BLOCK)
-        else {
-            return Some(now);
-        };
-        if first == last {
-            // Single-block read — the dominant shape: `touch` is both
-            // the residency probe and the recency refresh, so the hit
-            // path costs one cache lookup instead of two.
-            if !self.cache.touch(&(fh.0, first)) {
-                return None;
-            }
-            self.hits += 1;
-            PROXY_HITS.add(1);
-            self.set_last_read_end(fh, offset + len);
-            return Some(now + self.config.hit_cost);
-        }
-        let all_cached = (first..=last).all(|b| self.cache.contains(&(fh.0, b)));
-        if !all_cached {
-            return None;
-        }
-        for b in first..=last {
-            let hit = self.touch((fh.0, b));
-            debug_assert!(hit);
-        }
-        let count = last - first + 1;
-        self.hits += count;
-        PROXY_HITS.add(count);
-        self.set_last_read_end(fh, offset + len);
-        Some(now + self.config.hit_cost * count)
+        let (first, n) = span(offset, len.min(NFS_BLOCK.as_u64()));
+        (self.resident_run(fh, first, n) == n)
+            .then(|| self.hit_run(fh, first, n, offset + len, now))
     }
 
     /// Records a read miss that was served by the server, installs
@@ -219,8 +301,7 @@ impl VfsProxy {
         let next = offset + len;
         for i in 0..self.config.prefetch_depth {
             let pf_offset = next + i * bs;
-            let first_block = pf_offset / bs;
-            if self.cache.contains(&(fh.0, first_block)) {
+            if self.resident_run(fh, pf_offset / bs, 1) == 1 {
                 continue;
             }
             out.push((pf_offset, bs));
@@ -230,13 +311,43 @@ impl VfsProxy {
     }
 
     /// Marks the blocks of a range as cached (used for demand fills
-    /// and prefetch completions).
+    /// and prefetch completions), in ascending order, as one run.
     pub fn install(&mut self, fh: FileHandle, offset: u64, len: u64) {
-        if let Some((first, last)) = InMemoryFs::block_span(offset, len, NFS_BLOCK) {
-            for b in first..=last {
-                self.insert((fh.0, b));
-            }
+        let (first, n) = span(offset, len);
+        self.install_blocks(fh, first, n);
+    }
+
+    fn install_blocks(&mut self, fh: FileHandle, first: u64, n: u64) {
+        if n > 0 {
+            let at = self.address_mut(fh, first, n);
+            self.cache.run(at, n);
         }
+    }
+
+    /// Blocks the write-behind buffer can still absorb before a write
+    /// has to flush it.
+    pub fn write_room(&self) -> u64 {
+        (self.config.write_buffer_blocks - self.buffered_blocks) as u64
+    }
+
+    /// Absorbs blocks `first..first + n` of `fh` into the write-behind
+    /// buffer in one step, exactly as `n` one-block writes that each
+    /// fit: the blocks become cached (written data is also readable
+    /// from the cache), and the writes complete at
+    /// `now + hit_cost × n`. This is the one write-behind path: a
+    /// write request's blocks go through it too.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run needs more than [`write_room`](VfsProxy::write_room).
+    pub fn write_behind(&mut self, fh: FileHandle, first: u64, n: u64, now: SimTime) -> SimTime {
+        assert!(
+            n <= self.write_room(),
+            "a write-behind run of {n} blocks overfills the buffer"
+        );
+        self.buffered_blocks += n as usize;
+        self.install_blocks(fh, first, n);
+        now + self.config.hit_cost * n
     }
 
     /// Attempts to absorb a write into the write-behind buffer. On
@@ -250,20 +361,14 @@ impl VfsProxy {
         len: u64,
         now: SimTime,
     ) -> Option<SimTime> {
-        let blocks = match InMemoryFs::block_span(offset, len, NFS_BLOCK) {
-            Some((first, last)) => (last - first + 1) as usize,
-            None => 0,
-        };
-        if self.buffered_blocks + blocks > self.config.write_buffer_blocks {
+        let (first, n) = span(offset, len);
+        if n > self.write_room() {
             // Buffer full: the synchronous path drains it.
             self.buffered_blocks = 0;
             self.flushes += 1;
             return None;
         }
-        self.buffered_blocks += blocks;
-        // Written data is also readable from the cache.
-        self.install(fh, offset, len);
-        Some(now + self.config.hit_cost * blocks as u64)
+        Some(self.write_behind(fh, first, n, now))
     }
 }
 
@@ -339,11 +444,54 @@ mod tests {
         for i in 0..4 {
             p.install(fh(1), i * bs(), bs());
         }
-        let _ = p.touch((1, 0)); // refresh block 0
+        // A hit refreshes block 0.
+        assert!(p.try_read_hit(fh(1), 0, bs(), SimTime::ZERO).is_some());
         p.install(fh(1), 100 * bs(), bs()); // evicts block 1 (LRU)
         assert!(p.try_read_hit(fh(1), 0, bs(), SimTime::ZERO).is_some());
         assert!(p.try_read_hit(fh(1), bs(), bs(), SimTime::ZERO).is_none());
-        assert_eq!(p.cache.len(), 4);
+        assert_eq!(p.resident_run(fh(1), 2, 10), 2);
+        assert_eq!(p.resident_run(fh(1), 100, 10), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "reached uncached blocks")]
+    fn a_hit_run_over_an_uncached_block_panics() {
+        let mut p = VfsProxy::new(ProxyConfig::default());
+        p.install(fh(1), 0, 2 * bs());
+        p.hit_run(fh(1), 0, 3, 3 * bs(), SimTime::ZERO);
+    }
+
+    #[test]
+    fn a_file_created_in_a_removed_files_slot_misses() {
+        let t0 = SimTime::ZERO;
+        let mut fs = InMemoryFs::new();
+        let root = fs.root();
+        let old = fs.create(root, "old", t0).unwrap();
+        let mut p = VfsProxy::new(ProxyConfig::default());
+        p.install(old, 0, 4 * bs());
+        fs.remove(root, "old", t0).unwrap();
+        let new = fs.create(root, "new", t0).unwrap();
+        assert_eq!(
+            VfsProxy::file_key(new),
+            VfsProxy::file_key(old),
+            "slot reused"
+        );
+        assert_ne!(new, old, "under a new generation");
+        assert!(p.try_read_hit(new, 0, bs(), t0).is_none());
+        assert_eq!(p.resident_run(new, 0, 4), 0);
+        p.install(new, 4 * bs(), bs());
+        // The removed file's blocks stay cached until they age out, as
+        // they did keyed by `(handle, block)`.
+        assert_eq!(p.resident_run(old, 0, 8), 4);
+        assert_eq!(p.resident_run(new, 0, 8), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "limit of 1099511627776 blocks per file")]
+    fn a_block_past_the_address_space_panics() {
+        let mut p = VfsProxy::new(ProxyConfig::default());
+        p.install(fh(1), (FILE_BLOCKS - 1) * bs(), bs()); // the last block
+        p.install(fh(1), FILE_BLOCKS * bs(), bs());
     }
 
     #[test]
